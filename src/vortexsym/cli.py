@@ -14,7 +14,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from vortexsym.groebner import Ideal, buchberger, eliminate
+from vortexsym.groebner import ExponentOverflowError, Ideal, buchberger, eliminate
 from vortexsym.ratpoly import Poly, VarRegistry, grevlex, lex
 from vortexsym.scenarios import run_kite, run_rectangle, run_square, run_trapezoid
 from vortexsym.trigvortex import SCENARIOS, Configuration
@@ -232,9 +232,14 @@ def _groebner_command(args, stream):
             if not registry.contains(v):
                 print(f"error: cannot eliminate unknown variable {v!r}", file=sys.stderr)
                 return 2
-        gb = eliminate(Ideal.of(*polys), dropped)
-    else:
-        gb = buchberger(Ideal.of(*polys), order)
+    try:
+        if args.eliminate:
+            gb = eliminate(Ideal.of(*polys), dropped)
+        else:
+            gb = buchberger(Ideal.of(*polys), order)
+    except ExponentOverflowError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     basis_text = [p.format(gb.order) for p in gb.polys]
     for text in basis_text:
         print(text, file=stream)

@@ -7,12 +7,37 @@ Gebauer-Moeller update, which realises both classical Buchberger criteria
 (coprime leading monomials and the chain criterion).  Pair selection is by
 (lcm degree, insertion indices), so runs are deterministic and the reduced
 basis produced for a given ideal and order is unique.
+
+Inside the kernel a monomial with exponents ``e`` over the ``n`` variables
+that occur in the generators is two Python ints (Bachmann & Schoenemann,
+ISSAC 1998):
+
+- ``k`` packs the rows ``w`` of the order's weight matrix
+  (``MonomialOrder.weights``) into signed fields of ``W`` bits, first row
+  most significant: ``k = sum_r (w_r . e) << W * (rows - 1 - r)``.  ``W`` is
+  two bits more than the bit length of the largest row value an exponent
+  vector within the limit below can reach, so a field never spills into the
+  next one and plain int comparison of ``k`` is the monomial order.
+- ``p`` packs the exponents into 16-bit fields, 15 exponent bits under one
+  guard bit.  ``d`` divides ``m`` exactly when ``(p_m - p_d) & GUARD == 0``.
+
+Both are linear in ``e``, so multiplying two monomials adds their ``k`` and
+their ``p``.  Exponents are limited to ``2**15 - 1``.  An input exponent
+above that raises :class:`ExponentOverflowError` when it is packed.  Every
+product the kernel forms is a shift times a tail term, and each basis entry
+keeps the fieldwise maximum of its tail exponents, so one guard test of
+``shift + tail maximum`` per reduction step or S-polynomial finds any
+product that would overflow, before it is formed.  The normal form takes
+terms from a heap of ``-k`` (Monagan & Pearce, CASC 2007).  Polynomials are
+converted to and from this form only on entry to and exit from
+``_buchberger_int``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from vortexsym.ratpoly import (
@@ -20,7 +45,6 @@ from vortexsym.ratpoly import (
     Poly,
     VarRegistry,
     elimination,
-    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -169,77 +193,172 @@ def normal_form(p, basis):
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free integer kernel
+# Fraction-free integer kernel over packed monomials
 # ---------------------------------------------------------------------------
 
 
-def _int_from_poly(p):
+class ExponentOverflowError(OverflowError):
+    """An exponent does not fit the packed monomial fields of the kernel."""
+
+
+_EXP_BITS = 15  # exponent bits per variable in ``p``; one guard bit on top
+_P_WIDTH = _EXP_BITS + 1
+_EXP_MAX = (1 << _EXP_BITS) - 1
+
+
+class _Packing:
+    """The packed ``(k, p)`` encoding of the monomials of one kernel run.
+
+    Only the variables that occur in the generators get fields; no other
+    variable can appear during the run.
+    """
+
+    __slots__ = ("nvars", "active", "shifts", "k_of_var", "guard")
+
+    def __init__(self, order, nvars, active):
+        rows = order.weights(nvars)
+        for i in active:
+            if not any(row[i] for row in rows):
+                raise ValueError(f"monomial order {order!r} does not rank variable {i}")
+        rows = [row for row in ([row[i] for i in active] for row in rows) if any(row)]
+        bound = max((sum(abs(w) for w in row) for row in rows), default=0) * _EXP_MAX
+        width = bound.bit_length() + 2
+        self.nvars = nvars
+        self.active = tuple(active)
+        self.shifts = tuple(_P_WIDTH * j for j in range(len(active)))
+        self.k_of_var = tuple(
+            sum(row[j] << (width * (len(rows) - 1 - r)) for r, row in enumerate(rows))
+            for j in range(len(active))
+        )
+        self.guard = sum(1 << (s + _EXP_BITS) for s in self.shifts)
+
+    def pack(self, exps):
+        k = p = 0
+        for i, s, w in zip(self.active, self.shifts, self.k_of_var):
+            e = exps[i]
+            if e > _EXP_MAX:
+                raise ExponentOverflowError(
+                    f"exponent {e} exceeds the packed maximum {_EXP_MAX}"
+                )
+            k += e * w
+            p |= e << s
+        return k, p
+
+    def exponents(self, p):
+        return [(p >> s) & _EXP_MAX for s in self.shifts]
+
+    def unpack(self, p):
+        exps = [0] * self.nvars
+        for i, e in zip(self.active, self.exponents(p)):
+            exps[i] = e
+        return tuple(exps)
+
+    def k_of(self, p):
+        return sum(e * w for e, w in zip(self.exponents(p), self.k_of_var))
+
+    def lcm(self, a, b):
+        """Fieldwise maximum of two valid ``p`` packs."""
+        ge = ((a | self.guard) - b) & self.guard  # guard bit set where a >= b
+        mask = ge - (ge >> _EXP_BITS)
+        return (a & mask) | (b & ~mask)
+
+    def check(self, p):
+        """Raise unless every field of a ``p`` sum of valid packs fits."""
+        if p & self.guard:
+            raise ExponentOverflowError(
+                f"an exponent of a product exceeds the packed maximum {_EXP_MAX}"
+            )
+
+
+def _int_terms(poly, pk):
+    """Integer (k, p, c) terms of ``poly`` scaled by its common denominator,
+    leading term first."""
     denom = 1
-    for c in p.terms.values():
+    for c in poly.terms.values():
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    return {m: int(c * denom) for m, c in p.terms.items()}
+    terms = [pk.pack(m) + (int(c * denom),) for m, c in poly.terms.items()]
+    terms.sort(reverse=True)
+    return terms
 
 
-def _poly_from_int(reg, terms):
-    return Poly(reg, {m: Fraction(c) for m, c in terms.items()})
-
-
-def _int_strip(terms, key):
-    """Make an integer coefficient dict primitive with positive leading sign."""
+def _int_strip(terms):
+    """Make descending (k, p, c) terms primitive with positive leading sign."""
     if not terms:
         return terms
     g = 0
-    for c in terms.values():
+    for _, _, c in terms:
         g = gcd(g, c)
         if g == 1:
             break
-    lead = max(terms, key=key)
-    if terms[lead] < 0:
+    if terms[0][2] < 0:
         g = -g
     if g != 1:
-        return {m: c // g for m, c in terms.items()}
-    return dict(terms)
+        return [(k, p, c // g) for k, p, c in terms]
+    return terms
 
 
-def _int_nf(p, basis, key, skip=-1):
-    """Fraction-free normal form of integer dict ``p`` against basis entries.
+def _int_nf(terms, basis, pk):
+    """Fraction-free normal form of (k, p, c) ``terms`` against basis entries.
 
-    ``basis`` holds (lt_monomial, lt_coefficient, terms) triples; ``skip``
-    excludes one index (used during inter-reduction).  The result equals the
-    true normal form up to a positive rational scalar and is returned
-    integer-primitive.
+    ``terms`` may repeat a monomial; repeats are summed.  Terms are taken
+    from a heap of ``-k``, largest first; heap entries whose term was
+    cancelled are skipped.  A term is reduced by the first entry, in basis
+    order, whose leading monomial divides it.  The result equals the true
+    normal form up to a positive rational scalar and is returned as
+    integer-primitive terms, leading term first.
     """
-    work = dict(p)
-    rem = {}
+    guard = pk.guard
+    work = {}  # k -> coefficient of the terms still to be reduced
+    where = {}  # k -> p of every monomial that entered ``work``
+    for k, p, c in terms:
+        s = work.get(k, 0) + c
+        if s:
+            work[k] = s
+            where[k] = p
+        else:
+            del work[k]
+    heap = [-k for k in work]
+    heapify(heap)
+    rem_k, rem_p, rem_c = [], [], []
     steps = 0
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for i, (dm, dc, dterms) in enumerate(basis):
-            if i != skip and mono_divides(dm, m):
+    while heap:
+        k = -heappop(heap)
+        c = work.pop(k, 0)
+        if not c:
+            continue
+        p = where[k]
+        for dk, dp, dc, tail, tail_lcm in basis:
+            if not (p - dp) & guard:
+                sk = k - dk
+                sp = p - dp
+                pk.check(sp + tail_lcm)
                 g = gcd(c, dc)
                 lam = dc // g
                 mu = c // g
                 if lam < 0:
                     lam, mu = -lam, -mu
                 if lam != 1:
-                    for k in work:
-                        work[k] *= lam
-                    for k in rem:
-                        rem[k] *= lam
-                shift = mono_div(m, dm)
-                for m2, c2 in dterms.items():
-                    if m2 == dm:
-                        continue
-                    mm = mono_mul(shift, m2)
-                    s = work.get(mm, 0) - mu * c2
-                    if s:
-                        work[mm] = s
+                    work = {m: v * lam for m, v in work.items()}
+                    rem_c = [x * lam for x in rem_c]
+                mu = -mu
+                for tk, tp, tc in tail:
+                    mk = sk + tk
+                    s = work.get(mk)
+                    if s is None:
+                        work[mk] = mu * tc
+                        where[mk] = sp + tp
+                        heappush(heap, -mk)
                     else:
-                        work.pop(mm, None)
+                        s += mu * tc
+                        if s:
+                            work[mk] = s
+                        else:
+                            del work[mk]
                 break
         else:
-            rem[m] = rem.get(m, 0) + c
+            rem_k.append(k)
+            rem_p.append(p)
+            rem_c.append(c)
         steps += 1
         if steps % 64 == 0 and work:
             g = 0
@@ -248,122 +367,121 @@ def _int_nf(p, basis, key, skip=-1):
                 if g == 1:
                     break
             if g > 1:
-                for v in rem.values():
+                for v in rem_c:
                     g = gcd(g, v)
                     if g == 1:
                         break
             if g > 1:
-                work = {k: v // g for k, v in work.items()}
-                rem = {k: v // g for k, v in rem.items()}
-    return _int_strip(rem, key)
+                work = {m: v // g for m, v in work.items()}
+                rem_c = [v // g for v in rem_c]
+    return _int_strip(list(zip(rem_k, rem_p, rem_c)))
 
 
-def _int_spoly(f, g, key):
-    """Fraction-free S-polynomial of two basis entries."""
-    fm, fc, fterms = f
-    gm, gc, gterms = g
-    L = mono_lcm(fm, gm)
+def _int_spoly(f, g, lcm_p, pk):
+    """Fraction-free S-polynomial of two basis entries with leading-monomial
+    lcm ``lcm_p``, as (k, p, c) terms that may repeat a monomial."""
+    fk, fp, fc, ftail, ftail_lcm = f
+    gk, gp, gc, gtail, gtail_lcm = g
     d = gcd(fc, gc)
     a = gc // d
-    b = fc // d
-    sf = mono_div(L, fm)
-    sg = mono_div(L, gm)
-    out = {}
-    for m, c in fterms.items():
-        out[mono_mul(sf, m)] = a * c
-    for m, c in gterms.items():
-        mm = mono_mul(sg, m)
-        s = out.get(mm, 0) - b * c
-        if s:
-            out[mm] = s
-        else:
-            out.pop(mm, None)
+    b = -(fc // d)
+    lcm_k = pk.k_of(lcm_p)
+    sfk, sfp = lcm_k - fk, lcm_p - fp
+    sgk, sgp = lcm_k - gk, lcm_p - gp
+    pk.check(sfp + ftail_lcm)
+    pk.check(sgp + gtail_lcm)
+    out = [(sfk + k, sfp + p, a * c) for k, p, c in ftail]
+    out += [(sgk + k, sgp + p, b * c) for k, p, c in gtail]
     return out
 
 
-def _entry(terms, key):
-    lt = max(terms, key=key)
-    return (lt, terms[lt], terms)
+def _entry(terms, pk):
+    """Basis entry (k, p, c, tail, tail_lcm) of descending (k, p, c) terms;
+    ``tail_lcm`` bounds every tail exponent for the overflow check."""
+    k, p, c = terms[0]
+    tail = tuple(terms[1:])
+    tail_lcm = 0
+    for _, tp, _ in tail:
+        tail_lcm = pk.lcm(tail_lcm, tp)
+    return (k, p, c, tail, tail_lcm)
 
 
-def _gm_update(entries, pairs, new_terms, key):
+def _gm_update(entries, pairs, new_terms, pk):
     """Gebauer-Moeller pair update when appending a new basis element.
 
     Prunes existing pairs by the chain criterion and filters new pairs by
-    the chain and coprimality criteria.
+    the chain and coprimality criteria.  ``pairs`` maps
+    ``(lcm degree, i, j)`` to the ``p`` of the pair's leading-monomial lcm.
     """
     t = len(entries)
-    lmf = max(new_terms, key=key)
-    lm = [e[0] for e in entries]
+    guard = pk.guard
+    lcm = pk.lcm
+    lmf = new_terms[0][1]
+    lm = [e[1] for e in entries]
 
-    kept = set()
-    for (i, j) in pairs:
-        L = mono_lcm(lm[i], lm[j])
-        if (
-            not mono_divides(lmf, L)
-            or mono_lcm(lm[i], lmf) == L
-            or mono_lcm(lm[j], lmf) == L
-        ):
-            kept.add((i, j))
+    kept = {}
+    for key, L in pairs.items():
+        _, i, j = key
+        if (L - lmf) & guard or lcm(lm[i], lmf) == L or lcm(lm[j], lmf) == L:
+            kept[key] = L
 
     lcm_groups = {}
     for i in range(t):
-        lcm_groups.setdefault(mono_lcm(lm[i], lmf), []).append(i)
+        lcm_groups.setdefault(lcm(lm[i], lmf), []).append(i)
+    # A proper divisor has a smaller p, so ascending p visits divisors first.
     minimal = []
-    for L in sorted(lcm_groups, key=key):
-        if all(not mono_divides(Lm, L) for Lm in minimal):
+    for L in sorted(lcm_groups):
+        if all((L - Lm) & guard for Lm in minimal):
             minimal.append(L)
     for L in minimal:
         group = lcm_groups[L]
-        if any(mono_lcm(lm[i], lmf) == mono_mul(lm[i], lmf) for i in group):
+        if any(L == lm[i] + lmf for i in group):
             continue  # coprime leading monomials: S-pair reduces to zero
-        kept.add((min(group), t))
+        kept[(sum(pk.exponents(L)), group[0], t)] = L
 
-    entries.append(_entry(new_terms, key))
+    entries.append(_entry(new_terms, pk))
     return kept
 
 
-def _buchberger_int(int_gens, key):
-    """Reduced Groebner basis of integer-primitive generators (as int dicts)."""
+def _buchberger_int(gens, order):
+    """Reduced Groebner basis of nonzero Poly generators under ``order``,
+    computed over packed monomials, as integer-primitive Polys."""
+    reg = gens[0].registry
+    active = sorted({i for g in gens for m in g.terms for i, e in enumerate(m) if e})
+    pk = _Packing(order, len(reg), active)
     entries = []
-    pairs = set()
-    for g in int_gens:
-        g = _int_strip(g, key)
-        if not g:
-            continue
-        r = _int_nf(g, entries, key)
+    pairs = {}
+    for g in gens:
+        r = _int_nf(_int_strip(_int_terms(g, pk)), entries, pk)
         if r:
-            pairs = _gm_update(entries, pairs, r, key)
-
-    def pair_sort(p):
-        i, j = p
-        return (mono_degree(mono_lcm(entries[i][0], entries[j][0])), i, j)
+            pairs = _gm_update(entries, pairs, r, pk)
 
     while pairs:
-        i, j = min(pairs, key=pair_sort)
-        pairs.discard((i, j))
-        s = _int_spoly(entries[i], entries[j], key)
-        r = _int_nf(s, entries, key)
+        key = min(pairs)
+        lcm_p = pairs.pop(key)
+        _, i, j = key
+        s = _int_spoly(entries[i], entries[j], lcm_p, pk)
+        r = _int_nf(s, entries, pk)
         if r:
-            pairs = _gm_update(entries, pairs, r, key)
+            pairs = _gm_update(entries, pairs, r, pk)
 
     # Minimalise: drop entries whose leading monomial another one divides.
-    order_idx = sorted(range(len(entries)), key=lambda i: key(entries[i][0]))
+    guard = pk.guard
     minimal = []
-    for i in order_idx:
-        lt = entries[i][0]
-        if all(not mono_divides(entries[k][0], lt) for k in minimal):
-            minimal.append(i)
-    basis = [entries[i] for i in minimal]
+    for e in sorted(entries, key=lambda e: e[0]):
+        if all((e[1] - m[1]) & guard for m in minimal):
+            minimal.append(e)
 
     # Inter-reduce tails for the unique reduced basis.
     reduced = []
-    for i in range(len(basis)):
-        others = basis[:i] + basis[i + 1 :]
-        r = _int_nf(dict(basis[i][2]), others, key)
-        reduced.append(_entry(r, key))
-    reduced.sort(key=lambda e: key(e[0]))
-    return [e[2] for e in reduced]
+    for i, e in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1 :]
+        reduced.append(_int_nf([e[:3]] + list(e[3]), others, pk))
+    reduced.sort(key=lambda terms: terms[0][0])
+    return [
+        Poly(reg, {pk.unpack(p): Fraction(c) for _, p, c in terms})
+        for terms in reduced
+    ]
 
 
 def buchberger(ideal, order):
@@ -371,20 +489,17 @@ def buchberger(ideal, order):
 
     Basis elements are integer-primitive with positive leading coefficient
     and sorted by increasing leading monomial, so the output is canonical.
-    A unit ideal collapses to the basis ``{1}``.
+    A unit ideal collapses to the basis ``{1}``.  Raises
+    :class:`ExponentOverflowError` when an exponent outgrows the packed
+    fields.
     """
     if isinstance(ideal, Ideal):
-        gens, reg = ideal.generators, ideal.registry
+        gens = ideal.generators
     else:
         gens = [p for p in ideal if not p.is_zero()]
         if not gens:
             raise ValueError("cannot take a Groebner basis of the zero ideal")
-        reg = gens[0].registry
-    key = order.key
-    int_gens = [_int_from_poly(p) for p in gens]
-    basis = _buchberger_int(int_gens, key)
-    polys = [_poly_from_int(reg, t) for t in basis]
-    return GroebnerBasis(polys, order, reduced=True)
+    return GroebnerBasis(_buchberger_int(gens, order), order, reduced=True)
 
 
 def eliminate(ideal, drop, inner_names=None):
@@ -410,10 +525,7 @@ def eliminate(ideal, drop, inner_names=None):
     inner = GrevLex(order.rest)
     if not kept:
         return GroebnerBasis((), inner, reduced=True)
-    key = inner.key
-    basis = _buchberger_int([_int_from_poly(p) for p in kept], key)
-    polys = [_poly_from_int(reg, t) for t in basis]
-    return GroebnerBasis(polys, inner, reduced=True)
+    return GroebnerBasis(_buchberger_int(kept, inner), inner, reduced=True)
 
 
 def bareiss_determinant(matrix):

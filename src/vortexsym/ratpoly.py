@@ -93,16 +93,27 @@ def mono_degree(a):
     return sum(a)
 
 
+def _unit_row(nvars, i, weight=1):
+    row = [0] * nvars
+    row[i] = weight
+    return tuple(row)
+
+
 class MonomialOrder:
     """Total multiplicative monomial order exposed as a sort key function.
 
     ``key(m)`` returns a tuple that sorts ascending in the order, so the
     leading monomial of a polynomial is the key-maximum of its support.
+    ``weights(n)`` gives the same order as integer rows over ``n``
+    variables: ``key(m)``, flattened, is the rows' dot products with ``m``.
     """
 
     kind = "abstract"
 
     def key(self, exps):
+        raise NotImplementedError
+
+    def weights(self, nvars):
         raise NotImplementedError
 
     def sort_terms(self, terms):
@@ -121,6 +132,10 @@ class Lex(MonomialOrder):
         if self.vars is None:
             return exps
         return tuple(exps[i] for i in self.vars)
+
+    def weights(self, nvars):
+        order = range(nvars) if self.vars is None else self.vars
+        return [_unit_row(nvars, i) for i in order]
 
     def __repr__(self):
         return "lex" if self.vars is None else f"lex{self.vars}"
@@ -143,6 +158,13 @@ class GrevLex(MonomialOrder):
             exps = tuple(exps[i] for i in self.vars)
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
+    def weights(self, nvars):
+        order = range(nvars) if self.vars is None else self.vars
+        total = [0] * nvars
+        for i in order:
+            total[i] += 1
+        return [tuple(total)] + [_unit_row(nvars, i, -1) for i in reversed(order)]
+
     def __repr__(self):
         return "grevlex" if self.vars is None else f"grevlex{self.vars}"
 
@@ -162,6 +184,16 @@ class Elimination(MonomialOrder):
         head = tuple(exps[i] for i in self.block)
         tail = tuple(exps[i] for i in self.rest)
         return (self.outer.key(head), self.inner.key(tail))
+
+    def weights(self, nvars):
+        rows = []
+        for idx, sub in ((self.block, self.outer), (self.rest, self.inner)):
+            for row in sub.weights(len(idx)):
+                full = [0] * nvars
+                for i, w in zip(idx, row):
+                    full[i] += w
+                rows.append(tuple(full))
+        return rows
 
     def __repr__(self):
         return f"elimination(block={self.block}, rest={self.rest})"

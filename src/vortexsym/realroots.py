@@ -16,11 +16,15 @@ from fractions import Fraction
 from math import gcd
 
 from vortexsym.groebner import GroebnerBasis, Ideal, buchberger, standard_monomials
-from vortexsym.ratpoly import GrevLex, Poly
+from vortexsym.ratpoly import ExactDivisionError, GrevLex, Poly
 
 
 class PositiveDimensionalError(ValueError):
     """The ideal has infinitely many solutions; counting does not apply."""
+
+
+class InertiaCountError(ArithmeticError):
+    """The signs found by an inertia computation do not add up to the size."""
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +122,8 @@ def squarefree_part(coeffs):
     if degree(g) == 0:
         return coeffs
     q, r = _poly_divmod(coeffs, g)
-    assert not r, "gcd must divide exactly"
+    if r:
+        raise ExactDivisionError(r)
     return _primitive_int(q)
 
 
@@ -389,10 +394,6 @@ class RatInterval:
             raise ValueError("interval endpoints out of order")
         self.lo, self.hi = lo, hi
 
-    @classmethod
-    def from_isolating(cls, interval):
-        return cls(interval.lo, interval.hi)
-
     def __add__(self, other):
         other = _as_interval(other)
         return RatInterval(self.lo + other.lo, self.hi + other.hi)
@@ -568,7 +569,8 @@ def _inertia_charpoly(matrix):
     n_pos, _ = descartes_positive(core, all_roots_real=True)
     flipped = [c if i % 2 == 0 else -c for i, c in enumerate(core)]
     n_neg, _ = descartes_positive(flipped, all_roots_real=True)
-    assert n_pos + n_neg + n_zero == matrix.n
+    if n_pos + n_neg + n_zero != matrix.n:
+        raise InertiaCountError(f"{n_pos} + {n_neg} + {n_zero} signs for size {matrix.n}")
     return (n_pos, n_neg, n_zero)
 
 
@@ -577,7 +579,6 @@ def _inertia_congruence(matrix):
     a = [list(row) for row in matrix.rows]
     n = matrix.n
     pos = neg = zero = 0
-    idx = list(range(n))
 
     def swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -619,8 +620,8 @@ def _inertia_congruence(matrix):
             a[k][i] = Fraction(0)
             a[i][k] = Fraction(0)
         k += 1
-    assert pos + neg + zero == n
-    del idx
+    if pos + neg + zero != n:
+        raise InertiaCountError(f"{pos} + {neg} + {zero} signs for size {n}")
     return (pos, neg, zero)
 
 
@@ -663,33 +664,10 @@ def kernel_basis(rows):
 # ---------------------------------------------------------------------------
 
 
-def multiplication_matrix(gb, qb, var):
-    """Matrix of multiplication by ``var`` on the standard-monomial basis.
-
-    Returned as a list of columns; column j holds the coordinates of the
-    normal form of var * m_j.
-    """
-    return [_nf_coords(gb, qb, _shift(m, gb.registry.index(var))) for m in qb.standard_monomials]
-
-
 def _shift(mono, i, by=1):
     out = list(mono)
     out[i] += by
     return tuple(out)
-
-
-def _nf_coords(gb, qb, mono):
-    index = {m: k for k, m in enumerate(qb.standard_monomials)}
-    if mono in index:
-        col = [Fraction(0)] * len(qb)
-        col[index[mono]] = Fraction(1)
-        return col
-    p = Poly(gb.registry, {mono: Fraction(1)})
-    nf = gb.normal_form(p)
-    col = [Fraction(0)] * len(qb)
-    for m, c in nf.terms.items():
-        col[index[m]] = c
-    return col
 
 
 def hermite_matrix(gb, qb=None):

@@ -31,6 +31,8 @@ from vortexsym.realroots import (
     RatInterval,
     SturmSequence,
     coeffs_from_poly,
+    derivative,
+    descartes_positive,
     eval_interval,
     hermite_matrix,
     inertia,
@@ -53,6 +55,10 @@ AB = targets.AB_REGISTRY
 
 class InconclusiveEnclosureError(ValueError):
     """An enclosure is too wide to determine a sign; tighten, never guess."""
+
+
+class IdealShapeError(ValueError):
+    """An ideal lacks the shape a certified reconstruction step relies on."""
 
 
 def run_trapezoid(eps=_EPS, check_appendix=True):
@@ -187,7 +193,7 @@ def plane_factorisation(report, eps):
     for iv in intervals:
         iv.refine(_TIGHT)
     b_vals = [float(iv.midpoint()) for iv in intervals]
-    changes, _ = _descartes_info(bq)
+    changes, _ = descartes_positive(bq)
     report.check(
         "b_quintic_roots",
         n_real == 3
@@ -296,12 +302,6 @@ def plane_factorisation(report, eps):
         "q_eigenvalues": eigen,
         "q_null_direction": null_dir,
     }
-
-
-def _descartes_info(coeffs):
-    from vortexsym.realroots import descartes_positive
-
-    return descartes_positive(coeffs)
 
 
 def _a_relation_coeffs():
@@ -553,7 +553,8 @@ def _reconstruct_lines(anni_polys, eps):
     )
     # no degree drop: a pure mu2 power survives, so mu3 = 0 is not a line of
     # the slice and dehomogenising by mu3 loses nothing
-    assert dehom.total_degree() == gcd_poly.total_degree()
+    if dehom.total_degree() != gcd_poly.total_degree():
+        raise IdealShapeError("dehomogenising the mu4 = 0 slice by mu3 drops its degree")
     for iv in sturm_isolate(coeffs_from_poly(dehom, "t")):
         iv.refine(Fraction(1, 10**18))
         lines.append(
@@ -567,10 +568,12 @@ def _reconstruct_lines(anni_polys, eps):
     slice1 = [p.subs({"mu4": Fraction(1)}).map_to(mu23) for p in anni_polys]
     gb1 = buchberger(Ideal.of(*slice1), lex(mu23))
     univariate = [p for p in gb1.polys if not p.uses("mu2")]
-    assert len(univariate) == 1, "expected a single eliminant in mu3"
+    if len(univariate) != 1:
+        raise IdealShapeError("expected a single eliminant in mu3")
     h = univariate[0]
     linear = [p for p in gb1.polys if p.degree_in("mu2") == 1]
-    assert linear, "slice basis is not in solvable triangular form"
+    if not linear:
+        raise IdealShapeError("slice basis is not in solvable triangular form")
     shape = linear[0]
     groups = shape.coefficients_in(["mu2"])
     a_poly = coeffs_from_poly(groups[(1,)].subs({}), "mu3")
@@ -825,7 +828,7 @@ def _plane_pairing(comps, g_ref, g_intervals, plane_data):
 
     g_c = coeffs_from_poly(g_ref, "r")
     a_c = coeffs_from_poly(A, "r")
-    if len(poly_gcd(g_c, squarefree_part(g_c) and _derivative(g_c))) > 1:
+    if len(poly_gcd(g_c, derivative(g_c))) > 1:
         return False, "the angle polynomial is not squarefree"
     if len(poly_gcd(g_c, a_c)) > 1:
         return False, "the mu1 coefficient shares a root with the angle polynomial"
@@ -903,10 +906,6 @@ def _plane_pairing(comps, g_ref, g_intervals, plane_data):
         if abs(key - r_val) > targets.NUMERIC_TOL or assignments[key] != plane:
             return False, f"radius {r_val} did not pair with plane {plane}"
     return True, "each radius pairs with its plane family, certified exactly"
-
-
-def _derivative(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
 
 
 def _substitute_plane(p, big, sub_mu1, sub_mu4):

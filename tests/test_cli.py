@@ -76,6 +76,16 @@ class TestGroebnerCommand:
         assert code == 2
 
 
+    def test_exponent_overflow_exits_cleanly(self, tmp_path, capsys):
+        infile = tmp_path / "system.txt"
+        infile.write_text("x^40000 - y\n")
+        code, _, err = run_cli(
+            ["groebner", "--in", str(infile), "--vars", "x,y"], capsys
+        )
+        assert code == 2
+        assert "exponent" in err
+
+
 class TestScenarioCommands:
     def test_square_json_roundtrip(self, tmp_path, capsys):
         outfile = tmp_path / "square.json"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from vortexsym.groebner import (
+    ExponentOverflowError,
     GroebnerBasis,
     Ideal,
     buchberger,
@@ -15,7 +16,7 @@ from vortexsym.groebner import (
     s_polynomial,
     standard_monomials,
 )
-from vortexsym.ratpoly import Poly, VarRegistry, grevlex, lex
+from vortexsym.ratpoly import Poly, VarRegistry, elimination, grevlex, lex, mono_divides
 
 XYZ = VarRegistry(["x", "y", "z"])
 
@@ -197,6 +198,94 @@ class TestBuchberger:
                 )
                 combo = combo + h * g
             assert gb.contains(combo)
+
+
+def textbook_basis(gens, order):
+    """Reduced basis by plain Buchberger over Q: every S-polynomial is
+    divided with ``reduce``, no criteria, then minimalised, inter-reduced,
+    made primitive and positive-leading and sorted by leading monomial."""
+    basis = list(gens)
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+
+    def lead(p):
+        return order.key(p.leading_monomial(order))
+
+    def lcm_degree(pair):
+        a, b = (basis[k].leading_monomial(order) for k in pair)
+        return sum(max(x, y) for x, y in zip(a, b))
+
+    while pairs:
+        pair = min(pairs, key=lcm_degree)
+        pairs.remove(pair)
+        i, j = pair
+        _, r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+        if not r.is_zero():
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r.primitive(order))
+
+    minimal = []
+    for p in sorted(basis, key=lead):
+        lm = p.leading_monomial(order)
+        if not any(mono_divides(q.leading_monomial(order), lm) for q in minimal):
+            minimal.append(p)
+    reduced = [
+        reduce(p, minimal[:i] + minimal[i + 1 :], order)[1].primitive(order)
+        for i, p in enumerate(minimal)
+    ]
+    return sorted(reduced, key=lead)
+
+
+def random_ideal(rng, registry):
+    """Two or three generators of degree <= 3 with small integer coefficients."""
+    gens = []
+    while len(gens) < rng.randint(2, 3):
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            mono = [0] * len(registry)
+            for _ in range(rng.randint(0, 3)):
+                mono[rng.randrange(len(registry))] += 1
+            terms[tuple(mono)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        p = Poly(registry, terms)
+        if not p.is_zero() and not p.is_constant():
+            gens.append(p)
+    return gens
+
+
+class TestPackedKernel:
+    def test_matches_textbook_basis_on_random_ideals(self):
+        rng = random.Random(20261018)
+        registries = [XYZ, VarRegistry(["w", "x", "y", "z"])]
+        for n in range(42):
+            reg = registries[n % 2]
+            order = [
+                lex(reg),
+                grevlex(reg),
+                elimination(reg, [reg.names[n % len(reg)]]),
+            ][n % 3]
+            gens = random_ideal(rng, reg)
+            want = textbook_basis(gens, order)
+            gb = buchberger(Ideal.of(*gens), order)
+            assert list(gb.polys) == want, (order, gens)
+            shuffled = gens[:]
+            rng.shuffle(shuffled)
+            assert list(buchberger(Ideal.of(*shuffled), order).polys) == want
+
+    def test_exponent_beyond_packed_fields_raises(self):
+        with pytest.raises(ExponentOverflowError):
+            buchberger(Ideal.of(P("x^32768 - y")), lex(XYZ))
+
+    def test_exponent_outgrowing_packed_fields_mid_run_raises(self):
+        # Reducing x^2 by x - y^30000 under lex produces y^60000.
+        with pytest.raises(ExponentOverflowError):
+            buchberger(Ideal.of(P("x - y^30000"), P("x^2")), lex(XYZ))
+
+    def test_order_that_ignores_a_variable_is_rejected(self):
+        with pytest.raises(ValueError):
+            buchberger(Ideal.of(P("x + y"), P("y^2")), lex(XYZ, ["x"]))
+
+    def test_largest_packed_exponent_is_exact(self):
+        gb = buchberger(Ideal.of(P("x^32767 - y"), P("y^2 - 1")), grevlex(XYZ))
+        assert basis_set(gb) == parsed_set(gb, ["y^2 - 1", "x^32767 - y"])
 
 
 class TestEliminate:

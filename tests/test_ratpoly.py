@@ -122,6 +122,29 @@ class TestOrders:
             if m[0] > 0:
                 assert order.key(m) > order.key(m2)
 
+    def test_weights_reproduce_key(self):
+        def flatten(key):
+            out = []
+            for part in key:
+                out.extend(flatten(part) if isinstance(part, tuple) else [part])
+            return out
+
+        rng = random.Random(11)
+        orders = [
+            lex(XYZ),
+            grevlex(XYZ),
+            lex(XYZ, ["z", "x", "y"]),
+            grevlex(XYZ, ["y", "z", "x"]),
+            elimination(XYZ, ["y"]),
+            elimination(XYZ, ["z", "x"], inner_names=["y"], outer=lex(XYZ)),
+        ]
+        for order in orders:
+            rows = order.weights(3)
+            for _ in range(100):
+                m = tuple(rng.randrange(5) for _ in range(3))
+                dots = [sum(w * e for w, e in zip(row, m)) for row in rows]
+                assert flatten(order.key(m)) == dots
+
     def test_orders_are_total_and_multiplicative(self):
         rng = random.Random(5)
         one = (0, 0, 0)
