@@ -43,6 +43,7 @@ from math import gcd
 from vortexsym.ratpoly import (
     GrevLex,
     Poly,
+    RegistryMismatchError,
     VarRegistry,
     elimination,
     mono_div,
@@ -78,6 +79,26 @@ class GroebnerBasis:
         self.polys = tuple(polys)
         self.order = order
         self.reduced = reduced
+        self._kernel = None  # (registry, packing, packed entries)
+
+    def _packed(self, registry):
+        """The kernel's packing and packed basis entries for inputs over
+        ``registry``, built on first use.
+
+        Every variable the order ranks gets a field, so any input free of
+        unranked variables can be reduced.
+        """
+        if self.polys and registry != self.registry:
+            raise RegistryMismatchError(
+                f"cannot reduce over {registry} modulo a basis over {self.registry}"
+            )
+        if self._kernel is None or self._kernel[0] != registry:
+            rows = self.order.weights(len(registry))
+            ranked = [i for i in range(len(registry)) if any(row[i] for row in rows)]
+            pk = _Packing(self.order, len(registry), ranked)
+            entries = [_entry(_int_terms(p, pk)[0], pk) for p in self.polys]
+            self._kernel = (registry, pk, entries)
+        return self._kernel[1:]
 
     def __iter__(self):
         return iter(self.polys)
@@ -181,15 +202,38 @@ def reduce(p, divisors, order):
 
 
 def normal_form(p, basis):
-    """Remainder of ``p`` modulo a Groebner basis (unique for a true basis)."""
-    if isinstance(basis, GroebnerBasis):
-        divisors, order = basis.polys, basis.order
-    else:
+    """Remainder of ``p`` modulo a Groebner basis (unique for a true basis).
+
+    Runs on the packed kernel and equals ``reduce(p, basis.polys,
+    basis.order)[1]`` exactly, since both reduce the largest term first by
+    the first basis element whose leading monomial divides it.
+    """
+    coeffs, den = integer_normal_form(p, basis)
+    return Poly(p.registry, {m: Fraction(c, den) for m, c in coeffs.items()})
+
+
+def integer_normal_form(p, basis):
+    """Normal form of ``p`` as ``(coeffs, den)``: integer coefficients by
+    monomial, leading term first, over a positive common denominator, in
+    lowest terms.
+
+    Raises :class:`ExponentOverflowError` for an exponent the packed fields
+    cannot hold and ``ValueError`` for a variable the basis order does not
+    rank.
+    """
+    if not isinstance(basis, GroebnerBasis):
         raise TypeError("normal_form expects a GroebnerBasis")
     if p.is_zero():
-        return p
-    _, rem = reduce(p, divisors, order)
-    return rem
+        return {}, 1
+    pk, entries = basis._packed(p.registry)
+    terms, denom = _int_terms(p, pk)
+    rem, (mul, div) = _int_nf(terms, entries, pk)
+    if not rem:
+        return {}, 1
+    # rem = mul / div * NF(denom * p), so NF(p) = rem * div / (mul * denom)
+    den = mul * denom
+    g = gcd(div, den)
+    return {pk.unpack(q): c * (div // g) for _, q, c in rem}, den // g
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +257,14 @@ class _Packing:
     variable can appear during the run.
     """
 
-    __slots__ = ("nvars", "active", "shifts", "k_of_var", "guard")
+    __slots__ = ("order", "nvars", "active", "shifts", "k_of_var", "guard")
 
     def __init__(self, order, nvars, active):
         rows = order.weights(nvars)
         for i in active:
             if not any(row[i] for row in rows):
                 raise ValueError(f"monomial order {order!r} does not rank variable {i}")
+        self.order = order
         rows = [row for row in ([row[i] for i in active] for row in rows) if any(row)]
         bound = max((sum(abs(w) for w in row) for row in rows), default=0) * _EXP_MAX
         width = bound.bit_length() + 2
@@ -233,7 +278,7 @@ class _Packing:
         self.guard = sum(1 << (s + _EXP_BITS) for s in self.shifts)
 
     def pack(self, exps):
-        k = p = 0
+        k = p = total = 0
         for i, s, w in zip(self.active, self.shifts, self.k_of_var):
             e = exps[i]
             if e > _EXP_MAX:
@@ -242,6 +287,10 @@ class _Packing:
                 )
             k += e * w
             p |= e << s
+            total += e
+        if total != sum(exps):
+            i = next(i for i, e in enumerate(exps) if e and i not in self.active)
+            raise ValueError(f"monomial order {self.order!r} does not rank variable {i}")
         return k, p
 
     def exponents(self, p):
@@ -272,19 +321,20 @@ class _Packing:
 
 def _int_terms(poly, pk):
     """Integer (k, p, c) terms of ``poly`` scaled by its common denominator,
-    leading term first."""
+    leading term first, and that denominator."""
     denom = 1
     for c in poly.terms.values():
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    terms = [pk.pack(m) + (int(c * denom),) for m, c in poly.terms.items()]
+    terms = [pk.pack(m) + (c.numerator * (denom // c.denominator),) for m, c in poly.terms.items()]
     terms.sort(reverse=True)
-    return terms
+    return terms, denom
 
 
 def _int_strip(terms):
-    """Make descending (k, p, c) terms primitive with positive leading sign."""
+    """Make descending (k, p, c) terms primitive with positive leading sign;
+    returns them with the signed content divided out."""
     if not terms:
-        return terms
+        return terms, 1
     g = 0
     for _, _, c in terms:
         g = gcd(g, c)
@@ -293,8 +343,8 @@ def _int_strip(terms):
     if terms[0][2] < 0:
         g = -g
     if g != 1:
-        return [(k, p, c // g) for k, p, c in terms]
-    return terms
+        return [(k, p, c // g) for k, p, c in terms], g
+    return terms, 1
 
 
 def _int_nf(terms, basis, pk):
@@ -303,9 +353,10 @@ def _int_nf(terms, basis, pk):
     ``terms`` may repeat a monomial; repeats are summed.  Terms are taken
     from a heap of ``-k``, largest first; heap entries whose term was
     cancelled are skipped.  A term is reduced by the first entry, in basis
-    order, whose leading monomial divides it.  The result equals the true
-    normal form up to a positive rational scalar and is returned as
-    integer-primitive terms, leading term first.
+    order, whose leading monomial divides it.  Returns integer-primitive
+    terms, leading term first, and the scale ``(mul, div)`` that the
+    reduction applied: the terms are ``mul / div`` times the exact normal
+    form of ``terms``, with ``mul > 0``.
     """
     guard = pk.guard
     work = {}  # k -> coefficient of the terms still to be reduced
@@ -320,6 +371,7 @@ def _int_nf(terms, basis, pk):
     heap = [-k for k in work]
     heapify(heap)
     rem_k, rem_p, rem_c = [], [], []
+    mul = div = 1
     steps = 0
     while heap:
         k = -heappop(heap)
@@ -340,6 +392,7 @@ def _int_nf(terms, basis, pk):
                 if lam != 1:
                     work = {m: v * lam for m, v in work.items()}
                     rem_c = [x * lam for x in rem_c]
+                    mul *= lam
                 mu = -mu
                 for tk, tp, tc in tail:
                     mk = sk + tk
@@ -374,7 +427,9 @@ def _int_nf(terms, basis, pk):
             if g > 1:
                 work = {m: v // g for m, v in work.items()}
                 rem_c = [v // g for v in rem_c]
-    return _int_strip(list(zip(rem_k, rem_p, rem_c)))
+                div *= g
+    rem, g = _int_strip(list(zip(rem_k, rem_p, rem_c)))
+    return rem, (mul, div * g)
 
 
 def _int_spoly(f, g, lcm_p, pk):
@@ -452,7 +507,7 @@ def _buchberger_int(gens, order):
     entries = []
     pairs = {}
     for g in gens:
-        r = _int_nf(_int_strip(_int_terms(g, pk)), entries, pk)
+        r, _ = _int_nf(_int_terms(g, pk)[0], entries, pk)
         if r:
             pairs = _gm_update(entries, pairs, r, pk)
 
@@ -461,7 +516,7 @@ def _buchberger_int(gens, order):
         lcm_p = pairs.pop(key)
         _, i, j = key
         s = _int_spoly(entries[i], entries[j], lcm_p, pk)
-        r = _int_nf(s, entries, pk)
+        r, _ = _int_nf(s, entries, pk)
         if r:
             pairs = _gm_update(entries, pairs, r, pk)
 
@@ -476,7 +531,7 @@ def _buchberger_int(gens, order):
     reduced = []
     for i, e in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_int_nf([e[:3]] + list(e[3]), others, pk))
+        reduced.append(_int_nf([e[:3]] + list(e[3]), others, pk)[0])
     reduced.sort(key=lambda terms: terms[0][0])
     return [
         Poly(reg, {pk.unpack(p): Fraction(c) for _, p, c in terms})
@@ -506,9 +561,11 @@ def eliminate(ideal, drop, inner_names=None):
     """Reduced basis of the elimination ideal dropping the named variables.
 
     Works through a block elimination order, then keeps the basis elements
-    free of the dropped variables; by the elimination theorem these form a
+    free of the dropped variables.  By the elimination theorem these form a
     Groebner basis of the intersection ideal under the inner (grevlex)
-    order, which is returned as the basis order.
+    order, which is returned as the basis order.  On them the block order
+    and the inner order agree, so they already are that order's reduced
+    basis: primitive, positive-leading and sorted by leading monomial.
     """
     reg = ideal.registry if isinstance(ideal, Ideal) else ideal[0].registry
     drop = list(drop)
@@ -522,10 +579,7 @@ def eliminate(ideal, drop, inner_names=None):
         for p in gb.polys
         if all(all(m[i] == 0 for i in drop_idx) for m in p.terms)
     ]
-    inner = GrevLex(order.rest)
-    if not kept:
-        return GroebnerBasis((), inner, reduced=True)
-    return GroebnerBasis(_buchberger_int(kept, inner), inner, reduced=True)
+    return GroebnerBasis(kept, GrevLex(order.rest), reduced=True)
 
 
 def bareiss_determinant(matrix):

@@ -5,18 +5,26 @@ exact rationals.  Root isolation runs Sturm-sequence bisection on the
 squarefree part, with exact rational roots deflated out, so every interval
 is certified to contain exactly one root.  The Hermite method builds the
 trace form of a zero-dimensional quotient ring over its standard-monomial
-basis; its signature counts distinct real solutions and its rank distinct
-complex ones.
+basis in integer arithmetic (Pedersen, Roy & Szpirglas, 1993); its
+signature, found by fraction-free symmetric elimination, counts distinct
+real solutions and its rank distinct complex ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
-from vortexsym.groebner import GroebnerBasis, Ideal, buchberger, standard_monomials
-from vortexsym.ratpoly import ExactDivisionError, GrevLex, Poly
+from vortexsym.groebner import (
+    GroebnerBasis,
+    Ideal,
+    buchberger,
+    integer_normal_form,
+    standard_monomials,
+)
+from vortexsym.ratpoly import ExactDivisionError, GrevLex, Poly, mono_mul
 
 
 class PositiveDimensionalError(ValueError):
@@ -547,8 +555,9 @@ def inertia(matrix):
     Small matrices go through the characteristic polynomial: symmetry makes
     every root real, so Descartes' rule on p(lambda) and p(-lambda) is
     exact and the zero multiplicity is the number of trailing zero
-    coefficients.  Larger matrices (the Hermite trace forms) use symmetric
-    congruence elimination instead, which is exact and avoids the coefficient
+    coefficients.  Larger matrices (the Hermite trace forms) use a
+    fraction-free symmetric elimination by congruence on the matrix with
+    denominators cleared, which stays in integers and avoids the coefficient
     blow-up of a characteristic polynomial in high dimension.
     """
     if not isinstance(matrix, SymMatrix):
@@ -575,51 +584,61 @@ def _inertia_charpoly(matrix):
 
 
 def _inertia_congruence(matrix):
-    """Symmetric Gaussian elimination by congruence transformations."""
-    a = [list(row) for row in matrix.rows]
+    """Fraction-free symmetric elimination by congruence transformations.
+
+    Denominators are cleared by a positive common multiple, so the work is
+    on an integer matrix ``B = s * S`` for a rational scalar ``s`` of known
+    sign and the exact trailing block ``S``.  Each step with pivot
+    ``p = B_kk`` replaces the trailing block by ``p * B_ij - B_ik * B_kj``,
+    which is ``p * s`` times the Schur complement of ``S_kk`` in ``S``, and
+    then divides out its content.  The pivot of the congruent diagonal form
+    is ``S_kk = p / s``, so its sign is that of ``p`` flipped when ``s`` is
+    negative.  A zero pivot is replaced by a later nonzero diagonal entry,
+    or made nonzero by adding a row and column with a nonzero off-diagonal
+    entry; a zero row counts as a zero eigenvalue.
+    """
     n = matrix.n
+    den = lcm(*(c.denominator for row in matrix.rows for c in row))
+    b = [[c.numerator * (den // c.denominator) for c in row] for row in matrix.rows]
     pos = neg = zero = 0
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    k = 0
-    while k < n:
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+    flipped = False  # whether the scalar s is negative
+    while b:
+        if b[0][0] == 0:
+            pivot = next((i for i in range(1, len(b)) if b[i][i] != 0), None)
             if pivot is not None:
-                swap(k, pivot)
+                b[0], b[pivot] = b[pivot], b[0]
+                for row in b:
+                    row[0], row[pivot] = row[pivot], row[0]
             else:
-                off = next((i for i in range(k + 1, n) if a[k][i] != 0), None)
+                off = next((i for i in range(1, len(b)) if b[0][i] != 0), None)
                 if off is None:
-                    if all(a[k][i] == 0 for i in range(k, n)):
-                        zero += 1
-                        k += 1
-                        continue
-                    row = next(i for i in range(k + 1, n) if any(a[i][j] != 0 for j in range(k, n)))
-                    swap(k, row)
+                    zero += 1
+                    b = [row[1:] for row in b[1:]]
                     continue
-                # congruence: add row/col `off` into k, making a[k][k] = 2*a[k][off] != 0
-                for j in range(n):
-                    a[k][j] += a[off][j]
-                for i in range(n):
-                    a[i][k] += a[i][off]
-        d = a[k][k]
-        if d > 0:
+                # congruence: add row and column ``off`` into 0, making
+                # b[0][0] = 2 * b[0][off] != 0
+                b[0] = [x + y for x, y in zip(b[0], b[off])]
+                for row in b:
+                    row[0] += row[off]
+        p = b[0][0]
+        if (p > 0) != flipped:
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-        for i in range(k + 1, n):
-            a[k][i] = Fraction(0)
-            a[i][k] = Fraction(0)
-        k += 1
+        flipped ^= p < 0
+        top = b[0][1:]
+        b = [
+            [p * x - f * y for x, y in zip(row[1:], top)]
+            for row in b[1:]
+            for f in (row[0],)
+        ]
+        g = 0
+        for row in b:
+            g = gcd(g, *row)
+            if g == 1:
+                break
+        if g > 1:
+            b = [[x // g for x in row] for row in b]
     if pos + neg + zero != n:
         raise InertiaCountError(f"{pos} + {neg} + {zero} signs for size {n}")
     return (pos, neg, zero)
@@ -671,7 +690,15 @@ def _shift(mono, i, by=1):
 
 
 def hermite_matrix(gb, qb=None):
-    """Trace form H_ij = Tr(mult by m_i * m_j) over the standard basis."""
+    """Trace form H_ij = Tr(mult by m_i * m_j) over the standard basis.
+
+    Computed in integers: each multiplication-by-variable matrix is built
+    once from packed-kernel normal forms as an integer matrix over one
+    common denominator, the coordinates of every monomial are chained
+    through them as primitive (integer vector, denominator) pairs, and the
+    traces and entries are integer dot products.  The entries are exact
+    rationals.
+    """
     if qb is None:
         qb = standard_monomials(gb)
     if not qb.finite:
@@ -684,67 +711,76 @@ def hermite_matrix(gb, qb=None):
     reg = gb.registry
     nvar = len(reg)
 
+    def unit(k):
+        col = [0] * d
+        col[k] = 1
+        return col, 1
+
     def nf_coords(mono):
         if mono in index:
-            col = [Fraction(0)] * d
-            col[index[mono]] = Fraction(1)
-            return col
-        nf = gb.normal_form(Poly(reg, {mono: Fraction(1)}))
-        col = [Fraction(0)] * d
-        for m, c in nf.terms.items():
+            return unit(index[mono])
+        coeffs, den = integer_normal_form(Poly(reg, {mono: Fraction(1)}), gb)
+        col = [0] * d
+        for m, c in coeffs.items():
             col[index[m]] = c
-        return col
+        return col, den
 
-    # multiplication-by-variable matrices, built lazily from normal forms
-    columns = {}
-    vec_cache = {}
+    def mult_matrix(v):
+        """Rows of multiplication by variable ``v``, and their denominator."""
+        cols = [nf_coords(_shift(m, v)) for m in basis]
+        den = lcm(*(e for _, e in cols))
+        cols = [[c * (den // e) for c in col] for col, e in cols]
+        return [list(row) for row in zip(*cols)], den
+
+    matrices = {}
+    vec_cache = {m: unit(k) for m, k in index.items()}
 
     def vec(mono):
-        if mono in index:
-            return nf_coords(mono)
-        if mono in vec_cache:
-            return vec_cache[mono]
-        v = next(i for i in range(nvar) if mono[i] > 0)
-        if v not in columns:
-            columns[v] = [nf_coords(_shift(m, v)) for m in basis]
-        base = vec(_shift(mono, v, -1))
-        cols = columns[v]
-        out = [Fraction(0)] * d
-        for j, x in enumerate(base):
-            if x:
-                cj = cols[j]
-                for i in range(d):
-                    if cj[i]:
-                        out[i] += x * cj[i]
-        vec_cache[mono] = out
-        return out
+        """Coordinates of ``mono`` in the quotient ring as (u, e): u / e.
 
-    # trace of multiplication by each standard monomial
-    trace = []
-    for m in basis:
-        t = Fraction(0)
-        for k, mk in enumerate(basis):
-            t += vec(_mono_mul(m, mk))[k]
-        trace.append(t)
+        Iterative rather than recursive: a closure that calls itself is a
+        reference cycle, which would keep the cache alive until the cyclic
+        garbage collector runs.
+        """
+        chain = []
+        while mono not in vec_cache:
+            v = next(i for i in range(nvar) if mono[i] > 0)
+            chain.append((mono, v))
+            mono = _shift(mono, v, -1)
+        u, e = vec_cache[mono]
+        for mono, v in reversed(chain):
+            if v not in matrices:
+                matrices[v] = mult_matrix(v)
+            rows, den = matrices[v]
+            u, e = _primitive_over([sum(map(mul, row, u)) for row in rows], e * den)
+            vec_cache[mono] = (u, e)
+        return u, e
 
-    rows = []
+    # trace of multiplication by each standard monomial, as t / t_den
+    diag = [[vec(mono_mul(m, mk)) for mk in basis] for m in basis]
+    t_den = lcm(*(e for row in diag for _, e in row))
+    trace = [
+        sum(u[k] * (t_den // e) for k, (u, e) in enumerate(row)) for row in diag
+    ]
+    trace, t_den = _primitive_over(trace, t_den)
+
+    rows = [[None] * d for _ in range(d)]
     for i, mi in enumerate(basis):
-        row = []
-        for j, mj in enumerate(basis):
-            if j < i:
-                row.append(rows[j][i])
-                continue
-            v = vec(_mono_mul(mi, mj))
-            row.append(sum((v[k] * trace[k] for k in range(d) if v[k]), Fraction(0)))
-        rows.append(row)
+        for j in range(i, d):
+            u, e = vec(mono_mul(mi, basis[j]))
+            rows[i][j] = rows[j][i] = Fraction(sum(map(mul, u, trace)), e * t_den)
     return SymMatrix(rows)
 
 
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _primitive_over(u, e):
+    """Divide the integer vector ``u`` and denominator ``e`` by their gcd."""
+    g = gcd(e, *u)
+    if g == 1:
+        return u, e
+    return [x // g for x in u], e // g
 
 
-def hermite_count(ideal, order=None):
+def hermite_count(ideal):
     """(distinct real roots, distinct complex roots) of a zero-dimensional ideal.
 
     The first is the signature of the Hermite matrix, the second its rank.

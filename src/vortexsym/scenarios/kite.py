@@ -210,6 +210,20 @@ def special_angle_analysis(report, eps):
     window = _stability_window(
         lam2.map_to(treg), s_poly.map_to(treg), p_poly.map_to(treg), eps
     )
+    summary = {
+        "theta2": 2 * math.pi / 3,
+        "conditions": ["mu1 - mu4", "mu2 - mu4"],
+        "parameter": "mu1/mu3",
+        "requires": "mu3 > 0",
+    }
+    if window is None:
+        report.check(
+            "stability_window",
+            False,
+            f"expected mu1/mu3 in [{targets.KITE_WINDOW_LOWER:.6f}, -1/3) for mu3 > 0;"
+            " derived no bounded stable gap",
+        )
+        return {**summary, "window": None}
     ok_lower = abs(window["lower_decimal"] - targets.KITE_WINDOW_LOWER) < targets.NUMERIC_TOL
     ok_upper = window["upper_exact"] == Fraction(-1, 3)
     report.check(
@@ -218,10 +232,7 @@ def special_angle_analysis(report, eps):
         f"mu1/mu3 in [{window['lower_decimal']:.6f}, -1/3) for mu3 > 0",
     )
     return {
-        "theta2": 2 * math.pi / 3,
-        "conditions": ["mu1 - mu4", "mu2 - mu4"],
-        "parameter": "mu1/mu3",
-        "requires": "mu3 > 0",
+        **summary,
         "window": {
             "lower": {
                 "decimal": window["lower_decimal"],
@@ -256,7 +267,8 @@ def _stability_window(lam2, s_poly, p_poly, eps):
 
     Boundary candidates are the roots of lam2, P, and the discriminant;
     sampling each complementary interval with exact arithmetic finds the
-    stable range, and the boundary enclosures give its endpoints.
+    stable range, and the boundary enclosures give its endpoints.  Returns
+    ``None`` when the first stable gap is missing or unbounded.
     """
     disc_poly = s_poly * s_poly - 4 * p_poly
     boundary = lam2 * p_poly * disc_poly
@@ -280,7 +292,7 @@ def _stability_window(lam2, s_poly, p_poly, eps):
         left = bounds[i - 1] if i > 0 else None
         right = bounds[i] if i < len(bounds) else None
         if left is None:
-            tv = bounds[0] - 1
+            tv = bounds[0] - 1 if bounds else Fraction(0)
         elif right is None:
             tv = bounds[-1] + 1
         else:
@@ -288,7 +300,9 @@ def _stability_window(lam2, s_poly, p_poly, eps):
         if count(tv) == 3:
             stable_gaps.append((left, right))
 
-    unique = len(stable_gaps) == 1 and all(v is not None for v in stable_gaps[0])
+    if not stable_gaps or None in stable_gaps[0]:
+        return None
+    unique = len(stable_gaps) == 1
     left, right = stable_gaps[0]
     lower_iv = next(iv for iv in intervals if iv.contains(left))
     upper_iv = next(iv for iv in intervals if iv.contains(right))

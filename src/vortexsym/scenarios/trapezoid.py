@@ -33,6 +33,7 @@ from vortexsym.realroots import (
     coeffs_from_poly,
     derivative,
     descartes_positive,
+    eval_at,
     eval_interval,
     hermite_matrix,
     inertia,
@@ -578,7 +579,12 @@ def _reconstruct_lines(anni_polys, eps):
     groups = shape.coefficients_in(["mu2"])
     a_poly = coeffs_from_poly(groups[(1,)].subs({}), "mu3")
     b_poly = coeffs_from_poly(groups.get((0,), Poly.zero(mu23)), "mu3")
-    for iv in sturm_isolate(coeffs_from_poly(h, "mu3")):
+    h_coeffs = coeffs_from_poly(h, "mu3")
+    common = poly_gcd(h_coeffs, a_poly)
+    for iv in sturm_isolate(h_coeffs):
+        # the refinement below ends only if a_poly is nonzero at the root
+        if _vanishes_in(common, iv):
+            raise IdealShapeError("the shape-lemma denominator vanishes at a root of the eliminant")
         iv.refine(Fraction(1, 10**18))
         window = RatInterval(iv.lo, iv.hi)
         denom = eval_interval(a_poly, window)
@@ -596,6 +602,16 @@ def _reconstruct_lines(anni_polys, eps):
             }
         )
     return lines
+
+
+def _vanishes_in(coeffs, iv):
+    """Whether the polynomial has a root in the closed enclosure ``iv``."""
+    sf = squarefree_part(coeffs)
+    if len(sf) < 2:
+        return False
+    if eval_at(sf, iv.lo) == 0 or eval_at(sf, iv.hi) == 0:
+        return True
+    return iv.lo < iv.hi and SturmSequence(sf).count_open(iv.lo, iv.hi) > 0
 
 
 def _bivariate_gcd_binary(p, q):

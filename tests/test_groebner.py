@@ -16,7 +16,16 @@ from vortexsym.groebner import (
     s_polynomial,
     standard_monomials,
 )
-from vortexsym.ratpoly import Poly, VarRegistry, elimination, grevlex, lex, mono_divides
+from vortexsym.ratpoly import (
+    GrevLex,
+    Poly,
+    RegistryMismatchError,
+    VarRegistry,
+    elimination,
+    grevlex,
+    lex,
+    mono_divides,
+)
 
 XYZ = VarRegistry(["x", "y", "z"])
 
@@ -306,8 +315,64 @@ class TestEliminate:
         for p in gb.polys:
             assert full.contains(p)
 
+    def test_kept_elements_are_the_inner_reduced_basis(self):
+        rng = random.Random(31)
+        reg = VarRegistry(["w", "x", "y", "z"])
+        for n in range(24):
+            gens = random_ideal(rng, reg)
+            drop = [reg.names[n % 4]]
+            inner_names = [v for v in reg.names if v not in drop]
+            if n % 2:
+                rng.shuffle(inner_names)
+            gb = eliminate(Ideal.of(*gens), drop, inner_names=inner_names)
+            inner = GrevLex([reg.index(v) for v in inner_names])
+            assert repr(gb.order) == repr(inner)
+            if gb.polys:
+                want = buchberger(Ideal.of(*gb.polys), inner)
+                assert gb.polys == want.polys, (gens, drop, inner_names)
+
+
+def random_rational_poly(rng, registry, terms, degree):
+    out = {}
+    for _ in range(terms):
+        mono = [0] * len(registry)
+        for _ in range(rng.randint(0, degree)):
+            mono[rng.randrange(len(registry))] += 1
+        out[tuple(mono)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return Poly(registry, out)
+
 
 class TestNormalForm:
+    def test_matches_reduce_remainder_on_random_inputs(self):
+        # Both reduce the largest term first by the first matching divisor,
+        # so the remainders agree even when the divisors are no Groebner basis.
+        rng = random.Random(4242)
+        for n in range(40):
+            order = [lex(XYZ), grevlex(XYZ), elimination(XYZ, ["y"])][n % 3]
+            divisors = [random_rational_poly(rng, XYZ, 3, 3) for _ in range(rng.randint(1, 3))]
+            divisors = [d for d in divisors if not d.is_constant()]
+            if not divisors:
+                continue
+            bases = [
+                GroebnerBasis(divisors, order),
+                buchberger(Ideal.of(*divisors), order),
+                GroebnerBasis((), order),
+            ]
+            for basis in bases:
+                for _ in range(5):
+                    p = random_rational_poly(rng, XYZ, 5, 5)
+                    assert normal_form(p, basis) == reduce(p, basis.polys, order)[1]
+
+    def test_inputs_the_kernel_cannot_pack_are_rejected(self):
+        gb = buchberger(Ideal.of(P("x^2 - y")), lex(XYZ, ["x", "y"]))
+        with pytest.raises(RegistryMismatchError):
+            normal_form(P("x", VarRegistry(["x", "y"])), gb)
+        with pytest.raises(ValueError):
+            normal_form(P("x*z"), gb)
+        with pytest.raises(ExponentOverflowError):
+            normal_form(P("y^32768"), gb)
+        assert normal_form(P("x^3 + 1/2*y"), gb) == P("x*y + 1/2*y")
+
     def test_members_reduce_to_zero(self):
         gb = buchberger(Ideal.of(P("x^2 - 1")), lex(XYZ))
         for g in gb.polys:

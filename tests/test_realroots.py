@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from vortexsym.groebner import Ideal, buchberger
-from vortexsym.ratpoly import Poly, VarRegistry, grevlex
+from vortexsym.groebner import Ideal, buchberger, reduce, standard_monomials
+from vortexsym.ratpoly import Poly, VarRegistry, grevlex, mono_mul
 from vortexsym.realroots import (
     IsolatingInterval,
     PositiveDimensionalError,
@@ -25,6 +25,7 @@ from vortexsym.realroots import (
     squarefree_part,
     sturm_isolate,
 )
+from vortexsym.realroots import _inertia_charpoly, _inertia_congruence
 
 X = VarRegistry(["x"])
 
@@ -165,9 +166,35 @@ class TestInertia:
             a = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
             sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
             m = SymMatrix(sym)
-            from vortexsym.realroots import _inertia_charpoly, _inertia_congruence
-
             assert _inertia_charpoly(m) == _inertia_congruence(m)
+
+    @pytest.mark.parametrize("shape", ["dense", "zero_diagonal", "low_rank"])
+    def test_congruence_agrees_with_charpoly_on_rational_matrices(self, shape):
+        # Non-integer entries exercise the cleared denominators, zero
+        # diagonals the congruence step, and U diag(d) U^T with negative and
+        # zero d negative pivots and rank deficiency.
+        rng = random.Random(f"inertia-{shape}")
+
+        def q():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+        for n in range(1, 13):
+            for _ in range(2):
+                if shape == "low_rank":
+                    u = [[q() for _ in range(n)] for _ in range(n)]
+                    d = [rng.choice([Fraction(0), -q() ** 2 - 1, q() ** 2 + 1]) for _ in range(n)]
+                    sym = [
+                        [sum(u[i][k] * d[k] * u[j][k] for k in range(n)) for j in range(n)]
+                        for i in range(n)
+                    ]
+                else:
+                    a = [[q() for _ in range(n)] for _ in range(n)]
+                    sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+                    if shape == "zero_diagonal":
+                        for i in range(n):
+                            sym[i][i] = Fraction(0)
+                m = SymMatrix(sym)
+                assert _inertia_congruence(m) == _inertia_charpoly(m), sym
 
     def test_congruence_invariance_random_unimodular(self):
         rng = random.Random(99)
@@ -267,10 +294,45 @@ class TestHermite:
             assert cplx == len(sf) - 1  # squarefree: all complex roots distinct
             assert real <= cplx
 
+    def test_hermite_matrix_matches_fraction_reference_on_cubic_system(self):
+        reg = VarRegistry(["x", "y"])
+        u = Poly.parse(reg, "x + y")
+        v = Poly.parse(reg, "x - 2*y")
+        f = u**3 - Fraction(1, 2) * u**2 - 2 * u + 1
+        g = v**3 + Fraction(2, 3) * v - 1
+        gb = buchberger(Ideal.of(f + g, f - 2 * g), grevlex(reg))
+        h = hermite_matrix(gb)
+        assert h.n == 9
+        assert [list(row) for row in h.rows] == reference_hermite(gb)
+
+    def test_hermite_matrix_matches_fraction_reference_on_sphere_basis(self, trapezoid_report):
+        gb = trapezoid_report.artifacts["sphere_gb"]
+        h = hermite_matrix(gb)
+        assert h.n == 50
+        assert [list(row) for row in h.rows] == reference_hermite(gb)
+        assert inertia(h) == (30, 10, 10)
+
     def test_hermite_matrix_univariate_power_sums(self):
         gb = buchberger(Ideal.of(Poly.parse(X, "x^2 - 1")), grevlex(X))
         h = hermite_matrix(gb)
         assert h.rows == ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2)))
+
+
+def reference_hermite(gb):
+    """Trace form by the definition over Q: H_ij = Tr(m_i m_j), with
+    Tr(m) = sum_k Tr(m)_k Tr(b_k) over the normal-form coordinates of m and
+    Tr(b) = sum_k [NF(b b_k)]_k, every normal form taken with ``reduce``."""
+    basis = standard_monomials(gb).standard_monomials
+    coords = {}
+
+    def nf(m):
+        if m not in coords:
+            _, r = reduce(Poly(gb.registry, {m: Fraction(1)}), gb.polys, gb.order)
+            coords[m] = [r.terms.get(b, Fraction(0)) for b in basis]
+        return coords[m]
+
+    tr = [sum(nf(mono_mul(b, c))[k] for k, c in enumerate(basis)) for b in basis]
+    return [[sum(x * t for x, t in zip(nf(mono_mul(a, b)), tr)) for b in basis] for a in basis]
 
 
 def test_coeffs_from_poly_rejects_multivariate():

@@ -8,12 +8,16 @@ import pytest
 
 from vortexsym import targets
 from vortexsym.groebner import Ideal, buchberger
-from vortexsym.ratpoly import GrevLex, Poly
+from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
 from vortexsym.realroots import RatInterval, sturm_isolate, coeffs_from_poly
 from vortexsym.scenarios import check_f1_on_plane, run_kite, run_square
+from vortexsym.scenarios import kite
 from vortexsym.scenarios.kite import count_configurations
+from vortexsym.scenarios.report import ScenarioReport
 from vortexsym.scenarios.trapezoid import (
+    IdealShapeError,
     InconclusiveEnclosureError,
+    _reconstruct_lines,
     a_from_b,
     f1_plane_identity_in_ideal,
 )
@@ -84,6 +88,25 @@ class TestKite:
         assert abs(window["lower"]["decimal"] - (-0.335544)) < 1e-5
         assert window["upper"]["exact"] == "-1/3"
         assert window["lower"]["included"] and not window["upper"]["included"]
+
+    def test_stability_window_without_a_stable_gap_is_none(self):
+        treg = VarRegistry(["t"])
+        lam2 = Poly.parse(treg, "t")
+        # S < 0 everywhere, so the quadratic pair is never positive
+        assert kite._stability_window(lam2, Poly.parse(treg, "-1"), Poly.parse(treg, "t^2 + 1"), kite._EPS) is None
+        # no boundary root at all
+        one = Poly.parse(treg, "1")
+        assert kite._stability_window(one, -one, one, kite._EPS) is None
+
+    def test_missing_stability_window_fails_its_check(self, monkeypatch):
+        monkeypatch.setattr(kite, "_stability_window", lambda *args: None)
+        report = ScenarioReport(scenario="kite")
+        special = kite.special_angle_analysis(report, kite._EPS)
+        check = checks_by_name(report)["stability_window"]
+        assert check.status == "fail"
+        assert "expected mu1/mu3 in [-0.335544, -1/3)" in check.detail
+        assert "derived no bounded stable gap" in check.detail
+        assert special["window"] is None
 
     def test_requires_matching_pair(self):
         with pytest.raises(ValueError):
@@ -172,6 +195,17 @@ class TestTrapezoid:
 
     def test_true_trapezoid_angle(self, trapezoid_report):
         assert abs(trapezoid_report.stability["true_trapezoid_theta2"] - 0.687197) < 1e-5
+
+    def test_shape_denominator_vanishing_at_a_root_is_rejected(self):
+        # At mu4 = 1 the lex basis is {mu3^2 - mu3, mu2*mu3, mu2^2 - 3*mu2 -
+        # 2*mu3 + 2}: the points (0, 1), (1, 0), (2, 0), two of them over
+        # mu3 = 0, where the mu2-linear element's coefficient mu3 vanishes.
+        slice_polys = [
+            Poly.parse(targets.ANNI_REGISTRY, t)
+            for t in ("mu3^2 - mu3*mu4", "mu2*mu3", "mu2^2 - 3*mu2*mu4 - 2*mu3*mu4 + 2*mu4^2")
+        ]
+        with pytest.raises(IdealShapeError):
+            _reconstruct_lines(slice_polys, Fraction(1, 10**9))
 
 
 @pytest.fixture(scope="module")
