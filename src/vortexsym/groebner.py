@@ -4,9 +4,14 @@ The Buchberger kernel works fraction-free over the integers: every
 polynomial is kept integer-primitive and reductions rescale by integer
 gcd cofactors instead of dividing coefficients.  Pair management uses the
 Gebauer-Moeller update, which realises both classical Buchberger criteria
-(coprime leading monomials and the chain criterion).  Pair selection is by
-(lcm degree, insertion indices), so runs are deterministic and the reduced
-basis produced for a given ideal and order is unique.
+(coprime leading monomials and the chain criterion).  Pairs are selected
+by (sugar, insertion indices), so runs are deterministic and the reduced
+basis produced for a given ideal and order is unique.  The sugar of an
+input generator is its total degree, that of an S-pair the larger of its
+two S-polynomial halves' sugars (the entry's sugar plus the degree of the
+monomial multiplier), and a reduced S-polynomial keeps its pair's sugar
+(Giovini et al., "One sugar cube, please", ISSAC 1991).  Each run counts
+its S-pairs in :class:`KernelStats`.
 
 Inside the kernel a monomial with exponents ``e`` over the ``n`` variables
 that occur in the generators is two Python ints (Bachmann & Schoenemann,
@@ -31,6 +36,9 @@ product that would overflow, before it is formed.  The normal form takes
 terms from a heap of ``-k`` (Monagan & Pearce, CASC 2007).  Polynomials are
 converted to and from this form only on entry to and exit from
 ``_buchberger_int``.
+
+``resultant`` clears denominators and evaluates the Sylvester determinant
+by Bareiss elimination on integer polynomials ``{monomial: int}``.
 """
 
 from __future__ import annotations
@@ -38,9 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 from vortexsym.ratpoly import (
+    ExactDivisionError,
     GrevLex,
     Poly,
     RegistryMismatchError,
@@ -72,13 +81,29 @@ class Ideal:
         return cls(tuple(polys), reg)
 
 
-class GroebnerBasis:
-    """A reduced Groebner basis: content-normalised, inter-reduced, sorted."""
+@dataclass(frozen=True)
+class KernelStats:
+    """Counters of one Buchberger run: S-pairs created (those the
+    Gebauer-Moeller criteria let through when their newer element was
+    added), S-pairs reduced, and S-pairs that reduced to zero."""
 
-    def __init__(self, polys, order, reduced=True):
+    pairs_created: int
+    pairs_reduced: int
+    zero_reductions: int
+
+
+class GroebnerBasis:
+    """A reduced Groebner basis: content-normalised, inter-reduced, sorted.
+
+    ``stats`` holds the :class:`KernelStats` of the run that computed it,
+    or ``None``.
+    """
+
+    def __init__(self, polys, order, reduced=True, stats=None):
         self.polys = tuple(polys)
         self.order = order
         self.reduced = reduced
+        self.stats = stats
         self._kernel = None  # (registry, packing, packed entries)
 
     def _packed(self, registry):
@@ -296,6 +321,9 @@ class _Packing:
     def exponents(self, p):
         return [(p >> s) & _EXP_MAX for s in self.shifts]
 
+    def degree(self, p):
+        return sum(self.exponents(p))
+
     def unpack(self, p):
         exps = [0] * self.nvars
         for i, e in zip(self.active, self.exponents(p)):
@@ -461,12 +489,16 @@ def _entry(terms, pk):
     return (k, p, c, tail, tail_lcm)
 
 
-def _gm_update(entries, pairs, new_terms, pk):
-    """Gebauer-Moeller pair update when appending a new basis element.
+def _gm_update(entries, sugars, pairs, new_terms, sugar, pk):
+    """Gebauer-Moeller pair update when appending a new basis element of
+    sugar ``sugar``.
 
     Prunes existing pairs by the chain criterion and filters new pairs by
-    the chain and coprimality criteria.  ``pairs`` maps
-    ``(lcm degree, i, j)`` to the ``p`` of the pair's leading-monomial lcm.
+    the chain and coprimality criteria.  ``pairs`` maps ``(sugar, i, j)``
+    to the ``p`` of the pair's leading-monomial lcm ``L``; a pair's sugar
+    is ``max(sugar_i + deg(L / lm_i), sugar_j + deg(L / lm_j))`` (Giovini
+    et al., ISSAC 1991).  Returns the updated pairs and the number of new
+    pairs.
     """
     t = len(entries)
     guard = pk.guard
@@ -488,37 +520,51 @@ def _gm_update(entries, pairs, new_terms, pk):
     for L in sorted(lcm_groups):
         if all((L - Lm) & guard for Lm in minimal):
             minimal.append(L)
+    created = 0
+    lmf_deg = pk.degree(lmf)
     for L in minimal:
         group = lcm_groups[L]
         if any(L == lm[i] + lmf for i in group):
             continue  # coprime leading monomials: S-pair reduces to zero
-        kept[(sum(pk.exponents(L)), group[0], t)] = L
+        i = group[0]
+        pair_sugar = pk.degree(L) + max(sugars[i] - pk.degree(lm[i]), sugar - lmf_deg)
+        kept[(pair_sugar, i, t)] = L
+        created += 1
 
     entries.append(_entry(new_terms, pk))
-    return kept
+    sugars.append(sugar)
+    return kept, created
 
 
 def _buchberger_int(gens, order):
     """Reduced Groebner basis of nonzero Poly generators under ``order``,
-    computed over packed monomials, as integer-primitive Polys."""
+    computed over packed monomials, as integer-primitive Polys, and the
+    run's :class:`KernelStats`."""
     reg = gens[0].registry
     active = sorted({i for g in gens for m in g.terms for i, e in enumerate(m) if e})
     pk = _Packing(order, len(reg), active)
     entries = []
+    sugars = []  # sugar degree of each entry
     pairs = {}
+    n_created = n_reduced = n_zero = 0
     for g in gens:
         r, _ = _int_nf(_int_terms(g, pk)[0], entries, pk)
         if r:
-            pairs = _gm_update(entries, pairs, r, pk)
+            pairs, new = _gm_update(entries, sugars, pairs, r, g.total_degree(), pk)
+            n_created += new
 
     while pairs:
         key = min(pairs)
         lcm_p = pairs.pop(key)
-        _, i, j = key
+        sugar, i, j = key
         s = _int_spoly(entries[i], entries[j], lcm_p, pk)
         r, _ = _int_nf(s, entries, pk)
+        n_reduced += 1
         if r:
-            pairs = _gm_update(entries, pairs, r, pk)
+            pairs, new = _gm_update(entries, sugars, pairs, r, sugar, pk)
+            n_created += new
+        else:
+            n_zero += 1
 
     # Minimalise: drop entries whose leading monomial another one divides.
     guard = pk.guard
@@ -533,10 +579,11 @@ def _buchberger_int(gens, order):
         others = minimal[:i] + minimal[i + 1 :]
         reduced.append(_int_nf([e[:3]] + list(e[3]), others, pk)[0])
     reduced.sort(key=lambda terms: terms[0][0])
-    return [
+    polys = [
         Poly(reg, {pk.unpack(p): Fraction(c) for _, p, c in terms})
         for terms in reduced
     ]
+    return polys, KernelStats(n_created, n_reduced, n_zero)
 
 
 def buchberger(ideal, order):
@@ -554,7 +601,8 @@ def buchberger(ideal, order):
         gens = [p for p in ideal if not p.is_zero()]
         if not gens:
             raise ValueError("cannot take a Groebner basis of the zero ideal")
-    return GroebnerBasis(_buchberger_int(gens, order), order, reduced=True)
+    polys, stats = _buchberger_int(gens, order)
+    return GroebnerBasis(polys, order, reduced=True, stats=stats)
 
 
 def eliminate(ideal, drop, inner_names=None):
@@ -579,47 +627,86 @@ def eliminate(ideal, drop, inner_names=None):
         for p in gb.polys
         if all(all(m[i] == 0 for i in drop_idx) for m in p.terms)
     ]
-    return GroebnerBasis(kept, GrevLex(order.rest), reduced=True)
+    return GroebnerBasis(kept, GrevLex(order.rest), reduced=True, stats=gb.stats)
 
 
-def bareiss_determinant(matrix):
-    """Exact determinant of a square Poly matrix via fraction-free elimination.
+def _mul_sub(a, b, c, d):
+    """``a*b - c*d`` for integer polynomials ``{monomial: int}``."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (c, d, -1)):
+        for mx, cx in x.items():
+            cx *= sign
+            for my, cy in y.items():
+                m = mono_mul(mx, my)
+                s = out.get(m, 0) + cx * cy
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return out
 
-    All entries must share a registry; intermediate divisions are exact by
-    the Bareiss identity.
-    """
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    reg = matrix[0][0].registry
-    one = Poly.constant(reg, 1)
+
+def _div_exact(num, den):
+    """Exact quotient of integer polynomials ``{monomial: int}``, dividing
+    lex-largest terms first; raises :class:`ExactDivisionError` with the
+    part of ``num`` left undivided when ``den`` does not divide ``num``
+    over the integers."""
+    lm = max(den)
+    lc = den[lm]
+    tail = [(m, c) for m, c in den.items() if m != lm]
+    work = dict(num)
+    quotient = {}
+    while work:
+        m = max(work)
+        q, r = divmod(work[m], lc)
+        if r or not mono_divides(lm, m):
+            raise ExactDivisionError(work)
+        del work[m]
+        qm = mono_div(m, lm)
+        quotient[qm] = q
+        for tm, tc in tail:
+            mm = mono_mul(qm, tm)
+            s = work.get(mm, 0) - q * tc
+            if s:
+                work[mm] = s
+            else:
+                del work[mm]
+    return quotient
+
+
+def _bareiss_int(matrix):
+    """Determinant of a square matrix of integer polynomials ``{monomial:
+    int}`` by fraction-free elimination; each division by the previous
+    pivot is exact by the Bareiss identity."""
     m = [row[:] for row in matrix]
+    n = len(m)
     sign = 1
-    prev = one
-    order = GrevLex()
+    prev = None
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot is None:
-                return Poly.zero(reg)
+                return {}
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        pivot_row = m[k]
+        for row in m[k + 1 :]:
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.divide_exact(prev, order)
-            m[i][k] = Poly.zero(reg)
-        prev = m[k][k]
+                num = _mul_sub(row[j], pivot_row[k], row[k], pivot_row[j])
+                row[j] = _div_exact(num, prev) if prev and num else num
+        prev = pivot_row[k]
     det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return det if sign == 1 else {mono: -c for mono, c in det.items()}
 
 
 def resultant(f, g, var):
     """Resultant of two polynomials with respect to ``var``.
 
     Treats both as univariate in ``var`` with coefficients in the remaining
-    variables and evaluates the Sylvester determinant fraction-free; the
-    result is free of ``var``.
+    variables; the result is free of ``var``.  With ``m = deg f``, ``n =
+    deg g`` and ``F = df * f``, ``G = dg * g`` cleared of denominators,
+    ``res(f, g) = res(F, G) / (df**n * dg**m)``, and the Sylvester
+    determinant of ``F`` and ``G`` is evaluated on integer polynomials.
     """
     reg = f.registry
     if g.registry != reg:
@@ -627,34 +714,32 @@ def resultant(f, g, var):
     i = reg.index(var)
 
     def coeff_list(p):
-        deg = p.degree_in(var)
-        rows = [dict() for _ in range(deg + 1)]
+        """Integer coefficients in ``var``, highest degree first, and the
+        denominator cleared from ``p``."""
+        denom = lcm(*(c.denominator for c in p.terms.values()))
+        rows = [dict() for _ in range(p.degree_in(var) + 1)]
         for mono, c in p.terms.items():
-            rest = tuple(0 if j == i else e for j, e in enumerate(mono))
-            rows[mono[i]][rest] = rows[mono[i]].get(rest, 0) + c
-        return [Poly(reg, t) for t in rows]
+            rest = mono[:i] + (0,) + mono[i + 1 :]
+            rows[mono[i]][rest] = c.numerator * (denom // c.denominator)
+        return rows[::-1], denom
 
-    fc = coeff_list(f)
-    gc = coeff_list(g)
+    fc, df = coeff_list(f)
+    gc, dg = coeff_list(g)
     m, n = len(fc) - 1, len(gc) - 1
     if m < 0 or n < 0:
         raise ValueError("resultant of the zero polynomial")
     size = m + n
     if size == 0:
         return Poly.constant(reg, 1)
-    zero = Poly.zero(reg)
     rows = []
-    for k in range(n):
-        row = [zero] * size
-        for jj, c in enumerate(reversed(fc)):
-            row[k + jj] = c
-        rows.append(row)
-    for k in range(m):
-        row = [zero] * size
-        for jj, c in enumerate(reversed(gc)):
-            row[k + jj] = c
-        rows.append(row)
-    return bareiss_determinant(rows)
+    for coeffs, shifts in ((fc, n), (gc, m)):
+        for k in range(shifts):
+            row = [{}] * size
+            row[k : k + len(coeffs)] = coeffs
+            rows.append(row)
+    scale = df**n * dg**m
+    det = _bareiss_int(rows)
+    return Poly(reg, {mono: Fraction(c, scale) for mono, c in det.items()})
 
 
 def standard_monomials(gb):

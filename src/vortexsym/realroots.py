@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from vortexsym.groebner import (
@@ -361,12 +361,6 @@ def count_positive_roots(coeffs):
 # ---------------------------------------------------------------------------
 
 
-def _isqrt_floor(n):
-    from math import isqrt
-
-    return isqrt(n)
-
-
 def sqrt_lower(q, bits=96):
     """A rational lower bound for sqrt(q), q >= 0, tight to ~2^-bits."""
     q = Fraction(q)
@@ -374,7 +368,7 @@ def sqrt_lower(q, bits=96):
         raise ValueError("negative radicand")
     scale = 1 << bits
     n = q.numerator * scale * scale // q.denominator
-    return Fraction(_isqrt_floor(n), scale)
+    return Fraction(isqrt(n), scale)
 
 
 def sqrt_upper(q, bits=96):
@@ -383,7 +377,7 @@ def sqrt_upper(q, bits=96):
         raise ValueError("negative radicand")
     scale = 1 << bits
     n = q.numerator * scale * scale // q.denominator
-    r = _isqrt_floor(n)
+    r = isqrt(n)
     if r * r < n:
         r += 1
     return Fraction(r, scale)

@@ -216,12 +216,20 @@ def special_angle_analysis(report, eps):
         "parameter": "mu1/mu3",
         "requires": "mu3 > 0",
     }
-    if window is None:
+    if window is None or window["upper_exact"] is None:
+        if window is None:
+            derived = "no bounded stable gap"
+        else:
+            upper = window["upper_interval"]
+            derived = (
+                f"lower end {window['lower_decimal']:.6f} and an upper end in"
+                f" [{rat_str(upper.lo)}, {rat_str(upper.hi)}] that is neither exact nor -1/3"
+            )
         report.check(
             "stability_window",
             False,
             f"expected mu1/mu3 in [{targets.KITE_WINDOW_LOWER:.6f}, -1/3) for mu3 > 0;"
-            " derived no bounded stable gap",
+            f" derived {derived}",
         )
         return {**summary, "window": None}
     ok_lower = abs(window["lower_decimal"] - targets.KITE_WINDOW_LOWER) < targets.NUMERIC_TOL
@@ -268,7 +276,9 @@ def _stability_window(lam2, s_poly, p_poly, eps):
     Boundary candidates are the roots of lam2, P, and the discriminant;
     sampling each complementary interval with exact arithmetic finds the
     stable range, and the boundary enclosures give its endpoints.  Returns
-    ``None`` when the first stable gap is missing or unbounded.
+    ``None`` when the first stable gap is missing or unbounded;
+    ``upper_exact`` is ``None`` when the upper enclosure is neither exact
+    nor at -1/3.
     """
     disc_poly = s_poly * s_poly - 4 * p_poly
     boundary = lam2 * p_poly * disc_poly
@@ -324,6 +334,7 @@ def _stability_window(lam2, s_poly, p_poly, eps):
         "lower_interval": RatInterval(lower_iv.lo, lower_iv.hi),
         "lower_decimal": float(lower_iv.midpoint()),
         "lower_included": lower_included,
+        "upper_interval": RatInterval(upper_iv.lo, upper_iv.hi),
         "upper_exact": upper_exact,
         "upper_included": False,  # an eigenvalue vanishes exactly there
     }

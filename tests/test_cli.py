@@ -3,11 +3,15 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from vortexsym import cli, targets
 from vortexsym.trigvortex import Configuration
+
+
+GOLDEN = Path(__file__).parent / "golden" / "all_check_appendix.json"
 
 
 def run_cli(argv, capsys):
@@ -178,3 +182,18 @@ def test_kite_mismatched_pair_exits_cleanly(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "mu2 == mu4" in captured.err
+
+
+def test_all_report_matches_golden_file(
+    kite_report, rectangle_report, square_report, trapezoid_report
+):
+    # The session reports use the CLI's default eps, so together they are
+    # the report of ``vortexsym all --check-appendix --json``.
+    reports = {
+        "kite": kite_report,
+        "rectangle": rectangle_report,
+        "square": square_report,
+        "trapezoid": trapezoid_report,
+    }
+    document = {"scenarios": [reports[name].to_document() for name in cli.SCENARIO_ORDER]}
+    assert cli.render_json(document) == GOLDEN.read_text()

@@ -9,14 +9,17 @@ from vortexsym.groebner import (
     ExponentOverflowError,
     GroebnerBasis,
     Ideal,
+    _div_exact,
     buchberger,
     eliminate,
     normal_form,
     reduce,
+    resultant,
     s_polynomial,
     standard_monomials,
 )
 from vortexsym.ratpoly import (
+    ExactDivisionError,
     GrevLex,
     Poly,
     RegistryMismatchError,
@@ -385,6 +388,60 @@ class TestNormalForm:
     def test_spolynomial_helper(self):
         s = s_polynomial(P("x^2 + y"), P("x*y + z"), grevlex(XYZ))
         assert s == P("y^2 - x*z")
+
+
+class TestResultant:
+    def test_product_over_the_roots_of_the_first_operand(self):
+        # res(c * prod (x - a_i), g) = c^deg_x(g) * prod g(a_i)
+        rng = random.Random(9001)
+        for _ in range(25):
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+            roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+            f = P(str(c))
+            for a in roots:
+                f = f * (P("x") - a)
+            g = random_rational_poly(rng, XYZ, 4, 3) + P("x^2*y + x*z")
+            want = P(str(c)) ** g.degree_in("x")
+            for a in roots:
+                want = want * g.subs({"x": a})
+            assert resultant(f, g, "x") == want, (f, g)
+
+    def test_vanishing_pivot(self):
+        # The Sylvester matrix of these two has a vanishing leading minor,
+        # so the elimination swaps rows: res = g(-1) * g(1) = 2 * (-2).
+        assert resultant(P("x^2 - 1"), P("x^2 - 2*x - 1"), "x") == P("-4")
+
+    def test_swapping_the_operands_gives_the_sign_of_mn(self):
+        rng = random.Random(1991)
+        for _ in range(25):
+            f = random_rational_poly(rng, XYZ, 4, 4)
+            g = random_rational_poly(rng, XYZ, 4, 3)
+            if f.is_zero() or g.is_zero():
+                continue
+            var = rng.choice(XYZ.names)
+            m, n = f.degree_in(var), g.degree_in(var)
+            assert resultant(f, g, var) == (-1) ** (m * n) * resultant(g, f, var)
+
+    def test_constant_operands(self):
+        g = P("x^3*y - 2*x + z")
+        assert resultant(P("3/2"), g, "x") == P("27/8")
+        assert resultant(g, P("-2"), "x") == P("-8")
+        assert resultant(P("5"), P("7/3"), "x") == P("1")
+        # constant in x but not in y: res(f, g) = g^deg_x(f)
+        assert resultant(P("x^2 + y"), P("3*y"), "x") == P("9*y^2")
+        with pytest.raises(ValueError):
+            resultant(P("0"), g, "x")
+
+    def test_inexact_division_raises(self):
+        x2_plus_1 = {(2,): 1, (0,): 1}
+        x_plus_1 = {(1,): 1, (0,): 1}
+        assert _div_exact({(2,): 1, (0,): -1}, x_plus_1) == {(1,): 1, (0,): -1}
+        with pytest.raises(ExactDivisionError):
+            _div_exact(x2_plus_1, x_plus_1)
+        with pytest.raises(ExactDivisionError):
+            _div_exact({(1,): 2, (0,): 1}, {(0,): 2})
+        with pytest.raises(ExactDivisionError):
+            _div_exact({(1,): 1}, {(2,): 1})
 
 
 class TestStandardMonomials:

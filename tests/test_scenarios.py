@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from vortexsym import targets
-from vortexsym.groebner import Ideal, buchberger
+from vortexsym.groebner import Ideal, KernelStats, buchberger
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
 from vortexsym.realroots import RatInterval, sturm_isolate, coeffs_from_poly
 from vortexsym.scenarios import check_f1_on_plane, run_kite, run_square
@@ -97,6 +97,24 @@ class TestKite:
         # no boundary root at all
         one = Poly.parse(treg, "1")
         assert kite._stability_window(one, -one, one, kite._EPS) is None
+
+    def test_inexact_upper_end_fails_its_check(self, monkeypatch):
+        # p = 1/8 - t^2 gives the gap (-1/sqrt(8), 1/sqrt(8)), whose upper
+        # end is irrational and not -1/3
+        treg = VarRegistry(["t"])
+        one = Poly.parse(treg, "1")
+        window = kite._stability_window(one, one, Poly.parse(treg, "1/8 - t^2"), kite._EPS)
+        assert window["upper_exact"] is None
+        monkeypatch.setattr(kite, "_stability_window", lambda *args: window)
+        report = ScenarioReport(scenario="kite")
+        special = kite.special_angle_analysis(report, kite._EPS)
+        check = checks_by_name(report)["stability_window"]
+        assert check.status == "fail"
+        assert "expected mu1/mu3 in [-0.335544, -1/3)" in check.detail
+        assert "derived lower end -0.353553" in check.detail
+        upper = window["upper_interval"]
+        assert f"[{upper.lo.numerator}/{upper.lo.denominator}," in check.detail
+        assert special["window"] is None
 
     def test_missing_stability_window_fails_its_check(self, monkeypatch):
         monkeypatch.setattr(kite, "_stability_window", lambda *args: None)
@@ -195,6 +213,22 @@ class TestTrapezoid:
 
     def test_true_trapezoid_angle(self, trapezoid_report):
         assert abs(trapezoid_report.stability["true_trapezoid_theta2"] - 0.687197) < 1e-5
+
+    def test_elimination_kernel_counts(self, trapezoid_report):
+        # Pinned so that a change to S-pair selection or to the criteria
+        # shows up here.
+        counts = {
+            name: trapezoid_report.artifacts[name].stats
+            for name in ("elimination_gb", "angle_projection_gb")
+        }
+        assert counts == {
+            "elimination_gb": KernelStats(
+                pairs_created=227, pairs_reduced=191, zero_reductions=126
+            ),
+            "angle_projection_gb": KernelStats(
+                pairs_created=106, pairs_reduced=98, zero_reductions=68
+            ),
+        }
 
     def test_shape_denominator_vanishing_at_a_root_is_rejected(self):
         # At mu4 = 1 the lex basis is {mu3^2 - mu3, mu2*mu3, mu2^2 - 3*mu2 -
