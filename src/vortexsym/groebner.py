@@ -59,6 +59,7 @@ from vortexsym.ratpoly import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    reduce,  # division with quotients, re-exported for its callers
 )
 
 
@@ -184,46 +185,6 @@ def s_polynomial(f, g, order):
     tf = Poly(f.registry, {mono_div(L, mf): Fraction(1) / cf})
     tg = Poly(g.registry, {mono_div(L, mg): Fraction(1) / cg})
     return tf * f - tg * g
-
-
-def reduce(p, divisors, order):
-    """Multivariate division with remainder: ``p = sum q_i d_i + rem``.
-
-    No term of ``rem`` is divisible by the leading monomial of any divisor;
-    the result is deterministic in the divisor order (first match wins).
-    """
-    divisors = list(divisors)
-    if any(d.is_zero() for d in divisors):
-        raise ValueError("divisors must be nonzero")
-    reg = p.registry
-    lead = [d.leading_term(order) for d in divisors]
-    quotients = [dict() for _ in divisors]
-    remainder = {}
-    work = dict(p.terms)
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        for i, (dm, dc) in enumerate(lead):
-            if mono_divides(dm, m):
-                qm = mono_div(m, dm)
-                qc = c / dc
-                quotients[i][qm] = quotients[i].get(qm, 0) + qc
-                for m2, c2 in divisors[i].terms.items():
-                    if m2 == dm:
-                        continue
-                    mm = mono_mul(qm, m2)
-                    s = work.get(mm, Fraction(0)) - qc * c2
-                    if s:
-                        work[mm] = s
-                    else:
-                        work.pop(mm, None)
-                break
-        else:
-            remainder[m] = remainder.get(m, Fraction(0)) + c
-    return (
-        [Poly(reg, q) for q in quotients],
-        Poly(reg, remainder),
-    )
 
 
 def normal_form(p, basis):

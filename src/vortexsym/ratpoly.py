@@ -93,6 +93,46 @@ def mono_degree(a):
     return sum(a)
 
 
+def reduce(p, divisors, order):
+    """Multivariate division with remainder: ``p = sum q_i d_i + rem``.
+
+    No term of ``rem`` is divisible by the leading monomial of any divisor;
+    the result is deterministic in the divisor order (first match wins).
+    """
+    divisors = list(divisors)
+    if any(d.is_zero() for d in divisors):
+        raise ValueError("divisors must be nonzero")
+    reg = p.registry
+    lead = [d.leading_term(order) for d in divisors]
+    quotients = [dict() for _ in divisors]
+    remainder = {}
+    work = dict(p.terms)
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for i, (dm, dc) in enumerate(lead):
+            if mono_divides(dm, m):
+                qm = mono_div(m, dm)
+                qc = c / dc
+                quotients[i][qm] = quotients[i].get(qm, 0) + qc
+                for m2, c2 in divisors[i].terms.items():
+                    if m2 == dm:
+                        continue
+                    mm = mono_mul(qm, m2)
+                    s = work.get(mm, Fraction(0)) - qc * c2
+                    if s:
+                        work[mm] = s
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            remainder[m] = remainder.get(m, Fraction(0)) + c
+    return (
+        [Poly(reg, q) for q in quotients],
+        Poly(reg, remainder),
+    )
+
+
 def _unit_row(nvars, i, weight=1):
     row = [0] * nvars
     row[i] = weight
@@ -461,7 +501,7 @@ class Poly:
             raise ZeroDivisionError("division by the zero polynomial")
         if order is None:
             order = GrevLex()
-        quotient, remainder = self.divmod_single(divisor, order)
+        (quotient,), remainder = reduce(self, [divisor], order)
         if not remainder.is_zero():
             raise ExactDivisionError(remainder)
         return quotient
@@ -472,35 +512,6 @@ class Poly:
             return self.divide_exact(divisor, order)
         except ExactDivisionError:
             return None
-
-    def divmod_single(self, divisor, order):
-        """Division with remainder by a single divisor: self = q*d + r.
-
-        No term of ``r`` is divisible by the leading monomial of ``d``.
-        """
-        dm, dc = divisor.leading_term(order)
-        work = dict(self.terms)
-        q = {}
-        r = {}
-        while work:
-            m = max(work, key=order.key)
-            c = work.pop(m)
-            if mono_divides(dm, m):
-                qm = mono_div(m, dm)
-                qc = c / dc
-                q[qm] = q.get(qm, Fraction(0)) + qc
-                for m2, c2 in divisor.terms.items():
-                    if m2 == dm:
-                        continue
-                    mm = mono_mul(qm, m2)
-                    s = work.get(mm, Fraction(0)) - qc * c2
-                    if s:
-                        work[mm] = s
-                    else:
-                        work.pop(mm, None)
-            else:
-                r[m] = c
-        return Poly._raw(self.registry, q), Poly._raw(self.registry, r)
 
     # -- evaluation and substitution ----------------------------------------
 

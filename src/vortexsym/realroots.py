@@ -334,11 +334,6 @@ def sturm_isolate(coeffs, var=None):
     return intervals
 
 
-def refine(interval, eps):
-    """Midpoint of the interval shrunk below ``eps`` by exact bisection."""
-    return interval.refine(eps)
-
-
 def count_real_roots(coeffs, var=None):
     if isinstance(coeffs, Poly):
         coeffs = coeffs_from_poly(coeffs, var)

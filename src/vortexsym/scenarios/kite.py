@@ -31,8 +31,9 @@ from vortexsym.trigvortex import (
     angle_of_r,
     char_poly_in,
     gradient_component,
+    hessian,
     pipeline,
-    weighted_hessian_symbolic,
+    scenario_cos_table,
 )
 from vortexsym import targets
 
@@ -188,7 +189,7 @@ def special_angle_analysis(report, eps):
     lreg = VarRegistry(["lam", "t"])
     t = Poly.variable(treg, "t")
     one = Poly.constant(treg, 1)
-    rows = weighted_hessian_symbolic(KITE, [t, t, one, t], cos_theta2=Fraction(-1, 2))
+    rows = hessian(scenario_cos_table(KITE, half), [t, t, one, t], weighted=True)
     cp = char_poly_in(rows, lreg, "lam")
     lam = Poly.variable(lreg, "lam")
     cp = cp.divide_exact(lam)
@@ -275,7 +276,8 @@ def _stability_window(lam2, s_poly, p_poly, eps):
 
     Boundary candidates are the roots of lam2, P, and the discriminant;
     sampling each complementary interval with exact arithmetic finds the
-    stable range, and the boundary enclosures give its endpoints.  Returns
+    stable range, and the boundary enclosures give its endpoints.  An end
+    is included when all three eigenvalues are positive at it.  Returns
     ``None`` when the first stable gap is missing or unbounded;
     ``upper_exact`` is ``None`` when the upper enclosure is neither exact
     nor at -1/3.
@@ -319,10 +321,18 @@ def _stability_window(lam2, s_poly, p_poly, eps):
     lower_iv.refine(eps)
     upper_iv.refine(eps)
 
-    # endpoint inclusion, decided exactly on the boundary enclosures
-    s_at_lower = eval_interval(s_c, RatInterval(lower_iv.lo, lower_iv.hi))
-    lam2_at_lower = eval_interval(lam2_c, RatInterval(lower_iv.lo, lower_iv.hi))
-    lower_included = s_at_lower.is_positive() and lam2_at_lower.is_positive()
+    def included(iv, exact):
+        # An exact end is stable when all three eigenvalues are positive
+        # there.  Inside an irrational end's enclosure the boundary root is
+        # the only one, so lam2 > 0 and P > 0 throughout leave the
+        # discriminant as the vanishing factor: a double eigenvalue, positive
+        # when S > 0.
+        if exact is not None:
+            return count(exact) == 3
+        enclosure = RatInterval(iv.lo, iv.hi)
+        return all(eval_interval(c, enclosure).is_positive() for c in (lam2_c, p_c, s_c))
+
+    lower_exact = lower_iv.lo if lower_iv.exact else None
     upper_exact = (
         upper_iv.lo
         if upper_iv.exact
@@ -333,8 +343,8 @@ def _stability_window(lam2, s_poly, p_poly, eps):
         "unique": unique,
         "lower_interval": RatInterval(lower_iv.lo, lower_iv.hi),
         "lower_decimal": float(lower_iv.midpoint()),
-        "lower_included": lower_included,
+        "lower_included": included(lower_iv, lower_exact),
         "upper_interval": RatInterval(upper_iv.lo, upper_iv.hi),
         "upper_exact": upper_exact,
-        "upper_included": False,  # an eigenvalue vanishes exactly there
+        "upper_included": included(upper_iv, upper_exact),
     }

@@ -10,15 +10,17 @@ from fractions import Fraction
 
 from vortexsym.groebner import Ideal, eliminate
 from vortexsym.ratpoly import GrevLex, Poly
-from vortexsym.realroots import sturm_isolate
+from vortexsym.realroots import char_poly, coeffs_from_poly, sturm_isolate
 from vortexsym.scenarios.report import RootRecord, ScenarioReport
 from vortexsym.trigvortex import (
     RECTANGLE,
     R_REGISTRY,
     TRIG_REGISTRY,
     angle_of_r,
+    gradient_component,
+    hessian,
     pipeline,
-    weighted_hessian_symbolic,
+    scenario_cos_table,
 )
 from vortexsym import targets
 
@@ -78,12 +80,12 @@ def run_rectangle(mus=None, eps=_EPS):
     )
     report.check(
         "equal_pairs_residual_exact",
-        _branch_exact(comps, equal, "c"),
+        _branch_exact(equal, "c"),
         "exact: (1-c^2) * numerator is a constant multiple of c * denominator",
     )
     report.check(
         "opposite_pairs_residual_exact",
-        _branch_exact(comps, opposite, "2*c^2 - 1"),
+        _branch_exact(opposite, "2*c^2 - 1"),
         "exact: (1-c^2) * numerator is a constant multiple of (2c^2-1) * denominator",
     )
 
@@ -134,10 +136,7 @@ def _cot(theta):
 
 def _branch_residual_check(substitution, target, samples=20, tol=1e-10):
     rng = random.Random(20240815)
-    mus = (1.3, 0.7, None, None)
     for i in (2, 3, 4):
-        from vortexsym.trigvortex import gradient_component
-
         t = gradient_component(i, RECTANGLE).subs_mu(substitution)
         ratios = []
         n = 0
@@ -158,10 +157,8 @@ def _branch_residual_check(substitution, target, samples=20, tol=1e-10):
     return True
 
 
-def _branch_exact(comps, substitution, target_text):
+def _branch_exact(substitution, target_text):
     """(1-c^2)*num is exactly (constant in s, c)*(target * den) per component."""
-    from vortexsym.trigvortex import gradient_component
-
     target = Poly.parse(TRIG_REGISTRY, target_text)
     pyth = Poly.parse(TRIG_REGISTRY, "1 - c^2")
     for i in (2, 3, 4):
@@ -180,15 +177,9 @@ def _branch_exact(comps, substitution, target_text):
 
 def _branch_roots(comps, substitution, eps, label):
     """Isolate the r-roots shared by all three branch-substituted polynomials."""
-    from vortexsym.realroots import coeffs_from_poly
-
-    polys = []
-    for c in comps:
-        p = c.r_poly.subs({k: Fraction(v) for k, v in substitution.items()})
-        polys.append(coeffs_from_poly(p, "r"))
-    base = polys[0]
+    polys = [c.r_poly.subs({k: Fraction(v) for k, v in substitution.items()}) for c in comps]
     records = []
-    for iv in sturm_isolate(base):
+    for iv in sturm_isolate(coeffs_from_poly(polys[0], "r")):
         iv.refine(eps)
         # certified common root: the other two polynomials must be
         # proportional (they are, per branch structure), so checking signs
@@ -202,28 +193,10 @@ def _branch_roots(comps, substitution, eps, label):
             )
         )
     # proportionality across the three substituted polynomials
-    prim = [_primitive_coeffs(p) for p in polys]
+    prim = [p.primitive(_ORD) for p in polys]
     if not (prim[0] == prim[1] == prim[2]):
         return []
     return records
-
-
-def _primitive_coeffs(coeffs):
-    from math import gcd
-
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g == 0:
-        return tuple(ints)
-    lead = next((c for c in reversed(ints) if c), 1)
-    if lead < 0:
-        g = -g
-    return tuple(c // g for c in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +233,9 @@ class Sqrt2:
         other = self._coerce(other)
         return self + (-other)
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -274,6 +250,23 @@ class Sqrt2:
     def __truediv__(self, k):
         k = Fraction(k)
         return Sqrt2(self.a / k, self.b / k)
+
+    def __rtruediv__(self, other):
+        """other / self, inverting by the norm a^2 - 2 b^2 (nonzero off 0)."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        norm = self.a * self.a - 2 * self.b * self.b
+        return other * Sqrt2(self.a / norm, -self.b / norm)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def sign(self):
         if self.a == 0 and self.b == 0:
@@ -292,25 +285,8 @@ class Sqrt2:
         return self.a == 0 and self.b == 0
 
 
-def _gprime_sqrt2(cos_val):
-    """g'(x) = -cos x - 1/(2 - 2 cos x) for cos in {0, +-1/2*sqrt2, -1}."""
-    two = Sqrt2(Fraction(2))
-    den = two - 2 * cos_val
-    # invert a + b sqrt2 exactly
-    a, b = den.a, den.b
-    norm = a * a - 2 * b * b
-    inv = Sqrt2(a / norm, -b / norm)
-    return -1 * cos_val - inv
-
-
-_DIAGONAL_COSINES = {
-    (0, 1): Sqrt2(Fraction(0), Fraction(1, 2)),   # cos(pi/4)
-    (0, 2): Sqrt2(Fraction(-1)),                  # cos(pi)
-    (0, 3): Sqrt2(Fraction(0), Fraction(-1, 2)),  # cos(5pi/4)
-    (1, 2): Sqrt2(Fraction(0), Fraction(-1, 2)),  # cos(3pi/4)
-    (1, 3): Sqrt2(Fraction(-1)),                  # cos(pi)
-    (2, 3): Sqrt2(Fraction(0), Fraction(1, 2)),   # cos(pi/4)
-}
+# cos(theta_i - theta_j) at the 45-degree point, where cos(theta2) = sqrt(2)/2
+_DIAGONAL_COSINES = scenario_cos_table(RECTANGLE, Sqrt2(Fraction(0), Fraction(1, 2)))
 
 
 def _diagonal_char_poly(m1, m2, weighted):
@@ -319,24 +295,7 @@ def _diagonal_char_poly(m1, m2, weighted):
     Circulations are (m1, m2, -m1, -m2); ``weighted`` selects mu^{-1} H
     instead of the Hessian H itself.  Ascending coefficients.
     """
-    from vortexsym.realroots import char_poly
-
-    mus = [m1, m2, -m1, -m2]
-    rows = [[Sqrt2(Fraction(0)) for _ in range(4)] for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            key = (min(i, j), max(i, j))
-            gp = _gprime_sqrt2(_DIAGONAL_COSINES[key])
-            scale = mus[j] if weighted else mus[i] * mus[j]
-            rows[i][j] = Fraction(scale) * gp
-    for i in range(4):
-        acc = Sqrt2(Fraction(0))
-        for j in range(4):
-            if j != i:
-                acc = acc - rows[i][j]
-        rows[i][i] = acc
+    rows = hessian(_DIAGONAL_COSINES, [m1, m2, -m1, -m2], weighted)
     return [c if isinstance(c, Sqrt2) else Sqrt2(Fraction(c)) for c in char_poly(rows)]
 
 

@@ -12,10 +12,9 @@ from vortexsym.trigvortex import (
     TRIG_REGISTRY,
     char_poly_in,
     gradient_component,
-    hessian_exact,
-    hessian_symbolic,
+    hessian,
     s_reduce,
-    weighted_hessian_symbolic,
+    scenario_cos_table,
 )
 from vortexsym import targets
 
@@ -83,7 +82,8 @@ def run_square(mus=None):
     m1, m2 = Poly.variable(msym, "m1"), Poly.variable(msym, "m2")
     lam = Poly.variable(lreg, "lam")
 
-    h_rows = hessian_symbolic(SQUARE, [m1, m2, m1, m2])
+    cos_table = scenario_cos_table(SQUARE)
+    h_rows = hessian(cos_table, [m1, m2, m1, m2])
     h_cp = char_poly_in(h_rows, lreg, "lam")
     h_factors = [
         lam,
@@ -109,7 +109,7 @@ def run_square(mus=None):
         "extra zero eigenvalue exactly when m2 = 3/2 m1 or m2 = 2/3 m1",
     )
 
-    w_rows = weighted_hessian_symbolic(SQUARE, [m1, m2, m1, m2])
+    w_rows = hessian(cos_table, [m1, m2, m1, m2], weighted=True)
     w_cp = char_poly_in(w_rows, lreg, "lam")
     e1 = Poly.parse(msym, "m1 - 3/2*m2")
     e2 = Poly.parse(msym, "-3/2*m1 + m2")
@@ -137,8 +137,7 @@ def run_square(mus=None):
     sample_ok = True
     for a, b in EIGEN_SAMPLES:
         a, b = Fraction(a), Fraction(b)
-        hw = _weighted_exact(a, b)
-        p = char_poly(hw)
+        p = char_poly(hessian(cos_table, (a, b, a, b), weighted=True))
         values = (
             Fraction(0),
             a - Fraction(3, 2) * b,
@@ -147,8 +146,7 @@ def run_square(mus=None):
         )
         if any(eval_at(p, v) != 0 for v in values):
             sample_ok = False
-        hx = hessian_exact(SQUARE, (a, b, a, b))
-        px = char_poly(hx.rows)
+        px = char_poly(hessian(cos_table, (a, b, a, b)))
         hvalues = (
             Fraction(0),
             2 * a * b,
@@ -185,13 +183,3 @@ def run_square(mus=None):
     report.stability = stability
     return report
 
-
-def _weighted_exact(a, b):
-    rows = weighted_hessian_symbolic(SQUARE, [
-        Poly.variable(_pair_registry(), "m1"),
-        Poly.variable(_pair_registry(), "m2"),
-        Poly.variable(_pair_registry(), "m1"),
-        Poly.variable(_pair_registry(), "m2"),
-    ])
-    values = {"m1": a, "m2": b}
-    return [[e.evaluate(values) for e in row] for row in rows]

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
-from vortexsym.realroots import SymMatrix
 
 TRIG_REGISTRY = VarRegistry(["s", "c", "mu1", "mu2", "mu3", "mu4"])
 R_REGISTRY = VarRegistry(["r", "mu1", "mu2", "mu3", "mu4"])
@@ -60,6 +59,10 @@ class Configuration:
                 d = (self.thetas[i] - self.thetas[j]) % (2 * math.pi)
                 if min(d, 2 * math.pi - d) < 1e-9:
                     raise CollisionError(f"vortices {i + 1} and {j + 1} collide")
+
+    def cos_table(self):
+        """cos(theta_i - theta_j) as floats, the input of ``hessian``."""
+        return [[math.cos(a - b) for b in self.thetas] for a in self.thetas]
 
 
 @dataclass(frozen=True)
@@ -510,128 +513,77 @@ def gradient(thetas, mus):
     return out
 
 
-def _gprime_float(cos_d):
+def _gprime(cos_d):
+    """g'(x) = -cos x - 1/(2 - 2 cos x), in the scalar ring of ``cos_d``."""
+    if cos_d == 1:
+        raise CollisionError("coinciding vortices in Hessian")
     return -cos_d - 1 / (2 - 2 * cos_d)
 
 
-def _gprime_exact(cos_d):
-    if cos_d == 1:
-        raise CollisionError("coinciding vortices in Hessian")
-    return -cos_d - Fraction(1) / (2 - 2 * cos_d)
+def hessian(cos_table, mus, weighted=False):
+    """Hessian of V as four rows, over the scalar ring of its inputs.
 
-
-def hessian(config):
-    """Numeric Hessian of V; symmetric, rows summing to zero exactly.
-
+    ``cos_table[i][j]`` is cos(theta_i - theta_j) (the diagonal is unused)
+    in a field such as float, Fraction or Q(sqrt(2)); ``mus`` are the four
+    circulations in any ring that multiplies with it, Polys included.
     The i != j entry is mu_i mu_j g'(theta_i - theta_j) with
     g'(x) = -cos x - 1/(2 - 2 cos x); diagonals are the negated row sums,
-    which realises the rotational degeneracy V_theta_theta * 1 = 0.
+    which realises the rotational degeneracy V_theta_theta * 1 = 0.  With
+    ``weighted`` the rows are those of mu^{-1} V_theta_theta (row i divided
+    by mu_i), which is not symmetric.
     """
-    thetas, mus = config.thetas, config.mus
-    h = [[0.0] * 4 for _ in range(4)]
+    rows = [[None] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(4):
             if i != j:
-                h[i][j] = float(mus[i] * mus[j]) * _gprime_float(
-                    math.cos(thetas[i] - thetas[j])
-                )
+                scale = mus[j] if weighted else mus[i] * mus[j]
+                rows[i][j] = scale * _gprime(cos_table[i][j])
     for i in range(4):
-        h[i][i] = -sum(h[i][j] for j in range(4) if j != i)
-    return h
+        rows[i][i] = -sum(rows[i][j] for j in range(4) if j != i)
+    return rows
 
 
-def weighted_hessian(config):
-    """mu^{-1} V_theta_theta: row i of the Hessian divided by mu_i."""
-    h = hessian(config)
-    return [[h[i][j] / float(config.mus[i]) for j in range(4)] for i in range(4)]
+def _eval_in_c(poly, x):
+    """Value of a polynomial in c at c = x, by ring operations only."""
+    c_idx = TRIG_REGISTRY.index("c")
+    total = 0
+    for mono, coeff in poly.terms.items():
+        term = coeff
+        for _ in range(mono[c_idx]):
+            term = term * x
+        total = total + term
+    return total
 
 
 def scenario_cos_table(scenario, cos_theta2=None):
-    """Exact cos(theta_i - theta_j) values, when they are rational.
+    """Exact cos(theta_i - theta_j) values from a cosine of theta2.
 
-    Needs a rational cos(theta2) whenever the scenario actually uses the
-    free angle.  Entries come out of the Chebyshev expansion, so any
-    rational cosine of theta2 yields rational cosines of all differences.
+    Needs cos(theta2) whenever the scenario actually uses the free angle.
+    Entries come out of the Chebyshev expansion evaluated with ring
+    operations, so they lie in the ring of ``cos_theta2``: a rational
+    cosine gives rational cosines of all differences, an element of
+    Q(sqrt(2)) gives elements of Q(sqrt(2)).  Differences free of theta2
+    are rational.
     """
+    if isinstance(cos_theta2, (int, float)):
+        cos_theta2 = Fraction(cos_theta2)
     table = [[Fraction(1)] * 4 for _ in range(4)]
-    x = None if cos_theta2 is None else Fraction(cos_theta2)
-    c_idx = TRIG_REGISTRY.index("c")
     for i in range(1, 5):
         for j in range(1, 5):
             if i == j:
                 continue
             k, q = scenario.difference(i, j)
-            if k != 0 and x is None:
-                raise ValueError("scenario needs a rational cos(theta2)")
+            if k != 0 and cos_theta2 is None:
+                raise ValueError("scenario needs cos(theta2)")
             cq, sq = _half_turns(q)
             if k == 0:
                 val = Fraction(cq)
             else:
-                cheb = cheb_cos(k)
-                val = cq * sum(
-                    coeff * x ** m[c_idx] for m, coeff in cheb.terms.items()
-                )
                 if sq:
                     raise ValueError("pi/2 offsets cannot mix with free-angle terms")
+                val = cq * _eval_in_c(cheb_cos(k), cos_theta2)
             table[i - 1][j - 1] = val
     return table
-
-
-def hessian_exact(scenario, mus, cos_theta2=None):
-    """Exact rational Hessian at a scenario point with rational cosines."""
-    cos_table = scenario_cos_table(scenario, cos_theta2)
-    mus = [Fraction(m) for m in mus]
-    h = [[Fraction(0)] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                h[i][j] = mus[i] * mus[j] * _gprime_exact(cos_table[i][j])
-    for i in range(4):
-        h[i][i] = -sum(h[i][j] for j in range(4) if j != i)
-    return SymMatrix(h)
-
-
-def hessian_symbolic(scenario, mu_values, cos_theta2=None):
-    """Hessian with polynomial circulation entries (a list of Poly rows).
-
-    ``mu_values`` supplies the four circulations as polynomials over a
-    shared registry, so equal-circulation constraints like (m1, m2, m1, m2)
-    stay symbolic.
-    """
-    cos_table = scenario_cos_table(scenario, cos_theta2)
-    reg = mu_values[0].registry
-    zero = Poly.zero(reg)
-    h = [[zero] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                h[i][j] = mu_values[i] * mu_values[j] * _gprime_exact(cos_table[i][j])
-    for i in range(4):
-        diag = zero
-        for j in range(4):
-            if j != i:
-                diag = diag - h[i][j]
-        h[i][i] = diag
-    return h
-
-
-def weighted_hessian_symbolic(scenario, mu_values, cos_theta2=None):
-    """mu^{-1} V_theta_theta with polynomial entries (not symmetric)."""
-    cos_table = scenario_cos_table(scenario, cos_theta2)
-    reg = mu_values[0].registry
-    zero = Poly.zero(reg)
-    h = [[zero] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                h[i][j] = mu_values[j] * _gprime_exact(cos_table[i][j])
-    for i in range(4):
-        diag = zero
-        for j in range(4):
-            if j != i:
-                diag = diag - h[i][j]
-        h[i][i] = diag
-    return h
 
 
 def char_poly_in(rows, registry, var):

@@ -233,7 +233,7 @@ class TestCriterion11Properties:
                 continue
             mus = tuple(rng.uniform(0.5, 2.0) * rng.choice([-1, 1]) for _ in range(4))
             config = Configuration(tuple(thetas), mus)
-            h = hessian(config)
+            h = hessian(config.cos_table(), mus)
             for i in range(4):
                 assert abs(sum(h[i])) <= 1e-12
                 for j in range(4):

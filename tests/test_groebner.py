@@ -181,7 +181,7 @@ class TestBuchberger:
 
         def _poly_gcd(a, b):
             while not b.is_zero():
-                _, r = a.divmod_single(b, lex(t_reg))
+                _, r = reduce(a, [b], lex(t_reg))
                 a, b = b, r
             return a.primitive(lex(t_reg))
 

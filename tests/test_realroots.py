@@ -21,7 +21,6 @@ from vortexsym.realroots import (
     hermite_matrix,
     inertia,
     kernel_basis,
-    refine,
     squarefree_part,
     sturm_isolate,
 )

@@ -116,6 +116,19 @@ class TestKite:
         assert f"[{upper.lo.numerator}/{upper.lo.denominator}," in check.detail
         assert special["window"] is None
 
+    def test_endpoint_inclusion_is_decided_exactly(self):
+        # lam2 = S = 1 and P = (1 + t)/4: all three eigenvalues are positive
+        # on (-1, 0); at t = -1 the pair lam^2 - lam + P has a zero root, at
+        # t = 0 it is the double root 1/2, so the window is (-1, 0]
+        treg = VarRegistry(["t"])
+        one = Poly.parse(treg, "1")
+        window = kite._stability_window(one, one, Poly.parse(treg, "1/4 + 1/4*t"), kite._EPS)
+        assert window["unique"]
+        assert window["lower_interval"].contains(-1)
+        assert window["upper_exact"] == 0
+        assert not window["lower_included"]
+        assert window["upper_included"]
+
     def test_missing_stability_window_fails_its_check(self, monkeypatch):
         monkeypatch.setattr(kite, "_stability_window", lambda *args: None)
         report = ScenarioReport(scenario="kite")

@@ -8,6 +8,8 @@ import pytest
 
 from vortexsym import targets
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
+from vortexsym.scenarios import rectangle
+from vortexsym.scenarios.rectangle import Sqrt2
 from vortexsym.trigvortex import (
     KITE,
     MU_REGISTRY,
@@ -27,16 +29,13 @@ from vortexsym.trigvortex import (
     gradient_component,
     half_angle_polynomialize,
     hessian,
-    hessian_exact,
-    hessian_symbolic,
     pipeline,
     potential,
     reduce_component,
     s_reduce,
+    scenario_cos_table,
     strip_collision_factors,
     weighted_gradient_sum,
-    weighted_hessian,
-    weighted_hessian_symbolic,
     TrigRational,
 )
 
@@ -228,7 +227,7 @@ class TestHessian:
                 continue
             mus = tuple(rng.uniform(0.5, 2.0) * rng.choice([-1, 1]) for _ in range(4))
             config = Configuration(tuple(thetas), mus)
-            h = hessian(config)
+            h = hessian(config.cos_table(), mus)
             for i in range(4):
                 assert abs(h[i][0] + h[i][1] + h[i][2] + h[i][3]) <= 1e-12
                 for j in range(4):
@@ -245,7 +244,7 @@ class TestHessian:
                 continue
             mus = tuple(rng.uniform(0.5, 2.0) * rng.choice([-1, 1]) for _ in range(4))
             config = Configuration(tuple(thetas), mus)
-            h = hessian(config)
+            h = hessian(config.cos_table(), mus)
             step = 1e-5
             for j in range(4):
                 up = list(thetas)
@@ -268,8 +267,7 @@ class TestHessian:
         samples = [(1, 1), (3, 2), (2, 3), (5, 1), (1, 5), (-1, 2), (2, -1), (7, 3), (4, 9), (1, -1)]
         for m1, m2 in samples:
             m1, m2 = Fraction(m1), Fraction(m2)
-            h = hessian_exact(SQUARE, (m1, m2, m1, m2))
-            p = char_poly(h.rows)
+            p = char_poly(hessian(scenario_cos_table(SQUARE), (m1, m2, m1, m2)))
             for lam in (
                 Fraction(0),
                 2 * m1 * m2,
@@ -282,7 +280,7 @@ class TestHessian:
         reg = VarRegistry(["lam", "m1", "m2"])
         msym = VarRegistry(["m1", "m2"])
         m1, m2 = Poly.variable(msym, "m1"), Poly.variable(msym, "m2")
-        rows = hessian_symbolic(SQUARE, [m1, m2, m1, m2])
+        rows = hessian(scenario_cos_table(SQUARE), [m1, m2, m1, m2])
         cp = char_poly_in(rows, reg, "lam")
         lam = Poly.variable(reg, "lam")
         factors = [
@@ -300,7 +298,7 @@ class TestHessian:
         reg = VarRegistry(["lam", "m1", "m2"])
         msym = VarRegistry(["m1", "m2"])
         m1, m2 = Poly.variable(msym, "m1"), Poly.variable(msym, "m2")
-        rows = weighted_hessian_symbolic(SQUARE, [m1, m2, m1, m2])
+        rows = hessian(scenario_cos_table(SQUARE), [m1, m2, m1, m2], weighted=True)
         cp = char_poly_in(rows, reg, "lam")
         lam = Poly.variable(reg, "lam")
         factors = [
@@ -320,11 +318,12 @@ class TestHessian:
         config = Configuration(
             (0.0, math.pi / 2, math.pi, 3 * math.pi / 2), (1.0, 1.0, 1.0, 1.0)
         )
-        m = weighted_hessian(config)
+        m = hessian(config.cos_table(), config.mus, weighted=True)
         # exact counterpart with unit circulations: constant polynomial entries
-        rows = weighted_hessian_symbolic(
-            SQUARE,
+        rows = hessian(
+            scenario_cos_table(SQUARE),
             [Poly.constant(MU_REGISTRY, 1)] * 4,
+            weighted=True,
         )
         exact_rows = [[Fraction(e.terms.get((0, 0, 0, 0), Fraction(0))) for e in row] for row in rows]
         cp = char_poly(exact_rows)
@@ -341,7 +340,7 @@ class TestHessian:
         reg = VarRegistry(["lam", "m1", "m3"])
         msym = VarRegistry(["m1", "m3"])
         m1, m3 = Poly.variable(msym, "m1"), Poly.variable(msym, "m3")
-        rows = weighted_hessian_symbolic(KITE, [m1, m1, m3, m1], cos_theta2=Fraction(-1, 2))
+        rows = hessian(scenario_cos_table(KITE, Fraction(-1, 2)), [m1, m1, m3, m1], weighted=True)
         cp = char_poly_in(rows, reg, "lam")
         lam = Poly.variable(reg, "lam")
         quad = (
@@ -359,7 +358,7 @@ class TestHessian:
         reg = VarRegistry(["lam", "m1", "m3"])
         msym = VarRegistry(["m1", "m3"])
         m1, m3 = Poly.variable(msym, "m1"), Poly.variable(msym, "m3")
-        rows = hessian_symbolic(KITE, [m1, m1, m3, m1], cos_theta2=Fraction(-1, 2))
+        rows = hessian(scenario_cos_table(KITE, Fraction(-1, 2)), [m1, m1, m3, m1])
         cp = char_poly_in(rows, reg, "lam")
         lam = Poly.variable(reg, "lam")
         lam2 = Poly.parse(reg, "-1/2*m1^2 + 3/2*m1*m3")
@@ -371,12 +370,53 @@ class TestHessian:
         assert cp == lam * (lam - lam2) * quad
 
     def test_kite_special_angle_exact_rational_entries(self):
-        h = hessian_exact(KITE, (1, 1, 3, 1), cos_theta2=Fraction(-1, 2))
+        mus = [Fraction(m) for m in (1, 1, 3, 1)]
+        h = hessian(scenario_cos_table(KITE, Fraction(-1, 2)), mus)
         from vortexsym.realroots import char_poly, eval_at
 
-        p = char_poly(h.rows)
+        assert all(isinstance(e, Fraction) for row in h for e in row)
+        assert all(h[i][j] == h[j][i] for i in range(4) for j in range(4))
+        p = char_poly(h)
         assert eval_at(p, Fraction(0)) == 0
         assert eval_at(p, Fraction(-1, 2) * (1 - 9)) == 0  # -m1(m1-3m3)/2 = 4
+
+    def test_rectangle_diagonal_cosines_derive_from_the_chebyshev_table(self):
+        half_root2 = Sqrt2(Fraction(0), Fraction(1, 2))
+        expected = {
+            (0, 1): half_root2,  # cos(pi/4)
+            (0, 2): Sqrt2(Fraction(-1)),  # cos(pi)
+            (0, 3): -half_root2,  # cos(5pi/4)
+            (1, 2): -half_root2,  # cos(3pi/4)
+            (1, 3): Sqrt2(Fraction(-1)),  # cos(pi)
+            (2, 3): half_root2,  # cos(pi/4)
+        }
+        table = rectangle._DIAGONAL_COSINES
+        for (i, j), value in expected.items():
+            assert table[i][j] == value
+            assert table[j][i] == value
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sqrt2_hessian_matches_float_hessian(self, weighted):
+        def to_float(x):
+            if isinstance(x, Sqrt2):
+                return float(x.a) + float(x.b) * math.sqrt(2)
+            return float(x)
+
+        for m1, m2 in [(1, 2), (2, 1), (3, 5), (-2, 3)]:
+            mus = [Fraction(m1), Fraction(m2), Fraction(-m1), Fraction(-m2)]
+            exact = hessian(rectangle._DIAGONAL_COSINES, mus, weighted)
+            config = Configuration(RECTANGLE.angles(math.pi / 4), tuple(mus))
+            approx = hessian(config.cos_table(), mus, weighted)
+            for i in range(4):
+                for j in range(4):
+                    assert abs(to_float(exact[i][j]) - approx[i][j]) < 1e-12
+
+    @pytest.mark.parametrize("one", [Fraction(1), Sqrt2(Fraction(1))])
+    def test_coinciding_cosine_raises_collision(self, one):
+        table = scenario_cos_table(SQUARE)
+        table[0][1] = table[1][0] = one
+        with pytest.raises(CollisionError):
+            hessian(table, [Fraction(1)] * 4)
 
     def test_collision_rejected(self):
         with pytest.raises(CollisionError):
