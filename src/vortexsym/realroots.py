@@ -1,13 +1,19 @@
 """Exact real-root counting and isolation, matrix inertia, Hermite trace forms.
 
-Univariate polynomials are handled as dense ascending coefficient lists of
-exact rationals.  Root isolation runs Sturm-sequence bisection on the
-squarefree part, with exact rational roots deflated out, so every interval
-is certified to contain exactly one root.  The Hermite method builds the
-trace form of a zero-dimensional quotient ring over its standard-monomial
-basis in integer arithmetic (Pedersen, Roy & Szpirglas, 1993); its
-signature, found by fraction-free symmetric elimination, counts distinct
-real solutions and its rank distinct complex ones.
+Univariate polynomials are dense ascending coefficient lists.  Callers may
+pass exact rationals; the Sturm layer converts each input once to a
+primitive integer list (a positive multiple, so every sign is kept) and
+then works in integers only: chains by pseudo-remainders, signs at a point
+n/d by a scaled Horner that computes d^deg * p(n/d), and bisection on
+integer numerators over a power-of-two-scaled common denominator (Collins &
+Loos, "Real zeros of polynomials", 1982).  Root isolation runs Sturm
+bisection on the squarefree part, with exact rational roots cut out, so
+every interval is certified to contain exactly one root; endpoints become
+``Fraction``s only when an interval is returned.  The Hermite method builds
+the trace form of a zero-dimensional quotient ring over its
+standard-monomial basis in integer arithmetic (Pedersen, Roy & Szpirglas,
+1993); its signature, found by fraction-free symmetric elimination, counts
+distinct real solutions and its rank distinct complex ones.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ class InertiaCountError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate helpers (ascending coefficients, exact rationals)
+# Dense univariate helpers (ascending coefficients)
 # ---------------------------------------------------------------------------
 
 
@@ -82,31 +88,49 @@ def derivative(coeffs):
 
 
 def _primitive_int(coeffs):
-    """Scale to integer coefficients with content 1, keeping the sign."""
-    if not coeffs:
-        return []
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-        if g == 1:
-            break
+    """Integer coefficients with content 1: a positive multiple of the input."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
-    return [Fraction(c) for c in ints]
+    return ints
+
+
+def _sign_at(coeffs, num, den):
+    """Sign of p(num / den) for integer coefficients and den > 0.
+
+    Horner on den^deg * p(num / den) = sum c_i num^i den^(deg - i), which
+    has the sign of p(num / den) and stays in integers.
+    """
+    acc = 0
+    scale = 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _scale_var(coeffs, den):
+    """Coefficients of den^deg * p(y / den), whose roots are den times p's."""
+    deg = degree(coeffs)
+    return [c * den ** (deg - i) for i, c in enumerate(coeffs)]
 
 
 def _poly_rem(a, b):
-    """Remainder of dense division a mod b (b nonzero), content-normalised."""
+    """Primitive remainder of integer lists a mod b (b nonzero).
+
+    A pseudo-remainder that scales ``a`` by ``|lc(b)|`` only, so it is a
+    positive multiple of the remainder over Q and has the same signs.
+    """
     a = list(a)
     db = degree(b)
     lb = b[-1]
+    scale, sign = abs(lb), (1 if lb > 0 else -1)
     while degree(a) >= db and a:
         k = degree(a) - db
-        f = a[-1] / lb
+        f = sign * a[-1]
+        a = [c * scale for c in a]
         for i in range(db + 1):
             a[k + i] -= f * b[i]
         a.pop()
@@ -115,6 +139,7 @@ def _poly_rem(a, b):
 
 
 def poly_gcd(a, b):
+    """Primitive integer gcd of two coefficient lists."""
     a = _primitive_int(_trim(list(a)))
     b = _primitive_int(_trim(list(b)))
     while b:
@@ -123,32 +148,33 @@ def poly_gcd(a, b):
 
 
 def squarefree_part(coeffs):
+    """Primitive integer squarefree part, a positive multiple of p / gcd(p, p')."""
     coeffs = _primitive_int(_trim(list(coeffs)))
     if degree(coeffs) < 1:
         return coeffs
     g = poly_gcd(coeffs, derivative(coeffs))
     if degree(g) == 0:
         return coeffs
-    q, r = _poly_divmod(coeffs, g)
-    if r:
-        raise ExactDivisionError(r)
-    return _primitive_int(q)
+    return _primitive_int(_exact_quotient(coeffs, g))
 
 
-def _poly_divmod(a, b):
+def _exact_quotient(a, b):
+    """a / b for integer lists when b divides a; primitive b makes the
+    quotient integral (Gauss's lemma)."""
     a = list(a)
     db = degree(b)
     lb = b[-1]
-    q = [Fraction(0)] * max(0, len(a) - db)
-    while degree(a) >= db and a:
-        k = degree(a) - db
-        f = a[-1] / lb
+    q = [0] * (len(a) - db)
+    for k in reversed(range(len(q))):
+        f, r = divmod(a[k + db], lb)
+        if r:
+            raise ExactDivisionError(_trim(a))
         q[k] = f
         for i in range(db + 1):
             a[k + i] -= f * b[i]
-        a.pop()
-        _trim(a)
-    return q, a
+    if any(a):
+        raise ExactDivisionError(_trim(a))
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +206,19 @@ def descartes_positive(coeffs, all_roots_real=False):
     return changes, bool(all_roots_real or changes <= 1)
 
 
+def _variations(chain, num, den):
+    """Sign variations of integer-list chain members at num / den, den > 0."""
+    signs = [s for s in (_sign_at(p, num, den) for p in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 class SturmSequence:
-    """Sturm chain of a squarefree polynomial, with sign-variation counting."""
+    """Sturm chain of a squarefree polynomial, with sign-variation counting.
+
+    The members are primitive integer lists, each a positive multiple of the
+    classical chain member over Q, so they have the same signs everywhere.
+    Variations at a rational point are counted from integer signs.
+    """
 
     def __init__(self, coeffs):
         coeffs = _primitive_int(_trim(list(coeffs)))
@@ -200,12 +237,8 @@ class SturmSequence:
         self.chain = chain
 
     def variations_at(self, x):
-        signs = []
-        for p in self.chain:
-            v = eval_at(p, x)
-            if v != 0:
-                signs.append(1 if v > 0 else -1)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        """Sign variations at the rational ``x`` (an int or ``Fraction``)."""
+        return _variations(self.chain, x.numerator, x.denominator)
 
     def variations_at_inf(self, positive):
         signs = []
@@ -252,24 +285,39 @@ class IsolatingInterval:
 
     def refine(self, eps):
         """Shrink by sign-preserving bisection until width < eps; returns the
-        midpoint of the final enclosure."""
-        eps = Fraction(eps) if not isinstance(eps, Fraction) else eps
+        midpoint of the final enclosure.
+
+        ``eps`` must be positive.  The bisection runs in integers: with D
+        the lcm of the endpoint denominators, the endpoints after j halvings
+        are integer numerators over D * 2^j, and each midpoint sign comes
+        from the polynomial scaled by D.  The enclosure is exactly the one
+        that halving ``Fraction`` endpoints gives.
+        """
+        eps = Fraction(eps)
+        if eps <= 0:
+            raise ValueError(f"refinement width must be positive, got {eps}")
         if self.exact:
             return self.lo
-        lo, hi = self.lo, self.hi
-        coeffs = list(self.coeffs)
-        slo = 1 if eval_at(coeffs, lo) > 0 else -1
-        while hi - lo >= eps:
-            mid = (lo + hi) / 2
-            v = eval_at(coeffs, mid)
-            if v == 0:
-                lo = hi = mid
+        den = lcm(self.lo.denominator, self.hi.denominator)
+        a = self.lo.numerator * (den // self.lo.denominator)
+        b = self.hi.numerator * (den // self.hi.denominator)
+        scaled = _scale_var(_primitive_int(self.coeffs), den)
+        s_lo = 1 if _sign_at(scaled, a, 1) > 0 else -1
+        # width (b - a) / (den * 2^j) >= eps, cross-multiplied
+        limit = eps.numerator * den
+        j = 0
+        while (b - a) * eps.denominator >= limit << j:
+            mid = a + b
+            j += 1
+            s = _sign_at(scaled, mid, 1 << j)
+            if s == 0:
+                a = b = mid
                 break
-            if (1 if v > 0 else -1) == slo:
-                lo = mid
+            if s == s_lo:
+                a, b = mid, 2 * b
             else:
-                hi = mid
-        self.lo, self.hi = lo, hi
+                a, b = 2 * a, mid
+        self.lo, self.hi = Fraction(a, den << j), Fraction(b, den << j)
         return self.midpoint()
 
     def contains(self, x):
@@ -279,8 +327,8 @@ class IsolatingInterval:
 def root_bound(coeffs):
     """Cauchy bound: every real root lies in (-B, B)."""
     lc = abs(coeffs[-1])
-    m = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else Fraction(0)
-    return Fraction(1) + m / lc
+    m = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
+    return Fraction(lc + m, lc)
 
 
 def sturm_isolate(coeffs, var=None):
@@ -288,48 +336,63 @@ def sturm_isolate(coeffs, var=None):
 
     Accepts a dense coefficient list or a univariate :class:`Poly`.  The
     squarefree part is taken first; exact rational roots found during
-    bisection are deflated out and reported as point intervals.
+    bisection are cut out and reported as point intervals.  With the root
+    bound B = num / den, bisection runs in y = den * x, where the start
+    interval is (-num, num) and every later endpoint is an integer
+    numerator over a power of two; each stack entry carries the Sturm
+    variations at its endpoints, so each new point is evaluated once.
     """
     if isinstance(coeffs, Poly):
         coeffs = coeffs_from_poly(coeffs, var)
     sf = squarefree_part(coeffs)
     if degree(sf) < 1:
         return []
-    intervals = []
-    sturm = SturmSequence(sf)
     bound = root_bound(sf)
-    stack = [(-bound, bound, sturm.count_open(-bound, bound))]
+    den = bound.denominator
+    chain = [_scale_var(p, den) for p in SturmSequence(sf).chain]
+    p = chain[0]
+
+    def variations(num, j):
+        return _variations(chain, num, 1 << j)
+
+    def interval(lo, hi, j):
+        return IsolatingInterval(Fraction(lo, den << j), Fraction(hi, den << j), tuple(sf))
+
+    intervals = []
+    top = bound.numerator
+    # entries (lo, variations at lo, hi, variations at hi, j): endpoints
+    # are numerators over 2^j in y
+    stack = [(-top, variations(-top, 0), top, variations(top, 0), 0)]
     while stack:
-        lo, hi, count = stack.pop()
+        lo, v_lo, hi, v_hi, j = stack.pop()
+        count = v_lo - v_hi
         if count == 0:
             continue
         if count == 1:
             # one simple root inside, so the endpoint signs differ
-            intervals.append(IsolatingInterval(lo, hi, tuple(sf)))
+            intervals.append(interval(lo, hi, j))
             continue
-        mid = (lo + hi) / 2
-        if eval_at(sf, mid) == 0:
+        mid, lo, hi, j = lo + hi, 2 * lo, 2 * hi, j + 1
+        if _sign_at(p, mid, 1 << j) == 0:
             # exact rational root at the split point: report it as a point
-            # interval and carve out a window certified to contain only it
-            intervals.append(IsolatingInterval(mid, mid, tuple(sf)))
-            delta = (hi - lo) / 4
+            # interval and cut out a window (mid - delta, mid + delta),
+            # delta = width / 4 halved until it holds only this root
+            intervals.append(interval(mid, mid, j))
+            delta = hi - lo
+            lo, mid, hi, j = 4 * lo, 4 * mid, 4 * hi, j + 2
             while True:
                 a, b = mid - delta, mid + delta
-                if (
-                    lo < a
-                    and b < hi
-                    and eval_at(sf, a) != 0
-                    and eval_at(sf, b) != 0
-                    and sturm.count_open(a, b) == 1
-                ):
-                    break
-                delta /= 2
-            stack.append((lo, a, sturm.count_open(lo, a)))
-            stack.append((b, hi, sturm.count_open(b, hi)))
+                if _sign_at(p, a, 1 << j) and _sign_at(p, b, 1 << j):
+                    v_a, v_b = variations(a, j), variations(b, j)
+                    if v_a - v_b == 1:
+                        break
+                lo, mid, hi, j = 2 * lo, 2 * mid, 2 * hi, j + 1
+            stack.append((lo, v_lo, a, v_a, j))
+            stack.append((b, v_b, hi, v_hi, j))
             continue
-        left = sturm.count_open(lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, count - left))
+        v_mid = variations(mid, j)
+        stack.append((lo, v_lo, mid, v_mid, j))
+        stack.append((mid, v_mid, hi, v_hi, j))
     intervals.sort(key=lambda iv: (iv.lo, iv.hi))
     return intervals
 
@@ -491,27 +554,25 @@ class SymMatrix:
         self.rows = tuple(rows)
         self.n = n
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def char_poly(self):
-        """Characteristic polynomial det(lambda*I - A), ascending coefficients."""
-        return char_poly(self.rows)
-
-    def inertia(self):
-        return inertia(self)
-
 
 def char_poly(rows):
     """Faddeev-LeVerrier characteristic polynomial of a square matrix.
 
-    Returns ascending rational coefficients of det(lambda*I - A).  Exact;
-    works over any exact scalar supporting +, *, and division by integers.
-    Integer matrices stay integer throughout.
+    Returns the ascending coefficients of det(lambda*I - A).  Exact; works
+    over any exact scalar supporting +, * and division by integers, such as
+    ``Poly`` or Q(sqrt(2)).  A matrix of ints and ``Fraction``s runs as the
+    integer matrix d*A, with d the positive lcm of its denominators: its
+    coefficients are integers, so each division by k is exact, and the
+    coefficient of lambda^(n-k) is rescaled by d^k into a ``Fraction``.
     """
     n = len(rows)
-    a = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in rows]
-    coeffs = [Fraction(1)] + [Fraction(0)] * n  # descending: lambda^n ... const
+    rational = all(isinstance(c, (int, Fraction)) for row in rows for c in row)
+    if rational:
+        d = lcm(*(c.denominator for row in rows for c in row))
+        a = [[c.numerator * (d // c.denominator) for c in row] for row in rows]
+    else:
+        a = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in rows]
+    coeffs = [1] + [0] * n  # descending: lambda^n ... const
     m = [row[:] for row in a]
     for k in range(1, n + 1):
         if k > 1:
@@ -521,7 +582,9 @@ def char_poly(rows):
         trace = m[0][0]
         for i in range(1, n):
             trace = trace + m[i][i]
-        coeffs[k] = -trace / k
+        coeffs[k] = -trace // k if rational else -trace / k
+    if rational:
+        return [Fraction(c, d**k) for k, c in reversed(list(enumerate(coeffs)))]
     return list(reversed(coeffs))
 
 
@@ -541,40 +604,7 @@ def _mat_mul(a, b):
 def inertia(matrix):
     """Exact (n_pos, n_neg, n_zero) of a symmetric rational matrix.
 
-    Small matrices go through the characteristic polynomial: symmetry makes
-    every root real, so Descartes' rule on p(lambda) and p(-lambda) is
-    exact and the zero multiplicity is the number of trailing zero
-    coefficients.  Larger matrices (the Hermite trace forms) use a
-    fraction-free symmetric elimination by congruence on the matrix with
-    denominators cleared, which stays in integers and avoids the coefficient
-    blow-up of a characteristic polynomial in high dimension.
-    """
-    if not isinstance(matrix, SymMatrix):
-        matrix = SymMatrix(matrix)
-    if matrix.n == 0:
-        return (0, 0, 0)
-    if matrix.n <= 12:
-        return _inertia_charpoly(matrix)
-    return _inertia_congruence(matrix)
-
-
-def _inertia_charpoly(matrix):
-    p = char_poly(matrix.rows)
-    n_zero = 0
-    while p[n_zero] == 0:
-        n_zero += 1
-    core = p[n_zero:]
-    n_pos, _ = descartes_positive(core, all_roots_real=True)
-    flipped = [c if i % 2 == 0 else -c for i, c in enumerate(core)]
-    n_neg, _ = descartes_positive(flipped, all_roots_real=True)
-    if n_pos + n_neg + n_zero != matrix.n:
-        raise InertiaCountError(f"{n_pos} + {n_neg} + {n_zero} signs for size {matrix.n}")
-    return (n_pos, n_neg, n_zero)
-
-
-def _inertia_congruence(matrix):
-    """Fraction-free symmetric elimination by congruence transformations.
-
+    Fraction-free symmetric elimination by congruence transformations.
     Denominators are cleared by a positive common multiple, so the work is
     on an integer matrix ``B = s * S`` for a rational scalar ``s`` of known
     sign and the exact trailing block ``S``.  Each step with pivot
@@ -584,8 +614,12 @@ def _inertia_congruence(matrix):
     is ``S_kk = p / s``, so its sign is that of ``p`` flipped when ``s`` is
     negative.  A zero pivot is replaced by a later nonzero diagonal entry,
     or made nonzero by adding a row and column with a nonzero off-diagonal
-    entry; a zero row counts as a zero eigenvalue.
+    entry; a zero row counts as a zero eigenvalue.  This stays in integers
+    and avoids the coefficient blow-up of a characteristic polynomial in
+    high dimension.
     """
+    if not isinstance(matrix, SymMatrix):
+        matrix = SymMatrix(matrix)
     n = matrix.n
     den = lcm(*(c.denominator for row in matrix.rows for c in row))
     b = [[c.numerator * (den // c.denominator) for c in row] for row in matrix.rows]
@@ -631,40 +665,6 @@ def _inertia_congruence(matrix):
     if pos + neg + zero != n:
         raise InertiaCountError(f"{pos} + {neg} + {zero} signs for size {n}")
     return (pos, neg, zero)
-
-
-def kernel_basis(rows):
-    """Exact basis of the kernel of a rational matrix (list of row vectors)."""
-    if not rows:
-        return []
-    m = [list(map(Fraction, row)) for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        d = m[r][c]
-        m[r] = [x / d for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][c]
-        basis.append(v)
-    return basis
 
 
 # ---------------------------------------------------------------------------

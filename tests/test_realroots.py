@@ -19,12 +19,12 @@ from vortexsym.realroots import (
     descartes_positive,
     hermite_count,
     hermite_matrix,
+    eval_at,
     inertia,
-    kernel_basis,
     squarefree_part,
     sturm_isolate,
 )
-from vortexsym.realroots import _inertia_charpoly, _inertia_congruence
+from vortexsym.realroots import _primitive_int, _sign_at
 
 X = VarRegistry(["x"])
 
@@ -109,13 +109,17 @@ class TestSturmIsolation:
     def test_refine_halves_and_keeps_sign_change(self):
         iv = sturm_isolate(F(-2, 0, 1))[1]
         assert not iv.exact
-        from vortexsym.realroots import eval_at
-
         w0 = iv.width()
         iv.refine(w0 / 16)
         assert iv.width() < w0 / 16
         if not iv.exact:
             assert eval_at(list(iv.coeffs), iv.lo) * eval_at(list(iv.coeffs), iv.hi) < 0
+
+    @pytest.mark.parametrize("eps", [0, Fraction(0), -1, Fraction(-1, 10**9), -0.5])
+    def test_refine_rejects_non_positive_eps(self, eps):
+        for iv in sturm_isolate(_mul(F(-1, 1), F(-2, 0, 1))):  # 1 exact, +-sqrt(2)
+            with pytest.raises(ValueError):
+                iv.refine(eps)
 
     def test_randomized_against_product_construction(self):
         rng = random.Random(1234)
@@ -164,8 +168,7 @@ class TestInertia:
             n = rng.randint(1, 6)
             a = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
             sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
-            m = SymMatrix(sym)
-            assert _inertia_charpoly(m) == _inertia_congruence(m)
+            assert inertia(SymMatrix(sym)) == reference_inertia(sym), sym
 
     @pytest.mark.parametrize("shape", ["dense", "zero_diagonal", "low_rank"])
     def test_congruence_agrees_with_charpoly_on_rational_matrices(self, shape):
@@ -192,8 +195,7 @@ class TestInertia:
                     if shape == "zero_diagonal":
                         for i in range(n):
                             sym[i][i] = Fraction(0)
-                m = SymMatrix(sym)
-                assert _inertia_congruence(m) == _inertia_charpoly(m), sym
+                assert inertia(SymMatrix(sym)) == reference_inertia(sym), sym
 
     def test_congruence_invariance_random_unimodular(self):
         rng = random.Random(99)
@@ -240,16 +242,6 @@ class TestCharPoly:
             Fraction(-2),
             Fraction(1),
         ]
-
-
-class TestKernel:
-    def test_simple_kernel(self):
-        rows = [[1, 1, 1], [0, 1, 2]]
-        basis = kernel_basis(rows)
-        assert len(basis) == 1
-        v = basis[0]
-        for row in rows:
-            assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
 
 
 class TestHermite:
@@ -343,3 +335,242 @@ def test_coeffs_from_poly_rejects_multivariate():
 def test_isolating_interval_float():
     iv = IsolatingInterval(Fraction(1), Fraction(2), (Fraction(-3), Fraction(0), Fraction(1)))
     assert float(iv) == 1.5
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against Fraction references written here
+# ---------------------------------------------------------------------------
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _trimmed(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _rem(a, b):
+    """Remainder of a by b over Q."""
+    a = _trimmed(a)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        k = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+        a = _trimmed(a[:-1])
+    return a
+
+
+def _div(a, b):
+    """Exact quotient of a by b over Q."""
+    a, q = list(a), [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = a[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= q[k] * c
+    assert not any(a)
+    return q
+
+
+def reference_squarefree(p):
+    p = _trimmed(p)
+    a, b = p, _trimmed(i * c for i, c in enumerate(p))[1:]
+    while b:
+        a, b = b, _rem(a, b)
+    return _div(p, a)
+
+
+def reference_sturm_chain(p):
+    """Classical Sturm chain over Q: p, p', then negated remainders."""
+    chain = [_trimmed(p), [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        r = _rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def reference_variations(chain, x):
+    signs = [s for s in (_sign(eval_at(p, x)) for p in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def reference_isolate(p):
+    """Sturm bisection with Fraction endpoints and Fraction signs."""
+    sf = reference_squarefree(p)
+    chain = reference_sturm_chain(sf)
+    bound = 1 + max(abs(c) for c in sf[:-1]) / abs(sf[-1])
+
+    def count(lo, hi):
+        return reference_variations(chain, lo) - reference_variations(chain, hi)
+
+    out = []
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        n = count(lo, hi)
+        if n == 1:
+            out.append((lo, hi))
+        if n < 2:
+            continue
+        mid = (lo + hi) / 2
+        if eval_at(sf, mid) == 0:
+            out.append((mid, mid))
+            delta = (hi - lo) / 4
+            while not (
+                eval_at(sf, mid - delta) and eval_at(sf, mid + delta) and count(mid - delta, mid + delta) == 1
+            ):
+                delta /= 2
+            stack += [(lo, mid - delta), (mid + delta, hi)]
+        else:
+            stack += [(lo, mid), (mid, hi)]
+    return sorted(out), sf
+
+
+def reference_refine(lo, hi, sf, eps):
+    s_lo = _sign(eval_at(sf, lo))
+    while lo != hi and hi - lo >= eps:
+        mid = (lo + hi) / 2
+        s = _sign(eval_at(sf, mid))
+        if s == 0:
+            lo = hi = mid
+        elif s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def reference_char_poly(rows):
+    """Faddeev-LeVerrier over Fraction, ascending coefficients."""
+    n = len(rows)
+    a = [[Fraction(c) for c in row] for row in rows]
+    coeffs = [Fraction(1)]  # descending
+    m = a
+    for k in range(1, n + 1):
+        if k > 1:
+            shifted = [[x + coeffs[-1] if t == j else x for j, x in enumerate(row)] for t, row in enumerate(m)]
+            m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*shifted)] for row in a]
+        coeffs.append(-sum(m[i][i] for i in range(n)) / k)
+    return coeffs[::-1]
+
+
+def reference_inertia(sym):
+    """(n_pos, n_neg, n_zero) by Descartes' rule on the characteristic
+    polynomial: exact for a symmetric matrix, whose roots are all real."""
+    p = reference_char_poly(sym)
+    n_zero = next(i for i, c in enumerate(p) if c)
+    core = p[n_zero:]
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    flipped = [c if i % 2 == 0 else -c for i, c in enumerate(core)]
+    return changes(core), changes(flipped), n_zero
+
+
+def _random_rational(rng, num=9, den=6):
+    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+
+def _from_roots(rng, lead):
+    """lead * prod (x - r) * (x^2 - k) over random rational roots r, some
+    repeated, and a quadratic with irrational or no real roots; the
+    product is often even or odd, so chains skip degrees."""
+    roots = [_random_rational(rng, 6, 3) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.5:
+        roots += [-r for r in roots]
+    p = [Fraction(lead)]
+    for r in roots + roots[: rng.randint(0, 1)]:
+        p = _mul(p, [-r, Fraction(1)])
+    return _mul(p, F(-rng.choice([-1, 2, 3, 5]), 0, 1))
+
+
+def _random_poly(rng):
+    deg = rng.randint(1, 7)
+    p = [_random_rational(rng) if rng.random() < 0.6 else Fraction(0) for _ in range(deg)]
+    return p + [_random_rational(rng) or Fraction(-1)]
+
+
+def _test_polys(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            yield _random_poly(rng)
+        else:
+            yield _from_roots(rng, rng.choice([-1, 1]) * _random_rational(rng, 5, 4) or 1)
+
+
+class TestIntegerKernels:
+    def test_integer_sign_matches_eval_at(self):
+        rng = random.Random(11)
+        for p in _test_polys(11, 60):
+            ints = _primitive_int(p)
+            points = [_random_rational(rng, 40, 16) for _ in range(8)]
+            points += [-p[0], Fraction(0), Fraction(1, 3)]
+            points += [iv.lo for iv in sturm_isolate(p) if iv.exact]
+            for x in points:
+                want = _sign(eval_at(p, x))
+                assert _sign_at(ints, x.numerator, x.denominator) == want, (p, x)
+                # an unreduced numerator/denominator pair gives the same sign
+                assert _sign_at(ints, 6 * x.numerator, 6 * x.denominator) == want
+
+    def test_sturm_chains_with_negative_leading_coefficients(self):
+        rng = random.Random(12)
+        for p in _test_polys(12, 60):
+            if p[-1] > 0:
+                p = [-c for c in p]
+            sf = reference_squarefree(p)
+            sturm = SturmSequence(sf)
+            chain = sturm.chain
+            ref = reference_sturm_chain(sf)
+            assert len(chain) == len(ref)
+            for member, want in zip(chain, ref):
+                # a positive multiple of the chain member over Q
+                ratios = {Fraction(c) / w for c, w in zip(member, want) if w}
+                assert len(ratios) == 1 and min(ratios) > 0
+                assert [c == 0 for c in member] == [w == 0 for w in want]
+            assert count_real_roots(p) == len(reference_isolate(p)[0])
+            for _ in range(6):
+                lo, hi = sorted(_random_rational(rng, 30, 8) for _ in range(2))
+                if eval_at(sf, lo) and eval_at(sf, hi):
+                    want = reference_variations(ref, lo) - reference_variations(ref, hi)
+                    assert sturm.count_open(lo, hi) == want
+
+    def test_isolate_and_refine_match_fraction_bisection(self):
+        for p in _test_polys(13, 50):
+            want, sf = reference_isolate(p)
+            intervals = sturm_isolate(p)
+            assert [(iv.lo, iv.hi) for iv in intervals] == want
+            for iv, eps in zip(intervals, [Fraction(1, 10**6), Fraction(1, 3), 10**-9, 1]):
+                for step in (eps, eps / 1000):
+                    want_lo, want_hi = reference_refine(iv.lo, iv.hi, sf, step)
+                    mid = iv.refine(step)
+                    assert (iv.lo, iv.hi) == (want_lo, want_hi)
+                    assert mid == (want_lo + want_hi) / 2
+
+    def test_char_poly_matches_fraction_reference(self):
+        rng = random.Random(14)
+        kinds = ["integer", "rational", "zero_row", "negative", "mixed"]
+        for trial in range(60):
+            kind = kinds[trial % len(kinds)]
+            n = rng.randint(0, 5)
+            if kind == "integer":
+                rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            elif kind == "negative":
+                rows = [[-Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
+            elif kind == "mixed":
+                rows = [[rng.choice([rng.randint(-5, 5), _random_rational(rng)]) for _ in range(n)] for _ in range(n)]
+            else:
+                rows = [[_random_rational(rng) for _ in range(n)] for _ in range(n)]
+                if kind == "zero_row" and n:
+                    rows[rng.randrange(n)] = [Fraction(0)] * n
+            p = char_poly(rows)
+            assert p == reference_char_poly(rows), rows
+            assert all(type(c) is Fraction for c in p)

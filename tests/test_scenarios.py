@@ -10,7 +10,13 @@ from vortexsym import targets
 from vortexsym.groebner import Ideal, KernelStats, buchberger
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
 from vortexsym.realroots import RatInterval, sturm_isolate, coeffs_from_poly
-from vortexsym.scenarios import check_f1_on_plane, run_kite, run_square
+from vortexsym.scenarios import (
+    check_f1_on_plane,
+    run_kite,
+    run_rectangle,
+    run_square,
+    run_trapezoid,
+)
 from vortexsym.scenarios import kite
 from vortexsym.scenarios.kite import count_configurations
 from vortexsym.scenarios.report import ScenarioReport
@@ -334,3 +340,18 @@ class TestSolutionSetAnnihilation:
                 continue
             assert p0 == p2
             checked += 1
+
+
+class TestNonPositiveEps:
+    # a zero or negative enclosure width used to bisect forever in refine
+    def test_kite(self):
+        with pytest.raises(ValueError):
+            run_kite(eps=0)
+
+    def test_rectangle(self):
+        with pytest.raises(ValueError):
+            run_rectangle(eps=Fraction(-1, 10**9))
+
+    def test_trapezoid(self):
+        with pytest.raises(ValueError):
+            run_trapezoid(eps=0, check_appendix=False)
