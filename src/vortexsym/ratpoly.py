@@ -5,11 +5,15 @@ coefficients, tied to an immutable variable registry.  Mixing registries is
 an error: the classification pipeline switches between several variable
 worlds (trig variables, the half-angle variable, circulation parameters)
 and silent coercion between them is the main source of bugs.
+
+``Sqrt2`` is the exact scalar field Q(sqrt(2)), in which the rectangle's
+diagonal Hessians live.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -738,3 +742,89 @@ def _parse_poly(registry, text):
         if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] not in "+-":
             raise ValueError(f"unexpected {tokens[i][1]!r} in {text!r}")
     return Poly(registry, result)
+
+
+# ---------------------------------------------------------------------------
+# Exact arithmetic over Q(sqrt(2))
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Sqrt2:
+    """Element a + b*sqrt(2) of Q(sqrt(2)) with exact rational parts."""
+
+    a: Fraction
+    b: Fraction = Fraction(0)
+
+    def _coerce(self, other):
+        if isinstance(other, Sqrt2):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Sqrt2(Fraction(other))
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return Sqrt2(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Sqrt2(-self.a, -self.b)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return Sqrt2(
+            self.a * other.a + 2 * self.b * other.b,
+            self.a * other.b + self.b * other.a,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        k = Fraction(k)
+        return Sqrt2(self.a / k, self.b / k)
+
+    def __rtruediv__(self, other):
+        """other / self, inverting by the norm a^2 - 2 b^2 (nonzero off 0)."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        norm = self.a * self.a - 2 * self.b * self.b
+        return other * Sqrt2(self.a / norm, -self.b / norm)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+
+    def sign(self):
+        if self.a == 0 and self.b == 0:
+            return 0
+        if self.a >= 0 and self.b >= 0:
+            return 1
+        if self.a <= 0 and self.b <= 0:
+            return -1
+        # a and b have opposite signs: compare a^2 with 2 b^2
+        lhs, rhs = self.a * self.a, 2 * self.b * self.b
+        if self.a > 0:
+            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+
+    def is_zero(self):
+        return self.a == 0 and self.b == 0

@@ -9,7 +9,9 @@ integer numerators over a power-of-two-scaled common denominator (Collins &
 Loos, "Real zeros of polynomials", 1982).  Root isolation runs Sturm
 bisection on the squarefree part, with exact rational roots cut out, so
 every interval is certified to contain exactly one root; endpoints become
-``Fraction``s only when an interval is returned.  The Hermite method builds
+``Fraction``s only when an interval is returned.  Characteristic
+polynomials run one Faddeev-LeVerrier loop fraction-free, on the matrix
+cleared of denominators over Z, Z[x] or Z[sqrt(2)].  The Hermite method builds
 the trace form of a zero-dimensional quotient ring over its
 standard-monomial basis in integer arithmetic (Pedersen, Roy & Szpirglas,
 1993); its signature, found by fraction-free symmetric elimination, counts
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 from vortexsym.groebner import (
     GroebnerBasis,
@@ -30,7 +32,14 @@ from vortexsym.groebner import (
     integer_normal_form,
     standard_monomials,
 )
-from vortexsym.ratpoly import ExactDivisionError, GrevLex, Poly, mono_mul
+from vortexsym.ratpoly import (
+    ExactDivisionError,
+    GrevLex,
+    Poly,
+    RegistryMismatchError,
+    Sqrt2,
+    mono_mul,
+)
 
 
 class PositiveDimensionalError(ValueError):
@@ -558,47 +567,166 @@ class SymMatrix:
 def char_poly(rows):
     """Faddeev-LeVerrier characteristic polynomial of a square matrix.
 
-    Returns the ascending coefficients of det(lambda*I - A).  Exact; works
-    over any exact scalar supporting +, * and division by integers, such as
-    ``Poly`` or Q(sqrt(2)).  A matrix of ints and ``Fraction``s runs as the
-    integer matrix d*A, with d the positive lcm of its denominators: its
-    coefficients are integers, so each division by k is exact, and the
-    coefficient of lambda^(n-k) is rescaled by d^k into a ``Fraction``.
+    Returns the ascending coefficients of det(lambda*I - A).  The entries
+    are ints and ``Fraction``s, possibly mixed with ``Poly``s over one
+    registry or with ``Sqrt2``s.  The matrix is lowered once to d*A, with d
+    the positive lcm of every rational denominator in it, over Z, Z[x]
+    (integer coefficient dicts keyed by packed monomials) or Z[sqrt(2)]
+    (``{0: a, 1: b}``), and one fraction-free loop runs there: its
+    coefficients are integral, so each division by k is exact, and a
+    nonzero remainder raises ``ExactDivisionError``.  The coefficient of
+    lambda^(n-k) is lifted back over d^k.  Result types are those of
+    generic arithmetic on the entries: all ``Fraction`` for a rational
+    matrix; otherwise the int 1 and then ``Poly``s or ``Sqrt2``s, except
+    that the trace coefficient is a ``Fraction`` when no diagonal entry is
+    a ``Poly``/``Sqrt2``.  Ragged or non-square rows and ``Poly``s over
+    different registries raise ``ValueError``, other entries ``TypeError``.
     """
     n = len(rows)
-    rational = all(isinstance(c, (int, Fraction)) for row in rows for c in row)
-    if rational:
-        d = lcm(*(c.denominator for row in rows for c in row))
+    if any(len(row) != n for row in rows):
+        raise ValueError("char_poly needs a square matrix")
+    entries = [c for row in rows for c in row]
+    ring = next((type(c) for c in entries if isinstance(c, (Poly, Sqrt2))), None)
+    if ring is None:
+        d = lcm(*(c.denominator for _, c in map(_constant_part, entries)))
         a = [[c.numerator * (d // c.denominator) for c in row] for row in rows]
+        coeffs = _faddeev_leverrier(a, _dot_int, add, _neg_div_int)
+        return [Fraction(c, d**k) for k, c in reversed(list(enumerate([1, *coeffs])))]
+    if ring is Poly:
+        a, d, lift = _lower_poly(rows, entries)
+        dot = _dot_sparse
     else:
-        a = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in rows]
-    coeffs = [1] + [0] * n  # descending: lambda^n ... const
-    m = [row[:] for row in a]
+        a, d, lift = _lower_sqrt2(rows)
+        dot = _dot_sqrt2
+    coeffs = _faddeev_leverrier(a, dot, _add_sparse, _neg_div_sparse)
+    out = [lift(c, d**k) for k, c in enumerate(coeffs, 1)]
+    if not any(isinstance(rows[i][i], ring) for i in range(n)):
+        # generic arithmetic keeps the trace of a rational diagonal rational
+        out[0] = Fraction(coeffs[0].get(0, 0), d)
+    return [*reversed(out), 1]
+
+
+def _faddeev_leverrier(a, dot, add, neg_div):
+    """c_1, ..., c_n with det(lambda*I - A) = sum_k c_k lambda^(n-k), c_0 = 1.
+
+    The scalars form an integral ring given by its dot product, its sum
+    and its exact -x/k.  M_1 = A, M_k = A (M_{k-1} + c_{k-1} I) and
+    c_k = -tr(M_k)/k; of M_n only the diagonal is formed.
+    """
+    n = len(a)
+    coeffs = []
+    m = a
+    diag = [row[i] for i, row in enumerate(a)]
     for k in range(1, n + 1):
         if k > 1:
-            for i in range(n):
-                m[i][i] = m[i][i] + coeffs[k - 1]
-            m = _mat_mul(a, m)
-        trace = m[0][0]
-        for i in range(1, n):
-            trace = trace + m[i][i]
-        coeffs[k] = -trace // k if rational else -trace / k
-    if rational:
-        return [Fraction(c, d**k) for k, c in reversed(list(enumerate(coeffs)))]
-    return list(reversed(coeffs))
+            cols = [list(col) for col in zip(*m)]
+            for i, col in enumerate(cols):
+                col[i] = add(col[i], coeffs[-1])
+            if k < n:
+                m = [[dot(row, col) for col in cols] for row in a]
+                diag = [row[i] for i, row in enumerate(m)]
+            else:
+                diag = list(map(dot, a, cols))
+        trace = diag[0]
+        for x in diag[1:]:
+            trace = add(trace, x)
+        coeffs.append(neg_div(trace, k))
+    return coeffs
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for j in range(n):
-            s = ai[0] * b[0][j]
-            for k in range(1, n):
-                s = s + ai[k] * b[k][j]
-            out[i][j] = s
+def _constant_part(c):
+    if isinstance(c, (int, Fraction)):
+        return 0, c
+    raise TypeError(f"cannot mix {type(c).__name__} entries into this matrix")
+
+
+def _lower(rows, parts):
+    """d*A as integer dicts, and d, from each entry's (key, rational) parts."""
+    split = [[[(k, q) for k, q in parts(c) if q] for c in row] for row in rows]
+    d = lcm(*(q.denominator for row in split for entry in row for _, q in entry))
+    a = [[{k: q.numerator * (d // q.denominator) for k, q in entry} for entry in row] for row in split]
+    return a, d
+
+
+def _lower_poly(rows, entries):
+    """Z[x] form of a ``Poly`` matrix: each monomial packs into one int
+    whose fields are wide enough for every exponent of a degree-n product,
+    so multiplying monomials is adding keys."""
+    polys = [c for c in entries if isinstance(c, Poly)]
+    reg = polys[0].registry
+    for p in polys:
+        if p.registry != reg:
+            raise RegistryMismatchError(f"cannot mix registries {reg} and {p.registry}")
+    top = max((e for p in polys for m in p.terms for e in m), default=0)
+    width = (len(rows) * top).bit_length() or 1
+    shifts = range(0, width * len(reg), width)
+    mask = (1 << width) - 1
+
+    def parts(c):
+        if not isinstance(c, Poly):
+            return (_constant_part(c),)
+        return [(sum(e << s for e, s in zip(m, shifts)), q) for m, q in c.terms.items()]
+
+    def lift(c, scale):
+        return Poly(reg, {tuple(key >> s & mask for s in shifts): Fraction(v, scale) for key, v in c.items()})
+
+    return (*_lower(rows, parts), lift)
+
+
+def _lower_sqrt2(rows):
+    """Z[sqrt(2)] form of a ``Sqrt2`` matrix: a + b sqrt(2) as {0: a, 1: b}."""
+
+    def parts(c):
+        return ((0, c.a), (1, c.b)) if isinstance(c, Sqrt2) else (_constant_part(c),)
+
+    def lift(c, scale):
+        return Sqrt2(Fraction(c.get(0, 0), scale), Fraction(c.get(1, 0), scale))
+
+    return (*_lower(rows, parts), lift)
+
+
+def _dot_int(row, col):
+    return sum(map(mul, row, col))
+
+
+def _neg_div_int(x, k):
+    q, r = divmod(-x, k)
+    if r:
+        raise ExactDivisionError(r)
+    return q
+
+
+def _dot_sparse(row, col):
+    """Sum of products of integer dicts whose keys add when multiplied."""
+    acc = {}
+    get = acc.get
+    for x, y in zip(row, col):
+        for kx, cx in x.items():
+            for ky, cy in y.items():
+                key = kx + ky
+                acc[key] = get(key, 0) + cx * cy
+    return {key: c for key, c in acc.items() if c}
+
+
+def _dot_sqrt2(row, col):
+    acc = _dot_sparse(row, col)
+    twice = acc.pop(2, 0)  # sqrt(2)^2 = 2
+    return _add_sparse(acc, {0: 2 * twice}) if twice else acc
+
+
+def _add_sparse(x, y):
+    out = dict(x)
+    for key, c in y.items():
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
     return out
+
+
+def _neg_div_sparse(x, k):
+    return {key: _neg_div_int(c, k) for key, c in x.items()}
 
 
 def inertia(matrix):

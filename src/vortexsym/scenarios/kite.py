@@ -102,7 +102,7 @@ def run_kite(mus=None, eps=_EPS):
             "r = 1 and r^2 = 1/3 are exact roots at mu = (1,1,1,1)",
         )
 
-    special = special_angle_analysis(report, eps)
+    special = special_angle_analysis(report, comps, eps)
     report.stability = {
         "verdict": "stable kites exist only at theta2 = 2*pi/3 with mu1 = mu2 = mu4",
         "special_angle": special,
@@ -136,8 +136,12 @@ def count_configurations(config_factor, mus, eps):
     return records
 
 
-def special_angle_analysis(report, eps):
-    """The theta2 = 2*pi/3 kite: forced circulations and stability window."""
+def special_angle_analysis(report, comps, eps):
+    """The theta2 = 2*pi/3 kite: forced circulations and stability window.
+
+    ``comps`` is the kite ``pipeline``, whose trig forms are gradient
+    components 2, 3 and 4.
+    """
     # gradient at cos(theta2) = -1/2: mu_i * component_i = w_i / sqrt(3) with
     # w = (mu1(mu4-mu2), mu2(mu1-mu4), 0, mu4(mu2-mu1))
     half = Fraction(-1, 2)
@@ -148,8 +152,8 @@ def special_angle_analysis(report, eps):
         Poly.parse(TRIG_REGISTRY, "mu2*mu4 - mu1*mu4"),
     ]
     display_ok = True
-    for i in range(1, 5):
-        t = gradient_component(i, KITE)
+    trig = [gradient_component(1, KITE)] + [c.trig for c in comps]
+    for i, t in enumerate(trig, 1):
         num = t.num.subs({"c": half})
         den_val = t.den.subs({"c": half})
         groups = num.coefficients_in(["s"])

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from vortexsym.groebner import Ideal, eliminate
-from vortexsym.ratpoly import GrevLex, Poly
+from vortexsym.ratpoly import GrevLex, Poly, Sqrt2
 from vortexsym.realroots import char_poly, coeffs_from_poly, sturm_isolate
 from vortexsym.scenarios.report import RootRecord, ScenarioReport
 from vortexsym.trigvortex import (
@@ -17,7 +16,6 @@ from vortexsym.trigvortex import (
     R_REGISTRY,
     TRIG_REGISTRY,
     angle_of_r,
-    gradient_component,
     hessian,
     pipeline,
     scenario_cos_table,
@@ -65,13 +63,13 @@ def run_rectangle(mus=None, eps=_EPS):
     equal = {"mu3": mu1, "mu4": mu2}
     opposite = {"mu3": -1 * mu1, "mu4": -1 * mu2}
 
-    cot_ok = _branch_residual_check(equal, lambda th: _cot(th))
+    cot_ok = _branch_residual_check(comps, equal, lambda th: _cot(th))
     report.check(
         "equal_pairs_residual",
         cot_ok,
         "components reduce to multiples of cot(theta2); zeros at pi/2, 3*pi/2",
     )
-    csc_ok = _branch_residual_check(opposite, lambda th: math.cos(2 * th) / math.sin(th))
+    csc_ok = _branch_residual_check(comps, opposite, lambda th: math.cos(2 * th) / math.sin(th))
     report.check(
         "opposite_pairs_residual",
         csc_ok,
@@ -80,12 +78,12 @@ def run_rectangle(mus=None, eps=_EPS):
     )
     report.check(
         "equal_pairs_residual_exact",
-        _branch_exact(equal, "c"),
+        _branch_exact(comps, equal, "c"),
         "exact: (1-c^2) * numerator is a constant multiple of c * denominator",
     )
     report.check(
         "opposite_pairs_residual_exact",
-        _branch_exact(opposite, "2*c^2 - 1"),
+        _branch_exact(comps, opposite, "2*c^2 - 1"),
         "exact: (1-c^2) * numerator is a constant multiple of (2c^2-1) * denominator",
     )
 
@@ -134,10 +132,10 @@ def _cot(theta):
     return math.cos(theta) / math.sin(theta)
 
 
-def _branch_residual_check(substitution, target, samples=20, tol=1e-10):
+def _branch_residual_check(comps, substitution, target, samples=20, tol=1e-10):
     rng = random.Random(20240815)
-    for i in (2, 3, 4):
-        t = gradient_component(i, RECTANGLE).subs_mu(substitution)
+    for comp in comps:
+        t = comp.trig.subs_mu(substitution)
         ratios = []
         n = 0
         while n < samples:
@@ -157,12 +155,12 @@ def _branch_residual_check(substitution, target, samples=20, tol=1e-10):
     return True
 
 
-def _branch_exact(substitution, target_text):
+def _branch_exact(comps, substitution, target_text):
     """(1-c^2)*num is exactly (constant in s, c)*(target * den) per component."""
     target = Poly.parse(TRIG_REGISTRY, target_text)
     pyth = Poly.parse(TRIG_REGISTRY, "1 - c^2")
-    for i in (2, 3, 4):
-        t = gradient_component(i, RECTANGLE).subs_mu(substitution)
+    for comp in comps:
+        t = comp.trig.subs_mu(substitution)
         groups = t.num.coefficients_in(["s"])
         if set(groups) - {(1,), (0,)}:
             return False
@@ -197,92 +195,6 @@ def _branch_roots(comps, substitution, eps, label):
     if not (prim[0] == prim[1] == prim[2]):
         return []
     return records
-
-
-# ---------------------------------------------------------------------------
-# Exact arithmetic over Q(sqrt(2)) for the diagonal stability certificate
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Sqrt2:
-    """Element a + b*sqrt(2) of Q(sqrt(2)) with exact rational parts."""
-
-    a: Fraction
-    b: Fraction = Fraction(0)
-
-    def _coerce(self, other):
-        if isinstance(other, Sqrt2):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Sqrt2(Fraction(other))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Sqrt2(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Sqrt2(-self.a, -self.b)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Sqrt2(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        k = Fraction(k)
-        return Sqrt2(self.a / k, self.b / k)
-
-    def __rtruediv__(self, other):
-        """other / self, inverting by the norm a^2 - 2 b^2 (nonzero off 0)."""
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        norm = self.a * self.a - 2 * self.b * self.b
-        return other * Sqrt2(self.a / norm, -self.b / norm)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
-
-    def sign(self):
-        if self.a == 0 and self.b == 0:
-            return 0
-        if self.a >= 0 and self.b >= 0:
-            return 1
-        if self.a <= 0 and self.b <= 0:
-            return -1
-        # a and b have opposite signs: compare a^2 with 2 b^2
-        lhs, rhs = self.a * self.a, 2 * self.b * self.b
-        if self.a > 0:
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
 
 
 # cos(theta_i - theta_j) at the 45-degree point, where cos(theta2) = sqrt(2)/2

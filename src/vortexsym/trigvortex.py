@@ -590,8 +590,9 @@ def char_poly_in(rows, registry, var):
     """Characteristic polynomial of a Poly-entried matrix, as a Poly in ``var``.
 
     The matrix entries and the result live in ``registry`` (which must
-    contain ``var``); exactness comes from Faddeev-LeVerrier over the
-    polynomial ring.
+    contain ``var``).  ``realroots.char_poly`` runs Faddeev-LeVerrier
+    fraction-free on the matrix cleared of denominators over Z[x], so the
+    result is exact.
     """
     from vortexsym.realroots import char_poly
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from vortexsym.groebner import Ideal, buchberger, reduce, standard_monomials
-from vortexsym.ratpoly import Poly, VarRegistry, grevlex, mono_mul
+from vortexsym.ratpoly import Poly, RegistryMismatchError, Sqrt2, VarRegistry, grevlex, mono_mul
 from vortexsym.realroots import (
     IsolatingInterval,
     PositiveDimensionalError,
@@ -24,7 +24,7 @@ from vortexsym.realroots import (
     squarefree_part,
     sturm_isolate,
 )
-from vortexsym.realroots import _primitive_int, _sign_at
+from vortexsym.realroots import _neg_div_int, _neg_div_sparse, _primitive_int, _sign_at
 
 X = VarRegistry(["x"])
 
@@ -447,10 +447,13 @@ def reference_refine(lo, hi, sf, eps):
 
 
 def reference_char_poly(rows):
-    """Faddeev-LeVerrier over Fraction, ascending coefficients."""
+    """Faddeev-LeVerrier with Fraction arithmetic over the entries' own ring
+    (Q, Q[x] as ``Poly`` or Q(sqrt(2)) as ``Sqrt2``), ascending coefficients.
+    The leading 1 is a Fraction for a rational matrix and the int 1 otherwise."""
     n = len(rows)
-    a = [[Fraction(c) for c in row] for row in rows]
-    coeffs = [Fraction(1)]  # descending
+    a = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in rows]
+    rational = all(isinstance(c, Fraction) for row in a for c in row)
+    coeffs = [Fraction(1) if rational else 1]  # descending
     m = a
     for k in range(1, n + 1):
         if k > 1:
@@ -574,3 +577,109 @@ class TestIntegerKernels:
             p = char_poly(rows)
             assert p == reference_char_poly(rows), rows
             assert all(type(c) is Fraction for c in p)
+
+
+def _random_entry_poly(rng, reg):
+    """A sparse Poly of degree <= 2 with signed rational coefficients; zero
+    about one time in six."""
+    terms = {}
+    if rng.random() < 5 / 6:
+        for _ in range(rng.randint(1, 3)):
+            mono = [0] * len(reg)
+            for _ in range(rng.randint(0, 2)):
+                mono[rng.randrange(len(reg))] += 1
+            terms[tuple(mono)] = _random_rational(rng) or Fraction(-1)
+    return Poly(reg, terms)
+
+
+def _assert_same_coefficients(p, want, rows):
+    assert p == want, rows
+    assert [type(c) for c in p] == [type(c) for c in want], rows
+    assert p[-1] == 1 and type(p[-1]) is int
+
+
+class TestFractionFreeRings:
+    def test_poly_matrices_match_fraction_reference(self):
+        rng = random.Random(15)
+        names = ["x", "y", "z"]
+        for trial in range(45):
+            reg = VarRegistry(names[: 1 + trial % 3])
+            n = 1 + trial % 5
+            kind = rng.choice(["poly", "mixed", "negative", "off_diagonal"])
+            rows = []
+            for i in range(n):
+                row = []
+                for j in range(n):
+                    if kind == "poly" or (kind == "off_diagonal" and i != j and rng.random() < 0.5):
+                        entry = _random_entry_poly(rng, reg)
+                    elif kind == "negative":
+                        entry = -1 * _random_entry_poly(rng, reg) if rng.random() < 0.5 else -rng.randint(1, 9)
+                    elif kind == "mixed":
+                        entry = rng.choice([_random_entry_poly(rng, reg), rng.randint(-5, 5), _random_rational(rng)])
+                    else:
+                        entry = rng.choice([rng.randint(-5, 5), _random_rational(rng)])
+                    row.append(entry)
+                rows.append(row)
+            if not any(isinstance(c, Poly) for row in rows for c in row):
+                rows[0][-1] = _random_entry_poly(rng, reg) + Poly.variable(reg, "x")
+            _assert_same_coefficients(char_poly(rows), reference_char_poly(rows), rows)
+
+    def test_sqrt2_matrices_match_fraction_reference(self):
+        rng = random.Random(16)
+        for trial in range(60):
+            n = 1 + trial % 5
+            rows = []
+            for _ in range(n):
+                row = []
+                for _ in range(n):
+                    pick = rng.random()
+                    if pick < 0.4:
+                        entry = Sqrt2(_random_rational(rng), _random_rational(rng))
+                    elif pick < 0.6:
+                        entry = Sqrt2(_random_rational(rng))  # b = 0
+                    elif pick < 0.8:
+                        entry = rng.randint(-5, 5)
+                    else:
+                        entry = _random_rational(rng)
+                    row.append(entry)
+                rows.append(row)
+            if not any(isinstance(c, Sqrt2) for row in rows for c in row):
+                rows[-1][0] = Sqrt2(Fraction(0), Fraction(1, 2))
+            _assert_same_coefficients(char_poly(rows), reference_char_poly(rows), rows)
+
+    def test_sqrt2_squares_fold_to_two(self):
+        # A = sqrt(2) I: det(lambda I - A) = lambda^2 - 2 sqrt(2) lambda + 2
+        r2 = Sqrt2(Fraction(0), Fraction(1))
+        assert char_poly([[r2, 0], [0, r2]]) == [Sqrt2(Fraction(2)), Sqrt2(Fraction(0), Fraction(-2)), 1]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 2]], [[1, 2], [3]], [[1], [2]], [[Sqrt2(Fraction(1)), 2], [3]]],
+        ids=["one_row", "ragged", "tall", "ragged_sqrt2"],
+    )
+    def test_non_square_rows_raise(self, rows):
+        with pytest.raises(ValueError):
+            char_poly(rows)
+
+    def test_mixed_registries_raise(self):
+        x = Poly.variable(VarRegistry(["x"]), "x")
+        y = Poly.variable(VarRegistry(["y"]), "y")
+        with pytest.raises(ValueError):
+            char_poly([[x, 0], [0, y]])
+        with pytest.raises(RegistryMismatchError):
+            char_poly([[x, 1], [1, y]])
+
+    def test_mixed_scalar_rings_raise(self):
+        x = Poly.variable(VarRegistry(["x"]), "x")
+        with pytest.raises(TypeError):
+            char_poly([[x, Sqrt2(Fraction(1))], [1, 1]])
+        with pytest.raises(TypeError):
+            char_poly([[1, 2], [3, 0.5]])
+
+    def test_inexact_division_raises(self):
+        assert _neg_div_int(-6, 3) == 2
+        assert _neg_div_sparse({0: 6, 5: -9}, 3) == {0: -2, 5: 3}
+        with pytest.raises(ArithmeticError):
+            _neg_div_int(5, 2)
+        with pytest.raises(ArithmeticError):
+            _neg_div_sparse({0: 4, 1: 3}, 2)

@@ -113,7 +113,7 @@ class TestKite:
         assert window["upper_exact"] is None
         monkeypatch.setattr(kite, "_stability_window", lambda *args: window)
         report = ScenarioReport(scenario="kite")
-        special = kite.special_angle_analysis(report, kite._EPS)
+        special = kite.special_angle_analysis(report, pipeline(KITE), kite._EPS)
         check = checks_by_name(report)["stability_window"]
         assert check.status == "fail"
         assert "expected mu1/mu3 in [-0.335544, -1/3)" in check.detail
@@ -138,7 +138,7 @@ class TestKite:
     def test_missing_stability_window_fails_its_check(self, monkeypatch):
         monkeypatch.setattr(kite, "_stability_window", lambda *args: None)
         report = ScenarioReport(scenario="kite")
-        special = kite.special_angle_analysis(report, kite._EPS)
+        special = kite.special_angle_analysis(report, pipeline(KITE), kite._EPS)
         check = checks_by_name(report)["stability_window"]
         assert check.status == "fail"
         assert "expected mu1/mu3 in [-0.335544, -1/3)" in check.detail
