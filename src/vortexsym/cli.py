@@ -2,7 +2,10 @@
 
 Subcommands ``square | kite | rectangle | trapezoid | all`` run the
 classification scenarios and exit nonzero if any oracle check fails;
-``groebner`` exposes the basis engine on polynomial text files.
+``groebner`` exposes the basis engine on polynomial text files.  ``all``
+runs kite, rectangle and square in a forked child while the trapezoid,
+itself split into two lanes, runs in the main process; reports, JSON and
+exit codes are those of a serial run.
 """
 
 from __future__ import annotations
@@ -10,10 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
+from vortexsym.fork import fork_call
 from vortexsym.groebner import ExponentOverflowError, Ideal, buchberger, eliminate
 from vortexsym.ratpoly import Poly, VarRegistry, grevlex, lex
 from vortexsym.scenarios import run_kite, run_rectangle, run_square, run_trapezoid
@@ -172,20 +177,46 @@ def _figure_config(name, mus=None):
     return Configuration(tuple(thetas), tuple(float(m) for m in mus))
 
 
-def _scenario_command(name, args, stream):
-    names = SCENARIO_ORDER if name == "all" else (name,)
-    reports = []
-    for scenario_name in names:
+def _run_in_order(names, args):
+    """Reports of the named scenarios in order; a ``ValueError`` that stops
+    one ends the list in its place."""
+    outcomes = []
+    for name in names:
         try:
-            report = _run_scenario(scenario_name, args)
+            outcomes.append(_run_scenario(name, args))
         except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        reports.append(report)
-        _print_report(report, stream)
-        if args.svg:
-            import os
+            outcomes.append(err)
+            break
+    return outcomes
 
+
+def _scenario_command(name, args, stream):
+    """Run one scenario, or all four for ``all``, print each report and
+    write the requested JSON and figures.
+
+    ``all`` runs in two lanes: kite, rectangle and square run in a forked
+    child (:func:`vortexsym.fork.fork_call`) while the trapezoid runs here.
+    Reports, errors and exit codes come out in ``SCENARIO_ORDER`` as a
+    serial run gives them; a scenario that raises ``ValueError`` prints its
+    error after the reports before it, and the command exits 2.
+    """
+    names = SCENARIO_ORDER if name == "all" else (name,)
+    side = names[:-1]
+    join_side = fork_call(_run_in_order, side, args) if side else lambda: []
+    try:
+        last = _run_in_order(names[-1:], args)
+    finally:
+        outcomes = join_side()
+    # a side list cut short ends in an error, where the loop stops
+    outcomes += last
+    reports = []
+    for scenario_name, outcome in zip(names, outcomes):
+        if isinstance(outcome, ValueError):
+            print(f"error: {outcome}", file=sys.stderr)
+            return 2
+        reports.append(outcome)
+        _print_report(outcome, stream)
+        if args.svg:
             os.makedirs(args.svg, exist_ok=True)
             mus = getattr(args, "mu", None)
             config = _figure_config(scenario_name, mus)

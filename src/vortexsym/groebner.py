@@ -383,7 +383,7 @@ def _int_nf(terms, basis, pk):
                     rem_c = [x * lam for x in rem_c]
                     mul *= lam
                 mu = -mu
-                for tk, tp, tc in tail:
+                for tk, tp, tc in zip(*tail):
                     mk = sk + tk
                     s = work.get(mk)
                     if s is None:
@@ -434,18 +434,22 @@ def _int_spoly(f, g, lcm_p, pk):
     sgk, sgp = lcm_k - gk, lcm_p - gp
     pk.check(sfp + ftail_lcm)
     pk.check(sgp + gtail_lcm)
-    out = [(sfk + k, sfp + p, a * c) for k, p, c in ftail]
-    out += [(sgk + k, sgp + p, b * c) for k, p, c in gtail]
+    out = [(sfk + k, sfp + p, a * c) for k, p, c in zip(*ftail)]
+    out += [(sgk + k, sgp + p, b * c) for k, p, c in zip(*gtail)]
     return out
 
 
 def _entry(terms, pk):
-    """Basis entry (k, p, c, tail, tail_lcm) of descending (k, p, c) terms;
-    ``tail_lcm`` bounds every tail exponent for the overflow check."""
+    """Basis entry (k, p, c, tail, tail_lcm) of descending (k, p, c) terms.
+
+    ``tail`` holds the other terms as three parallel tuples (ks, ps, cs),
+    three objects in place of one tuple per term; ``tail_lcm`` bounds every
+    tail exponent for the overflow check.
+    """
     k, p, c = terms[0]
-    tail = tuple(terms[1:])
+    tail = tuple(zip(*terms[1:])) or ((), (), ())
     tail_lcm = 0
-    for _, tp, _ in tail:
+    for tp in tail[1]:
         tail_lcm = pk.lcm(tail_lcm, tp)
     return (k, p, c, tail, tail_lcm)
 
@@ -538,7 +542,7 @@ def _buchberger_int(gens, order):
     reduced = []
     for i, e in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_int_nf([e[:3]] + list(e[3]), others, pk)[0])
+        reduced.append(_int_nf([e[:3], *zip(*e[3])], others, pk)[0])
     reduced.sort(key=lambda terms: terms[0][0])
     polys = [
         Poly(reg, {pk.unpack(p): Fraction(c) for _, p, c in terms})

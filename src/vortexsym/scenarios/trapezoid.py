@@ -14,6 +14,7 @@ exactly one lies below 120 degrees and gives a true trapezoid.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from vortexsym.groebner import (
@@ -41,7 +42,8 @@ from vortexsym.realroots import (
     squarefree_part,
     sturm_isolate,
 )
-from vortexsym.scenarios.report import RootRecord, ScenarioReport
+from vortexsym.fork import fork_call
+from vortexsym.scenarios.report import OracleCheck, RootRecord, ScenarioReport
 from vortexsym.trigvortex import R_REGISTRY, TRAPEZOID3, angle_of_r, pipeline
 from vortexsym import targets
 
@@ -63,9 +65,38 @@ class IdealShapeError(ValueError):
 
 
 def run_trapezoid(eps=_EPS, check_appendix=True):
+    """Classify trapezoids with three equal sides; returns the checked report.
+
+    The run has two lanes.  ``angle_analysis`` needs only the pipeline
+    output, so it runs in a forked child (:func:`vortexsym.fork.fork_call`)
+    while this process eliminates the half-angle variable, splits the
+    quintic form and, with ``check_appendix``, counts the annihilating
+    lines.  Its checks are appended after theirs, so the report is the one
+    a serial run gives.
+    """
     report = ScenarioReport(scenario="trapezoid")
 
     comps = pipeline(TRAPEZOID3)
+    join_angles = fork_call(angle_analysis, comps, eps)
+    try:
+        _elimination_chain(report, comps, eps, check_appendix)
+    finally:
+        angles = join_angles()
+    report.oracle_checks.extend(angles.checks)
+    report.artifacts["angle_projection_gb"] = angles.angle_projection_gb
+    report.artifacts["angle_analysis"] = angles
+    report.roots = list(angles.roots)
+    report.stability = {
+        "verdict": "existence classification; no stability claims for this family",
+        "window": None,
+        "true_trapezoid_theta2": angles.true_theta2,
+    }
+    return report
+
+
+def _elimination_chain(report, comps, eps, check_appendix):
+    """The main lane: pipeline check, elimination ideal, plane
+    factorisation and, with ``check_appendix``, the annihilating lines."""
     report.pipeline_polynomials = [c.r_poly.format(_ORD) for c in comps]
     goals = targets.build_products(targets.R_REGISTRY, targets.TRAPEZOID_PIPELINE)
     report.check(
@@ -118,16 +149,6 @@ def run_trapezoid(eps=_EPS, check_appendix=True):
 
     if check_appendix:
         annihilating_lines(report, gb, f_mine, plane_data, eps)
-
-    angles = angle_analysis(report, comps, plane_data, eps)
-    report.artifacts["angle_analysis"] = angles
-    report.roots = angles["roots"]
-    report.stability = {
-        "verdict": "existence classification; no stability claims for this family",
-        "window": None,
-        "true_trapezoid_theta2": angles["true_theta2"],
-    }
-    return report
 
 
 def _order_like(gb, reference):
@@ -758,12 +779,29 @@ def _classify(line, unit_f, null_dir, intersections):
 # ---------------------------------------------------------------------------
 
 
-def angle_analysis(report, comps, plane_data, eps):
+@dataclass(frozen=True)
+class AngleAnalysis:
+    """What the angle stage derives: its oracle checks in report order, the
+    projection basis onto (r, mu1, mu3), the certified roots of g(r), and
+    the angle of the true trapezoid (None unless it is proven unique)."""
+
+    checks: tuple
+    angle_projection_gb: GroebnerBasis
+    roots: tuple
+    true_theta2: float | None
+
+
+def angle_analysis(comps, eps):
+    """The angle stage, from the pipeline output alone; see :class:`AngleAnalysis`."""
+    checks = []
+
+    def check(name, ok, detail):
+        checks.append(OracleCheck.of(name, ok, detail))
+
     ideal = Ideal.of(*([c.r_poly for c in comps] + [Poly.parse(R_REGISTRY, targets.P1_QUINTIC)]))
     gb_vt = eliminate(ideal, ["mu2", "mu4"], inner_names=["r", "mu1", "mu3"])
-    report.artifacts["angle_projection_gb"] = gb_vt
     reference = [p.map_to(R_REGISTRY) for p in targets.valid_theta_basis()]
-    report.check(
+    check(
         "angle_projection_ideal",
         gb_vt.same_ideal_as(reference),
         "projection ideal onto (r, mu1, mu3) matches the reference basis",
@@ -778,7 +816,7 @@ def angle_analysis(report, comps, plane_data, eps):
             g_mine = q
             break
     g_ref = Poly.parse(R_REGISTRY, targets.G_OF_R)
-    report.check(
+    check(
         "angle_polynomial",
         g_mine is not None and g_mine.primitive(_ORD) == g_ref.primitive(_ORD),
         "mu1^2 (mu1 - mu3) g(r) appears in the projection basis",
@@ -803,7 +841,7 @@ def angle_analysis(report, comps, plane_data, eps):
     want_r = sorted(row["r"] for row in targets.ANGLE_TABLE)
     theta_mags = sorted({round(abs(r.theta2), 6) for r in roots})
     want_theta = sorted(row["theta2"] for row in targets.ANGLE_TABLE)
-    report.check(
+    check(
         "angle_roots",
         len(roots) == 6
         and all(abs(a - b) < targets.NUMERIC_TOL for a, b in zip(r_mags, want_r))
@@ -811,22 +849,56 @@ def angle_analysis(report, comps, plane_data, eps):
         f"six real radii {r_mags} with angles {theta_mags}",
     )
 
-    pairing_ok, pairing_detail = _plane_pairing(comps, g_ref, intervals, plane_data)
-    report.check("plane_pairing", pairing_ok, pairing_detail)
+    check("plane_pairing", *_plane_pairing(comps, g_ref, intervals))
 
-    true_angles = [r.theta2 for r in roots if 0 < r.theta2 < 2 * math.pi / 3]
-    unique = len(true_angles) == 1 and abs(true_angles[0] - 0.687197) < targets.NUMERIC_TOL
-    report.check(
-        "unique_true_trapezoid",
-        unique,
-        f"theta2 = {true_angles[0]:.6f} is the only angle below 2*pi/3"
-        if true_angles
-        else "no angle below 2*pi/3",
+    chosen = true_trapezoid_roots(g_coeffs, intervals)
+    if chosen is None:
+        unique, detail = False, "a root of g(r) may lie at r = 0 or 3 r^2 = 1"
+    else:
+        true_angles = [roots[i].theta2 for i in chosen]
+        # the paper prints theta2 to six digits
+        unique = len(true_angles) == 1 and abs(true_angles[0] - 0.687197) < targets.NUMERIC_TOL
+        detail = (
+            f"theta2 = {true_angles[0]:.6f} is the only angle below 2*pi/3"
+            if true_angles
+            else "no angle below 2*pi/3"
+        )
+    check("unique_true_trapezoid", unique, detail)
+    return AngleAnalysis(
+        checks=tuple(checks),
+        angle_projection_gb=gb_vt,
+        roots=tuple(roots),
+        true_theta2=true_angles[0] if unique else None,
     )
-    return {"roots": roots, "true_theta2": true_angles[0] if unique else None}
 
 
-def _plane_pairing(comps, g_ref, g_intervals, plane_data):
+def true_trapezoid_roots(g_coeffs, intervals):
+    """Indices of the roots of g whose angle lies in (0, 2*pi/3), decided
+    exactly, or None when a root may sit on the boundary of that range.
+
+    ``angle_of_r`` gives theta2 = 2 arccot r in (0, 2*pi/3) exactly when
+    r > 0 and 3 r^2 > 1.  Once g(0) != 0 and gcd(g, 3 r^2 - 1) = 1 are
+    proven, no root is 0 or +-1/sqrt(3), so bisecting a copy of each
+    isolating interval ends with r, and for r > 0 also 3 r^2 - 1, of one
+    sign on it.  The intervals passed in are left as they are.
+    """
+    boundary = [Fraction(-1), Fraction(0), Fraction(3)]
+    if g_coeffs[0] == 0 or len(poly_gcd(g_coeffs, boundary)) > 1:
+        return None
+    chosen = []
+    for i, iv in enumerate(intervals):
+        iv = replace(iv)
+        while True:
+            if iv.hi < 0 or (iv.lo > 0 and 3 * iv.hi * iv.hi < 1):
+                break
+            if iv.lo > 0 and 3 * iv.lo * iv.lo > 1:
+                chosen.append(i)
+                break
+            iv.refine(iv.width() / 2)
+    return chosen
+
+
+def _plane_pairing(comps, g_ref, g_intervals):
     """Exact pairing of the angle radii with the plane families.
 
     Writes the fourth pipeline polynomial as A(r) mu1 + B(r) mu2 + C(r) mu3.

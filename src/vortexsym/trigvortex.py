@@ -530,14 +530,22 @@ def hessian(cos_table, mus, weighted=False):
     g'(x) = -cos x - 1/(2 - 2 cos x); diagonals are the negated row sums,
     which realises the rotational degeneracy V_theta_theta * 1 = 0.  With
     ``weighted`` the rows are those of mu^{-1} V_theta_theta (row i divided
-    by mu_i), which is not symmetric.
+    by mu_i), which is not symmetric.  g' is evaluated once per distinct
+    cosine of the table (keyed with its type, so that equal values of
+    different rings keep their own ring).
     """
+    gprime = {}
     rows = [[None] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(4):
             if i != j:
+                cos_d = cos_table[i][j]
+                key = (type(cos_d), cos_d)
+                g = gprime.get(key)
+                if g is None:
+                    g = gprime[key] = _gprime(cos_d)
                 scale = mus[j] if weighted else mus[i] * mus[j]
-                rows[i][j] = scale * _gprime(cos_table[i][j])
+                rows[i][j] = scale * g
     for i in range(4):
         rows[i][i] = -sum(rows[i][j] for j in range(4) if j != i)
     return rows

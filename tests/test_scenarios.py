@@ -26,6 +26,7 @@ from vortexsym.scenarios.trapezoid import (
     _reconstruct_lines,
     a_from_b,
     f1_plane_identity_in_ideal,
+    true_trapezoid_roots,
 )
 from vortexsym.trigvortex import KITE, pipeline
 
@@ -232,6 +233,31 @@ class TestTrapezoid:
 
     def test_true_trapezoid_angle(self, trapezoid_report):
         assert abs(trapezoid_report.stability["true_trapezoid_theta2"] - 0.687197) < 1e-5
+
+    def test_true_trapezoid_roots_are_decided_exactly(self):
+        # lead * r^2 - 1 has its positive root 1/sqrt(lead), within 1e-31 of
+        # 1/sqrt(3): above it for lead = 3 - delta (theta2 < 2*pi/3), below
+        # it for lead = 3 + delta.  Neither a float nor a 1e-9 enclosure
+        # tells the two apart; the exact test does.
+        delta = Fraction(1, 10**30)
+        for lead, below_two_thirds_pi in ((3 - delta, True), (3 + delta, False)):
+            coeffs = [Fraction(-1), Fraction(0), lead]
+            intervals = sturm_isolate(coeffs)
+            for iv in intervals:
+                iv.refine(Fraction(1, 10**9))
+            before = [(iv.lo, iv.hi) for iv in intervals]
+            positive = [i for i, iv in enumerate(intervals) if iv.lo > 0]
+            assert len(positive) == 1
+            assert abs(float(intervals[positive[0]].midpoint()) - 1 / math.sqrt(3)) < 1e-9
+            chosen = true_trapezoid_roots(coeffs, intervals)
+            assert chosen == (positive if below_two_thirds_pi else [])
+            assert [(iv.lo, iv.hi) for iv in intervals] == before
+
+    def test_true_trapezoid_roots_refuse_a_root_on_the_boundary(self):
+        # g = 3r^2 - 1, g = (3r^2 - 1)(3r + 2) and g(0) = 0
+        for coeffs in ([-1, 0, 3], [-2, -3, 6, 9], [0, 1, 1]):
+            coeffs = [Fraction(c) for c in coeffs]
+            assert true_trapezoid_roots(coeffs, sturm_isolate(coeffs)) is None
 
     def test_elimination_kernel_counts(self, trapezoid_report):
         # Pinned so that a change to S-pair selection or to the criteria

@@ -21,6 +21,7 @@ from vortexsym.trigvortex import (
     CollisionError,
     Configuration,
     SymmetryScenario,
+    _gprime,
     angle_of_r,
     char_poly_in,
     cheb_cos,
@@ -410,6 +411,20 @@ class TestHessian:
             for i in range(4):
                 for j in range(4):
                     assert abs(to_float(exact[i][j]) - approx[i][j]) < 1e-12
+
+    def test_equal_cosines_of_different_rings_keep_their_ring(self):
+        # Sqrt2(1/2) == Fraction(1, 2), with equal hashes; g' is shared
+        # between equal cosines of one ring only
+        table = [
+            [Sqrt2(Fraction(1, 2)) if (i + j) % 2 else Fraction(1, 2) for j in range(4)]
+            for i in range(4)
+        ]
+        rows = hessian(table, [Fraction(1)] * 4)
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    want = _gprime(table[i][j])
+                    assert rows[i][j] == want and type(rows[i][j]) is type(want)
 
     @pytest.mark.parametrize("one", [Fraction(1), Sqrt2(Fraction(1))])
     def test_coinciding_cosine_raises_collision(self, one):
