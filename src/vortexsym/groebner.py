@@ -100,10 +100,9 @@ class GroebnerBasis:
     or ``None``.
     """
 
-    def __init__(self, polys, order, reduced=True, stats=None):
+    def __init__(self, polys, order, stats=None):
         self.polys = tuple(polys)
         self.order = order
-        self.reduced = reduced
         self.stats = stats
         self._kernel = None  # (registry, packing, packed entries)
 
@@ -567,7 +566,7 @@ def buchberger(ideal, order):
         if not gens:
             raise ValueError("cannot take a Groebner basis of the zero ideal")
     polys, stats = _buchberger_int(gens, order)
-    return GroebnerBasis(polys, order, reduced=True, stats=stats)
+    return GroebnerBasis(polys, order, stats=stats)
 
 
 def eliminate(ideal, drop, inner_names=None):
@@ -592,7 +591,7 @@ def eliminate(ideal, drop, inner_names=None):
         for p in gb.polys
         if all(all(m[i] == 0 for i in drop_idx) for m in p.terms)
     ]
-    return GroebnerBasis(kept, GrevLex(order.rest), reduced=True, stats=gb.stats)
+    return GroebnerBasis(kept, GrevLex(order.rest), stats=gb.stats)
 
 
 def _mul_sub(a, b, c, d):

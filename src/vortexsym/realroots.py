@@ -191,17 +191,6 @@ def _exact_quotient(a, b):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignSequence:
-    """Coefficient sequence of a univariate polynomial, dense, ascending."""
-
-    coefficients: tuple
-
-    def sign_changes(self):
-        signs = [1 if c > 0 else -1 for c in self.coefficients if c != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def descartes_positive(coeffs, all_roots_real=False):
     """Descartes bound on positive real roots: (count_or_bound, exact).
 
@@ -211,7 +200,8 @@ def descartes_positive(coeffs, all_roots_real=False):
     coeffs = _trim(list(coeffs))
     if not coeffs:
         raise ValueError("zero polynomial")
-    changes = SignSequence(tuple(coeffs)).sign_changes()
+    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
+    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return changes, bool(all_roots_real or changes <= 1)
 
 

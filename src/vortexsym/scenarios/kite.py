@@ -12,6 +12,7 @@ of an exact boundary polynomial.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from vortexsym.groebner import Ideal, buchberger, eliminate
@@ -23,7 +24,7 @@ from vortexsym.realroots import (
     eval_interval,
     sturm_isolate,
 )
-from vortexsym.scenarios.report import RootRecord, ScenarioReport, rat_str
+from vortexsym.scenarios.report import Checks, RootRecord, ScenarioReport, rat_str
 from vortexsym.trigvortex import (
     KITE,
     R_REGISTRY,
@@ -102,10 +103,11 @@ def run_kite(mus=None, eps=_EPS):
             "r = 1 and r^2 = 1/3 are exact roots at mu = (1,1,1,1)",
         )
 
-    special = special_angle_analysis(report, comps, eps)
+    special = special_angle_analysis(comps, eps)
+    report.oracle_checks.extend(special.checks)
     report.stability = {
         "verdict": "stable kites exist only at theta2 = 2*pi/3 with mu1 = mu2 = mu4",
-        "special_angle": special,
+        "special_angle": special.summary,
     }
     return report
 
@@ -136,12 +138,24 @@ def count_configurations(config_factor, mus, eps):
     return records
 
 
-def special_angle_analysis(report, comps, eps):
-    """The theta2 = 2*pi/3 kite: forced circulations and stability window.
+@dataclass(frozen=True)
+class SpecialAngle:
+    """What the theta2 = 2*pi/3 stage derives: its four oracle checks in
+    report order and the ``special_angle`` summary of the report's
+    stability section, with ``window`` None unless the window is certified."""
+
+    checks: tuple
+    summary: dict
+
+
+def special_angle_analysis(comps, eps):
+    """The theta2 = 2*pi/3 kite: forced circulations and stability window;
+    see :class:`SpecialAngle`.
 
     ``comps`` is the kite ``pipeline``, whose trig forms are gradient
     components 2, 3 and 4.
     """
+    checks = Checks()
     # gradient at cos(theta2) = -1/2: mu_i * component_i = w_i / sqrt(3) with
     # w = (mu1(mu4-mu2), mu2(mu1-mu4), 0, mu4(mu2-mu1))
     half = Fraction(-1, 2)
@@ -166,7 +180,7 @@ def special_angle_analysis(report, comps, eps):
             display_ok = False
         if 3 * mu_i * s_lin != 2 * w_expected[i - 1] * den_val:
             display_ok = False
-    report.check(
+    checks.add(
         "special_angle_gradient",
         display_ok,
         "grad V at 2*pi/3 is (mu1(mu4-mu2), mu2(mu1-mu4), 0, mu4(mu2-mu1))/sqrt(3)",
@@ -181,7 +195,7 @@ def special_angle_analysis(report, comps, eps):
     ]
     forced = buchberger(Ideal.of(*residuals), GrevLex())
     forced_set = {p.primitive(forced.order).format(forced.order) for p in forced.polys}
-    report.check(
+    checks.add(
         "special_angle_conditions",
         forced_set == {"mu1 - mu4", "mu2 - mu4"},
         "mu1 = mu2 = mu4 forced at theta2 = 2*pi/3",
@@ -204,7 +218,7 @@ def special_angle_analysis(report, comps, eps):
     s_poly = -groups[(1,)]
     p_poly = groups[(0,)]
     disc_poly = s_poly * s_poly - 4 * p_poly
-    report.check(
+    checks.add(
         "special_angle_weighted_spectrum",
         groups.get((2,)) == Poly.constant(lreg, 1)
         and disc_poly.map_to(treg).primitive(_ORD)
@@ -230,36 +244,35 @@ def special_angle_analysis(report, comps, eps):
                 f"lower end {window['lower_decimal']:.6f} and an upper end in"
                 f" [{rat_str(upper.lo)}, {rat_str(upper.hi)}] that is neither exact nor -1/3"
             )
-        report.check(
+        checks.add(
             "stability_window",
             False,
             f"expected mu1/mu3 in [{targets.KITE_WINDOW_LOWER:.6f}, -1/3) for mu3 > 0;"
             f" derived {derived}",
         )
-        return {**summary, "window": None}
+        summary["window"] = None
+        return SpecialAngle(tuple(checks), summary)
     ok_lower = abs(window["lower_decimal"] - targets.KITE_WINDOW_LOWER) < targets.NUMERIC_TOL
     ok_upper = window["upper_exact"] == Fraction(-1, 3)
-    report.check(
+    checks.add(
         "stability_window",
         ok_lower and ok_upper and window["unique"],
         f"mu1/mu3 in [{window['lower_decimal']:.6f}, -1/3) for mu3 > 0",
     )
-    return {
-        **summary,
-        "window": {
-            "lower": {
-                "decimal": window["lower_decimal"],
-                "interval": [rat_str(window["lower_interval"].lo), rat_str(window["lower_interval"].hi)],
-                "included": window["lower_included"],
-                "defining_polynomial": "121*t^2 + 282*t + 81",
-            },
-            "upper": {
-                "decimal": float(window["upper_exact"]),
-                "exact": rat_str(window["upper_exact"]),
-                "included": window["upper_included"],
-            },
+    summary["window"] = {
+        "lower": {
+            "decimal": window["lower_decimal"],
+            "interval": [rat_str(window["lower_interval"].lo), rat_str(window["lower_interval"].hi)],
+            "included": window["lower_included"],
+            "defining_polynomial": "121*t^2 + 282*t + 81",
+        },
+        "upper": {
+            "decimal": float(window["upper_exact"]),
+            "exact": rat_str(window["upper_exact"]),
+            "included": window["upper_included"],
         },
     }
+    return SpecialAngle(tuple(checks), summary)
 
 
 def _quad_positive_count(s, p, d):

@@ -24,6 +24,13 @@ class OracleCheck:
         return cls(name, "pass" if ok else "fail", detail)
 
 
+class Checks(list):
+    """The oracle checks of one stage, in report order."""
+
+    def add(self, name, ok, detail=""):
+        self.append(OracleCheck.of(name, ok, detail))
+
+
 @dataclass
 class RootRecord:
     """A certified real root enclosure, with its angle when applicable."""

@@ -1,14 +1,24 @@
 """Trapezoids with three equal sides: the full classification chain.
 
-Angles are theta = (0, t, 2t, 3t).  Eliminating the half-angle variable
-yields a nine-polynomial ideal over the circulations whose variety splits
-into the square family (mu1 = mu3, mu2 = mu4) and three plane families.
-The quintic form inside the sixth basis element factors into three real
-planes and a positive semi-definite quadratic; the annihilating lines of
-the mu1-linear basis elements are counted by a Hermite trace form
-(signature 20, ten lines) and reconstructed as certified unit vectors.
-Projecting onto (r, mu1, mu3) pins the three admissible angles, of which
-exactly one lies below 120 degrees and gives a true trapezoid.
+Angles are theta = (0, t, 2t, 3t).  The chain is five pure stages, each
+returning a frozen result that carries its own oracle checks:
+
+* ``pipeline`` (:mod:`vortexsym.trigvortex`) reduces the gradient to three
+  r-polynomials;
+* ``elimination_ideal`` (:class:`EliminationIdeal`) eliminates the
+  half-angle variable: nine polynomials over the circulations whose variety
+  splits into the square family (mu1 = mu3, mu2 = mu4) and three plane
+  families;
+* ``plane_factorisation`` (:class:`PlaneSplit`) splits the quintic form
+  inside the sixth basis element into three real planes and a positive
+  semi-definite quadratic;
+* ``annihilating_lines`` (:class:`AnnihilatingLines`) counts the
+  annihilating lines of the mu1-linear basis elements by a Hermite trace
+  form (signature 20, ten lines) and reconstructs them as certified unit
+  vectors (:class:`AnnihilatingLine`);
+* ``angle_analysis`` (:class:`AngleAnalysis`) projects onto (r, mu1, mu3)
+  and pins the three admissible angles, of which exactly one lies below
+  120 degrees and gives a true trapezoid.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from vortexsym.realroots import (
     sturm_isolate,
 )
 from vortexsym.fork import fork_call
-from vortexsym.scenarios.report import OracleCheck, RootRecord, ScenarioReport
+from vortexsym.scenarios.report import Checks, RootRecord, ScenarioReport
 from vortexsym.trigvortex import R_REGISTRY, TRAPEZOID3, angle_of_r, pipeline
 from vortexsym import targets
 
@@ -67,98 +77,118 @@ class IdealShapeError(ValueError):
 def run_trapezoid(eps=_EPS, check_appendix=True):
     """Classify trapezoids with three equal sides; returns the checked report.
 
-    The run has two lanes.  ``angle_analysis`` needs only the pipeline
-    output, so it runs in a forked child (:func:`vortexsym.fork.fork_call`)
-    while this process eliminates the half-angle variable, splits the
-    quintic form and, with ``check_appendix``, counts the annihilating
-    lines.  Its checks are appended after theirs, so the report is the one
-    a serial run gives.
+    The report is assembled from five stages: ``pipeline``,
+    ``elimination_ideal`` (:class:`EliminationIdeal`),
+    ``plane_factorisation`` (:class:`PlaneSplit`), ``annihilating_lines``
+    (:class:`AnnihilatingLines`, only with ``check_appendix``) and
+    ``angle_analysis`` (:class:`AngleAnalysis`), whose checks it appends in
+    that order.  ``angle_analysis`` needs only the pipeline output, so it
+    runs in a forked child (:func:`vortexsym.fork.fork_call`) while this
+    process runs the three stages between; the report is the one a serial
+    run gives.
     """
-    report = ScenarioReport(scenario="trapezoid")
-
     comps = pipeline(TRAPEZOID3)
     join_angles = fork_call(angle_analysis, comps, eps)
     try:
-        _elimination_chain(report, comps, eps, check_appendix)
+        elimination = elimination_ideal(comps)
+        plane = plane_factorisation()
+        lines = annihilating_lines(elimination.ordered_basis, plane) if check_appendix else None
     finally:
         angles = join_angles()
-    report.oracle_checks.extend(angles.checks)
-    report.artifacts["angle_projection_gb"] = angles.angle_projection_gb
-    report.artifacts["angle_analysis"] = angles
-    report.roots = list(angles.roots)
-    report.stability = {
-        "verdict": "existence classification; no stability claims for this family",
-        "window": None,
-        "true_trapezoid_theta2": angles.true_theta2,
+
+    gb = elimination.gb
+    report = ScenarioReport(
+        scenario="trapezoid",
+        pipeline_polynomials=[c.r_poly.format(_ORD) for c in comps],
+        elimination_basis=[p.format(gb.order) for p in gb.polys],
+        conditions=[
+            "mu1 - mu3 with mu2 - mu4 (square family)",
+            "plane families A1, B2, C3 (one angle each)",
+        ],
+        roots=list(angles.roots),
+        stability={
+            "verdict": "existence classification; no stability claims for this family",
+            "window": None,
+            "true_trapezoid_theta2": angles.true_theta2,
+        },
+    )
+    stages = {
+        "elimination_ideal": elimination,
+        "plane_factorisation": plane,
+        "annihilating_lines": lines,
+        "angle_analysis": angles,
     }
+    for stage in stages.values():
+        if stage is not None:
+            report.oracle_checks.extend(stage.checks)
+    report.artifacts.update(
+        stages,
+        pipeline=comps,
+        elimination_gb=gb,
+        ab_gb=plane.ab_gb,
+        angle_projection_gb=angles.angle_projection_gb,
+    )
+    if lines is not None:
+        report.artifacts.update(annihilator_gb=lines.annihilator_gb, sphere_gb=lines.sphere_gb)
     return report
 
 
-def _elimination_chain(report, comps, eps, check_appendix):
-    """The main lane: pipeline check, elimination ideal, plane
-    factorisation and, with ``check_appendix``, the annihilating lines."""
-    report.pipeline_polynomials = [c.r_poly.format(_ORD) for c in comps]
+@dataclass(frozen=True)
+class EliminationIdeal:
+    """What the elimination stage derives: its oracle checks in report
+    order, the reduced basis of the elimination ideal over the
+    circulations, and its nine elements in the order of the reference
+    basis."""
+
+    checks: tuple
+    gb: GroebnerBasis
+    ordered_basis: tuple
+
+
+def elimination_ideal(comps):
+    """Check the pipeline output, eliminate r and factor the sixth basis
+    element; see :class:`EliminationIdeal`."""
+    checks = Checks()
     goals = targets.build_products(targets.R_REGISTRY, targets.TRAPEZOID_PIPELINE)
-    report.check(
+    checks.add(
         "pipeline_polynomials",
         all(c.r_poly.primitive(_ORD) == g.primitive(_ORD) for c, g in zip(comps, goals)),
         "three reduced polynomials match the reference forms up to scalars",
     )
 
-    # (ii) elimination ideal over the circulations: nine basis elements
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
-    report.elimination_basis = [p.format(gb.order) for p in gb.polys]
     f_ref = [f.map_to(R_REGISTRY) for f in targets.f_basis(MU)]
     mine = {p.primitive(gb.order) for p in gb.polys}
     theirs = {f.primitive(gb.order) for f in f_ref}
-    exact_match = mine == theirs
-    report.check(
+    checks.add(
         "elimination_basis_exact",
-        exact_match,
+        mine == theirs,
         "computed reduced basis equals the nine reference elements up to scalars",
     )
-    both_ways = all(gb.contains(f) for f in f_ref) and gb.same_ideal_as(f_ref)
-    report.check(
+    checks.add(
         "elimination_ideal_equality",
-        both_ways,
+        all(gb.contains(f) for f in f_ref) and gb.same_ideal_as(f_ref),
         "every reference element reduces to zero and conversely",
     )
     f_mine = _order_like(gb, f_ref)
 
-    # (iii) the sixth element factors as mu4^2 (mu2 - mu4) p1
+    # the sixth element factors as mu4^2 (mu2 - mu4) p1
     p1_r = Poly.parse(R_REGISTRY, targets.P1_QUINTIC)
-    f6 = f_mine[5]
-    quotient = f6.try_divide(Poly.parse(R_REGISTRY, "mu4^2"), _ORD)
+    quotient = f_mine[5].try_divide(Poly.parse(R_REGISTRY, "mu4^2"), _ORD)
     if quotient is not None:
         quotient = quotient.try_divide(Poly.parse(R_REGISTRY, "mu2 - mu4"), _ORD)
-    report.check(
+    checks.add(
         "f6_factorisation",
         quotient is not None and quotient.primitive(_ORD) == p1_r.primitive(_ORD),
         "f6 = mu4^2 (mu2 - mu4) p1 by exact division",
     )
-
-    report.artifacts["pipeline"] = comps
-    report.artifacts["elimination_gb"] = gb
-    plane_data = plane_factorisation(report, eps)
-    report.artifacts["plane_factorisation"] = plane_data
-    conditions = [
-        "mu1 - mu3 with mu2 - mu4 (square family)",
-        "plane families A1, B2, C3 (one angle each)",
-    ]
-    report.conditions = conditions
-
-    if check_appendix:
-        annihilating_lines(report, gb, f_mine, plane_data, eps)
+    return EliminationIdeal(checks=tuple(checks), gb=gb, ordered_basis=tuple(f_mine))
 
 
 def _order_like(gb, reference):
     """My basis elements rearranged to match the reference order (by primitive)."""
-    prim_to_poly = {p.primitive(gb.order).format(_ORD): p for p in gb.polys}
-    out = []
-    for f in reference:
-        key = f.primitive(gb.order).format(_ORD)
-        out.append(prim_to_poly.get(key, f))
-    return out
+    by_primitive = {p.primitive(gb.order): p for p in gb.polys}
+    return [by_primitive.get(f.primitive(gb.order), f) for f in reference]
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +196,26 @@ def _order_like(gb, reference):
 # ---------------------------------------------------------------------------
 
 
-def plane_factorisation(report, eps):
-    """Split the quintic form into three real planes and a PSD quadratic.
+@dataclass(frozen=True)
+class PlaneSplit:
+    """What the plane stage derives: its oracle checks in report order, the
+    plane-coefficient basis in (a, b), enclosures of the b- and a-values of
+    the three real planes a mu2 + b mu3 + mu4, and the float eigenvalues and
+    unit null direction of the quadratic cofactor."""
 
-    Returns certified data shared by later stages: b-root and a-value
-    enclosures, the complex-pair symmetric functions sigma and tau, and the
-    numeric quadratic cofactor.
-    """
+    checks: tuple
+    ab_gb: GroebnerBasis
+    b_intervals: tuple
+    a_intervals: tuple
+    q_eigenvalues: tuple
+    null_direction: tuple
+
+
+def plane_factorisation():
+    """Split the quintic form into three real planes and a PSD quadratic;
+    see :class:`PlaneSplit`.  Reads only the reference values in
+    :mod:`vortexsym.targets`."""
+    checks = Checks()
     # parametric reduction: divide by a*mu2 + b*mu3 + mu4 with mu4 ranked first
     preg = VarRegistry(["mu4", "mu2", "mu3", "a", "b"])
     p1 = Poly.parse(preg, targets.P1_QUINTIC)
@@ -182,28 +225,22 @@ def plane_factorisation(report, eps):
     groups = remainder.coefficients_in(["mu2", "mu3"])
     got = [groups.get((5 - k, k), Poly.zero(preg)) for k in range(6)]
     want = [Poly.parse(preg, t) for t in targets.REMAINDER_COEFFS]
-    report.check(
+    checks.add(
         "parametric_remainder",
         identity_ok and got == want,
         "six remainder coefficients match the reference forms exactly",
     )
 
     # Groebner basis of the coefficient ideal in (a, b), lex a > b
-    coeffs_ab = [g.map_to(AB) for g in got]
-    gb_ab = buchberger(Ideal.of(*coeffs_ab), lex(AB))
-    report.artifacts["ab_gb"] = gb_ab
+    gb_ab = buchberger(Ideal.of(*(g.map_to(AB) for g in got)), lex(AB))
     b_quintic = Poly.parse(AB, targets.B_QUINTIC)
-    contains_quintic = any(
-        p.primitive(gb_ab.order) == b_quintic.primitive(gb_ab.order) for p in gb_ab.polys
-    )
-    second_ok = any(
-        p.primitive(gb_ab.order)
-        == Poly.parse(AB, targets.AB_IDEAL_SECOND).primitive(gb_ab.order)
-        for p in gb_ab.polys
-    )
-    report.check(
+    a_linear = Poly.parse(AB, targets.AB_IDEAL_SECOND)
+    basis = {p.primitive(gb_ab.order) for p in gb_ab.polys}
+    checks.add(
         "ab_ideal_basis",
-        len(gb_ab) == 2 and contains_quintic and second_ok,
+        len(gb_ab) == 2
+        and b_quintic.primitive(gb_ab.order) in basis
+        and a_linear.primitive(gb_ab.order) in basis,
         "basis is the b-quintic and 178a + 578b^4 - 2907b^3 + 1885b^2 - 484b + 434",
     )
 
@@ -214,9 +251,10 @@ def plane_factorisation(report, eps):
     intervals = sturm_isolate(bq)
     for iv in intervals:
         iv.refine(_TIGHT)
-    b_vals = [float(iv.midpoint()) for iv in intervals]
+    b_ivs = tuple(RatInterval(iv.lo, iv.hi) for iv in intervals)
+    b_vals = [float(iv.midpoint()) for iv in b_ivs]
     changes, _ = descartes_positive(bq)
-    report.check(
+    checks.add(
         "b_quintic_roots",
         n_real == 3
         and changes == 5
@@ -227,65 +265,59 @@ def plane_factorisation(report, eps):
         f"Descartes bound {changes}, exactly three positive roots near {targets.B_ROOTS}",
     )
 
-    # a as an exact rational function of b
-    a_of_b = [Fraction(x) for x in _a_relation_coeffs()]
-    a_ivs = [eval_interval(a_of_b, RatInterval(iv.lo, iv.hi)) for iv in intervals]
-    a_vals = [float(iv.midpoint()) for iv in a_ivs]
-    report.check(
+    a_poly = _a_of_b(gb_ab)
+    a_of_b = coeffs_from_poly(a_poly, "b")
+    a_ivs = tuple(eval_interval(a_of_b, iv) for iv in b_ivs)
+    checks.add(
         "a_values",
-        all(abs(a - t) < targets.NUMERIC_TOL for a, t in zip(a_vals, targets.A_ROOTS)),
+        all(
+            abs(float(a.midpoint()) - t) < targets.NUMERIC_TOL
+            for a, t in zip(a_ivs, targets.A_ROOTS)
+        ),
         "a-values (-1.31061, +0.480743, -4.858868); the middle sign is fixed"
         " by the plane mu1 + 0.843716 mu2 + 0.480743 mu3 = 0",
     )
 
-    # exact full-split certificate: the resultant of the quintic and the
-    # generic plane (cleared of denominators) reproduces the quintic form,
-    # so the form is a product of five planes, two of them conjugate complex
+    # exact full-split certificate: the resultant in b of the quintic and
+    # the plane a(b) mu2 + b mu3 + mu4 is 17^4 times the product of the five
+    # planes through its roots, two of them conjugate complex, and so 17^3
+    # times the quintic form
     breg = VarRegistry(["b", "mu2", "mu3", "mu4"])
-    q5 = Poly.parse(breg, "17*b^5 - 98*b^4 + 117*b^3 - 54*b^2 + 22*b - 8")
-    m_plane = (
-        Poly.parse(breg, "-434 + 484*b - 1885*b^2 + 2907*b^3 - 578*b^4")
-        * Poly.variable(breg, "mu2")
-        + 178 * Poly.variable(breg, "b") * Poly.variable(breg, "mu3")
-        + 178 * Poly.variable(breg, "mu4")
-    )
-    res = resultant(q5, m_plane, "b")
-    p1_b = Poly.parse(breg, targets.P1_QUINTIC)
+    m_plane = a_poly.map_to(breg) * Poly.variable(breg, "mu2") + Poly.parse(breg, "b*mu3 + mu4")
+    res = resultant(b_quintic.map_to(breg), m_plane, "b")
     res_content, res_prim = res.content_strip(_ORD)
-    p1_content, p1_prim = p1_b.content_strip(_ORD)
-    split_ok = res_prim == p1_prim and res_content / p1_content == Fraction(
-        17**3 * 178**5
-    )
-    report.check(
+    p1_content, p1_prim = Poly.parse(breg, targets.P1_QUINTIC).content_strip(_ORD)
+    split_ok = res_prim == p1_prim and res_content / p1_content == bq[-1] ** 3
+    checks.add(
         "quintic_full_split",
         split_ok,
         "resultant certificate: the quintic form is 17 times the product of"
         " the five plane factors",
     )
 
-    # symmetric functions of the complex conjugate root pair
+    # symmetric functions of the complex conjugate root pair, by Vieta: the
+    # five roots sum to -bq[4]/bq[5] and multiply to -bq[0]/bq[5]
     sum_real = RatInterval(0)
     prod_real = RatInterval(1)
-    for iv in intervals:
-        sum_real = sum_real + RatInterval(iv.lo, iv.hi)
-        prod_real = prod_real * RatInterval(iv.lo, iv.hi)
-    sigma = RatInterval(Fraction(98, 17)) - sum_real
-    tau = RatInterval(Fraction(8, 17)) / prod_real
+    for iv in b_ivs:
+        sum_real = sum_real + iv
+        prod_real = prod_real * iv
+    sigma = RatInterval(-bq[4] / bq[5]) - sum_real
+    tau = RatInterval(-bq[0] / bq[5]) / prod_real
     im_sq = tau - sigma * sigma / 4
-    psd_ok = n_real == 3 and split_ok and im_sq.is_positive()
-    report.check(
+    checks.add(
         "cofactor_inertia",
-        psd_ok,
+        n_real == 3 and split_ok and im_sq.is_positive(),
         "quadratic cofactor is a product of two independent conjugate planes:"
         " inertia exactly (2, 0, 1)",
     )
 
-    q_matrix, eigen, null_dir = _cofactor_numerics(float(sigma), float(tau))
+    eigen, null_dir = _cofactor_numerics(float(sigma), float(tau), a_of_b)
     eig_ok = all(
         abs(e - t) < 1e-4 for e, t in zip(sorted(eigen, reverse=True), targets.Q_EIGENVALUES)
     )
     dir_ok = _matches_up_to_sign(null_dir, targets.Q_NULL_DIRECTION, 1e-5)
-    report.check(
+    checks.add(
         "cofactor_numerics",
         eig_ok and dir_ok,
         f"eigenvalues {[round(e, 5) for e in sorted(eigen, reverse=True)]},"
@@ -293,10 +325,9 @@ def plane_factorisation(report, eps):
     )
 
     # the vanishing of f1 on the three plane families, certified exactly
-    symbolic_ok = f1_plane_identity_in_ideal(gb_ab)
-    report.check(
+    checks.add(
         "f1_vanishes_on_planes",
-        symbolic_ok,
+        f1_plane_identity_in_ideal(gb_ab),
         "f1 restricted to (alpha mu2 + beta mu3, mu2, mu3, beta mu2 + alpha mu3)"
         " is (mu2^2 - mu3^2)(alpha^2 + beta - beta^2), and alpha^2 + beta -"
         " beta^2 lies in the plane-coefficient ideal",
@@ -307,62 +338,43 @@ def plane_factorisation(report, eps):
     ell2 = [-x for x in null_dir]  # (0.264487, 0.099719, 0.959220) reversed order
     w = (ell2[2], ell2[1], ell2[0], -0.0997192)
     f1_at_w = w[0] ** 2 - w[0] * w[2] + w[1] * w[3] - w[3] ** 2
-    report.check(
+    checks.add(
         "f1_negative_controls",
         generic_fails and abs(f1_at_w) > 1e-3,
         "a generic plane fails, and the cofactor kernel line with its fourth"
         " coordinate appended misses the f1 variety",
     )
 
-    return {
-        "b_intervals": intervals,
-        "a_intervals": a_ivs,
-        "gb_ab": gb_ab,
-        "sigma": sigma,
-        "tau": tau,
-        "q_matrix": q_matrix,
-        "q_eigenvalues": eigen,
-        "q_null_direction": null_dir,
-    }
+    return PlaneSplit(
+        checks=tuple(checks),
+        ab_gb=gb_ab,
+        b_intervals=b_ivs,
+        a_intervals=a_ivs,
+        q_eigenvalues=tuple(eigen),
+        null_direction=tuple(null_dir),
+    )
 
 
-def _a_relation_coeffs():
-    # 178 a + 434 - 484 b + 1885 b^2 - 2907 b^3 + 578 b^4 = 0
-    return [
-        Fraction(-434, 178),
-        Fraction(484, 178),
-        Fraction(-1885, 178),
-        Fraction(2907, 178),
-        Fraction(-578, 178),
-    ]
+def _a_of_b(gb_ab):
+    """a as a polynomial in b, read from the element of the plane-coefficient
+    basis that is linear in a with a constant coefficient."""
+    for p in gb_ab.polys:
+        groups = p.coefficients_in(["a"])
+        if set(groups) == {(0,), (1,)} and groups[(1,)].is_constant():
+            (lead,) = groups[(1,)].terms.values()
+            return -1 * groups[(0,)] / lead
+    raise IdealShapeError("no element of the plane-coefficient basis gives a as a polynomial in b")
 
 
-def a_from_b(b):
-    """Exact rational a-value of the plane through a given rational b."""
-    coeffs = _a_relation_coeffs()
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * b + c
-    return acc
-
-
-def _cofactor_numerics(sigma, tau):
+def _cofactor_numerics(sigma, tau, a_of_b):
     """Numeric quadratic cofactor from the conjugate pair b4, b5.
 
     q = (a(b4) mu2 + b4 mu3 + mu4)(a(b5) mu2 + b5 mu3 + mu4) with
-    b4 + b5 = sigma, b4 b5 = tau; returns (matrix, eigenvalues, unit kernel).
+    b4 + b5 = sigma, b4 b5 = tau; returns (eigenvalues, unit kernel).
     """
     im = math.sqrt(tau - sigma * sigma / 4)
     b4 = complex(sigma / 2, im)
-    coeffs = [float(c) for c in _a_relation_coeffs()]
-
-    def a_of(b):
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * b + c
-        return acc
-
-    alpha = a_of(b4)
+    alpha = eval_at([float(c) for c in a_of_b], b4)
     q22 = (alpha * alpha.conjugate()).real
     q23 = 2 * (alpha * b4.conjugate()).real
     q24 = 2 * alpha.real
@@ -377,8 +389,7 @@ def _cofactor_numerics(sigma, tau):
     k = min(range(3), key=lambda i: abs(eigen[i]))
     null = vectors[k]
     norm = math.sqrt(sum(x * x for x in null))
-    null = [x / norm for x in null]
-    return rows, eigen, null
+    return eigen, [x / norm for x in null]
 
 
 def _jacobi_eigen(rows, sweeps=30):
@@ -438,7 +449,7 @@ def f1_plane_identity_in_ideal(gb_ab):
     return shape_ok and member
 
 
-def check_f1_on_plane(alpha, beta, gb_ab=None, tighten=None):
+def check_f1_on_plane(alpha, beta, gb_ab=None):
     """Does f1 vanish identically on the plane family given by (alpha, beta)?
 
     Accepts exact numbers or (lo, hi) enclosures.  The restriction of f1 is
@@ -455,9 +466,7 @@ def check_f1_on_plane(alpha, beta, gb_ab=None, tighten=None):
     if key.lo == key.hi == 0:
         return True
     if gb_ab is not None:
-        reg = AB
-        key_poly = Poly.parse(reg, "b^2 - a - a^2")
-        return normal_form(key_poly, gb_ab).is_zero()
+        return normal_form(Poly.parse(AB, "b^2 - a - a^2"), gb_ab).is_zero()
     raise InconclusiveEnclosureError(
         "enclosure of alpha^2 + beta - beta^2 straddles zero; tighten it or"
         " supply the plane-coefficient ideal"
@@ -467,11 +476,7 @@ def check_f1_on_plane(alpha, beta, gb_ab=None, tighten=None):
 def _to_interval(x):
     if isinstance(x, RatInterval):
         return x
-    if isinstance(x, tuple):
-        return RatInterval(Fraction(x[0]), Fraction(x[1]))
-    if isinstance(x, float):
-        return RatInterval(Fraction(x))
-    return RatInterval(Fraction(x))
+    return RatInterval(*x) if isinstance(x, tuple) else RatInterval(x)
 
 
 def _matches_up_to_sign(vec, target, tol):
@@ -485,12 +490,40 @@ def _matches_up_to_sign(vec, target, tol):
 # ---------------------------------------------------------------------------
 
 
-def annihilating_lines(report, gb, f_mine, plane_data, eps):
-    """Extract the mu1-linear coefficients, count and reconstruct the lines."""
-    linear_members = [f_mine[i] for i in (1, 2, 3, 4, 6, 7, 8)]
+@dataclass(frozen=True)
+class AnnihilatingLine:
+    """One certified real annihilating line: enclosures of its direction
+    (mu2, mu3, mu4), its case label ("mu4=0" for the lines of the binary
+    slice, None for the affine ones until ``_match_table`` classifies
+    them), and for an affine line the lex basis of the mu4 = 1 slice it
+    solves, whose mu3 root it encloses in ``direction[1]``."""
+
+    direction: tuple
+    case: str | None
+    slice_gb: GroebnerBasis | None = None
+
+
+@dataclass(frozen=True)
+class AnnihilatingLines:
+    """What the line stage derives: its oracle checks in report order, the
+    annihilator basis, the basis with the unit sphere added, and the
+    reconstructed lines."""
+
+    checks: tuple
+    annihilator_gb: GroebnerBasis
+    sphere_gb: GroebnerBasis
+    lines: tuple
+
+
+def annihilating_lines(ordered_basis, plane):
+    """Extract the mu1-linear coefficients of the elimination basis (in
+    reference order), count and reconstruct the lines, and match them with
+    the reference table using the planes of ``plane`` (a
+    :class:`PlaneSplit`); see :class:`AnnihilatingLines`."""
+    checks = Checks()
     c_polys = []
     linear_ok = True
-    for f in linear_members:
+    for f in (ordered_basis[i] for i in (1, 2, 3, 4, 6, 7, 8)):
         groups = f.coefficients_in(["mu1"])
         if set(groups) - {(0,), (1,)}:
             linear_ok = False
@@ -498,7 +531,7 @@ def annihilating_lines(report, gb, f_mine, plane_data, eps):
         c_polys.append(groups[(1,)].map_to(ANNI))
         c_polys.append(groups[(0,)].map_to(ANNI))
     want = [Poly.parse(ANNI, t) for t in targets.C_POLYS]
-    report.check(
+    checks.add(
         "linear_coefficients",
         linear_ok
         and len(c_polys) == 14
@@ -508,12 +541,11 @@ def annihilating_lines(report, gb, f_mine, plane_data, eps):
 
     p1 = Poly.parse(ANNI, targets.P1_QUINTIC)
     gb_anni = buchberger(Ideal.of(*(c_polys + [p1])), GrevLex())
-    report.artifacts["annihilator_gb"] = gb_anni
     mine = {p.primitive(gb_anni.order) for p in gb_anni.polys}
     want_basis = {
         Poly.parse(ANNI, t).primitive(gb_anni.order) for t in targets.ANNIHILATOR_BASIS
     }
-    report.check(
+    checks.add(
         "annihilator_basis",
         mine == want_basis,
         "reduced six-element basis matches the reference forms",
@@ -521,32 +553,30 @@ def annihilating_lines(report, gb, f_mine, plane_data, eps):
 
     sphere = Poly.parse(ANNI, "mu2^2 + mu3^2 + mu4^2 - 1")
     gb_sphere = buchberger(Ideal.of(*(list(gb_anni.polys) + [sphere])), GrevLex())
-    report.artifacts["sphere_gb"] = gb_sphere
     qb = standard_monomials(gb_sphere)
-    h = hermite_matrix(gb_sphere, qb)
-    n_pos, n_neg, n_zero = inertia(h)
+    n_pos, n_neg, _ = inertia(hermite_matrix(gb_sphere, qb))
     signature = n_pos - n_neg
     rank = n_pos + n_neg
-    report.check(
+    checks.add(
         "hermite_signature",
         qb.finite and signature == 20,
         f"signature {signature}, rank {rank}, quotient dimension {len(qb)}:"
         f" twenty real sphere points, ten annihilating lines",
     )
 
-    lines = _reconstruct_lines(gb_anni.polys, eps)
-    count_ok = 2 * len(lines) == signature
-    report.check(
+    lines = _reconstruct_lines(gb_anni.polys)
+    checks.add(
         "line_count",
-        count_ok,
+        2 * len(lines) == signature,
         f"{len(lines)} certified real lines, matching the signature",
     )
+    checks.add("table_of_lines", *_match_table(lines, plane))
+    return AnnihilatingLines(
+        checks=tuple(checks), annihilator_gb=gb_anni, sphere_gb=gb_sphere, lines=tuple(lines)
+    )
 
-    table_ok, details = _match_table(lines, plane_data)
-    report.check("table_of_lines", table_ok, details)
 
-
-def _reconstruct_lines(anni_polys, eps):
+def _reconstruct_lines(anni_polys):
     """Certified direction enclosures for the real annihilating lines.
 
     Lines with mu4 = 0 come from the binary-quintic slice; the rest are the
@@ -565,25 +595,18 @@ def _reconstruct_lines(anni_polys, eps):
     gcd_poly = slice0[0]
     for q in slice0[1:]:
         gcd_poly = _bivariate_gcd_binary(gcd_poly, q)
-    t_reg = VarRegistry(["t"])
-    dehom = Poly(
-        t_reg,
-        {
-            (m[0],): c
-            for m, c in gcd_poly.terms.items()
-        },
-    )
+    dehom = _dehomogenise(gcd_poly)
     # no degree drop: a pure mu2 power survives, so mu3 = 0 is not a line of
     # the slice and dehomogenising by mu3 loses nothing
-    if dehom.total_degree() != gcd_poly.total_degree():
+    if len(dehom) - 1 != gcd_poly.total_degree():
         raise IdealShapeError("dehomogenising the mu4 = 0 slice by mu3 drops its degree")
-    for iv in sturm_isolate(coeffs_from_poly(dehom, "t")):
+    for iv in sturm_isolate(dehom):
         iv.refine(Fraction(1, 10**18))
         lines.append(
-            {
-                "direction": (RatInterval(iv.lo, iv.hi), RatInterval(1), RatInterval(0)),
-                "case": "mu4=0",
-            }
+            AnnihilatingLine(
+                direction=(RatInterval(iv.lo, iv.hi), RatInterval(1), RatInterval(0)),
+                case="mu4=0",
+            )
         )
 
     # mu4 = 1 slice: zero-dimensional, triangular in lex mu2 > mu3
@@ -615,12 +638,7 @@ def _reconstruct_lines(anni_polys, eps):
             denom = eval_interval(a_poly, window)
         mu2_iv = -1 * eval_interval(b_poly, window) / denom
         lines.append(
-            {
-                "direction": (mu2_iv, window, RatInterval(1)),
-                "case": None,
-                "mu3_interval": iv,
-                "slice_gb": gb1,
-            }
+            AnnihilatingLine(direction=(mu2_iv, window, RatInterval(1)), case=None, slice_gb=gb1)
         )
     return lines
 
@@ -635,40 +653,33 @@ def _vanishes_in(coeffs, iv):
     return iv.lo < iv.hi and SturmSequence(sf).count_open(iv.lo, iv.hi) > 0
 
 
+def _dehomogenise(form):
+    """Ascending coefficients of f(t, 1) for a binary form f(mu2, mu3)."""
+    coeffs = [Fraction(0)] * (form.degree_in("mu2") + 1)
+    for m, c in form.terms.items():
+        coeffs[m[0]] += c
+    return coeffs
+
+
 def _bivariate_gcd_binary(p, q):
     """gcd of two binary forms in (mu2, mu3), via univariate dehomogenisation."""
-    reg = p.registry
-    t_reg = VarRegistry(["t"])
-
-    def dehom(f):
-        # f(mu2, mu3) -> f(t, 1) plus bookkeeping for the mu3-power content
-        terms = {}
-        for m, c in f.terms.items():
-            terms[(m[0],)] = terms.get((m[0],), Fraction(0)) + c
-        return Poly(t_reg, terms)
-
-    a = coeffs_from_poly(dehom(p), "t")
-    b = coeffs_from_poly(dehom(q), "t")
-    g = poly_gcd(a, b)
+    g = poly_gcd(_dehomogenise(p), _dehomogenise(q))
     # rehomogenise to the common total degree of contributing factors
     deg = len(g) - 1
-    terms = {}
-    for k, c in enumerate(g):
-        if c:
-            terms[(k, deg - k)] = c
-    return Poly(reg, terms)
+    return Poly(p.registry, {(k, deg - k): c for k, c in enumerate(g) if c})
 
 
-def _match_table(lines, plane_data):
-    """Normalise, classify, and compare the ten lines with the reference table."""
+def _match_table(lines, plane):
+    """Normalise, classify, and compare the ten lines with the reference
+    table, matched bijectively up to overall sign: (ok, detail)."""
     if len(lines) != len(targets.TABLE_LINES):
         return False, f"expected {len(targets.TABLE_LINES)} lines, found {len(lines)}"
 
     # classification helpers from the plane-splitting data
-    null_dir = plane_data["q_null_direction"]
-    plane_ab = []
-    for b_iv, a_iv in zip(plane_data["b_intervals"], plane_data["a_intervals"]):
-        plane_ab.append((float(a_iv.midpoint()), float(b_iv.midpoint())))
+    plane_ab = [
+        (float(a_iv.midpoint()), float(b_iv.midpoint()))
+        for b_iv, a_iv in zip(plane.b_intervals, plane.a_intervals)
+    ]
     intersections = []
     for i in range(3):
         for j in range(i + 1, 3):
@@ -682,78 +693,75 @@ def _match_table(lines, plane_data):
             norm = math.sqrt(sum(x * x for x in cross))
             intersections.append(tuple(x / norm for x in cross))
 
-    rows = []
+    used = set()
     for line in lines:
-        d = line["direction"]
-        norm_sq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-        norm = norm_sq.sqrt()
+        d = line.direction
+        norm = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt()
         unit = tuple(x / norm for x in d)
         unit_f = tuple(float(x) for x in unit)
         disc_iv = d[1] * d[1] - 4 * d[0] * d[2] + 4 * d[2] * d[2]
         if disc_iv.is_positive():
-            disc_sign = True
+            disc_positive = True
         elif disc_iv.is_negative():
-            disc_sign = False
+            disc_positive = False
         else:
             return False, "discriminant enclosure is not sign-definite"
         mu1_values = []
-        if disc_sign:
+        if disc_positive:
             disc_unit = unit[1] * unit[1] - 4 * unit[0] * unit[2] + 4 * unit[2] * unit[2]
             root = disc_unit.sqrt()
             for sign in (1, -1):
                 mu1_values.append(float((unit[1] + sign * root) / 2))
-        case = line["case"]
+        case = line.case
         if case is None:
-            case = _classify(line, unit_f, null_dir, intersections)
+            case = _classify(line, unit_f, plane.null_direction, intersections)
             if case is None:
                 return False, f"line {unit_f} could not be classified"
-        rows.append({"unit": unit_f, "disc": disc_sign, "mu1": mu1_values, "case": case})
 
-    # bijective matching against the reference rows, up to overall sign
-    used = set()
-    for row in rows:
         best = None
         for idx, ref in enumerate(targets.TABLE_LINES):
             if idx in used:
                 continue
             for flip in (1, -1):
-                dist = max(
-                    abs(a - flip * b) for a, b in zip(row["unit"], ref["u"])
-                )
+                dist = max(abs(a - flip * b) for a, b in zip(unit_f, ref["u"]))
                 if dist < targets.NUMERIC_TOL:
                     best = (idx, flip)
                     break
             if best:
                 break
         if not best:
-            return False, f"no reference row within tolerance of {row['unit']}"
+            return False, f"no reference row within tolerance of {unit_f}"
         idx, flip = best
         used.add(idx)
         ref = targets.TABLE_LINES[idx]
-        if row["disc"] != ref["disc_positive"]:
-            return False, f"discriminant sign mismatch on row {idx + 1}"
+        if disc_positive != ref["disc_positive"]:
+            return False, (
+                f"discriminant sign mismatch on row {idx + 1}: expected"
+                f" {_sign_word(ref['disc_positive'])}, derived {_sign_word(disc_positive)}"
+            )
         if ref["mu1"]:
-            got = sorted(row["mu1"])
+            got = sorted(mu1_values)
             want = sorted(flip * x for x in ref["mu1"])
             if max(abs(a - b) for a, b in zip(got, want)) > targets.NUMERIC_TOL:
-                return False, f"mu1 values mismatch on row {idx + 1}"
-        ref_case = ref["case"]
-        if ref_case == "null-line":
-            ref_case_match = row["case"] == "null-line"
-        else:
-            ref_case_match = row["case"] == ref_case
-        if not ref_case_match:
-            return False, f"case mismatch on row {idx + 1}: {row['case']} vs {ref_case}"
+                return False, (
+                    f"mu1 values mismatch on row {idx + 1}: expected {want},"
+                    f" derived {[round(x, 6) for x in got]}"
+                )
+        if case != ref["case"]:
+            return False, f"case mismatch on row {idx + 1}: {case} vs {ref['case']}"
     return True, "ten unit lines, discriminant signs, mu1 roots, and cases all match"
+
+
+def _sign_word(positive):
+    return "positive" if positive else "negative"
 
 
 def _classify(line, unit_f, null_dir, intersections):
     """Label an affine line: equal pair, cofactor kernel, or plane crossing."""
     # exact mu2 = mu4 test: the constrained slice must vanish at this mu3 root
-    gb1 = line["slice_gb"]
-    iv = line["mu3_interval"]
+    window = line.direction[1]
     constrained = []
-    for p in gb1.polys:
+    for p in line.slice_gb.polys:
         q = p.subs({"mu2": Fraction(1)})
         if not q.is_zero():
             constrained.append(coeffs_from_poly(q, "mu3"))
@@ -761,9 +769,8 @@ def _classify(line, unit_f, null_dir, intersections):
     for other in constrained[1:]:
         g = poly_gcd(g, other)
     if len(g) > 1 and any(
-        root.lo <= iv.hi and iv.lo <= root.hi for root in sturm_isolate(g)
+        root.lo <= window.hi and window.lo <= root.hi for root in sturm_isolate(g)
     ):
-        window = RatInterval(iv.lo, iv.hi)
         if eval_interval(g, window).contains(0):
             return "mu2=mu4"
     if _matches_up_to_sign(unit_f, null_dir, 1e-6):
@@ -793,15 +800,11 @@ class AngleAnalysis:
 
 def angle_analysis(comps, eps):
     """The angle stage, from the pipeline output alone; see :class:`AngleAnalysis`."""
-    checks = []
-
-    def check(name, ok, detail):
-        checks.append(OracleCheck.of(name, ok, detail))
-
+    checks = Checks()
     ideal = Ideal.of(*([c.r_poly for c in comps] + [Poly.parse(R_REGISTRY, targets.P1_QUINTIC)]))
     gb_vt = eliminate(ideal, ["mu2", "mu4"], inner_names=["r", "mu1", "mu3"])
     reference = [p.map_to(R_REGISTRY) for p in targets.valid_theta_basis()]
-    check(
+    checks.add(
         "angle_projection_ideal",
         gb_vt.same_ideal_as(reference),
         "projection ideal onto (r, mu1, mu3) matches the reference basis",
@@ -816,7 +819,7 @@ def angle_analysis(comps, eps):
             g_mine = q
             break
     g_ref = Poly.parse(R_REGISTRY, targets.G_OF_R)
-    check(
+    checks.add(
         "angle_polynomial",
         g_mine is not None and g_mine.primitive(_ORD) == g_ref.primitive(_ORD),
         "mu1^2 (mu1 - mu3) g(r) appears in the projection basis",
@@ -841,7 +844,7 @@ def angle_analysis(comps, eps):
     want_r = sorted(row["r"] for row in targets.ANGLE_TABLE)
     theta_mags = sorted({round(abs(r.theta2), 6) for r in roots})
     want_theta = sorted(row["theta2"] for row in targets.ANGLE_TABLE)
-    check(
+    checks.add(
         "angle_roots",
         len(roots) == 6
         and all(abs(a - b) < targets.NUMERIC_TOL for a, b in zip(r_mags, want_r))
@@ -849,7 +852,7 @@ def angle_analysis(comps, eps):
         f"six real radii {r_mags} with angles {theta_mags}",
     )
 
-    check("plane_pairing", *_plane_pairing(comps, g_ref, intervals))
+    checks.add("plane_pairing", *_plane_pairing(comps, g_ref, intervals))
 
     chosen = true_trapezoid_roots(g_coeffs, intervals)
     if chosen is None:
@@ -863,7 +866,7 @@ def angle_analysis(comps, eps):
             if true_angles
             else "no angle below 2*pi/3"
         )
-    check("unique_true_trapezoid", unique, detail)
+    checks.add("unique_true_trapezoid", unique, detail)
     return AngleAnalysis(
         checks=tuple(checks),
         angle_projection_gb=gb_vt,
@@ -946,20 +949,18 @@ def _plane_pairing(comps, g_ref, g_intervals):
         return False, "resultant certificates failed"
 
     # membership: the first two pipeline polynomials vanish on the plane family
-    big = VarRegistry(["r", "a", "b", "mu2", "mu3"])
-    g_big = g_ref.map_to(big)
+    big = VarRegistry(["r", "a", "b", "mu1", "mu2", "mu3", "mu4"])
+    a, b = Poly.variable(big, "a"), Poly.variable(big, "b")
     t_star = [
-        g_big,
-        A.map_to(big) * Poly.variable(big, "b") - B.map_to(big),
-        A.map_to(big) * Poly.variable(big, "a") - C.map_to(big),
+        g_ref.map_to(big),
+        A.map_to(big) * b - B.map_to(big),
+        A.map_to(big) * a - C.map_to(big),
     ]
     gb_t = buchberger(Ideal.of(*t_star), GrevLex())
-    mu2 = Poly.variable(big, "mu2")
-    mu3 = Poly.variable(big, "mu3")
-    sub_mu1 = -1 * Poly.variable(big, "b") * mu2 - Poly.variable(big, "a") * mu3
-    sub_mu4 = -1 * Poly.variable(big, "a") * mu2 - Poly.variable(big, "b") * mu3
+    mu2, mu3 = Poly.variable(big, "mu2"), Poly.variable(big, "mu3")
+    on_plane = {"mu1": -b * mu2 - a * mu3, "mu4": -a * mu2 - b * mu3}
     for comp in comps[:2]:
-        image = _substitute_plane(comp.r_poly, big, sub_mu1, sub_mu4)
+        image = comp.r_poly.map_to(big).subs(on_plane)
         for coefficient in image.coefficients_in(["mu2", "mu3"]).values():
             if not normal_form(coefficient, gb_t).is_zero():
                 return False, f"component {comp.index} does not vanish on the family"
@@ -985,8 +986,12 @@ def _plane_pairing(comps, g_ref, g_intervals):
             return False, f"no plane family matches b = {float(b_val.midpoint()):.6f}"
         c_val = eval_interval([c.midpoint() for c in c_int], window) / a_val
         fam = targets.PLANE_FAMILIES[matched]
-        if abs(float(c_val.midpoint()) - fam["a"]) > targets.NUMERIC_TOL:
-            return False, f"a-coefficient mismatch for family {matched}"
+        derived = float(c_val.midpoint())
+        if abs(derived - fam["a"]) > targets.NUMERIC_TOL:
+            return False, (
+                f"a-coefficient mismatch for family {matched}: expected {fam['a']},"
+                f" derived {derived:.6f}"
+            )
         assignments[round(float(iv.midpoint()), 6)] = matched
     want = {row["r"]: row["plane"] for row in targets.ANGLE_TABLE}
     for r_val, plane in want.items():
@@ -994,22 +999,3 @@ def _plane_pairing(comps, g_ref, g_intervals):
         if abs(key - r_val) > targets.NUMERIC_TOL or assignments[key] != plane:
             return False, f"radius {r_val} did not pair with plane {plane}"
     return True, "each radius pairs with its plane family, certified exactly"
-
-
-def _substitute_plane(p, big, sub_mu1, sub_mu4):
-    out = Poly.zero(big)
-    names = p.registry.names
-    for mono, coeff in p.terms.items():
-        term = Poly.constant(big, coeff)
-        for idx, e in enumerate(mono):
-            if not e:
-                continue
-            name = names[idx]
-            if name == "mu1":
-                term = term * sub_mu1**e
-            elif name == "mu4":
-                term = term * sub_mu4**e
-            else:
-                term = term * Poly.variable(big, name, e)
-        out = out + term
-    return out

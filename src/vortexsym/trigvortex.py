@@ -420,10 +420,8 @@ class PipelineComponent:
 
     index: int
     trig: TrigRational
-    trig_stripped: Poly
     trig_factors: list
     clear_power: int
-    r_raw: Poly
     r_factors: list
     content: Fraction
     r_poly: Poly
@@ -466,10 +464,8 @@ def reduce_component(i, scenario):
     return PipelineComponent(
         index=i,
         trig=trig,
-        trig_stripped=core,
         trig_factors=trig_factors,
         clear_power=clear,
-        r_raw=raw,
         r_factors=r_factors,
         content=content,
         r_poly=canonical,

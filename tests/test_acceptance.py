@@ -135,9 +135,9 @@ def test_criterion_05_plane_division(trapezoid_report):
     assert any(
         p.primitive(gb_ab.order) == quintic.primitive(gb_ab.order) for p in gb_ab.polys
     )
-    lemma = trapezoid_report.artifacts["plane_factorisation"]
-    b_vals = sorted(float(iv.midpoint()) for iv in lemma["b_intervals"])
-    a_vals = [float(iv.midpoint()) for iv in lemma["a_intervals"]]
+    plane = trapezoid_report.artifacts["plane_factorisation"]
+    b_vals = sorted(float(iv.midpoint()) for iv in plane.b_intervals)
+    a_vals = [float(iv.midpoint()) for iv in plane.a_intervals]
     for got, want in zip(b_vals, targets.B_ROOTS):
         assert abs(got - want) < TOL
     for got, want in zip(a_vals, targets.A_ROOTS):
@@ -151,11 +151,11 @@ def test_criterion_05_plane_division(trapezoid_report):
 
 def test_criterion_06_quadratic_cofactor(trapezoid_report):
     assert _status(trapezoid_report, "cofactor_inertia") == "pass"
-    lemma = trapezoid_report.artifacts["plane_factorisation"]
-    eigen = sorted(lemma["q_eigenvalues"], reverse=True)
+    plane = trapezoid_report.artifacts["plane_factorisation"]
+    eigen = sorted(plane.q_eigenvalues, reverse=True)
     for got, want in zip(eigen, targets.Q_EIGENVALUES):
         assert abs(got - want) < 1e-4
-    null = lemma["q_null_direction"]
+    null = plane.null_direction
     direct = max(abs(a - b) for a, b in zip(null, targets.Q_NULL_DIRECTION))
     flipped = max(abs(a + b) for a, b in zip(null, targets.Q_NULL_DIRECTION))
     assert min(direct, flipped) < 1e-5

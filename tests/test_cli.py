@@ -12,6 +12,7 @@ from vortexsym.trigvortex import Configuration
 
 
 GOLDEN = Path(__file__).parent / "golden" / "all_check_appendix.json"
+TRAPEZOID_GOLDEN = Path(__file__).parent / "golden" / "trapezoid.json"
 
 
 def run_cli(argv, capsys):
@@ -197,3 +198,13 @@ def test_all_report_matches_golden_file(
     }
     document = {"scenarios": [reports[name].to_document() for name in cli.SCENARIO_ORDER]}
     assert cli.render_json(document) == GOLDEN.read_text()
+
+
+def test_trapezoid_report_without_appendix_matches_golden_file(tmp_path, capsys):
+    # ``vortexsym trapezoid --json`` runs without the appendix checks, the
+    # path that skips the annihilating lines
+    path = tmp_path / "trapezoid.json"
+    code, out, _ = run_cli(["trapezoid", "--json", str(path)], capsys)
+    assert code == 0
+    assert "table_of_lines" not in out
+    assert path.read_text() == TRAPEZOID_GOLDEN.read_text()

@@ -1,6 +1,8 @@
 """Scenario drivers: oracle outcomes, report structure, and property suites."""
 
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,16 +21,17 @@ from vortexsym.scenarios import (
 )
 from vortexsym.scenarios import kite
 from vortexsym.scenarios.kite import count_configurations
-from vortexsym.scenarios.report import ScenarioReport
 from vortexsym.scenarios.trapezoid import (
     IdealShapeError,
     InconclusiveEnclosureError,
+    _match_table,
+    _plane_pairing,
     _reconstruct_lines,
-    a_from_b,
     f1_plane_identity_in_ideal,
+    plane_factorisation,
     true_trapezoid_roots,
 )
-from vortexsym.trigvortex import KITE, pipeline
+from vortexsym.trigvortex import KITE, R_REGISTRY, pipeline
 
 _ORD = GrevLex()
 
@@ -113,15 +116,14 @@ class TestKite:
         window = kite._stability_window(one, one, Poly.parse(treg, "1/8 - t^2"), kite._EPS)
         assert window["upper_exact"] is None
         monkeypatch.setattr(kite, "_stability_window", lambda *args: window)
-        report = ScenarioReport(scenario="kite")
-        special = kite.special_angle_analysis(report, pipeline(KITE), kite._EPS)
-        check = checks_by_name(report)["stability_window"]
+        special = kite.special_angle_analysis(pipeline(KITE), kite._EPS)
+        check = {c.name: c for c in special.checks}["stability_window"]
         assert check.status == "fail"
         assert "expected mu1/mu3 in [-0.335544, -1/3)" in check.detail
         assert "derived lower end -0.353553" in check.detail
         upper = window["upper_interval"]
         assert f"[{upper.lo.numerator}/{upper.lo.denominator}," in check.detail
-        assert special["window"] is None
+        assert special.summary["window"] is None
 
     def test_endpoint_inclusion_is_decided_exactly(self):
         # lam2 = S = 1 and P = (1 + t)/4: all three eigenvalues are positive
@@ -138,13 +140,12 @@ class TestKite:
 
     def test_missing_stability_window_fails_its_check(self, monkeypatch):
         monkeypatch.setattr(kite, "_stability_window", lambda *args: None)
-        report = ScenarioReport(scenario="kite")
-        special = kite.special_angle_analysis(report, pipeline(KITE), kite._EPS)
-        check = checks_by_name(report)["stability_window"]
+        special = kite.special_angle_analysis(pipeline(KITE), kite._EPS)
+        check = {c.name: c for c in special.checks}["stability_window"]
         assert check.status == "fail"
         assert "expected mu1/mu3 in [-0.335544, -1/3)" in check.detail
         assert "derived no bounded stable gap" in check.detail
-        assert special["window"] is None
+        assert special.summary["window"] is None
 
     def test_requires_matching_pair(self):
         with pytest.raises(ValueError):
@@ -284,7 +285,93 @@ class TestTrapezoid:
             for t in ("mu3^2 - mu3*mu4", "mu2*mu3", "mu2^2 - 3*mu2*mu4 - 2*mu3*mu4 + 2*mu4^2")
         ]
         with pytest.raises(IdealShapeError):
-            _reconstruct_lines(slice_polys, Fraction(1, 10**9))
+            _reconstruct_lines(slice_polys)
+
+
+TRAPEZOID_STAGES = ("elimination_ideal", "plane_factorisation", "annihilating_lines", "angle_analysis")
+
+
+def _frozen(result):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.checks = ()
+    return True
+
+
+class TestStages:
+    """Each stage is a pure function whose frozen result carries its checks;
+    the drivers only append them."""
+
+    def test_trapezoid_report_is_its_stages_checks_in_order(self, trapezoid_report):
+        stages = [trapezoid_report.artifacts[name] for name in TRAPEZOID_STAGES]
+        assert trapezoid_report.oracle_checks == [c for stage in stages for c in stage.checks]
+
+    def test_plane_factorisation_matches_the_report(self, trapezoid_report):
+        plane = plane_factorisation()
+        assert _frozen(plane)
+        names = {c.name for c in plane.checks}
+        assert len(names) == len(plane.checks) == 9
+        assert list(plane.checks) == [
+            c for c in trapezoid_report.oracle_checks if c.name in names
+        ]
+
+    def test_special_angle_analysis_matches_the_report(self, kite_report):
+        special = kite.special_angle_analysis(pipeline(KITE), kite._EPS)
+        assert _frozen(special)
+        assert [c.name for c in special.checks] == [
+            "special_angle_gradient",
+            "special_angle_conditions",
+            "special_angle_weighted_spectrum",
+            "stability_window",
+        ]
+        assert list(special.checks) == kite_report.oracle_checks[-4:]
+        assert special.summary == kite_report.stability["special_angle"]
+
+    def test_trapezoid_stage_results_survive_pickling(self, trapezoid_report):
+        # the stages must stay forkable: their results cross a pipe pickled
+        for name in TRAPEZOID_STAGES:
+            stage = trapezoid_report.artifacts[name]
+            assert _frozen(stage)
+            copy = pickle.loads(pickle.dumps(stage, pickle.HIGHEST_PROTOCOL))
+            assert type(copy) is type(stage)
+            assert copy.checks == stage.checks
+
+    def test_table_of_lines_failures_show_expected_and_derived(
+        self, trapezoid_report, monkeypatch
+    ):
+        lines = trapezoid_report.artifacts["annihilating_lines"].lines
+        plane = trapezoid_report.artifacts["plane_factorisation"]
+        assert _match_table(lines, plane)[0]
+        rows = list(targets.TABLE_LINES)
+        # row 2 is the mu4 = 0 line (0.437709, 0.899117, 0)
+        monkeypatch.setattr(
+            targets, "TABLE_LINES", tuple(rows[:1] + [{**rows[1], "mu1": (0.9, 0.0)}] + rows[2:])
+        )
+        ok, detail = _match_table(lines, plane)
+        assert not ok
+        assert detail.startswith("mu1 values mismatch on row 2: expected")
+        assert "0.9" in detail and "0.899117" in detail
+        monkeypatch.setattr(
+            targets, "TABLE_LINES", tuple(rows[:1] + [{**rows[1], "disc_positive": False}] + rows[2:])
+        )
+        ok, detail = _match_table(lines, plane)
+        assert not ok
+        assert detail == "discriminant sign mismatch on row 2: expected negative, derived positive"
+
+    def test_plane_pairing_failure_shows_expected_and_derived(
+        self, trapezoid_report, monkeypatch
+    ):
+        comps = trapezoid_report.artifacts["pipeline"]
+        g_ref = Poly.parse(R_REGISTRY, targets.G_OF_R)
+        intervals = sturm_isolate(coeffs_from_poly(g_ref, "r"))
+        for iv in intervals:
+            iv.refine(Fraction(1, 10**9))
+        assert _plane_pairing(comps, g_ref, intervals)[0]
+        families = dict(targets.PLANE_FAMILIES)
+        families["B2"] = {**families["B2"], "a": 0.5}
+        monkeypatch.setattr(targets, "PLANE_FAMILIES", families)
+        ok, detail = _plane_pairing(comps, g_ref, intervals)
+        assert not ok
+        assert detail == "a-coefficient mismatch for family B2: expected 0.5, derived 0.480743"
 
 
 @pytest.fixture(scope="module")
@@ -323,15 +410,10 @@ class TestPlaneChecks:
 
     def test_plane_enclosures_pass(self, gb_ab):
         # each computed plane family satisfies the vanishing certificate
-        quint = coeffs_from_poly(Poly.parse(targets.AB_REGISTRY, targets.B_QUINTIC), "b")
-        for iv in sturm_isolate(quint):
-            iv.refine(Fraction(1, 10**12))
-            b_iv = RatInterval(iv.lo, iv.hi)
-            a_lo, a_hi = a_from_b(iv.lo), a_from_b(iv.hi)
-            a_iv = RatInterval(min(a_lo, a_hi), max(a_lo, a_hi))
-            alpha = -1 * b_iv
-            beta = -1 * a_iv
-            assert check_f1_on_plane(alpha, beta, gb_ab=gb_ab)
+        plane = plane_factorisation()
+        assert len(plane.b_intervals) == len(plane.a_intervals) == 3
+        for b_iv, a_iv in zip(plane.b_intervals, plane.a_intervals):
+            assert check_f1_on_plane(-1 * b_iv, -1 * a_iv, gb_ab=gb_ab)
 
     def test_generic_plane_fails(self, gb_ab):
         assert not check_f1_on_plane(1, 1, gb_ab=gb_ab)
