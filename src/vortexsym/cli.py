@@ -68,53 +68,56 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_parser(name, with_mu=True):
+    for name in ("square", "kite", "rectangle", "trapezoid", "all"):
         p = sub.add_parser(name, help=f"run the {name} classification")
         p.add_argument("--json", metavar="PATH", help="write the report as JSON")
         p.add_argument("--svg", metavar="DIR", help="write a configuration figure")
-        if with_mu:
+        if name != "all":
             p.add_argument(
                 "--mu",
                 type=_parse_mu,
                 default=None,
                 help="four circulation parameters, e.g. 1,2,1,2 or 3/2,1,3/2,1",
             )
-        p.add_argument(
-            "--eps",
-            type=_parse_eps,
-            default=Fraction(1, 10**9),
-            help="root enclosure width (default 1e-9)",
-        )
-        p.add_argument(
-            "--check-appendix",
-            action="store_true",
-            help="include the full coefficient-table and line-count oracles",
-        )
-        return p
-
-    for name in ("square", "kite", "rectangle", "trapezoid", "all"):
-        scenario_parser(name, with_mu=name != "all")
+        if name != "square":
+            p.add_argument(
+                "--eps",
+                type=_parse_eps,
+                default=Fraction(1, 10**9),
+                help="root enclosure width (default 1e-9)",
+            )
+        if name in ("trapezoid", "all"):
+            p.add_argument(
+                "--check-appendix",
+                action="store_true",
+                help="include the full coefficient-table and line-count oracles",
+            )
 
     g = sub.add_parser("groebner", help="compute a reduced basis from a file")
     g.add_argument("--in", dest="infile", required=True, metavar="FILE")
     g.add_argument("--vars", required=True, help="comma-separated variable names")
-    g.add_argument("--order", choices=("lex", "grevlex"), default="lex")
+    g.add_argument(
+        "--order",
+        choices=("lex", "grevlex"),
+        default="lex",
+        help="monomial order of the basis (default lex); no effect with --eliminate,"
+        " whose basis is in grevlex on the kept variables",
+    )
     g.add_argument("--eliminate", default=None, help="comma-separated variables to drop")
     g.add_argument("--json", metavar="PATH", help="write the basis as JSON")
     return parser
 
 
 def _run_scenario(name, args):
-    eps = getattr(args, "eps", Fraction(1, 10**9))
     mus = getattr(args, "mu", None)
     if name == "square":
         return run_square(mus=mus)
     if name == "kite":
-        return run_kite(mus=mus, eps=eps)
+        return run_kite(mus=mus, eps=args.eps)
     if name == "rectangle":
-        return run_rectangle(mus=mus, eps=eps)
+        return run_rectangle(mus=mus, eps=args.eps)
     if name == "trapezoid":
-        return run_trapezoid(eps=eps, check_appendix=args.check_appendix)
+        return run_trapezoid(eps=args.eps, check_appendix=args.check_appendix)
     raise ValueError(name)
 
 
@@ -276,7 +279,7 @@ def _groebner_command(args, stream):
         print(text, file=stream)
     document = {
         "basis": basis_text,
-        "order": args.order if not dropped else f"elimination+{args.order}",
+        "order": gb.order.kind,
         "eliminated": dropped,
     }
     if args.json:

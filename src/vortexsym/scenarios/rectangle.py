@@ -4,7 +4,6 @@ perpendicular diagonals at 45 degrees and are always linearly unstable."""
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 from vortexsym.groebner import Ideal, eliminate
@@ -63,27 +62,27 @@ def run_rectangle(mus=None, eps=_EPS):
     equal = {"mu3": mu1, "mu4": mu2}
     opposite = {"mu3": -1 * mu1, "mu4": -1 * mu2}
 
-    cot_ok = _branch_residual_check(comps, equal, lambda th: _cot(th))
+    equal_q = _branch_multiples(comps, equal, "c")
+    opposite_q = _branch_multiples(comps, opposite, "2*c^2 - 1")
     report.check(
         "equal_pairs_residual",
-        cot_ok,
+        _all_nonzero(equal_q),
         "components reduce to multiples of cot(theta2); zeros at pi/2, 3*pi/2",
     )
-    csc_ok = _branch_residual_check(comps, opposite, lambda th: math.cos(2 * th) / math.sin(th))
     report.check(
         "opposite_pairs_residual",
-        csc_ok,
+        _all_nonzero(opposite_q),
         "components reduce to multiples of cos(2 theta2) csc(theta2);"
         " zeros at pi/4, 3*pi/4, 5*pi/4, 7*pi/4",
     )
     report.check(
         "equal_pairs_residual_exact",
-        _branch_exact(comps, equal, "c"),
+        equal_q is not None,
         "exact: (1-c^2) * numerator is a constant multiple of c * denominator",
     )
     report.check(
         "opposite_pairs_residual_exact",
-        _branch_exact(comps, opposite, "2*c^2 - 1"),
+        opposite_q is not None,
         "exact: (1-c^2) * numerator is a constant multiple of (2c^2-1) * denominator",
     )
 
@@ -128,49 +127,31 @@ def run_rectangle(mus=None, eps=_EPS):
     return report
 
 
-def _cot(theta):
-    return math.cos(theta) / math.sin(theta)
-
-
-def _branch_residual_check(comps, substitution, target, samples=20, tol=1e-10):
-    rng = random.Random(20240815)
-    for comp in comps:
-        t = comp.trig.subs_mu(substitution)
-        ratios = []
-        n = 0
-        while n < samples:
-            theta = rng.uniform(-math.pi, math.pi)
-            if min(abs(theta), abs(abs(theta) - math.pi), abs(abs(theta) - math.pi / 2)) < 0.15:
-                continue
-            base = target(theta)
-            if abs(base) < 1e-3:
-                continue
-            val = t.evaluate(theta, (1.3, 0.7, 1.3, 0.7))
-            ratios.append(val / base)
-            n += 1
-        spread = max(ratios) - min(ratios)
-        scale = max(1.0, max(abs(x) for x in ratios))
-        if spread > tol * scale:
-            return False
-    return True
-
-
-def _branch_exact(comps, substitution, target_text):
-    """(1-c^2)*num is exactly (constant in s, c)*(target * den) per component."""
+def _branch_multiples(comps, substitution, target_text):
+    """The quotients q, free of s and c, with (1-c^2)*num = q*target*den,
+    one per component after the substitution; None when some component is
+    not such a multiple.  Each component is then q*target*s/(1-c^2), a
+    multiple of target/s."""
     target = Poly.parse(TRIG_REGISTRY, target_text)
     pyth = Poly.parse(TRIG_REGISTRY, "1 - c^2")
+    zero = Poly.zero(TRIG_REGISTRY)
+    quotients = []
     for comp in comps:
         t = comp.trig.subs_mu(substitution)
         groups = t.num.coefficients_in(["s"])
-        if set(groups) - {(1,), (0,)}:
-            return False
-        if not groups.get((0,), Poly.zero(TRIG_REGISTRY)).is_zero():
-            return False
-        b = groups[(1,)]
-        q = (pyth * b).try_divide(target * t.den, _ORD)
+        if set(groups) - {(1,), (0,)} or not groups.get((0,), zero).is_zero():
+            return None
+        q = (pyth * groups.get((1,), zero)).try_divide(target * t.den, _ORD)
         if q is None or q.uses("s") or q.uses("c"):
-            return False
-    return True
+            return None
+        quotients.append(q)
+    return tuple(quotients)
+
+
+def _all_nonzero(quotients):
+    """Whether every branch quotient exists and is nonzero, so that each
+    component vanishes exactly where its target does."""
+    return quotients is not None and not any(q.is_zero() for q in quotients)
 
 
 def _branch_roots(comps, substitution, eps, label):

@@ -23,7 +23,6 @@ returning a frozen result that carries its own oracle checks:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -200,13 +199,15 @@ def _order_like(gb, reference):
 class PlaneSplit:
     """What the plane stage derives: its oracle checks in report order, the
     plane-coefficient basis in (a, b), enclosures of the b- and a-values of
-    the three real planes a mu2 + b mu3 + mu4, and the float eigenvalues and
-    unit null direction of the quadratic cofactor."""
+    the three real planes a mu2 + b mu3 + mu4, and enclosures of the
+    symmetric matrix of the quadratic cofactor in (mu2, mu3, mu4), of its
+    eigenvalues (descending) and of its unit null direction."""
 
     checks: tuple
     ab_gb: GroebnerBasis
     b_intervals: tuple
     a_intervals: tuple
+    q_matrix: tuple
     q_eigenvalues: tuple
     null_direction: tuple
 
@@ -251,7 +252,7 @@ def plane_factorisation():
     intervals = sturm_isolate(bq)
     for iv in intervals:
         iv.refine(_TIGHT)
-    b_ivs = tuple(RatInterval(iv.lo, iv.hi) for iv in intervals)
+    b_ivs = tuple(_widen(RatInterval(iv.lo, iv.hi)) for iv in intervals)
     b_vals = [float(iv.midpoint()) for iv in b_ivs]
     changes, _ = descartes_positive(bq)
     checks.add(
@@ -267,7 +268,7 @@ def plane_factorisation():
 
     a_poly = _a_of_b(gb_ab)
     a_of_b = coeffs_from_poly(a_poly, "b")
-    a_ivs = tuple(eval_interval(a_of_b, iv) for iv in b_ivs)
+    a_ivs = tuple(_widen(eval_interval(a_of_b, iv)) for iv in b_ivs)
     checks.add(
         "a_values",
         all(
@@ -302,8 +303,8 @@ def plane_factorisation():
     for iv in b_ivs:
         sum_real = sum_real + iv
         prod_real = prod_real * iv
-    sigma = RatInterval(-bq[4] / bq[5]) - sum_real
-    tau = RatInterval(-bq[0] / bq[5]) / prod_real
+    sigma = _widen(RatInterval(-bq[4] / bq[5]) - sum_real)
+    tau = _widen(RatInterval(-bq[0] / bq[5]) / prod_real)
     im_sq = tau - sigma * sigma / 4
     checks.add(
         "cofactor_inertia",
@@ -312,16 +313,20 @@ def plane_factorisation():
         " inertia exactly (2, 0, 1)",
     )
 
-    eigen, null_dir = _cofactor_numerics(float(sigma), float(tau), a_of_b)
-    eig_ok = all(
-        abs(e - t) < 1e-4 for e, t in zip(sorted(eigen, reverse=True), targets.Q_EIGENVALUES)
+    q_matrix = _cofactor_matrix(sigma, tau, a_of_b)
+    eigen = _cofactor_eigenvalues(q_matrix)
+    null_dir = _null_direction(q_matrix)
+    # the paper prints the eigenvalues and the null direction to six digits
+    eig_ok = all(abs(float(e) - t) < 1e-4 for e, t in zip(eigen, targets.Q_EIGENVALUES))
+    dir_ok = any(
+        all(abs(float(x) - sign * t) < 1e-5 for x, t in zip(null_dir, targets.Q_NULL_DIRECTION))
+        for sign in (1, -1)
     )
-    dir_ok = _matches_up_to_sign(null_dir, targets.Q_NULL_DIRECTION, 1e-5)
     checks.add(
         "cofactor_numerics",
         eig_ok and dir_ok,
-        f"eigenvalues {[round(e, 5) for e in sorted(eigen, reverse=True)]},"
-        f" null direction {[round(x, 6) for x in null_dir]}",
+        f"eigenvalues {[round(float(e), 5) for e in eigen]},"
+        f" null direction {[round(float(x), 6) for x in null_dir]}",
     )
 
     # the vanishing of f1 on the three plane families, certified exactly
@@ -333,14 +338,14 @@ def plane_factorisation():
         " beta^2 lies in the plane-coefficient ideal",
     )
     generic_fails = not check_f1_on_plane(1, 1, gb_ab=gb_ab)
-    # the kernel line of the cofactor crossed with its own mu4 coordinate
-    # does not solve f1 = 0
-    ell2 = [-x for x in null_dir]  # (0.264487, 0.099719, 0.959220) reversed order
-    w = (ell2[2], ell2[1], ell2[0], -0.0997192)
-    f1_at_w = w[0] ** 2 - w[0] * w[2] + w[1] * w[3] - w[3] ** 2
+    # the null line (l1, l2, l3) of the cofactor, reversed, with its middle
+    # coordinate appended, does not solve f1 = 0
+    l1, l2, l3 = null_dir
+    w = (l3, l2, l1, l2)
+    f1_at_w = w[0] * w[0] - w[0] * w[2] + w[1] * w[3] - w[3] * w[3]
     checks.add(
         "f1_negative_controls",
-        generic_fails and abs(f1_at_w) > 1e-3,
+        generic_fails and not f1_at_w.contains(0),
         "a generic plane fails, and the cofactor kernel line with its fourth"
         " coordinate appended misses the f1 variety",
     )
@@ -350,8 +355,9 @@ def plane_factorisation():
         ab_gb=gb_ab,
         b_intervals=b_ivs,
         a_intervals=a_ivs,
-        q_eigenvalues=tuple(eigen),
-        null_direction=tuple(null_dir),
+        q_matrix=q_matrix,
+        q_eigenvalues=eigen,
+        null_direction=null_dir,
     )
 
 
@@ -366,60 +372,51 @@ def _a_of_b(gb_ab):
     raise IdealShapeError("no element of the plane-coefficient basis gives a as a polynomial in b")
 
 
-def _cofactor_numerics(sigma, tau, a_of_b):
-    """Numeric quadratic cofactor from the conjugate pair b4, b5.
+def _widen(iv, bits=80):
+    """``iv`` widened outward to the grid of multiples of 2^-bits, so that
+    products of enclosures keep short endpoints."""
+    scale = 1 << bits
+    lo = iv.lo.numerator * scale // iv.lo.denominator
+    hi = -(-iv.hi.numerator * scale // iv.hi.denominator)
+    return RatInterval(Fraction(lo, scale), Fraction(hi, scale))
 
-    q = (a(b4) mu2 + b4 mu3 + mu4)(a(b5) mu2 + b5 mu3 + mu4) with
-    b4 + b5 = sigma, b4 b5 = tau; returns (eigenvalues, unit kernel).
+
+def _cofactor_matrix(sigma, tau, a_of_b):
+    """Enclosure of the symmetric matrix of the quadratic cofactor.
+
+    The cofactor is (a(b4) mu2 + b4 mu3 + mu4)(a(b5) mu2 + b5 mu3 + mu4) for
+    the conjugate pair b4 + b5 = sigma, b4 b5 = tau.  With a(x) = u x + v
+    modulo x^2 - sigma x + tau its coefficients are q22 = u^2 tau + u v sigma
+    + v^2, q23 = 2 u tau + v sigma and q24 = u sigma + 2 v at mu2^2, mu2 mu3
+    and mu2 mu4, then tau, sigma and 1 at mu3^2, mu3 mu4 and mu4^2.
     """
-    im = math.sqrt(tau - sigma * sigma / 4)
-    b4 = complex(sigma / 2, im)
-    alpha = eval_at([float(c) for c in a_of_b], b4)
-    q22 = (alpha * alpha.conjugate()).real
-    q23 = 2 * (alpha * b4.conjugate()).real
-    q24 = 2 * alpha.real
-    q33 = tau
-    q34 = sigma
-    rows = [
-        [q22, q23 / 2, q24 / 2],
-        [q23 / 2, q33, q34 / 2],
-        [q24 / 2, q34 / 2, 1.0],
-    ]
-    eigen, vectors = _jacobi_eigen(rows)
-    k = min(range(3), key=lambda i: abs(eigen[i]))
-    null = vectors[k]
-    norm = math.sqrt(sum(x * x for x in null))
-    return eigen, [x / norm for x in null]
+    u = v = RatInterval(0)
+    for c in reversed(a_of_b):
+        u, v = _widen(u * sigma + v), _widen(c - u * tau)
+    q22 = _widen(u * u * tau + u * v * sigma + v * v)
+    q23 = _widen((2 * u * tau + v * sigma) / 2)
+    q24 = _widen((u * sigma + 2 * v) / 2)
+    half_sigma = sigma / 2
+    return ((q22, q23, q24), (q23, tau, half_sigma), (q24, half_sigma, RatInterval(1)))
 
 
-def _jacobi_eigen(rows, sweeps=30):
-    """Jacobi rotations for a small symmetric matrix: (eigenvalues, eigenrows)."""
-    n = len(rows)
-    a = [row[:] for row in rows]
-    v = [[float(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(sweeps):
-        off = max(
-            ((i, j) for i in range(n) for j in range(i + 1, n)),
-            key=lambda ij: abs(a[ij[0]][ij[1]]),
-        )
-        p, q = off
-        if abs(a[p][q]) < 1e-18:
-            break
-        theta = 0.5 * math.atan2(2 * a[p][q], a[q][q] - a[p][p])
-        c, s = math.cos(theta), math.sin(theta)
-        for k in range(n):
-            apk, aqk = a[p][k], a[q][k]
-            a[p][k] = c * apk - s * aqk
-            a[q][k] = s * apk + c * aqk
-        for k in range(n):
-            akp, akq = a[k][p], a[k][q]
-            a[k][p] = c * akp - s * akq
-            a[k][q] = s * akp + c * akq
-        for k in range(n):
-            vpk, vqk = v[p][k], v[q][k]
-            v[p][k] = c * vpk - s * vqk
-            v[q][k] = s * vpk + c * vqk
-    return [a[i][i] for i in range(n)], v
+def _cofactor_eigenvalues(q):
+    """Eigenvalue enclosures of the rank-two cofactor matrix, descending: the
+    roots of l^2 - trace l + (sum of the principal 2x2 minors), then 0."""
+    trace = q[0][0] + q[1][1] + q[2][2]
+    minors = sum(q[i][i] * q[j][j] - q[i][j] * q[i][j] for i, j in ((0, 1), (0, 2), (1, 2)))
+    root = (trace * trace - 4 * minors).sqrt()
+    return ((trace + root) / 2, (trace - root) / 2, RatInterval(0))
+
+
+def _null_direction(q):
+    """Enclosure of the unit kernel vector of the cofactor matrix: the cross
+    product of its last two rows, whose first coordinate tau - sigma^2/4
+    ``cofactor_inertia`` proves positive."""
+    (a1, a2, a3), (b1, b2, b3) = q[1], q[2]
+    cross = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    norm = sum(x * x for x in cross).sqrt()
+    return tuple(x / norm for x in cross)
 
 
 def f1_plane_identity_in_ideal(gb_ab):
@@ -477,12 +474,6 @@ def _to_interval(x):
     if isinstance(x, RatInterval):
         return x
     return RatInterval(*x) if isinstance(x, tuple) else RatInterval(x)
-
-
-def _matches_up_to_sign(vec, target, tol):
-    direct = max(abs(a - b) for a, b in zip(vec, target))
-    flipped = max(abs(a + b) for a, b in zip(vec, target))
-    return min(direct, flipped) < tol
 
 
 # ---------------------------------------------------------------------------
@@ -653,11 +644,13 @@ def _vanishes_in(coeffs, iv):
     return iv.lo < iv.hi and SturmSequence(sf).count_open(iv.lo, iv.hi) > 0
 
 
-def _dehomogenise(form):
-    """Ascending coefficients of f(t, 1) for a binary form f(mu2, mu3)."""
-    coeffs = [Fraction(0)] * (form.degree_in("mu2") + 1)
+def _dehomogenise(form, var="mu2"):
+    """Ascending coefficients in ``var`` of a polynomial f(mu2, mu3) with the
+    other variable set to 1: f(t, 1), or f(1, t) for ``var="mu3"``."""
+    i = form.registry.index(var)
+    coeffs = [Fraction(0)] * (form.degree_in(var) + 1)
     for m, c in form.terms.items():
-        coeffs[m[0]] += c
+        coeffs[m[i]] += c
     return coeffs
 
 
@@ -675,27 +668,9 @@ def _match_table(lines, plane):
     if len(lines) != len(targets.TABLE_LINES):
         return False, f"expected {len(targets.TABLE_LINES)} lines, found {len(lines)}"
 
-    # classification helpers from the plane-splitting data
-    plane_ab = [
-        (float(a_iv.midpoint()), float(b_iv.midpoint()))
-        for b_iv, a_iv in zip(plane.b_intervals, plane.a_intervals)
-    ]
-    intersections = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            n1 = (plane_ab[i][0], plane_ab[i][1], 1.0)
-            n2 = (plane_ab[j][0], plane_ab[j][1], 1.0)
-            cross = (
-                n1[1] * n2[2] - n1[2] * n2[1],
-                n1[2] * n2[0] - n1[0] * n2[2],
-                n1[0] * n2[1] - n1[1] * n2[0],
-            )
-            norm = math.sqrt(sum(x * x for x in cross))
-            intersections.append(tuple(x / norm for x in cross))
-
     used = set()
     for line in lines:
-        d = line.direction
+        d = tuple(_widen(x) for x in line.direction)
         norm = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt()
         unit = tuple(x / norm for x in d)
         unit_f = tuple(float(x) for x in unit)
@@ -714,7 +689,7 @@ def _match_table(lines, plane):
                 mu1_values.append(float((unit[1] + sign * root) / 2))
         case = line.case
         if case is None:
-            case = _classify(line, unit_f, plane.null_direction, intersections)
+            case = _classify(line, plane)
             if case is None:
                 return False, f"line {unit_f} could not be classified"
 
@@ -756,15 +731,18 @@ def _sign_word(positive):
     return "positive" if positive else "negative"
 
 
-def _classify(line, unit_f, null_dir, intersections):
-    """Label an affine line: equal pair, cofactor kernel, or plane crossing."""
-    # exact mu2 = mu4 test: the constrained slice must vanish at this mu3 root
+def _classify(line, plane):
+    """Label an affine line: equal pair, cofactor kernel, or plane crossing.
+
+    The equal pair mu2 = mu4 is decided exactly on the slice basis.  The
+    other two labels are read off enclosures, which can only rule a label
+    out: "null-line" when every row of Q d may vanish, for the cofactor
+    matrix Q of ``plane`` (a :class:`PlaneSplit`), and "intersection" when
+    d may lie on at least two of its three real planes.
+    """
+    # exact mu2 = mu4 test: the slice at mu2 = 1 must vanish at this mu3 root
     window = line.direction[1]
-    constrained = []
-    for p in line.slice_gb.polys:
-        q = p.subs({"mu2": Fraction(1)})
-        if not q.is_zero():
-            constrained.append(coeffs_from_poly(q, "mu3"))
+    constrained = [c for c in (_dehomogenise(p, "mu3") for p in line.slice_gb.polys) if any(c)]
     g = constrained[0]
     for other in constrained[1:]:
         g = poly_gcd(g, other)
@@ -773,11 +751,12 @@ def _classify(line, unit_f, null_dir, intersections):
     ):
         if eval_interval(g, window).contains(0):
             return "mu2=mu4"
-    if _matches_up_to_sign(unit_f, null_dir, 1e-6):
+    d = tuple(_widen(x) for x in line.direction)
+    if all(sum(q * x for q, x in zip(row, d)).contains(0) for row in plane.q_matrix):
         return "null-line"
-    for cand in intersections:
-        if _matches_up_to_sign(unit_f, cand, 1e-6):
-            return "intersection"
+    planes = zip(plane.a_intervals, plane.b_intervals)
+    if sum((a * d[0] + b * d[1] + d[2]).contains(0) for a, b in planes) >= 2:
+        return "intersection"
     return None
 
 

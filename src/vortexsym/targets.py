@@ -389,10 +389,6 @@ SQUARE_CONDITIONS = ("mu1 - mu3", "mu2 - mu4")
 NUMERIC_TOL = 1e-5
 
 
-def parse_all(registry, texts):
-    return [Poly.parse(registry, t) for t in texts]
-
-
 def build_products(registry, entries):
     """Materialise (scalar, factor texts) pairs as polynomials."""
     out = []

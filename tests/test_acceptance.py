@@ -152,10 +152,10 @@ def test_criterion_05_plane_division(trapezoid_report):
 def test_criterion_06_quadratic_cofactor(trapezoid_report):
     assert _status(trapezoid_report, "cofactor_inertia") == "pass"
     plane = trapezoid_report.artifacts["plane_factorisation"]
-    eigen = sorted(plane.q_eigenvalues, reverse=True)
+    eigen = sorted((float(e) for e in plane.q_eigenvalues), reverse=True)
     for got, want in zip(eigen, targets.Q_EIGENVALUES):
         assert abs(got - want) < 1e-4
-    null = plane.null_direction
+    null = [float(x) for x in plane.null_direction]
     direct = max(abs(a - b) for a, b in zip(null, targets.Q_NULL_DIRECTION))
     flipped = max(abs(a + b) for a, b in zip(null, targets.Q_NULL_DIRECTION))
     assert min(direct, flipped) < 1e-5

@@ -56,6 +56,24 @@ class TestGroebnerCommand:
         assert doc["eliminated"] == ["z"]
         assert doc["basis"] == ["x^2 + y^2 - x + y - 2"]
 
+    def test_elimination_reports_the_order_of_its_basis(self, tmp_path, capsys):
+        # --eliminate ignores --order: the basis is grevlex on the kept
+        # variables whatever --order says
+        infile = tmp_path / "system.txt"
+        infile.write_text("x - y - z + 2\nx^2 + y^2 - z\n")
+        for order in ("lex", "grevlex"):
+            code, out, _ = run_cli(
+                [
+                    "groebner", "--in", str(infile), "--vars", "x,y,z",
+                    "--order", order, "--eliminate", "x",
+                ],
+                capsys,
+            )
+            assert code == 0
+            doc = json.loads(out[out.index("{"):])
+            assert doc["order"] == "grevlex"
+            assert doc["basis"] == ["2*y^2 + 2*y*z + z^2 - 4*y - 5*z + 4"]
+
     def test_malformed_polynomial_exits_nonzero(self, tmp_path, capsys):
         infile = tmp_path / "bad.txt"
         infile.write_text("x ++* 2y(\n")
@@ -116,6 +134,15 @@ class TestScenarioCommands:
         assert root.tag.endswith("svg")
         circles = [e for e in root.iter() if e.tag.endswith("circle")]
         assert len(circles) == 6  # unit circle + centre + four vortices
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["square", "--eps", "1e-9"], ["kite", "--check-appendix"], ["all", "--mu", "1,1,1,1"]],
+    )
+    def test_options_a_scenario_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
 
     def test_rejects_zero_circulation(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -21,9 +21,11 @@ from vortexsym.scenarios import (
 )
 from vortexsym.scenarios import kite
 from vortexsym.scenarios.kite import count_configurations
+from vortexsym.scenarios.rectangle import _all_nonzero, _branch_multiples
 from vortexsym.scenarios.trapezoid import (
     IdealShapeError,
     InconclusiveEnclosureError,
+    _classify,
     _match_table,
     _plane_pairing,
     _reconstruct_lines,
@@ -31,7 +33,7 @@ from vortexsym.scenarios.trapezoid import (
     plane_factorisation,
     true_trapezoid_roots,
 )
-from vortexsym.trigvortex import KITE, R_REGISTRY, pipeline
+from vortexsym.trigvortex import KITE, RECTANGLE, R_REGISTRY, pipeline
 
 _ORD = GrevLex()
 
@@ -192,6 +194,16 @@ class TestRectangle:
     def test_instability_verdict(self, rectangle_report):
         assert "never" in rectangle_report.stability["verdict"]
 
+    def test_residuals_fail_when_every_circulation_vanishes(self):
+        # every component is then 0, a multiple of any target but with no
+        # zeros of its own: the quotients exist and all are zero
+        comps = pipeline(RECTANGLE)
+        zero = {name: Fraction(0) for name in ("mu1", "mu2", "mu3", "mu4")}
+        for target in ("c", "2*c^2 - 1"):
+            quotients = _branch_multiples(comps, zero, target)
+            assert quotients is not None and all(q.is_zero() for q in quotients)
+            assert not _all_nonzero(quotients)
+
 
 class TestTrapezoid:
     def test_all_oracles_pass(self, trapezoid_report):
@@ -286,6 +298,35 @@ class TestTrapezoid:
         ]
         with pytest.raises(IdealShapeError):
             _reconstruct_lines(slice_polys)
+
+    def test_classify_rejects_a_line_moved_off_its_case(self, trapezoid_report):
+        # the three intersection lines and the null line each lose their
+        # label when mu2 moves by 1e-12, a shift that no float comparison
+        # at tolerance 1e-6 on the unit vector can see
+        plane = trapezoid_report.artifacts["plane_factorisation"]
+        lines = trapezoid_report.artifacts["annihilating_lines"].lines
+        labelled = [
+            (line, _classify(line, plane)) for line in lines if line.case is None
+        ]
+        moved = [line for line, case in labelled if case in ("null-line", "intersection")]
+        assert sorted(case for _, case in labelled if case != "mu2=mu4") == [
+            "intersection", "intersection", "intersection", "null-line"
+        ]
+        shift = Fraction(1, 10**12)
+        for line in moved:
+            d = line.direction
+            off = dataclasses.replace(line, direction=(d[0] + shift, d[1], d[2]))
+            assert _classify(off, plane) is None
+
+    def test_cofactor_enclosures(self, trapezoid_report):
+        plane = trapezoid_report.artifacts["plane_factorisation"]
+        null = plane.null_direction
+        assert all(isinstance(x, RatInterval) for x in plane.q_eigenvalues + null)
+        assert null[0].is_positive()
+        for row in plane.q_matrix:
+            assert sum(q * x for q, x in zip(row, null)).contains(0)
+        assert plane.q_eigenvalues[-1].lo == plane.q_eigenvalues[-1].hi == 0
+        assert plane.q_eigenvalues[1].is_positive()
 
 
 TRAPEZOID_STAGES = ("elimination_ideal", "plane_factorisation", "annihilating_lines", "angle_analysis")
