@@ -59,6 +59,7 @@ from vortexsym import targets
 _ORD = GrevLex()
 _EPS = Fraction(1, 10**9)
 _TIGHT = Fraction(1, 10**24)
+_GRID = 1 << 80
 
 MU = targets.MU_REGISTRY
 ANNI = targets.ANNI_REGISTRY
@@ -372,13 +373,12 @@ def _a_of_b(gb_ab):
     raise IdealShapeError("no element of the plane-coefficient basis gives a as a polynomial in b")
 
 
-def _widen(iv, bits=80):
-    """``iv`` widened outward to the grid of multiples of 2^-bits, so that
+def _widen(iv):
+    """``iv`` widened outward to the grid of multiples of 2^-80, so that
     products of enclosures keep short endpoints."""
-    scale = 1 << bits
-    lo = iv.lo.numerator * scale // iv.lo.denominator
-    hi = -(-iv.hi.numerator * scale // iv.hi.denominator)
-    return RatInterval(Fraction(lo, scale), Fraction(hi, scale))
+    lo = iv.lo.numerator * _GRID // iv.lo.denominator
+    hi = -(-iv.hi.numerator * _GRID // iv.hi.denominator)
+    return RatInterval(Fraction(lo, _GRID), Fraction(hi, _GRID))
 
 
 def _cofactor_matrix(sigma, tau, a_of_b):
@@ -568,7 +568,8 @@ def annihilating_lines(ordered_basis, plane):
 
 
 def _reconstruct_lines(anni_polys):
-    """Certified direction enclosures for the real annihilating lines.
+    """Certified direction enclosures for the real annihilating lines,
+    widened to the grid of :func:`_widen`.
 
     Lines with mu4 = 0 come from the binary-quintic slice; the rest are the
     affine solutions at mu4 = 1, solved from a triangular lex basis with
@@ -595,7 +596,7 @@ def _reconstruct_lines(anni_polys):
         iv.refine(Fraction(1, 10**18))
         lines.append(
             AnnihilatingLine(
-                direction=(RatInterval(iv.lo, iv.hi), RatInterval(1), RatInterval(0)),
+                direction=(_widen(RatInterval(iv.lo, iv.hi)), RatInterval(1), RatInterval(0)),
                 case="mu4=0",
             )
         )
@@ -627,9 +628,11 @@ def _reconstruct_lines(anni_polys):
             iv.refine(window.width() / 2**10)
             window = RatInterval(iv.lo, iv.hi)
             denom = eval_interval(a_poly, window)
-        mu2_iv = -1 * eval_interval(b_poly, window) / denom
+        mu2_iv = _widen(-1 * eval_interval(b_poly, window) / denom)
         lines.append(
-            AnnihilatingLine(direction=(mu2_iv, window, RatInterval(1)), case=None, slice_gb=gb1)
+            AnnihilatingLine(
+                direction=(mu2_iv, _widen(window), RatInterval(1)), case=None, slice_gb=gb1
+            )
         )
     return lines
 
@@ -670,7 +673,7 @@ def _match_table(lines, plane):
 
     used = set()
     for line in lines:
-        d = tuple(_widen(x) for x in line.direction)
+        d = line.direction
         norm = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt()
         unit = tuple(x / norm for x in d)
         unit_f = tuple(float(x) for x in unit)
@@ -751,7 +754,7 @@ def _classify(line, plane):
     ):
         if eval_interval(g, window).contains(0):
             return "mu2=mu4"
-    d = tuple(_widen(x) for x in line.direction)
+    d = line.direction
     if all(sum(q * x for q, x in zip(row, d)).contains(0) for row in plane.q_matrix):
         return "null-line"
     planes = zip(plane.a_intervals, plane.b_intervals)
