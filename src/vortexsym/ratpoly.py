@@ -494,26 +494,25 @@ class Poly:
 
     # -- division ----------------------------------------------------------
 
-    def divide_exact(self, divisor, order=None):
+    def divide_exact(self, divisor):
         """Exact quotient ``q`` with ``q * divisor == self``.
 
         Raises :class:`ExactDivisionError` carrying the nonzero remainder
-        when the division does not come out even.
+        when the division does not come out even.  It runs in grevlex: by a
+        single divisor the remainder is 0 in any order exactly when it divides.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if order is None:
-            order = GrevLex()
-        (quotient,), remainder = reduce(self, [divisor], order)
+        (quotient,), remainder = reduce(self, [divisor], GrevLex())
         if not remainder.is_zero():
             raise ExactDivisionError(remainder)
         return quotient
 
-    def try_divide(self, divisor, order=None):
+    def try_divide(self, divisor):
         """Exact quotient, or None when the division is not exact."""
         try:
-            return self.divide_exact(divisor, order)
+            return self.divide_exact(divisor)
         except ExactDivisionError:
             return None
 

@@ -3,7 +3,6 @@ perpendicular diagonals at 45 degrees and are always linearly unstable."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from vortexsym.groebner import Ideal, eliminate
@@ -15,6 +14,8 @@ from vortexsym.trigvortex import (
     R_REGISTRY,
     TRIG_REGISTRY,
     angle_of_r,
+    cheb_cos,
+    half_angle_polynomialize,
     hessian,
     pipeline,
     scenario_cos_table,
@@ -62,8 +63,10 @@ def run_rectangle(mus=None, eps=_EPS):
     equal = {"mu3": mu1, "mu4": mu2}
     opposite = {"mu3": -1 * mu1, "mu4": -1 * mu2}
 
-    equal_q = _branch_multiples(comps, equal, "c")
-    opposite_q = _branch_multiples(comps, opposite, "2*c^2 - 1")
+    equal_target = Poly.parse(TRIG_REGISTRY, "c")
+    opposite_target = Poly.parse(TRIG_REGISTRY, "2*c^2 - 1")
+    equal_q = _branch_multiples(comps, equal, equal_target)
+    opposite_q = _branch_multiples(comps, opposite, opposite_target)
     report.check(
         "equal_pairs_residual",
         _all_nonzero(equal_q),
@@ -86,53 +89,57 @@ def run_rectangle(mus=None, eps=_EPS):
         "exact: (1-c^2) * numerator is a constant multiple of (2c^2-1) * denominator",
     )
 
-    # Angles from the r-world branch polynomials.
-    report.roots = []
-    square_roots = _branch_roots(comps, {"mu3": 1, "mu4": 2, "mu1": 1, "mu2": 2}, eps, "equal pairs")
-    diag_roots = _branch_roots(comps, {"mu1": 1, "mu2": 2, "mu3": -1, "mu4": -2}, eps, "opposite pairs")
+    # Every component is q*target/s with a nonzero quotient q free of the
+    # angle, so wherever q(mu) != 0 the branch angles are exactly the zeros
+    # of the target, cos(theta2) or cos(2 theta2); the half-angle map
+    # r -> theta2 is one to one, so a Sturm count of 2 or 4 real r-roots
+    # finds them all.
+    square_roots = _target_roots(equal_target, eps, "equal pairs")
+    diag_roots = _target_roots(opposite_target, eps, "opposite pairs")
     report.roots = square_roots + diag_roots
-    sq_angles = sorted(abs(r.theta2) for r in square_roots)
-    di_angles = sorted(r.theta2 % (2 * math.pi) for r in diag_roots)
     report.check(
         "equal_pairs_only_square",
-        len(square_roots) == 2 and all(abs(a - math.pi / 2) < 1e-9 for a in sq_angles),
+        _all_nonzero(equal_q) and equal_target == cheb_cos(1) and len(square_roots) == 2,
         "equal pairs force theta2 = +-pi/2: the square",
     )
-    expected = [math.pi / 4, 3 * math.pi / 4, 5 * math.pi / 4, 7 * math.pi / 4]
     report.check(
         "opposite_pairs_diagonal_angles",
-        len(di_angles) == 4
-        and all(abs(a - b) < 1e-9 for a, b in zip(di_angles, expected)),
+        _all_nonzero(opposite_q) and opposite_target == cheb_cos(2) and len(diag_roots) == 4,
         "opposite pairs force theta2 in {pi/4, 3pi/4, 5pi/4, 7pi/4}",
     )
 
-    # Linear stability of the diagonal family: never three positive
-    # eigenvalues; certified in exact arithmetic over Q(sqrt(2)).
+    # Linear stability of the diagonal family.  mu^{-1} H is linear in mu,
+    # so at mu = (m1, m2, -m1, -m2) its trace is m1 (T1 - T3) + m2 (T2 - T4),
+    # with T_k its trace at the unit circulation e_k.  When T1 = T3 and
+    # T2 = T4, the three eigenvalues beside the rotational zero sum to 0
+    # for every (m1, m2), so they are never all positive.
+    traces = _weighted_traces()
     samples = [(1, 2), (2, 1), (1, 1), (3, 5), (-2, 3)] if mus is None else [(mus[0], mus[1])]
-    verdicts = [_diagonal_instability(Fraction(a), Fraction(b)) for a, b in samples]
+    simple = [_zero_eigenvalue_simple(Fraction(a), Fraction(b)) for a, b in samples]
     report.check(
         "diagonal_instability",
-        all(v["unstable"] and v["nondegenerate"] for v in verdicts),
-        f"at most {max(v['positive_bound'] for v in verdicts)} positive eigenvalues"
-        f" across {len(samples)} circulation samples; zero eigenvalue simple",
+        traces[0] == traces[2] and traces[1] == traces[3] and all(simple),
+        "trace of mu^-1 H is m1 (T1 - T3) + m2 (T2 - T4) with (T1, T2, T3, T4) ="
+        f" ({', '.join(_show(t) for t in traces)}): the three eigenvalues beside"
+        " the rotational zero sum to 0 for every (m1, m2); zero eigenvalue simple"
+        f" at {sum(simple)} of {len(samples)} circulation samples",
     )
     report.stability = {
         "verdict": "nondegenerate rectangles are never linearly stable",
         "window": None,
         "diagonal_samples": [
-            {"mu": [str(a), str(b), str(-a), str(-b)], **{k: v for k, v in d.items()}}
-            for (a, b), d in zip(samples, verdicts)
+            {"mu": [str(a), str(b), str(-a), str(-b)], "nondegenerate": ok}
+            for (a, b), ok in zip(samples, simple)
         ],
     }
     return report
 
 
-def _branch_multiples(comps, substitution, target_text):
+def _branch_multiples(comps, substitution, target):
     """The quotients q, free of s and c, with (1-c^2)*num = q*target*den,
     one per component after the substitution; None when some component is
     not such a multiple.  Each component is then q*target*s/(1-c^2), a
     multiple of target/s."""
-    target = Poly.parse(TRIG_REGISTRY, target_text)
     pyth = Poly.parse(TRIG_REGISTRY, "1 - c^2")
     zero = Poly.zero(TRIG_REGISTRY)
     quotients = []
@@ -141,7 +148,7 @@ def _branch_multiples(comps, substitution, target_text):
         groups = t.num.coefficients_in(["s"])
         if set(groups) - {(1,), (0,)} or not groups.get((0,), zero).is_zero():
             return None
-        q = (pyth * groups.get((1,), zero)).try_divide(target * t.den, _ORD)
+        q = (pyth * groups.get((1,), zero)).try_divide(target * t.den)
         if q is None or q.uses("s") or q.uses("c"):
             return None
         quotients.append(q)
@@ -154,15 +161,12 @@ def _all_nonzero(quotients):
     return quotients is not None and not any(q.is_zero() for q in quotients)
 
 
-def _branch_roots(comps, substitution, eps, label):
-    """Isolate the r-roots shared by all three branch-substituted polynomials."""
-    polys = [c.r_poly.subs({k: Fraction(v) for k, v in substitution.items()}) for c in comps]
+def _target_roots(target, eps, label):
+    """Root records of the half-angle image of a target in c, one per real
+    root, each enclosed to width ``eps``."""
     records = []
-    for iv in sturm_isolate(coeffs_from_poly(polys[0], "r")):
+    for iv in sturm_isolate(coeffs_from_poly(half_angle_polynomialize(target), "r")):
         iv.refine(eps)
-        # certified common root: the other two polynomials must be
-        # proportional (they are, per branch structure), so checking signs
-        # of the primitive parts suffices
         records.append(
             RootRecord(
                 poly=f"{label} branch polynomial",
@@ -171,10 +175,6 @@ def _branch_roots(comps, substitution, eps, label):
                 theta2=angle_of_r(float(iv.midpoint())),
             )
         )
-    # proportionality across the three substituted polynomials
-    prim = [p.primitive(_ORD) for p in polys]
-    if not (prim[0] == prim[1] == prim[2]):
-        return []
     return records
 
 
@@ -182,31 +182,25 @@ def _branch_roots(comps, substitution, eps, label):
 _DIAGONAL_COSINES = scenario_cos_table(RECTANGLE, Sqrt2(Fraction(0), Fraction(1, 2)))
 
 
-def _diagonal_char_poly(m1, m2, weighted):
-    """Exact characteristic polynomial over Q(sqrt(2)) at the 45-degree point.
+def _weighted_traces():
+    """Traces T_1..T_4 of mu^{-1} H at the 45-degree point for the unit
+    circulations e_1..e_4, exact in Q(sqrt(2))."""
+    traces = []
+    for k in range(4):
+        rows = hessian(_DIAGONAL_COSINES, [Fraction(int(i == k)) for i in range(4)], weighted=True)
+        traces.append(sum(rows[i][i] for i in range(4)))
+    return traces
 
-    Circulations are (m1, m2, -m1, -m2); ``weighted`` selects mu^{-1} H
-    instead of the Hessian H itself.  Ascending coefficients.
-    """
-    rows = hessian(_DIAGONAL_COSINES, [m1, m2, -m1, -m2], weighted)
-    return [c if isinstance(c, Sqrt2) else Sqrt2(Fraction(c)) for c in char_poly(rows)]
+
+def _zero_eigenvalue_simple(m1, m2):
+    """Whether the rotational zero eigenvalue of the Hessian at the 45-degree
+    point, circulations (m1, m2, -m1, -m2), is simple: the exact
+    characteristic polynomial over Q(sqrt(2)) has a simple root at 0."""
+    coeffs = char_poly(hessian(_DIAGONAL_COSINES, [m1, m2, -m1, -m2]))
+    c0, c1 = (c if isinstance(c, Sqrt2) else Sqrt2(Fraction(c)) for c in coeffs[:2])
+    return c0.is_zero() and c1.sign() != 0
 
 
-def _diagonal_instability(m1, m2):
-    """Exact certificate that the 45-degree rectangle is not linearly stable.
-
-    Nondegeneracy (a simple rotational zero eigenvalue) is read off the
-    Hessian itself; the stability count uses the circulation-weighted matrix,
-    whose positive eigenvalues are bounded by Descartes' rule on the exact
-    Q(sqrt(2)) characteristic coefficients.  A bound of two or less proves
-    there are never N - 1 = 3 positive eigenvalues.
-    """
-    hess = _diagonal_char_poly(m1, m2, weighted=False)
-    weighted = _diagonal_char_poly(m1, m2, weighted=True)
-    signs = [c.sign() for c in weighted[1:] if not c.is_zero()]
-    changes = sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-    return {
-        "nondegenerate": hess[0].is_zero() and hess[1].sign() != 0,
-        "positive_bound": changes,
-        "unstable": weighted[0].is_zero() and changes <= 2,
-    }
+def _show(x):
+    """An element of Q(sqrt(2)) as text."""
+    return str(x.a) if x.b == 0 else f"{x.a} + {x.b}*sqrt(2)"

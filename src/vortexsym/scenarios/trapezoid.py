@@ -174,9 +174,9 @@ def elimination_ideal(comps):
 
     # the sixth element factors as mu4^2 (mu2 - mu4) p1
     p1_r = Poly.parse(R_REGISTRY, targets.P1_QUINTIC)
-    quotient = f_mine[5].try_divide(Poly.parse(R_REGISTRY, "mu4^2"), _ORD)
+    quotient = f_mine[5].try_divide(Poly.parse(R_REGISTRY, "mu4^2"))
     if quotient is not None:
-        quotient = quotient.try_divide(Poly.parse(R_REGISTRY, "mu2 - mu4"), _ORD)
+        quotient = quotient.try_divide(Poly.parse(R_REGISTRY, "mu2 - mu4"))
     checks.add(
         "f6_factorisation",
         quotient is not None and quotient.primitive(_ORD) == p1_r.primitive(_ORD),
@@ -267,7 +267,7 @@ def plane_factorisation():
         f"Descartes bound {changes}, exactly three positive roots near {targets.B_ROOTS}",
     )
 
-    a_poly = _a_of_b(gb_ab)
+    a_poly = _a_of_b(gb_ab.polys)
     a_of_b = coeffs_from_poly(a_poly, "b")
     a_ivs = tuple(_widen(eval_interval(a_of_b, iv)) for iv in b_ivs)
     checks.add(
@@ -362,10 +362,11 @@ def plane_factorisation():
     )
 
 
-def _a_of_b(gb_ab):
-    """a as a polynomial in b, read from the element of the plane-coefficient
-    basis that is linear in a with a constant coefficient."""
-    for p in gb_ab.polys:
+def _a_of_b(polys):
+    """a as a polynomial in b, read from the first of ``polys`` (elements
+    of the plane-coefficient ideal) that is linear in a with a constant
+    coefficient."""
+    for p in polys:
         groups = p.coefficients_in(["a"])
         if set(groups) == {(0,), (1,)} and groups[(1,)].is_constant():
             (lead,) = groups[(1,)].terms.values()
@@ -671,6 +672,9 @@ def _match_table(lines, plane):
     if len(lines) != len(targets.TABLE_LINES):
         return False, f"expected {len(targets.TABLE_LINES)} lines, found {len(lines)}"
 
+    # the affine lines share one slice basis; read its mu2 = mu4 points once
+    slices = {line.slice_gb for line in lines if line.case is None}
+    equal_pairs = {gb: _equal_pairs(gb) for gb in slices}
     used = set()
     for line in lines:
         d = line.direction
@@ -692,7 +696,7 @@ def _match_table(lines, plane):
                 mu1_values.append(float((unit[1] + sign * root) / 2))
         case = line.case
         if case is None:
-            case = _classify(line, plane)
+            case = _classify(line, plane, equal_pairs[line.slice_gb])
             if case is None:
                 return False, f"line {unit_f} could not be classified"
 
@@ -734,24 +738,30 @@ def _sign_word(positive):
     return "positive" if positive else "negative"
 
 
-def _classify(line, plane):
-    """Label an affine line: equal pair, cofactor kernel, or plane crossing.
-
-    The equal pair mu2 = mu4 is decided exactly on the slice basis.  The
-    other two labels are read off enclosures, which can only rule a label
-    out: "null-line" when every row of Q d may vanish, for the cofactor
-    matrix Q of ``plane`` (a :class:`PlaneSplit`), and "intersection" when
-    d may lie on at least two of its three real planes.
-    """
-    # exact mu2 = mu4 test: the slice at mu2 = 1 must vanish at this mu3 root
-    window = line.direction[1]
-    constrained = [c for c in (_dehomogenise(p, "mu3") for p in line.slice_gb.polys) if any(c)]
+def _equal_pairs(slice_gb):
+    """The gcd g of the mu4 = 1 slice basis at mu2 = 1, ascending in mu3,
+    and isolating intervals of its real roots: the mu3 of the slice points
+    with mu2 = mu4."""
+    constrained = [c for c in (_dehomogenise(p, "mu3") for p in slice_gb.polys) if any(c)]
     g = constrained[0]
     for other in constrained[1:]:
         g = poly_gcd(g, other)
-    if len(g) > 1 and any(
-        root.lo <= window.hi and window.lo <= root.hi for root in sturm_isolate(g)
-    ):
+    return g, sturm_isolate(g)
+
+
+def _classify(line, plane, equal_pairs):
+    """Label an affine line: equal pair, cofactor kernel, or plane crossing.
+
+    The equal pair mu2 = mu4 is decided exactly on ``equal_pairs``, the
+    :func:`_equal_pairs` of the line's slice basis.  The other two labels
+    are read off enclosures, which can only rule a label out: "null-line"
+    when every row of Q d may vanish, for the cofactor matrix Q of
+    ``plane`` (a :class:`PlaneSplit`), and "intersection" when d may lie on
+    at least two of its three real planes.
+    """
+    g, g_roots = equal_pairs
+    window = line.direction[1]
+    if any(root.lo <= window.hi and window.lo <= root.hi for root in g_roots):
         if eval_interval(g, window).contains(0):
             return "mu2=mu4"
     d = line.direction
@@ -796,7 +806,7 @@ def angle_analysis(comps, eps):
     g_mine = None
     divisor = Poly.parse(R_REGISTRY, "mu1^2") * Poly.parse(R_REGISTRY, "mu1 - mu3")
     for p in gb_vt.polys:
-        q = p.try_divide(divisor, _ORD)
+        q = p.try_divide(divisor)
         if q is not None and not any(q.uses(n) for n in ("mu1", "mu2", "mu3", "mu4")):
             g_mine = q
             break
@@ -808,39 +818,29 @@ def angle_analysis(comps, eps):
     )
     g_coeffs = coeffs_from_poly(g_ref, "r")
 
-    intervals = sturm_isolate(g_coeffs)
-    for iv in intervals:
-        iv.refine(eps)
-    roots = []
-    for iv in intervals:
-        mid = float(iv.midpoint())
-        roots.append(
-            RootRecord(
-                poly="g(r)",
-                interval=(iv.lo, iv.hi),
-                decimal=mid,
-                theta2=angle_of_r(mid),
-            )
-        )
-    r_mags = sorted({round(abs(r.decimal), 6) for r in roots})
+    # the report's enclosures have the requested width; the checks read
+    # their own, of the fixed width _EPS, so no verdict depends on eps
+    roots = _g_roots(g_coeffs, eps)[1]
+    checked, checked_roots = _g_roots(g_coeffs, _EPS)
+    r_mags = sorted({round(abs(r.decimal), 6) for r in checked_roots})
     want_r = sorted(row["r"] for row in targets.ANGLE_TABLE)
-    theta_mags = sorted({round(abs(r.theta2), 6) for r in roots})
+    theta_mags = sorted({round(abs(r.theta2), 6) for r in checked_roots})
     want_theta = sorted(row["theta2"] for row in targets.ANGLE_TABLE)
     checks.add(
         "angle_roots",
-        len(roots) == 6
+        len(checked_roots) == 6
         and all(abs(a - b) < targets.NUMERIC_TOL for a, b in zip(r_mags, want_r))
         and all(abs(a - b) < targets.NUMERIC_TOL for a, b in zip(theta_mags, want_theta)),
         f"six real radii {r_mags} with angles {theta_mags}",
     )
 
-    checks.add("plane_pairing", *_plane_pairing(comps, g_ref, intervals))
+    checks.add("plane_pairing", *_plane_pairing(comps, g_ref, checked))
 
-    chosen = true_trapezoid_roots(g_coeffs, intervals)
+    chosen = true_trapezoid_roots(g_coeffs, checked)
     if chosen is None:
         unique, detail = False, "a root of g(r) may lie at r = 0 or 3 r^2 = 1"
     else:
-        true_angles = [roots[i].theta2 for i in chosen]
+        true_angles = [checked_roots[i].theta2 for i in chosen]
         # the paper prints theta2 to six digits
         unique = len(true_angles) == 1 and abs(true_angles[0] - 0.687197) < targets.NUMERIC_TOL
         detail = (
@@ -852,8 +852,21 @@ def angle_analysis(comps, eps):
     return AngleAnalysis(
         checks=tuple(checks),
         angle_projection_gb=gb_vt,
-        roots=tuple(roots),
-        true_theta2=true_angles[0] if unique else None,
+        roots=roots,
+        true_theta2=roots[chosen[0]].theta2 if unique else None,
+    )
+
+
+def _g_roots(g_coeffs, eps):
+    """Isolating intervals of the real roots of g(r), refined to width
+    ``eps``, and their root records."""
+    intervals = sturm_isolate(g_coeffs)
+    for iv in intervals:
+        iv.refine(eps)
+    mids = [float(iv.midpoint()) for iv in intervals]
+    return intervals, tuple(
+        RootRecord(poly="g(r)", interval=(iv.lo, iv.hi), decimal=m, theta2=angle_of_r(m))
+        for iv, m in zip(intervals, mids)
     )
 
 
@@ -887,10 +900,13 @@ def _plane_pairing(comps, g_ref, g_intervals):
     """Exact pairing of the angle radii with the plane families.
 
     Writes the fourth pipeline polynomial as A(r) mu1 + B(r) mu2 + C(r) mu3.
-    Resultant certificates prove that at every root of g the ratios B/A and
-    C/A are exactly roots of the plane quintics, and ideal membership proves
-    the other two pipeline polynomials vanish identically on the induced
-    plane family; enclosure arithmetic then assigns each radius its plane.
+    A resultant certificate proves that at every root of g the ratio B/A is
+    a root of the b-quintic; the division of A^d a(B/A) - C A^(d-1) by g,
+    for the degree-d element a(b) of the plane-coefficient ideal, proves
+    that C/A = a(B/A) there; and ideal membership proves the other two
+    pipeline polynomials vanish identically on the induced plane family.
+    Each positive radius then takes the family of the one isolating
+    interval of the b-quintic's real roots that its B/A enclosure meets.
     """
     groups = comps[2].r_poly.coefficients_in(["mu1", "mu2", "mu3", "mu4"])
     if set(groups) != {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)}:
@@ -913,22 +929,15 @@ def _plane_pairing(comps, g_ref, g_intervals):
         "r",
     )
     quint_b = Poly.parse(rb_reg, targets.B_QUINTIC)
-    ok_b = res_b.primitive(_ORD) == (quint_b * quint_b).primitive(_ORD)
+    if res_b.primitive(_ORD) != (quint_b * quint_b).primitive(_ORD):
+        return False, "resultant certificate failed: B/A is not a root of the b-quintic"
 
-    gba = eliminate(
-        Ideal.of(*[Poly.parse(AB, t) for t in targets.REMAINDER_COEFFS]), ["b"]
-    )
-    a_quintic = gba.polys[0]
-    ra_reg = VarRegistry(["r", "a"])
-    res_a = resultant(
-        g_ref.map_to(ra_reg),
-        A.map_to(ra_reg) * Poly.variable(ra_reg, "a") - C.map_to(ra_reg),
-        "r",
-    )
-    qa = a_quintic.map_to(ra_reg)
-    ok_a = res_a.primitive(_ORD) == (qa * qa).primitive(_ORD)
-    if not (ok_b and ok_a):
-        return False, "resultant certificates failed"
+    a_of_b = coeffs_from_poly(_a_of_b([Poly.parse(AB, targets.AB_IDEAL_SECOND)]), "b")
+    d = len(a_of_b) - 1
+    terms = (a_k * B**k * A ** (d - k) for k, a_k in enumerate(a_of_b))
+    certificate = sum(terms, -C * A ** (d - 1))
+    if certificate.try_divide(g_ref) is None:
+        return False, "division certificate failed: g does not divide A^d a(B/A) - C A^(d-1)"
 
     # membership: the first two pipeline polynomials vanish on the plane family
     big = VarRegistry(["r", "a", "b", "mu1", "mu2", "mu3", "mu4"])
@@ -947,28 +956,28 @@ def _plane_pairing(comps, g_ref, g_intervals):
             if not normal_form(coefficient, gb_t).is_zero():
                 return False, f"component {comp.index} does not vanish on the family"
 
-    # enclosure bijection: positive radii to plane labels
-    a_int = [RatInterval(c) for c in a_c]
-    b_int = [RatInterval(c) for c in coeffs_from_poly(B, "r")]
-    c_int = [RatInterval(c) for c in coeffs_from_poly(C, "r")]
+    # labels: the real b-roots ascending, to the families by printed b
+    b_roots = sturm_isolate(coeffs_from_poly(Poly.parse(AB, targets.B_QUINTIC), "b"))
+    labels = sorted(targets.PLANE_FAMILIES, key=lambda label: targets.PLANE_FAMILIES[label]["b"])
+    if len(b_roots) != len(labels):
+        return False, f"expected {len(labels)} real b-roots, found {len(b_roots)}"
+    for iv in b_roots:
+        iv.refine(_TIGHT)
+    b_c = coeffs_from_poly(B, "r")
     assignments = {}
     for iv in g_intervals:
-        if iv.midpoint() <= 0:
+        if iv.lo <= 0:
             continue
         window = RatInterval(iv.lo, iv.hi)
-        a_val = eval_interval([c.midpoint() for c in a_int], window)
-        b_val = eval_interval([c.midpoint() for c in b_int], window) / a_val
-        matched = None
-        for label, fam in targets.PLANE_FAMILIES.items():
-            if b_val.contains(targets.fraction(fam["b"])) or abs(
-                float(b_val.midpoint()) - fam["b"]
-            ) < targets.NUMERIC_TOL:
-                matched = label
-        if matched is None:
-            return False, f"no plane family matches b = {float(b_val.midpoint()):.6f}"
-        c_val = eval_interval([c.midpoint() for c in c_int], window) / a_val
+        b_val = eval_interval(b_c, window) / eval_interval(a_c, window)
+        met = [i for i, root in enumerate(b_roots) if root.lo <= b_val.hi and b_val.lo <= root.hi]
+        if len(met) != 1:
+            return False, f"B/A meets {len(met)} isolating intervals of the b-quintic, expected 1"
+        matched = labels[met[0]]
         fam = targets.PLANE_FAMILIES[matched]
-        derived = float(c_val.midpoint())
+        root = b_roots[met[0]]
+        derived = float(eval_interval(a_of_b, RatInterval(root.lo, root.hi)).midpoint())
+        # the paper prints the plane coefficients to six digits
         if abs(derived - fam["a"]) > targets.NUMERIC_TOL:
             return False, (
                 f"a-coefficient mismatch for family {matched}: expected {fam['a']},"

@@ -398,7 +398,3 @@ def build_products(registry, entries):
             p = p * Poly.parse(registry, text)
         out.append(p)
     return out
-
-
-def fraction(x, denominator_bound=10**9):
-    return Fraction(x).limit_denominator(denominator_bound)

@@ -356,7 +356,7 @@ def strip_collision_factors(p, scenario):
     for f in factors:
         count = 0
         while True:
-            q = p.try_divide(f, _ORDER)
+            q = p.try_divide(f)
             if q is None:
                 break
             p = q

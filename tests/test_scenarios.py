@@ -26,14 +26,16 @@ from vortexsym.scenarios.trapezoid import (
     IdealShapeError,
     InconclusiveEnclosureError,
     _classify,
+    _equal_pairs,
     _match_table,
     _plane_pairing,
     _reconstruct_lines,
+    angle_analysis,
     f1_plane_identity_in_ideal,
     plane_factorisation,
     true_trapezoid_roots,
 )
-from vortexsym.trigvortex import KITE, RECTANGLE, R_REGISTRY, pipeline
+from vortexsym.trigvortex import KITE, RECTANGLE, R_REGISTRY, TRIG_REGISTRY, pipeline
 
 _ORD = GrevLex()
 
@@ -200,9 +202,16 @@ class TestRectangle:
         comps = pipeline(RECTANGLE)
         zero = {name: Fraction(0) for name in ("mu1", "mu2", "mu3", "mu4")}
         for target in ("c", "2*c^2 - 1"):
-            quotients = _branch_multiples(comps, zero, target)
+            quotients = _branch_multiples(comps, zero, Poly.parse(TRIG_REGISTRY, target))
             assert quotients is not None and all(q.is_zero() for q in quotients)
             assert not _all_nonzero(quotients)
+
+    def test_every_check_passes_at_a_coarser_width(self):
+        # the angle checks decide on the branch targets, not on the width of
+        # the reported enclosures
+        report = run_rectangle(eps=Fraction(1, 10**8))
+        assert report.passed(), report.failures()
+        assert all(0 < r.width < 1e-8 for r in report.roots[2:])
 
 
 class TestTrapezoid:
@@ -305,8 +314,9 @@ class TestTrapezoid:
         # at tolerance 1e-6 on the unit vector can see
         plane = trapezoid_report.artifacts["plane_factorisation"]
         lines = trapezoid_report.artifacts["annihilating_lines"].lines
+        equal_pairs = _equal_pairs(lines[-1].slice_gb)
         labelled = [
-            (line, _classify(line, plane)) for line in lines if line.case is None
+            (line, _classify(line, plane, equal_pairs)) for line in lines if line.case is None
         ]
         moved = [line for line, case in labelled if case in ("null-line", "intersection")]
         assert sorted(case for _, case in labelled if case != "mu2=mu4") == [
@@ -316,7 +326,7 @@ class TestTrapezoid:
         for line in moved:
             d = line.direction
             off = dataclasses.replace(line, direction=(d[0] + shift, d[1], d[2]))
-            assert _classify(off, plane) is None
+            assert _classify(off, plane, equal_pairs) is None
 
     def test_cofactor_enclosures(self, trapezoid_report):
         plane = trapezoid_report.artifacts["plane_factorisation"]
@@ -414,6 +424,30 @@ class TestStages:
         assert not ok
         assert detail == "a-coefficient mismatch for family B2: expected 0.5, derived 0.480743"
 
+    def test_angle_checks_pass_at_a_coarse_width(self, trapezoid_report):
+        # the checks read their own enclosures; the report keeps the
+        # requested width
+        angles = angle_analysis(trapezoid_report.artifacts["pipeline"], Fraction(1, 10**3))
+        assert all(c.status == "pass" for c in angles.checks), angles.checks
+        assert all(1e-4 < r.width < 1e-3 for r in angles.roots)
+        assert abs(angles.true_theta2 - 0.687197) < 1e-2
+
+    def test_plane_pairing_reads_the_a_element_of_the_plane_ideal(
+        self, trapezoid_report, monkeypatch
+    ):
+        comps = trapezoid_report.artifacts["pipeline"]
+        g_ref = Poly.parse(R_REGISTRY, targets.G_OF_R)
+        intervals = sturm_isolate(coeffs_from_poly(g_ref, "r"))
+        for iv in intervals:
+            iv.refine(Fraction(1, 10**9))
+        assert targets.AB_IDEAL_SECOND.endswith(" + 578*b^4")
+        monkeypatch.setattr(
+            targets, "AB_IDEAL_SECOND", targets.AB_IDEAL_SECOND.replace("578*b^4", "579*b^4")
+        )
+        ok, detail = _plane_pairing(comps, g_ref, intervals)
+        assert not ok
+        assert detail.startswith("division certificate failed")
+
 
 @pytest.fixture(scope="module")
 def gb_ab():
@@ -489,6 +523,41 @@ class TestSolutionSetAnnihilation:
                 continue
             assert p0 == p2
             checked += 1
+
+
+# circulations on the kite collision line mu2 + 2 mu3 = 0, then circulations
+# with mu2 != mu4, which the kite driver refuses
+SWEEP_POINTS = [
+    tuple(Fraction(x) for x in point)
+    for point in (
+        ("5/9", "4/9", "-2/9", "4/9"),
+        ("1", "2", "-1", "2"),
+        ("-3/4", "6/7", "-3/7", "6/7"),
+        ("2", "-4/5", "2/5", "-4/5"),
+        ("-1/2", "-2", "1", "-2"),
+        ("7/3", "1/3", "-1/6", "1/3"),
+        ("1", "2", "3", "4"),
+        ("2/3", "-5/4", "-2/3", "5/4"),
+        ("1", "1", "1", "-1"),
+        ("-7/2", "3/5", "1/9", "8/5"),
+        ("4", "-1", "-4", "1"),
+        ("1/2", "0", "1/3", "1"),
+    )
+]
+
+
+@pytest.mark.parametrize("mus", SWEEP_POINTS, ids=lambda mus: ",".join(map(str, mus)))
+def test_small_drivers_end_in_checks_or_a_clean_error(mus):
+    # each run passes, fails a named check, or refuses the input with a
+    # ValueError; no other exception escapes
+    for run in (run_square, run_kite, run_rectangle):
+        try:
+            report = run(mus=mus)
+        except ValueError:
+            continue
+        names = [c.name for c in report.oracle_checks]
+        assert names and all(names)
+        assert {c.status for c in report.oracle_checks} <= {"pass", "fail"}
 
 
 class TestNonPositiveEps:
