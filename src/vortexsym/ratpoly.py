@@ -280,6 +280,20 @@ def _as_fraction(value):
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
+def _mul_terms(a, b):
+    """Product of two term dicts, in the order the nested loop meets it."""
+    res = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            s = res.get(m, 0) + c1 * c2
+            if s:
+                res[m] = s
+            else:
+                res.pop(m, None)
+    return res
+
+
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
@@ -411,16 +425,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        res = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = res.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    res[m] = s
-                else:
-                    res.pop(m, None)
-        return Poly._raw(self.registry, res)
+        return Poly._raw(self.registry, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -534,30 +539,50 @@ class Poly:
         return total
 
     def subs(self, mapping):
-        """Substitute polynomials (or scalars) for variables, same registry."""
+        """Substitute polynomials (or scalars) for variables, same registry.
+
+        One pass over the terms into one dict: a scalar image multiplies
+        straight into the coefficient, an unmapped variable stays in the
+        monomial, and each polynomial image enters as its power, computed
+        once per exponent.
+        """
         reg = self.registry
         images = []
         for name in reg.names:
-            if name in mapping:
-                v = mapping[name]
-                if isinstance(v, (int, Fraction)):
-                    v = Poly.constant(reg, v)
-                elif v.registry != reg:
-                    raise RegistryMismatchError("substitution image in a different registry")
-                images.append(v)
-            else:
-                images.append(Poly.variable(reg, name))
-        result = Poly.zero(reg)
-        cache = {}
+            v = mapping.get(name)
+            if isinstance(v, (int, Fraction)):
+                v = _as_fraction(v)
+            elif v is not None and v.registry != reg:
+                raise RegistryMismatchError("substitution image in a different registry")
+            images.append(v)
+        powers = {}
+        result = {}
         for mono, coeff in self.terms.items():
-            term = Poly.constant(reg, coeff)
+            kept = list(mono)
+            factors = []
             for i, e in enumerate(mono):
-                if e:
-                    if (i, e) not in cache:
-                        cache[(i, e)] = images[i] ** e
-                    term = term * cache[(i, e)]
-            result = result + term
-        return result
+                v = images[i]
+                if not e or v is None:
+                    continue
+                kept[i] = 0
+                if isinstance(v, Fraction):
+                    coeff *= v**e
+                else:
+                    if (i, e) not in powers:
+                        powers[(i, e)] = (v**e).terms
+                    factors.append(powers[(i, e)])
+            if not coeff:
+                continue
+            term = {tuple(kept): coeff}
+            for f in factors:
+                term = _mul_terms(term, f)
+            for m, c in term.items():
+                s = result.get(m, 0) + c
+                if s:
+                    result[m] = s
+                else:
+                    result.pop(m, None)
+        return Poly._raw(reg, result)
 
     def map_to(self, registry, rename=None):
         """Re-express the polynomial in another registry.

@@ -14,8 +14,9 @@ polynomials run one Faddeev-LeVerrier loop fraction-free, on the matrix
 cleared of denominators over Z, Z[x] or Z[sqrt(2)].  The Hermite method builds
 the trace form of a zero-dimensional quotient ring over its
 standard-monomial basis in integer arithmetic (Pedersen, Roy & Szpirglas,
-1993); its signature, found by fraction-free symmetric elimination, counts
-distinct real solutions and its rank distinct complex ones.
+1993); its signature, found by fraction-free symmetric elimination on each
+block of its nonzero pattern, counts distinct real solutions and its rank
+distinct complex ones.
 """
 
 from __future__ import annotations
@@ -453,14 +454,21 @@ class RatInterval:
             raise ValueError("interval endpoints out of order")
         self.lo, self.hi = lo, hi
 
+    @classmethod
+    def _of(cls, lo, hi):
+        """The interval from ``Fraction`` endpoints already in order."""
+        iv = object.__new__(cls)
+        iv.lo, iv.hi = lo, hi
+        return iv
+
     def __add__(self, other):
         other = _as_interval(other)
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
+        return RatInterval._of(self.lo + other.lo, self.hi + other.hi)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatInterval(-self.hi, -self.lo)
+        return RatInterval._of(-self.hi, -self.lo)
 
     def __sub__(self, other):
         return self + (-_as_interval(other))
@@ -476,7 +484,7 @@ class RatInterval:
             self.hi * other.lo,
             self.hi * other.hi,
         )
-        return RatInterval(min(products), max(products))
+        return RatInterval._of(min(products), max(products))
 
     __rmul__ = __mul__
 
@@ -484,12 +492,12 @@ class RatInterval:
         if isinstance(other, RatInterval):
             if other.lo <= 0 <= other.hi:
                 raise ZeroDivisionError("interval denominator straddles zero")
-            return self * RatInterval(Fraction(1) / other.hi, Fraction(1) / other.lo)
+            return self * RatInterval._of(1 / other.hi, 1 / other.lo)
         scalar = Fraction(other)
         if scalar == 0:
             raise ZeroDivisionError
         a, b = self.lo / scalar, self.hi / scalar
-        return RatInterval(min(a, b), max(a, b))
+        return RatInterval._of(min(a, b), max(a, b))
 
     def width(self):
         return self.hi - self.lo
@@ -528,7 +536,8 @@ def eval_interval(coeffs, interval):
     """Interval Horner evaluation of a dense ascending coefficient list."""
     acc = RatInterval(0)
     for c in reversed(coeffs):
-        acc = acc * interval + RatInterval(c)
+        acc = acc * interval
+        acc = RatInterval._of(acc.lo + c, acc.hi + c)
     return acc
 
 
@@ -538,7 +547,15 @@ def eval_interval(coeffs, interval):
 
 
 class SymMatrix:
-    """Dense symmetric matrix with exact rational entries."""
+    """Symmetric matrix with exact rational entries, held as integer rows
+    ``ints`` over one positive denominator ``den``.
+
+    ``SymMatrix(rows)`` takes rational rows and checks that they are square
+    and symmetric; :meth:`over` wraps integer rows already known to be.
+    ``rows`` reads the entries back as ``Fraction``s.
+    """
+
+    __slots__ = ("ints", "den", "n")
 
     def __init__(self, rows):
         rows = [tuple(Fraction(c) for c in row) for row in rows]
@@ -550,8 +567,25 @@ class SymMatrix:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"matrix is not symmetric at ({i},{j})")
-        self.rows = tuple(rows)
+        den = lcm(*(c.denominator for row in rows for c in row))
+        self.ints = tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows)
+        self.den = den
         self.n = n
+
+    @classmethod
+    def over(cls, ints, den):
+        """The matrix ``ints / den`` from square, symmetric integer rows and
+        a positive integer ``den``, taken as given."""
+        m = object.__new__(cls)
+        m.ints = tuple(map(tuple, ints))
+        m.den = den
+        m.n = len(m.ints)
+        return m
+
+    @property
+    def rows(self):
+        den = self.den
+        return tuple(tuple(Fraction(c, den) for c in row) for row in self.ints)
 
 
 def char_poly(rows):
@@ -722,67 +756,109 @@ def _neg_div_sparse(x, k):
 def inertia(matrix):
     """Exact (n_pos, n_neg, n_zero) of a symmetric rational matrix.
 
-    Fraction-free symmetric elimination by congruence transformations.
-    Denominators are cleared by a positive common multiple, so the work is
-    on an integer matrix ``B = s * S`` for a rational scalar ``s`` of known
-    sign and the exact trailing block ``S``.  Each step with pivot
-    ``p = B_kk`` replaces the trailing block by ``p * B_ij - B_ik * B_kj``,
-    which is ``p * s`` times the Schur complement of ``S_kk`` in ``S``, and
-    then divides out its content.  The pivot of the congruent diagonal form
-    is ``S_kk = p / s``, so its sign is that of ``p`` flipped when ``s`` is
-    negative.  A zero pivot is replaced by a later nonzero diagonal entry,
-    or made nonzero by adding a row and column with a nonzero off-diagonal
-    entry; a zero row counts as a zero eigenvalue.  This stays in integers
-    and avoids the coefficient blow-up of a characteristic polynomial in
-    high dimension.
+    The integer rows ``B`` of the matrix (its entries times a positive
+    denominator) are split into the connected components of their nonzero
+    pattern, and the inertias of these diagonal blocks add up.  Each block
+    is reduced by fraction-free symmetric elimination, by congruence
+    transformations, on its upper triangle alone: ``B = s * S`` for a
+    rational scalar ``s`` of known sign and the exact trailing block ``S``.
+    Each step with pivot ``p = B_kk`` replaces the trailing block by
+    ``p * B_ij - B_ik * B_kj``, which is ``p * s`` times the Schur complement
+    of ``S_kk`` in ``S``, and then divides out its content.  The pivot of
+    the congruent diagonal form is ``S_kk = p / s``, so its sign is that of
+    ``p`` flipped when ``s`` is negative.  A zero pivot is replaced by a
+    later nonzero diagonal entry, or made nonzero by adding a row and column
+    with a nonzero off-diagonal entry; a zero row counts as a zero
+    eigenvalue.  This stays in integers and avoids the coefficient blow-up
+    of a characteristic polynomial in high dimension.
     """
     if not isinstance(matrix, SymMatrix):
         matrix = SymMatrix(matrix)
     n = matrix.n
-    den = lcm(*(c.denominator for row in matrix.rows for c in row))
-    b = [[c.numerator * (den // c.denominator) for c in row] for row in matrix.rows]
+    b = matrix.ints
+    pos = neg = zero = 0
+    for block in _components(b):
+        upper = [[b[i][j] for j in block[k:]] for k, i in enumerate(block)]
+        p, m, z = _upper_inertia(upper)
+        pos, neg, zero = pos + p, neg + m, zero + z
+    if pos + neg + zero != n:
+        raise InertiaCountError(f"{pos} + {neg} + {zero} signs for size {n}")
+    return (pos, neg, zero)
+
+
+def _components(b):
+    """Index sets of the connected components of the nonzero pattern of
+    the symmetric matrix ``b``, each ascending, by smallest index."""
+    seen = [False] * len(b)
+    blocks = []
+    for start in range(len(b)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            for j, x in enumerate(b[i]):
+                if x and not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _upper_inertia(u):
+    """(n_pos, n_neg, n_zero) of the symmetric integer matrix whose upper
+    triangle is ``u``: row ``i`` holds the entries ``(i, j)`` for ``j >= i``."""
     pos = neg = zero = 0
     flipped = False  # whether the scalar s is negative
-    while b:
-        if b[0][0] == 0:
-            pivot = next((i for i in range(1, len(b)) if b[i][i] != 0), None)
+    while u:
+        first = u[0]
+        if first[0] == 0:
+            pivot = next((i for i in range(1, len(u)) if u[i][0] != 0), None)
             if pivot is not None:
-                b[0], b[pivot] = b[pivot], b[0]
-                for row in b:
-                    row[0], row[pivot] = row[pivot], row[0]
+                u = _to_front(u, pivot)
             else:
-                off = next((i for i in range(1, len(b)) if b[0][i] != 0), None)
+                off = next((j for j in range(1, len(first)) if first[j] != 0), None)
                 if off is None:
                     zero += 1
-                    b = [row[1:] for row in b[1:]]
+                    u = u[1:]
                     continue
                 # congruence: add row and column ``off`` into 0, making
-                # b[0][0] = 2 * b[0][off] != 0
-                b[0] = [x + y for x, y in zip(b[0], b[off])]
-                for row in b:
-                    row[0] += row[off]
-        p = b[0][0]
+                # the pivot 2 * b[0][off] != 0 (b[off][off] is zero too)
+                u[0] = [2 * first[off]] + [
+                    x + (u[j][off - j] if j < off else u[off][j - off])
+                    for j, x in enumerate(first[1:], 1)
+                ]
+        top = u[0]
+        p = top[0]
         if (p > 0) != flipped:
             pos += 1
         else:
             neg += 1
         flipped ^= p < 0
-        top = b[0][1:]
-        b = [
-            [p * x - f * y for x, y in zip(row[1:], top)]
-            for row in b[1:]
-            for f in (row[0],)
+        u = [
+            [p * x - f * y for x, y in zip(row, top[i:])]
+            for i, row in enumerate(u[1:], 1)
+            for f in (top[i],)
         ]
         g = 0
-        for row in b:
+        for row in u:
             g = gcd(g, *row)
             if g == 1:
                 break
         if g > 1:
-            b = [[x // g for x in row] for row in b]
-    if pos + neg + zero != n:
-        raise InertiaCountError(f"{pos} + {neg} + {zero} signs for size {n}")
-    return (pos, neg, zero)
+            u = [[x // g for x in row] for row in u]
+    return pos, neg, zero
+
+
+def _to_front(u, k):
+    """The upper triangle ``u`` with index ``k`` moved to the front."""
+    order = [k, *range(k), *range(k + 1, len(u))]
+    return [
+        [u[i][j - i] if i <= j else u[j][i - j] for j in order[a:]]
+        for a, i in enumerate(order)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -799,12 +875,16 @@ def _shift(mono, i, by=1):
 def hermite_matrix(gb, qb=None):
     """Trace form H_ij = Tr(mult by m_i * m_j) over the standard basis.
 
-    Computed in integers: each multiplication-by-variable matrix is built
-    once from packed-kernel normal forms as an integer matrix over one
-    common denominator, the coordinates of every monomial are chained
-    through them as primitive (integer vector, denominator) pairs, and the
-    traces and entries are integer dot products.  The entries are exact
-    rationals.
+    Computed in integers.  Each multiplication-by-variable matrix is stored
+    by column: a column whose product x_v * b_k is itself a standard
+    monomial is a unit column and keeps only its target index; every other
+    column keeps the indices and integer entries of its packed-kernel normal
+    form, over one common denominator per variable.  The coordinates of
+    every monomial are primitive (integer list, denominator) pairs, each
+    chained from a smaller monomial through the present variable with the
+    fewest non-unit columns, skipping zero coordinates.  The traces and
+    entries are integer dot products, returned as one integer matrix over
+    one denominator.
     """
     if qb is None:
         qb = standard_monomials(gb)
@@ -816,31 +896,26 @@ def hermite_matrix(gb, qb=None):
         return SymMatrix([])
     index = {m: k for k, m in enumerate(basis)}
     reg = gb.registry
-    nvar = len(reg)
+    non_unit = [sum(_shift(m, v) not in index for m in basis) for v in range(len(reg))]
 
-    def unit(k):
-        col = [0] * d
-        col[k] = 1
-        return col, 1
+    def mult_columns(v):
+        """Columns of multiplication by variable ``v``, and their denominator."""
+        cols = []
+        for m in basis:
+            target = _shift(m, v)
+            if target in index:
+                cols.append(index[target])
+            else:
+                coeffs, den = integer_normal_form(Poly(reg, {target: Fraction(1)}), gb)
+                cols.append(([index[t] for t in coeffs], list(coeffs.values()), den))
+        den = lcm(*(col[2] for col in cols if not isinstance(col, int)))
+        return [
+            col if isinstance(col, int) else (col[0], [c * (den // col[2]) for c in col[1]])
+            for col in cols
+        ], den
 
-    def nf_coords(mono):
-        if mono in index:
-            return unit(index[mono])
-        coeffs, den = integer_normal_form(Poly(reg, {mono: Fraction(1)}), gb)
-        col = [0] * d
-        for m, c in coeffs.items():
-            col[index[m]] = c
-        return col, den
-
-    def mult_matrix(v):
-        """Rows of multiplication by variable ``v``, and their denominator."""
-        cols = [nf_coords(_shift(m, v)) for m in basis]
-        den = lcm(*(e for _, e in cols))
-        cols = [[c * (den // e) for c in col] for col, e in cols]
-        return [list(row) for row in zip(*cols)], den
-
-    matrices = {}
-    vec_cache = {m: unit(k) for m, k in index.items()}
+    columns = {}
+    vec_cache = {m: ([int(j == k) for j in range(d)], 1) for m, k in index.items()}
 
     def vec(mono):
         """Coordinates of ``mono`` in the quotient ring as (u, e): u / e.
@@ -851,15 +926,25 @@ def hermite_matrix(gb, qb=None):
         """
         chain = []
         while mono not in vec_cache:
-            v = next(i for i in range(nvar) if mono[i] > 0)
+            v = min((i for i, x in enumerate(mono) if x), key=non_unit.__getitem__)
             chain.append((mono, v))
             mono = _shift(mono, v, -1)
         u, e = vec_cache[mono]
         for mono, v in reversed(chain):
-            if v not in matrices:
-                matrices[v] = mult_matrix(v)
-            rows, den = matrices[v]
-            u, e = _primitive_over([sum(map(mul, row, u)) for row in rows], e * den)
+            if v not in columns:
+                columns[v] = mult_columns(v)
+            cols, den = columns[v]
+            out = [0] * d
+            for k, x in enumerate(u):
+                if not x:
+                    continue
+                col = cols[k]
+                if isinstance(col, int):
+                    out[col] += x * den
+                else:
+                    for t, c in zip(*col):
+                        out[t] += x * c
+            u, e = _primitive_over(out, e * den)
             vec_cache[mono] = (u, e)
         return u, e
 
@@ -870,13 +955,23 @@ def hermite_matrix(gb, qb=None):
         sum(u[k] * (t_den // e) for k, (u, e) in enumerate(row)) for row in diag
     ]
     trace, t_den = _primitive_over(trace, t_den)
-
-    rows = [[None] * d for _ in range(d)]
-    for i, mi in enumerate(basis):
-        for j in range(i, d):
-            u, e = vec(mono_mul(mi, basis[j]))
-            rows[i][j] = rows[j][i] = Fraction(sum(map(mul, u, trace)), e * t_den)
-    return SymMatrix(rows)
+    # H_ij = Tr(m_i * m_j) = (u . trace) / (e * t_den), once per distinct
+    # product, over the common denominator h_den * t_den
+    products = [[mono_mul(mi, basis[j]) for j in range(i, d)] for i, mi in enumerate(basis)]
+    traces = {}
+    for row in products:
+        for m in row:
+            if m not in traces:
+                u, e = vec(m)
+                traces[m] = (sum(map(mul, u, trace)), e)
+    h_den = lcm(*(e for _, e in traces.values()))
+    upper = [[t * (h_den // e) for t, e in map(traces.__getitem__, row)] for row in products]
+    g = gcd(h_den * t_den, *(x for row in upper for x in row))
+    ints = [[None] * d for _ in range(d)]
+    for i, row in enumerate(upper):
+        for j, x in enumerate(row, i):
+            ints[i][j] = ints[j][i] = x // g
+    return SymMatrix.over(ints, h_den * t_den // g)
 
 
 def _primitive_over(u, e):

@@ -223,11 +223,63 @@ class TestDivision:
             assert (p * d).divide_exact(d) == p
 
 
+def _subs_reference(p, mapping):
+    """Substitution as a sum of one product Poly per term."""
+    reg = p.registry
+    images = [
+        Poly.constant(reg, mapping[n])
+        if isinstance(mapping.get(n), (int, Fraction))
+        else mapping.get(n, Poly.variable(reg, n))
+        for n in reg.names
+    ]
+    result = Poly.zero(reg)
+    for mono, coeff in p.terms.items():
+        term = Poly.constant(reg, coeff)
+        for image, e in zip(images, mono):
+            if e:
+                term = term * image**e
+        result = result + term
+    return result
+
+
 class TestSubstitutionAndGrouping:
     def test_subs_polynomial(self):
         p = P("x^2 + y")
         q = p.subs({"x": P("y + 1")})
         assert q == P("y^2 + 3*y + 1")
+
+    @pytest.mark.parametrize("images", ["scalar", "poly", "mixed"])
+    def test_subs_matches_term_by_term_reference(self, images):
+        # The reference multiplies out and adds one Poly per term; the
+        # one-pass subs must give the same terms in the same order, and the
+        # substituted polynomial must evaluate like the original at the
+        # images of a point.
+        rng = random.Random(f"subs-{images}")
+        for _ in range(40):
+            p = random_poly(rng, XYZ, max_terms=6)
+            mapping = {}
+            for name in rng.sample(XYZ.names, rng.randint(0, 3)):
+                scalar = images == "scalar" or (images == "mixed" and rng.random() < 0.5)
+                if scalar:
+                    mapping[name] = rng.choice([0, 1, -2, Fraction(rng.randint(-5, 5), 3)])
+                else:
+                    mapping[name] = random_poly(rng, XYZ, max_terms=3, max_exp=2)
+            got = p.subs(mapping)
+            want = _subs_reference(p, mapping)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            point = {n: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for n in XYZ.names}
+            moved = dict(point)
+            for n, v in mapping.items():
+                moved[n] = v.evaluate(point) if isinstance(v, Poly) else v
+            assert got.evaluate(point) == p.evaluate(moved)
+
+    def test_subs_keeps_the_order_of_a_cancelled_and_returning_monomial(self):
+        # x and -z cancel in y; y comes back after y^2, so it is last
+        p = Poly(XYZ, {(1, 0, 0): 1, (0, 0, 1): -1, (0, 2, 0): 1, (0, 1, 0): 1})
+        q = p.subs({"x": P("y"), "z": P("y")})
+        assert list(q.terms) == list(_subs_reference(p, {"x": P("y"), "z": P("y")}).terms)
+        assert list(q.terms) == [(0, 2, 0), (0, 1, 0)]
 
     def test_evaluate_exact(self):
         p = P("x^2*y - 1/2*z")

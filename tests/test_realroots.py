@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -24,7 +25,7 @@ from vortexsym.realroots import (
     squarefree_part,
     sturm_isolate,
 )
-from vortexsym.realroots import _neg_div_int, _neg_div_sparse, _primitive_int, _sign_at
+from vortexsym.realroots import _components, _neg_div_int, _neg_div_sparse, _primitive_int, _sign_at
 
 X = VarRegistry(["x"])
 
@@ -214,6 +215,67 @@ class TestInertia:
             m = [[sum(u[i][k] * au[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
             assert inertia(SymMatrix(m)) == want
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_permuted_block_diagonal_matches_blockwise_reference(self, seed):
+        # Dense, zero, zero-diagonal, zero-first-pivot and negative definite
+        # blocks, scattered by one symmetric permutation: the inertia must
+        # find the blocks wherever their indices land and add up their
+        # inertias.
+        rng = random.Random(f"blocks-{seed}")
+
+        def q():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+        blocks = []
+        for _ in range(rng.randint(2, 5)):
+            k = rng.randint(1, 4)
+            kind = rng.choice(["dense", "zero", "zero_diagonal", "zero_first", "negative"])
+            a = [[q() for _ in range(k)] for _ in range(k)]
+            if kind == "zero":
+                b = [[Fraction(0)] * k for _ in range(k)]
+            elif kind == "negative":  # -(a a^T + I)
+                b = [
+                    [-sum(a[i][t] * a[j][t] for t in range(k)) - (i == j) for j in range(k)]
+                    for i in range(k)
+                ]
+            else:
+                b = [[a[i][j] + a[j][i] for j in range(k)] for i in range(k)]
+                if kind == "zero_diagonal":
+                    for i in range(k):
+                        b[i][i] = Fraction(0)
+                elif kind == "zero_first":
+                    b[0][0] = Fraction(0)
+            blocks.append(b)
+        n = sum(len(b) for b in blocks)
+        diag = [[Fraction(0)] * n for _ in range(n)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                diag[at + i][at : at + len(b)] = row
+            at += len(b)
+        perm = rng.sample(range(n), n)
+        m = [[diag[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        want = [sum(parts) for parts in zip(*map(reference_inertia, blocks))]
+        assert list(inertia(SymMatrix(m))) == want
+
+    def test_components_follow_the_nonzero_pattern(self):
+        m = [[1, 0, 2, 0], [0, 0, 0, 0], [2, 0, 0, 0], [0, 0, 0, -1]]
+        assert _components(m) == [[0, 2], [1], [3]]
+
+    def test_rational_and_integer_construction_agree(self):
+        rng = random.Random(13)
+        for n in range(5):
+            a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+            sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+            den = 3 * lcm(1, *(c.denominator for row in sym for c in row))
+            ints = [[int(c * den) for c in row] for row in sym]
+            from_rationals = SymMatrix(sym)
+            from_ints = SymMatrix.over(ints, den)
+            assert from_ints.n == from_rationals.n == n
+            assert from_ints.rows == from_rationals.rows
+            assert from_ints.rows == tuple(map(tuple, sym))
+            assert inertia(from_ints) == inertia(from_rationals) == reference_inertia(sym)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             SymMatrix([[1, 2], [3, 4]])
@@ -302,6 +364,23 @@ class TestHermite:
         assert h.n == 50
         assert [list(row) for row in h.rows] == reference_hermite(gb)
         assert inertia(h) == (30, 10, 10)
+        # the x -> -x parity of the ideal splits H into two blocks
+        assert [len(b) for b in _components(h.ints)] == [25, 25]
+
+    @pytest.mark.parametrize(
+        "gens, count",
+        [(("x^2 - 2", "y^2 - 3"), (4, 4)), (("x^2 + 2", "y^3 - y"), (0, 6))],
+    )
+    def test_hermite_count_on_parity_symmetric_ideals(self, gens, count):
+        # Each generator is even or odd in each variable, so H_ij vanishes
+        # whenever m_i * m_j is odd in some variable and H splits into blocks.
+        reg = VarRegistry(["x", "y"])
+        ideal = Ideal.of(*(Poly.parse(reg, g) for g in gens))
+        assert hermite_count(ideal) == count
+        gb = buchberger(ideal, grevlex(reg))
+        h = hermite_matrix(gb)
+        assert [list(row) for row in h.rows] == reference_hermite(gb)
+        assert len(_components(h.ints)) > 1
 
     def test_hermite_matrix_univariate_power_sums(self):
         gb = buchberger(Ideal.of(Poly.parse(X, "x^2 - 1")), grevlex(X))
