@@ -1,4 +1,4 @@
-"""Polynomial division, Buchberger's algorithm, elimination ideals, normal forms.
+"""Buchberger's algorithm, elimination ideals, normal forms and resultants.
 
 The Buchberger kernel works fraction-free over the integers: every
 polynomial is kept integer-primitive and reductions rescale by integer
@@ -38,7 +38,11 @@ converted to and from this form only on entry to and exit from
 ``_buchberger_int``.
 
 ``resultant`` clears denominators and evaluates the Sylvester determinant
-by Bareiss elimination on integer polynomials ``{monomial: int}``.
+by Bareiss elimination on integer polynomials ``{monomial: int}``, whose
+exact divisions by the previous pivot run on ``ratpoly._div_exact``.  The
+package's two polynomial kernels thus do different jobs: ``_int_nf`` here
+takes normal forms modulo a basis, ``_div_exact`` the quotient by one
+polynomial.
 """
 
 from __future__ import annotations
@@ -49,17 +53,16 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from vortexsym.ratpoly import (
-    ExactDivisionError,
     GrevLex,
     Poly,
     RegistryMismatchError,
     VarRegistry,
+    _div_exact,
     elimination,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
-    reduce,  # division with quotients, re-exported for its callers
 )
 
 
@@ -189,9 +192,10 @@ def s_polynomial(f, g, order):
 def normal_form(p, basis):
     """Remainder of ``p`` modulo a Groebner basis (unique for a true basis).
 
-    Runs on the packed kernel and equals ``reduce(p, basis.polys,
-    basis.order)[1]`` exactly, since both reduce the largest term first by
-    the first basis element whose leading monomial divides it.
+    Runs on the packed kernel and equals the remainder of textbook
+    multivariate division by ``basis.polys`` in ``basis.order`` exactly,
+    since both reduce the largest term first by the first basis element
+    whose leading monomial divides it.
     """
     coeffs, den = integer_normal_form(p, basis)
     return Poly(p.registry, {m: Fraction(c, den) for m, c in coeffs.items()})
@@ -608,34 +612,6 @@ def _mul_sub(a, b, c, d):
                 else:
                     del out[m]
     return out
-
-
-def _div_exact(num, den):
-    """Exact quotient of integer polynomials ``{monomial: int}``, dividing
-    lex-largest terms first; raises :class:`ExactDivisionError` with the
-    part of ``num`` left undivided when ``den`` does not divide ``num``
-    over the integers."""
-    lm = max(den)
-    lc = den[lm]
-    tail = [(m, c) for m, c in den.items() if m != lm]
-    work = dict(num)
-    quotient = {}
-    while work:
-        m = max(work)
-        q, r = divmod(work[m], lc)
-        if r or not mono_divides(lm, m):
-            raise ExactDivisionError(work)
-        del work[m]
-        qm = mono_div(m, lm)
-        quotient[qm] = q
-        for tm, tc in tail:
-            mm = mono_mul(qm, tm)
-            s = work.get(mm, 0) - q * tc
-            if s:
-                work[mm] = s
-            else:
-                del work[mm]
-    return quotient
 
 
 def _bareiss_int(matrix):

@@ -6,6 +6,13 @@ an error: the classification pipeline switches between several variable
 worlds (trig variables, the half-angle variable, circulation parameters)
 and silent coercion between them is the main source of bugs.
 
+Every exact quotient in the package runs through one kernel,
+:func:`_div_exact`, on integer coefficients keyed by monomial:
+``Poly.divide_exact`` divides the integer-primitive parts of its operands
+with it, ``groebner`` takes the exact divisions of Bareiss elimination with
+it, and ``realroots`` the squarefree part.  Normal forms modulo a basis are
+the job of ``groebner``'s packed kernel.
+
 ``Sqrt2`` is the exact scalar field Q(sqrt(2)), in which the rectangle's
 diagonal Hessians live.
 """
@@ -16,13 +23,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-# Coefficients are exact rationals throughout; floats only appear when a
-# caller explicitly evaluates a polynomial numerically.
-Rational = Fraction
-
-# A monomial is a tuple of non-negative exponents, one per registry variable.
-Monomial = tuple
 
 
 class RegistryMismatchError(ValueError):
@@ -97,44 +97,34 @@ def mono_degree(a):
     return sum(a)
 
 
-def reduce(p, divisors, order):
-    """Multivariate division with remainder: ``p = sum q_i d_i + rem``.
+def _div_exact(num, den):
+    """Exact quotient of integer polynomials ``{monomial: int}``.
 
-    No term of ``rem`` is divisible by the leading monomial of any divisor;
-    the result is deterministic in the divisor order (first match wins).
+    Divides the largest term in tuple order (lex in registry order) first.
+    Raises :class:`ExactDivisionError` with the part of ``num`` left
+    undivided when ``den`` does not divide ``num`` over the integers.
     """
-    divisors = list(divisors)
-    if any(d.is_zero() for d in divisors):
-        raise ValueError("divisors must be nonzero")
-    reg = p.registry
-    lead = [d.leading_term(order) for d in divisors]
-    quotients = [dict() for _ in divisors]
-    remainder = {}
-    work = dict(p.terms)
+    lm = max(den)
+    lc = den[lm]
+    tail = [(m, c) for m, c in den.items() if m != lm]
+    work = dict(num)
+    quotient = {}
     while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        for i, (dm, dc) in enumerate(lead):
-            if mono_divides(dm, m):
-                qm = mono_div(m, dm)
-                qc = c / dc
-                quotients[i][qm] = quotients[i].get(qm, 0) + qc
-                for m2, c2 in divisors[i].terms.items():
-                    if m2 == dm:
-                        continue
-                    mm = mono_mul(qm, m2)
-                    s = work.get(mm, Fraction(0)) - qc * c2
-                    if s:
-                        work[mm] = s
-                    else:
-                        work.pop(mm, None)
-                break
-        else:
-            remainder[m] = remainder.get(m, Fraction(0)) + c
-    return (
-        [Poly(reg, q) for q in quotients],
-        Poly(reg, remainder),
-    )
+        m = max(work)
+        q, r = divmod(work[m], lc)
+        if r or not mono_divides(lm, m):
+            raise ExactDivisionError(work)
+        del work[m]
+        qm = mono_div(m, lm)
+        quotient[qm] = q
+        for tm, tc in tail:
+            mm = mono_mul(qm, tm)
+            s = work.get(mm, 0) - q * tc
+            if s:
+                work[mm] = s
+            else:
+                del work[mm]
+    return quotient
 
 
 def _unit_row(nvars, i, weight=1):
@@ -502,17 +492,29 @@ class Poly:
     def divide_exact(self, divisor):
         """Exact quotient ``q`` with ``q * divisor == self``.
 
-        Raises :class:`ExactDivisionError` carrying the nonzero remainder
-        when the division does not come out even.  It runs in grevlex: by a
-        single divisor the remainder is 0 in any order exactly when it divides.
+        Divides the integer-primitive parts of both operands with
+        :func:`_div_exact` and scales the quotient by the ratio of their
+        contents: by Gauss's lemma a primitive divisor divides over Q
+        exactly when it divides over Z.  When the division does not come
+        out even, raises :class:`ExactDivisionError` whose ``remainder`` is
+        the nonzero part of ``self`` left undivided.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        (quotient,), remainder = reduce(self, [divisor], GrevLex())
-        if not remainder.is_zero():
-            raise ExactDivisionError(remainder)
-        return quotient
+        num_content, num = self.content_strip()
+        den_content, den = divisor.content_strip()
+        try:
+            quotient = _div_exact(
+                {m: c.numerator for m, c in num.terms.items()},
+                {m: c.numerator for m, c in den.terms.items()},
+            )
+        except ExactDivisionError as err:
+            raise ExactDivisionError(
+                Poly._raw(self.registry, {m: c * num_content for m, c in err.remainder.items()})
+            ) from None
+        ratio = num_content / den_content
+        return Poly._raw(self.registry, {m: q * ratio for m, q in quotient.items()})
 
     def try_divide(self, divisor):
         """Exact quotient, or None when the division is not exact."""

@@ -39,6 +39,7 @@ from vortexsym.ratpoly import (
     Poly,
     RegistryMismatchError,
     Sqrt2,
+    _div_exact,
     mono_mul,
 )
 
@@ -149,12 +150,13 @@ def _poly_rem(a, b):
 
 
 def poly_gcd(a, b):
-    """Primitive integer gcd of two coefficient lists."""
+    """Primitive integer gcd of two coefficient lists, positive-leading;
+    ``[]`` when both are zero."""
     a = _primitive_int(_trim(list(a)))
     b = _primitive_int(_trim(list(b)))
     while b:
         a, b = b, _poly_rem(a, b)
-    return a
+    return [-c for c in a] if a and a[-1] < 0 else a
 
 
 def squarefree_part(coeffs):
@@ -165,26 +167,14 @@ def squarefree_part(coeffs):
     g = poly_gcd(coeffs, derivative(coeffs))
     if degree(g) == 0:
         return coeffs
-    return _primitive_int(_exact_quotient(coeffs, g))
-
-
-def _exact_quotient(a, b):
-    """a / b for integer lists when b divides a; primitive b makes the
-    quotient integral (Gauss's lemma)."""
-    a = list(a)
-    db = degree(b)
-    lb = b[-1]
-    q = [0] * (len(a) - db)
-    for k in reversed(range(len(q))):
-        f, r = divmod(a[k + db], lb)
-        if r:
-            raise ExactDivisionError(_trim(a))
-        q[k] = f
-        for i in range(db + 1):
-            a[k + i] -= f * b[i]
-    if any(a):
-        raise ExactDivisionError(_trim(a))
-    return q
+    # quotient of two primitive lists: integral and primitive (Gauss's lemma)
+    quotient = _div_exact(
+        {(i,): c for i, c in enumerate(coeffs) if c}, {(i,): c for i, c in enumerate(g) if c}
+    )
+    dense = [0] * (degree(coeffs) - degree(g) + 1)
+    for (i,), c in quotient.items():
+        dense[i] = c
+    return dense
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ _EPS = Fraction(1, 10**9)
 
 
 def run_rectangle(mus=None, eps=_EPS):
+    if mus is not None and len(mus) != 4:
+        raise ValueError("run_rectangle needs four circulations")
     report = ScenarioReport(scenario="rectangle")
     comps = pipeline(RECTANGLE)
     report.pipeline_polynomials = [c.r_poly.format(_ORD) for c in comps]
@@ -132,6 +134,11 @@ def run_rectangle(mus=None, eps=_EPS):
             for (a, b), ok in zip(samples, simple)
         ],
     }
+    if mus is not None and any(Fraction(mus[i + 2]) != -Fraction(mus[i]) for i in (0, 1)):
+        report.stability["note"] = (
+            "circulations violate mu3 = -mu1, mu4 = -mu2 (opposite pairs); the"
+            " diagonal sample is taken at (mu1, mu2, -mu1, -mu2)"
+        )
     return report
 
 

@@ -32,7 +32,6 @@ from vortexsym.groebner import (
     buchberger,
     eliminate,
     normal_form,
-    reduce,
     resultant,
     standard_monomials,
 )
@@ -40,6 +39,7 @@ from vortexsym.ratpoly import GrevLex, Poly, VarRegistry, lex
 from vortexsym.realroots import (
     RatInterval,
     SturmSequence,
+    _as_interval,
     coeffs_from_poly,
     derivative,
     descartes_positive,
@@ -218,20 +218,28 @@ def plane_factorisation():
     see :class:`PlaneSplit`.  Reads only the reference values in
     :mod:`vortexsym.targets`."""
     checks = Checks()
-    # parametric reduction: divide by a*mu2 + b*mu3 + mu4 with mu4 ranked first
+    # parametric reduction by the plane a*mu2 + b*mu3 + mu4: under lex with
+    # mu4 first the plane is monic and linear in mu4, so the remainder of p1
+    # is p1 at mu4 = -a*mu2 - b*mu3, and p1 minus it is a multiple of the plane
     preg = VarRegistry(["mu4", "mu2", "mu3", "a", "b"])
     p1 = Poly.parse(preg, targets.P1_QUINTIC)
     plane = Poly.parse(preg, "a*mu2 + b*mu3 + mu4")
-    quotients, remainder = reduce(p1, [plane], lex(preg))
-    identity_ok = quotients[0] * plane + remainder == p1 and not remainder.uses("mu4")
+    remainder = p1.subs({"mu4": Poly.parse(preg, "-a*mu2 - b*mu3")})
     groups = remainder.coefficients_in(["mu2", "mu3"])
     got = [groups.get((5 - k, k), Poly.zero(preg)) for k in range(6)]
     want = [Poly.parse(preg, t) for t in targets.REMAINDER_COEFFS]
-    checks.add(
-        "parametric_remainder",
-        identity_ok and got == want,
-        "six remainder coefficients match the reference forms exactly",
-    )
+    identity_ok = (p1 - remainder).try_divide(plane) is not None
+    bad = next((k for k in range(6) if got[k] != want[k]), None)
+    detail = "six remainder coefficients match the reference forms exactly"
+    if bad is not None:
+        mono = Poly.variable(preg, "mu2", 5 - bad) * Poly.variable(preg, "mu3", bad)
+        detail = (
+            f"coefficient of {mono}: expected {want[bad].format(_ORD)},"
+            f" derived {got[bad].format(_ORD)}"
+        )
+    elif not identity_ok:
+        detail = "p1 minus the remainder is not a multiple of the plane"
+    checks.add("parametric_remainder", identity_ok and bad is None, detail)
 
     # Groebner basis of the coefficient ideal in (a, b), lex a > b
     gb_ab = buchberger(Ideal.of(*(g.map_to(AB) for g in got)), lex(AB))
@@ -450,14 +458,15 @@ def f1_plane_identity_in_ideal(gb_ab):
 def check_f1_on_plane(alpha, beta, gb_ab=None):
     """Does f1 vanish identically on the plane family given by (alpha, beta)?
 
-    Accepts exact numbers or (lo, hi) enclosures.  The restriction of f1 is
-    (mu2^2 - mu3^2)(alpha^2 + beta - beta^2): a sign-definite enclosure of
-    the second factor settles the question; an enclosure straddling zero is
-    decided by the exact ideal-membership certificate when the plane comes
-    from the coefficient ideal (``gb_ab`` supplied), and otherwise raises.
+    Accepts exact numbers or ``RatInterval`` enclosures.  The restriction of
+    f1 is (mu2^2 - mu3^2)(alpha^2 + beta - beta^2): a sign-definite
+    enclosure of the second factor settles the question; an enclosure
+    straddling zero is decided by the exact ideal-membership certificate
+    when the plane comes from the coefficient ideal (``gb_ab`` supplied),
+    and otherwise raises.
     """
-    alpha_iv = _to_interval(alpha)
-    beta_iv = _to_interval(beta)
+    alpha_iv = _as_interval(alpha)
+    beta_iv = _as_interval(beta)
     key = alpha_iv * alpha_iv + beta_iv - beta_iv * beta_iv
     if key.is_positive() or key.is_negative():
         return False
@@ -469,12 +478,6 @@ def check_f1_on_plane(alpha, beta, gb_ab=None):
         "enclosure of alpha^2 + beta - beta^2 straddles zero; tighten it or"
         " supply the plane-coefficient ideal"
     )
-
-
-def _to_interval(x):
-    if isinstance(x, RatInterval):
-        return x
-    return RatInterval(*x) if isinstance(x, tuple) else RatInterval(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,103 @@
+"""Plain references over Q that the tests check the package's kernels against.
+
+``reduce`` is textbook multivariate division with remainder on ``Fraction``
+coefficients; ``textbook_basis`` and ``reference_hermite`` are built on it.
+None of them is fast, and none is used by the package itself.
+"""
+
+from fractions import Fraction
+
+from vortexsym.groebner import s_polynomial, standard_monomials
+from vortexsym.ratpoly import Poly, mono_div, mono_divides, mono_mul
+
+
+def reduce(p, divisors, order):
+    """Multivariate division with remainder: ``p = sum q_i d_i + rem``.
+
+    No term of ``rem`` is divisible by the leading monomial of any divisor;
+    the result is deterministic in the divisor order (first match wins).
+    """
+    divisors = list(divisors)
+    if any(d.is_zero() for d in divisors):
+        raise ValueError("divisors must be nonzero")
+    reg = p.registry
+    lead = [d.leading_term(order) for d in divisors]
+    quotients = [dict() for _ in divisors]
+    remainder = {}
+    work = dict(p.terms)
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for i, (dm, dc) in enumerate(lead):
+            if mono_divides(dm, m):
+                qm = mono_div(m, dm)
+                qc = c / dc
+                quotients[i][qm] = quotients[i].get(qm, 0) + qc
+                for m2, c2 in divisors[i].terms.items():
+                    if m2 == dm:
+                        continue
+                    mm = mono_mul(qm, m2)
+                    s = work.get(mm, Fraction(0)) - qc * c2
+                    if s:
+                        work[mm] = s
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            remainder[m] = remainder.get(m, Fraction(0)) + c
+    return (
+        [Poly(reg, q) for q in quotients],
+        Poly(reg, remainder),
+    )
+
+
+def textbook_basis(gens, order):
+    """Reduced basis by plain Buchberger over Q: every S-polynomial is
+    divided with ``reduce``, no criteria, then minimalised, inter-reduced,
+    made primitive and positive-leading and sorted by leading monomial."""
+    basis = list(gens)
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+
+    def lead(p):
+        return order.key(p.leading_monomial(order))
+
+    def lcm_degree(pair):
+        a, b = (basis[k].leading_monomial(order) for k in pair)
+        return sum(max(x, y) for x, y in zip(a, b))
+
+    while pairs:
+        pair = min(pairs, key=lcm_degree)
+        pairs.remove(pair)
+        i, j = pair
+        _, r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+        if not r.is_zero():
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r.primitive(order))
+
+    minimal = []
+    for p in sorted(basis, key=lead):
+        lm = p.leading_monomial(order)
+        if not any(mono_divides(q.leading_monomial(order), lm) for q in minimal):
+            minimal.append(p)
+    reduced = [
+        reduce(p, minimal[:i] + minimal[i + 1 :], order)[1].primitive(order)
+        for i, p in enumerate(minimal)
+    ]
+    return sorted(reduced, key=lead)
+
+
+def reference_hermite(gb):
+    """Trace form by the definition over Q: H_ij = Tr(m_i m_j), with
+    Tr(m) = sum_k Tr(m)_k Tr(b_k) over the normal-form coordinates of m and
+    Tr(b) = sum_k [NF(b b_k)]_k, every normal form taken with ``reduce``."""
+    basis = standard_monomials(gb).standard_monomials
+    coords = {}
+
+    def nf(m):
+        if m not in coords:
+            _, r = reduce(Poly(gb.registry, {m: Fraction(1)}), gb.polys, gb.order)
+            coords[m] = [r.terms.get(b, Fraction(0)) for b in basis]
+        return coords[m]
+
+    tr = [sum(nf(mono_mul(b, c))[k] for k, c in enumerate(basis)) for b in basis]
+    return [[sum(x * t for x, t in zip(nf(mono_mul(a, b)), tr)) for b in basis] for a in basis]

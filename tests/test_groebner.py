@@ -9,11 +9,9 @@ from vortexsym.groebner import (
     ExponentOverflowError,
     GroebnerBasis,
     Ideal,
-    _div_exact,
     buchberger,
     eliminate,
     normal_form,
-    reduce,
     resultant,
     s_polynomial,
     standard_monomials,
@@ -24,11 +22,13 @@ from vortexsym.ratpoly import (
     Poly,
     RegistryMismatchError,
     VarRegistry,
+    _div_exact,
     elimination,
     grevlex,
     lex,
-    mono_divides,
 )
+
+from reference import reduce, textbook_basis
 
 XYZ = VarRegistry(["x", "y", "z"])
 
@@ -92,6 +92,8 @@ class TestReduce:
         qs, rem = reduce(p1, [plane], lex(reg))
         assert not rem.uses("mu4")
         assert qs[0] * plane + rem == p1
+        # the plane is monic and linear in mu4: the remainder is a substitution
+        assert rem == p1.subs({"mu4": Poly.parse(reg, "-a*mu2 - b*mu3")})
         groups = rem.coefficients_in(["mu2", "mu3"])
         lead_coeff = groups[(5, 0)]
         assert lead_coeff == Poly.parse(
@@ -210,41 +212,6 @@ class TestBuchberger:
                 )
                 combo = combo + h * g
             assert gb.contains(combo)
-
-
-def textbook_basis(gens, order):
-    """Reduced basis by plain Buchberger over Q: every S-polynomial is
-    divided with ``reduce``, no criteria, then minimalised, inter-reduced,
-    made primitive and positive-leading and sorted by leading monomial."""
-    basis = list(gens)
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-
-    def lead(p):
-        return order.key(p.leading_monomial(order))
-
-    def lcm_degree(pair):
-        a, b = (basis[k].leading_monomial(order) for k in pair)
-        return sum(max(x, y) for x, y in zip(a, b))
-
-    while pairs:
-        pair = min(pairs, key=lcm_degree)
-        pairs.remove(pair)
-        i, j = pair
-        _, r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
-        if not r.is_zero():
-            pairs.extend((k, len(basis)) for k in range(len(basis)))
-            basis.append(r.primitive(order))
-
-    minimal = []
-    for p in sorted(basis, key=lead):
-        lm = p.leading_monomial(order)
-        if not any(mono_divides(q.leading_monomial(order), lm) for q in minimal):
-            minimal.append(p)
-    reduced = [
-        reduce(p, minimal[:i] + minimal[i + 1 :], order)[1].primitive(order)
-        for i, p in enumerate(minimal)
-    ]
-    return sorted(reduced, key=lead)
 
 
 def random_ideal(rng, registry):

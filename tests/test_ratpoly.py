@@ -16,6 +16,8 @@ from vortexsym.ratpoly import (
     mono_degree,
 )
 
+from reference import reduce
+
 XYZ = VarRegistry(["x", "y", "z"])
 
 
@@ -221,6 +223,42 @@ class TestDivision:
             if d.is_zero():
                 continue
             assert (p * d).divide_exact(d) == p
+
+    def test_kernel_matches_the_reference_division(self):
+        # Products and non-multiples by divisors with non-unit rational
+        # content of either sign, one in five of them constant.
+        rng = random.Random(20261018)
+        order = grevlex(XYZ)
+        exact = inexact = 0
+        for n in range(400):
+            if n % 5 == 0:
+                d = Poly.constant(XYZ, Fraction(rng.choice([-7, -2, 3, 5]), rng.randint(1, 6)))
+            else:
+                d = random_poly(rng, XYZ, max_terms=3) * Fraction(
+                    rng.choice([-6, -1, 2, 9]), rng.choice([1, 4, 15])
+                )
+            if d.is_zero():
+                continue
+            p = random_poly(rng, XYZ)
+            if n % 2:
+                p = p * d
+            (want,), rem = reduce(p, [d], order)
+            got = p.try_divide(d)
+            assert (got is None) == (not rem.is_zero())
+            if got is not None:
+                exact += 1
+                assert got == want
+                continue
+            inexact += 1
+            with pytest.raises(ExactDivisionError) as err:
+                p.divide_exact(d)
+            left = err.value.remainder
+            assert not left.is_zero() and (p - left).try_divide(d) is not None
+        assert exact > 150 and inexact > 50
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            P("x").divide_exact(Poly.zero(XYZ))
 
 
 def _subs_reference(p, mapping):

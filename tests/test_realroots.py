@@ -6,8 +6,8 @@ from math import lcm
 
 import pytest
 
-from vortexsym.groebner import Ideal, buchberger, reduce, standard_monomials
-from vortexsym.ratpoly import Poly, RegistryMismatchError, Sqrt2, VarRegistry, grevlex, mono_mul
+from vortexsym.groebner import Ideal, buchberger
+from vortexsym.ratpoly import Poly, RegistryMismatchError, Sqrt2, VarRegistry, grevlex
 from vortexsym.realroots import (
     IsolatingInterval,
     PositiveDimensionalError,
@@ -22,10 +22,13 @@ from vortexsym.realroots import (
     hermite_matrix,
     eval_at,
     inertia,
+    poly_gcd,
     squarefree_part,
     sturm_isolate,
 )
 from vortexsym.realroots import _components, _neg_div_int, _neg_div_sparse, _primitive_int, _sign_at
+
+from reference import reference_hermite
 
 X = VarRegistry(["x"])
 
@@ -149,6 +152,22 @@ class TestSquarefree:
         sf = squarefree_part(p)
         assert len(sf) == 3  # degree 2: (x-1)(x+1)
         assert count_real_roots(sf) == 2
+
+    def test_positive_multiple_of_the_quotient_by_the_gcd(self):
+        # x^2 (x + 1) and its negative: gcd(p, p') = x, taken positive-leading
+        assert squarefree_part([0, 0, 1, 1]) == [0, 1, 1]
+        assert squarefree_part([0, 0, -2, -2]) == [0, -1, -1]
+        for p in _test_polys(13, 40):
+            sf, want = squarefree_part(p), reference_squarefree(p)
+            ratios = {Fraction(c) / w for c, w in zip(sf, want) if w}
+            assert len(sf) == len(want) and len(ratios) == 1
+            assert sf[-1] * p[-1] > 0
+
+    def test_gcd_is_positive_leading(self):
+        assert poly_gcd([0, 0, 1, 1], [0, 2, 3]) == [0, 1]
+        assert poly_gcd([0, 0, -1, -1], [0, -2, -3]) == [0, 1]
+        assert poly_gcd([-4], [6]) == [1]
+        assert poly_gcd([], []) == []
 
 
 class TestInertia:
@@ -386,23 +405,6 @@ class TestHermite:
         gb = buchberger(Ideal.of(Poly.parse(X, "x^2 - 1")), grevlex(X))
         h = hermite_matrix(gb)
         assert h.rows == ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2)))
-
-
-def reference_hermite(gb):
-    """Trace form by the definition over Q: H_ij = Tr(m_i m_j), with
-    Tr(m) = sum_k Tr(m)_k Tr(b_k) over the normal-form coordinates of m and
-    Tr(b) = sum_k [NF(b b_k)]_k, every normal form taken with ``reduce``."""
-    basis = standard_monomials(gb).standard_monomials
-    coords = {}
-
-    def nf(m):
-        if m not in coords:
-            _, r = reduce(Poly(gb.registry, {m: Fraction(1)}), gb.polys, gb.order)
-            coords[m] = [r.terms.get(b, Fraction(0)) for b in basis]
-        return coords[m]
-
-    tr = [sum(nf(mono_mul(b, c))[k] for k, c in enumerate(basis)) for b in basis]
-    return [[sum(x * t for x, t in zip(nf(mono_mul(a, b)), tr)) for b in basis] for a in basis]
 
 
 def test_coeffs_from_poly_rejects_multivariate():

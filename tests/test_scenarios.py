@@ -196,6 +196,18 @@ class TestRectangle:
     def test_instability_verdict(self, rectangle_report):
         assert "never" in rectangle_report.stability["verdict"]
 
+    def test_off_branch_circulations_are_named(self, rectangle_report):
+        # the diagonal sample sits on mu3 = -mu1, mu4 = -mu2 whatever the input
+        off = run_rectangle(mus=(1, 2, 3, 4))
+        assert off.passed(), off.failures()
+        assert off.stability["diagonal_samples"][0]["mu"] == ["1", "2", "-1", "-2"]
+        assert "violate mu3 = -mu1, mu4 = -mu2" in off.stability["note"]
+        on = run_rectangle(mus=(Fraction(2, 3), Fraction(-5, 4), Fraction(-2, 3), Fraction(5, 4)))
+        assert on.passed(), on.failures()
+        assert "note" not in on.stability and "note" not in rectangle_report.stability
+        with pytest.raises(ValueError):
+            run_rectangle(mus=(1, 2))
+
     def test_residuals_fail_when_every_circulation_vanishes(self):
         # every component is then 0, a multiple of any target but with no
         # zeros of its own: the quotients exist and all are zero
@@ -407,6 +419,16 @@ class TestStages:
         ok, detail = _match_table(lines, plane)
         assert not ok
         assert detail == "discriminant sign mismatch on row 2: expected negative, derived positive"
+
+    def test_parametric_remainder_failure_shows_expected_and_derived(self, monkeypatch):
+        coeffs = list(targets.REMAINDER_COEFFS)
+        coeffs[1] = coeffs[1].replace("30*a", "31*a", 1)
+        monkeypatch.setattr(targets, "REMAINDER_COEFFS", tuple(coeffs))
+        check = plane_factorisation().checks[0]
+        assert check.name == "parametric_remainder" and check.status == "fail"
+        assert check.detail.startswith("coefficient of mu2^4*mu3: expected ")
+        assert "expected -85*a^4*b" in check.detail and "31*a" in check.detail
+        assert "derived -85*a^4*b" in check.detail
 
     def test_plane_pairing_failure_shows_expected_and_derived(
         self, trapezoid_report, monkeypatch
