@@ -126,9 +126,8 @@ def _print_report(report, stream):
     if report.conditions:
         print("conditions:", "; ".join(report.conditions), file=stream)
     for root in report.roots:
-        theta = "" if root.theta2 is None else f"  theta2 = {root.theta2:+.6f}"
         print(
-            f"  root {root.decimal:+.6f} (width {root.width:.2e}){theta}",
+            f"  root {root.decimal:+.6f} (width {root.width:.2e})  theta2 = {root.theta2:+.6f}",
             file=stream,
         )
     verdict = report.stability.get("verdict")

@@ -128,9 +128,6 @@ class GroebnerBasis:
             self._kernel = (registry, pk, entries)
         return self._kernel[1:]
 
-    def __iter__(self):
-        return iter(self.polys)
-
     def __len__(self):
         return len(self.polys)
 

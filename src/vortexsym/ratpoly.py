@@ -203,26 +203,28 @@ class GrevLex(MonomialOrder):
         return "grevlex" if self.vars is None else f"grevlex{self.vars}"
 
 
+_GREVLEX = GrevLex()
+
+
 class Elimination(MonomialOrder):
-    """Block order: any monomial touching the first block beats any that does not."""
+    """Block order: any monomial touching the first block beats any that
+    does not; grevlex within each block."""
 
     kind = "elimination"
 
-    def __init__(self, block, rest, outer=None, inner=None):
+    def __init__(self, block, rest):
         self.block = tuple(block)
         self.rest = tuple(rest)
-        self.outer = outer if outer is not None else GrevLex()
-        self.inner = inner if inner is not None else GrevLex()
 
     def key(self, exps):
         head = tuple(exps[i] for i in self.block)
         tail = tuple(exps[i] for i in self.rest)
-        return (self.outer.key(head), self.inner.key(tail))
+        return (_GREVLEX.key(head), _GREVLEX.key(tail))
 
     def weights(self, nvars):
         rows = []
-        for idx, sub in ((self.block, self.outer), (self.rest, self.inner)):
-            for row in sub.weights(len(idx)):
+        for idx in (self.block, self.rest):
+            for row in _GREVLEX.weights(len(idx)):
                 full = [0] * nvars
                 for i, w in zip(idx, row):
                     full[i] += w
@@ -246,11 +248,11 @@ def grevlex(registry, names=None):
     return GrevLex([registry.index(n) for n in names])
 
 
-def elimination(registry, drop, inner_names=None, outer=None, inner=None):
+def elimination(registry, drop, inner_names=None):
     """Block order eliminating the variables in ``drop``.
 
     Remaining variables keep registry precedence unless ``inner_names``
-    spells out a different one.  Both blocks default to grevlex internally.
+    spells out a different one.  Both blocks are ordered by grevlex.
     """
     block = [registry.index(n) for n in drop]
     if inner_names is not None:
@@ -259,7 +261,7 @@ def elimination(registry, drop, inner_names=None, outer=None, inner=None):
             raise ValueError("inner_names overlaps the eliminated block")
     else:
         rest = [i for i in range(len(registry)) if i not in set(block)]
-    return Elimination(block, rest, outer=outer, inner=inner)
+    return Elimination(block, rest)
 
 
 def _as_fraction(value):
@@ -586,18 +588,14 @@ class Poly:
                     result.pop(m, None)
         return Poly._raw(reg, result)
 
-    def map_to(self, registry, rename=None):
+    def map_to(self, registry):
         """Re-express the polynomial in another registry.
 
-        Every used variable must exist in the target (possibly via the
-        ``rename`` map); unused variables may be dropped or added freely.
+        Every used variable must exist in the target; unused variables may
+        be dropped or added freely.
         """
-        rename = rename or {}
-        positions = {}
-        for i, name in enumerate(self.registry.names):
-            target = rename.get(name, name)
-            if registry.contains(target):
-                positions[i] = registry.index(target)
+        names = enumerate(self.registry.names)
+        positions = {i: registry.index(name) for i, name in names if registry.contains(name)}
         n = len(registry)
         terms = {}
         for mono, coeff in self.terms.items():
@@ -838,19 +836,3 @@ class Sqrt2:
 
     def __hash__(self):
         return hash(self.a) if self.b == 0 else hash((self.a, self.b))
-
-    def sign(self):
-        if self.a == 0 and self.b == 0:
-            return 0
-        if self.a >= 0 and self.b >= 0:
-            return 1
-        if self.a <= 0 and self.b <= 0:
-            return -1
-        # a and b have opposite signs: compare a^2 with 2 b^2
-        lhs, rhs = self.a * self.a, 2 * self.b * self.b
-        if self.a > 0:
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0

@@ -11,7 +11,7 @@ bisection on the squarefree part, with exact rational roots cut out, so
 every interval is certified to contain exactly one root; endpoints become
 ``Fraction``s only when an interval is returned.  Characteristic
 polynomials run one Faddeev-LeVerrier loop fraction-free, on the matrix
-cleared of denominators over Z, Z[x] or Z[sqrt(2)].  The Hermite method builds
+cleared of denominators over Z or Z[x].  The Hermite method builds
 the trace form of a zero-dimensional quotient ring over its
 standard-monomial basis in integer arithmetic (Pedersen, Roy & Szpirglas,
 1993); its signature, found by fraction-free symmetric elimination on each
@@ -38,7 +38,6 @@ from vortexsym.ratpoly import (
     GrevLex,
     Poly,
     RegistryMismatchError,
-    Sqrt2,
     _div_exact,
     mono_mul,
 )
@@ -583,38 +582,32 @@ def char_poly(rows):
 
     Returns the ascending coefficients of det(lambda*I - A).  The entries
     are ints and ``Fraction``s, possibly mixed with ``Poly``s over one
-    registry or with ``Sqrt2``s.  The matrix is lowered once to d*A, with d
-    the positive lcm of every rational denominator in it, over Z, Z[x]
-    (integer coefficient dicts keyed by packed monomials) or Z[sqrt(2)]
-    (``{0: a, 1: b}``), and one fraction-free loop runs there: its
-    coefficients are integral, so each division by k is exact, and a
-    nonzero remainder raises ``ExactDivisionError``.  The coefficient of
-    lambda^(n-k) is lifted back over d^k.  Result types are those of
-    generic arithmetic on the entries: all ``Fraction`` for a rational
-    matrix; otherwise the int 1 and then ``Poly``s or ``Sqrt2``s, except
-    that the trace coefficient is a ``Fraction`` when no diagonal entry is
-    a ``Poly``/``Sqrt2``.  Ragged or non-square rows and ``Poly``s over
-    different registries raise ``ValueError``, other entries ``TypeError``.
+    registry.  The matrix is lowered once to d*A, with d the positive lcm
+    of every rational denominator in it, over Z or Z[x] (integer
+    coefficient dicts keyed by packed monomials), and one fraction-free
+    loop runs there: its coefficients are integral, so each division by k
+    is exact, and a nonzero remainder raises ``ExactDivisionError``.  The
+    coefficient of lambda^(n-k) is lifted back over d^k.  Result types are
+    those of generic arithmetic on the entries: all ``Fraction`` for a
+    rational matrix; otherwise the int 1 and then ``Poly``s, except that
+    the trace coefficient is a ``Fraction`` when no diagonal entry is a
+    ``Poly``.  Ragged or non-square rows and ``Poly``s over different
+    registries raise ``ValueError``, other entries (``Sqrt2`` included)
+    ``TypeError``.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("char_poly needs a square matrix")
     entries = [c for row in rows for c in row]
-    ring = next((type(c) for c in entries if isinstance(c, (Poly, Sqrt2))), None)
-    if ring is None:
+    if not any(isinstance(c, Poly) for c in entries):
         d = lcm(*(c.denominator for _, c in map(_constant_part, entries)))
         a = [[c.numerator * (d // c.denominator) for c in row] for row in rows]
         coeffs = _faddeev_leverrier(a, _dot_int, add, _neg_div_int)
         return [Fraction(c, d**k) for k, c in reversed(list(enumerate([1, *coeffs])))]
-    if ring is Poly:
-        a, d, lift = _lower_poly(rows, entries)
-        dot = _dot_sparse
-    else:
-        a, d, lift = _lower_sqrt2(rows)
-        dot = _dot_sqrt2
-    coeffs = _faddeev_leverrier(a, dot, _add_sparse, _neg_div_sparse)
+    a, d, lift = _lower_poly(rows, entries)
+    coeffs = _faddeev_leverrier(a, _dot_sparse, _add_sparse, _neg_div_sparse)
     out = [lift(c, d**k) for k, c in enumerate(coeffs, 1)]
-    if not any(isinstance(rows[i][i], ring) for i in range(n)):
+    if not any(isinstance(rows[i][i], Poly) for i in range(n)):
         # generic arithmetic keeps the trace of a rational diagonal rational
         out[0] = Fraction(coeffs[0].get(0, 0), d)
     return [*reversed(out), 1]
@@ -654,18 +647,10 @@ def _constant_part(c):
     raise TypeError(f"cannot mix {type(c).__name__} entries into this matrix")
 
 
-def _lower(rows, parts):
-    """d*A as integer dicts, and d, from each entry's (key, rational) parts."""
-    split = [[[(k, q) for k, q in parts(c) if q] for c in row] for row in rows]
-    d = lcm(*(q.denominator for row in split for entry in row for _, q in entry))
-    a = [[{k: q.numerator * (d // q.denominator) for k, q in entry} for entry in row] for row in split]
-    return a, d
-
-
 def _lower_poly(rows, entries):
-    """Z[x] form of a ``Poly`` matrix: each monomial packs into one int
-    whose fields are wide enough for every exponent of a degree-n product,
-    so multiplying monomials is adding keys."""
+    """d*A over Z[x] as integer dicts, d, and the lift back to ``Poly``: each
+    monomial packs into one int whose fields fit every exponent of a
+    degree-n product, so multiplying monomials is adding keys."""
     polys = [c for c in entries if isinstance(c, Poly)]
     reg = polys[0].registry
     for p in polys:
@@ -684,19 +669,10 @@ def _lower_poly(rows, entries):
     def lift(c, scale):
         return Poly(reg, {tuple(key >> s & mask for s in shifts): Fraction(v, scale) for key, v in c.items()})
 
-    return (*_lower(rows, parts), lift)
-
-
-def _lower_sqrt2(rows):
-    """Z[sqrt(2)] form of a ``Sqrt2`` matrix: a + b sqrt(2) as {0: a, 1: b}."""
-
-    def parts(c):
-        return ((0, c.a), (1, c.b)) if isinstance(c, Sqrt2) else (_constant_part(c),)
-
-    def lift(c, scale):
-        return Sqrt2(Fraction(c.get(0, 0), scale), Fraction(c.get(1, 0), scale))
-
-    return (*_lower(rows, parts), lift)
+    split = [[[(k, q) for k, q in parts(c) if q] for c in row] for row in rows]
+    d = lcm(*(q.denominator for row in split for entry in row for _, q in entry))
+    a = [[{k: q.numerator * (d // q.denominator) for k, q in entry} for entry in row] for row in split]
+    return a, d, lift
 
 
 def _dot_int(row, col):
@@ -720,12 +696,6 @@ def _dot_sparse(row, col):
                 key = kx + ky
                 acc[key] = get(key, 0) + cx * cy
     return {key: c for key, c in acc.items() if c}
-
-
-def _dot_sqrt2(row, col):
-    acc = _dot_sparse(row, col)
-    twice = acc.pop(2, 0)  # sqrt(2)^2 = 2
-    return _add_sparse(acc, {0: 2 * twice}) if twice else acc
 
 
 def _add_sparse(x, y):

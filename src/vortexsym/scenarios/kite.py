@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from vortexsym.groebner import Ideal, buchberger, eliminate
+from vortexsym.groebner import GroebnerBasis, Ideal, buchberger, eliminate
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
 from vortexsym.realroots import (
     RatInterval,
@@ -24,12 +24,19 @@ from vortexsym.realroots import (
     eval_interval,
     sturm_isolate,
 )
-from vortexsym.scenarios.report import Checks, RootRecord, ScenarioReport, rat_str
+from vortexsym.scenarios.report import (
+    Checks,
+    ScenarioReport,
+    checks_of,
+    four_circulations,
+    pipeline_check,
+    rat_str,
+    root_records,
+)
 from vortexsym.trigvortex import (
     KITE,
     R_REGISTRY,
     TRIG_REGISTRY,
-    angle_of_r,
     char_poly_in,
     gradient_component,
     hessian,
@@ -43,99 +50,104 @@ _EPS = Fraction(1, 10**9)
 
 
 def run_kite(mus=None, eps=_EPS):
-    """Full kite analysis for circulations ``mus`` (defaults to all ones)."""
-    report = ScenarioReport(scenario="kite")
-    comps = pipeline(KITE)
-    report.pipeline_polynomials = [c.r_poly.format(_ORD) for c in comps]
-
-    goals = targets.build_products(targets.R_REGISTRY, targets.KITE_PIPELINE)
-    report.check(
-        "pipeline_polynomials",
-        all(c.r_poly.primitive(_ORD) == g.primitive(_ORD) for c, g in zip(comps, goals)),
-        "three reduced polynomials match the reference forms up to scalars",
-    )
-
-    gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
-    report.artifacts["pipeline"] = comps
-    report.artifacts["elimination_gb"] = gb
-    report.elimination_basis = [p.format(gb.order) for p in gb.polys]
-    report.conditions = report.elimination_basis
-    report.check(
-        "elimination_basis",
-        [p.primitive(gb.order) for p in gb.polys]
-        == [Poly.parse(R_REGISTRY, "mu2 - mu4")],
-        "projection onto circulation space is {mu2 - mu4}",
-    )
-
-    # the even configuration-counting factor (V_theta4 side, mu4 eliminated)
-    config_factor = comps[2].r_poly.primitive(_ORD)
-    report.check(
-        "configuration_factor",
-        config_factor == Poly.parse(R_REGISTRY, targets.KITE_CONFIG_FACTOR).primitive(_ORD),
-        "degree-six even factor matches the reference form",
-    )
-
-    if mus is None:
-        mus = (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
-    mus = tuple(Fraction(m) for m in mus)
+    """Full kite analysis for circulations ``mus`` (defaults to all ones),
+    from the circulation-free stages ``kite_elimination`` and
+    ``special_angle_analysis`` and the per-circulation
+    ``configuration_count``."""
+    mus = four_circulations("run_kite", mus) or (Fraction(1),) * 4
     if any(m == 0 for m in mus):
         raise ValueError("circulation parameters must be nonzero")
     if mus[1] != mus[3]:
         raise ValueError("kite circulations require mu2 == mu4")
-
-    counted = count_configurations(config_factor, mus, eps)
-    report.roots = counted
-    even_ok = len(counted) % 2 == 0 and len(counted) <= 6
-    report.check(
-        "root_count_even_and_bounded",
-        even_ok,
-        f"{len(counted)} kite angles for mu = {tuple(map(str, mus))}",
+    comps = pipeline(KITE)
+    elimination = kite_elimination(comps)
+    stages = {
+        "elimination": elimination,
+        "configuration_count": configuration_count(elimination.config_factor, mus, eps),
+        "special_angle_analysis": special_angle_analysis(comps, eps),
+    }
+    basis = [p.format(elimination.gb.order) for p in elimination.gb.polys]
+    return ScenarioReport(
+        scenario="kite",
+        pipeline_polynomials=[c.r_poly.format(_ORD) for c in comps],
+        elimination_basis=basis,
+        conditions=list(basis),
+        roots=list(stages["configuration_count"].roots),
+        stability={
+            "verdict": "stable kites exist only at theta2 = 2*pi/3 with mu1 = mu2 = mu4",
+            "special_angle": stages["special_angle_analysis"].summary,
+        },
+        oracle_checks=checks_of(stages),
+        artifacts={"pipeline": comps, **stages},
     )
 
+
+@dataclass(frozen=True)
+class KiteElimination:
+    """The pipeline, elimination and factor checks, the reduced basis over
+    the circulations and the even configuration-counting factor."""
+
+    checks: tuple
+    gb: GroebnerBasis
+    config_factor: Poly
+
+
+def kite_elimination(comps):
+    """Check the kite ``pipeline``, eliminate r and read off the
+    configuration factor."""
+    checks = Checks([pipeline_check(comps, targets.KITE_PIPELINE)])
+    gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
+    checks.add(
+        "elimination_basis",
+        [p.primitive(gb.order) for p in gb.polys] == [Poly.parse(R_REGISTRY, "mu2 - mu4")],
+        "projection onto circulation space is {mu2 - mu4}",
+    )
+    # the even configuration-counting factor (V_theta4 side, mu4 eliminated)
+    config_factor = comps[2].r_poly.primitive(_ORD)
+    checks.add(
+        "configuration_factor",
+        config_factor == Poly.parse(R_REGISTRY, targets.KITE_CONFIG_FACTOR).primitive(_ORD),
+        "degree-six even factor matches the reference form",
+    )
+    return KiteElimination(checks=tuple(checks), gb=gb, config_factor=config_factor)
+
+
+@dataclass(frozen=True)
+class ConfigurationCount:
+    """The count checks at one choice of circulations and the kite radii."""
+
+    checks: tuple
+    roots: tuple
+
+
+def configuration_count(config_factor, mus, eps):
+    """Count the kite radii at the four circulations ``mus``."""
+    checks = Checks()
+    roots = count_configurations(config_factor, mus, eps)
+    checks.add(
+        "root_count_even_and_bounded",
+        len(roots) % 2 == 0 and len(roots) <= 6,
+        f"{len(roots)} kite angles for mu = {tuple(map(str, mus))}",
+    )
     if mus == (1, 1, 1, 1):
         uni = _specialize(config_factor, mus)
-        even_part = uni[::2]
-        report.check(
+        checks.add(
             "uniform_circulation_exact_roots",
             eval_at(uni, Fraction(1)) == 0
             and all(c == 0 for c in uni[1::2])
-            and eval_at(even_part, Fraction(1, 3)) == 0,
+            and eval_at(uni[::2], Fraction(1, 3)) == 0,
             "r = 1 and r^2 = 1/3 are exact roots at mu = (1,1,1,1)",
         )
-
-    special = special_angle_analysis(comps, eps)
-    report.oracle_checks.extend(special.checks)
-    report.stability = {
-        "verdict": "stable kites exist only at theta2 = 2*pi/3 with mu1 = mu2 = mu4",
-        "special_angle": special.summary,
-    }
-    return report
+    return ConfigurationCount(checks=tuple(checks), roots=tuple(roots))
 
 
 def _specialize(poly, mus):
-    values = {f"mu{i+1}": Fraction(mus[i]) for i in range(4)}
-    sub = poly.subs(values)
-    return coeffs_from_poly(sub, "r")
+    return coeffs_from_poly(poly.subs({f"mu{i + 1}": Fraction(m) for i, m in enumerate(mus)}), "r")
 
 
 def count_configurations(config_factor, mus, eps):
     """Isolate the real kite radii for given circulations, as root records."""
-    uni = _specialize(config_factor, mus)
-    records = []
-    if len(uni) <= 1:
-        return records
-    for iv in sturm_isolate(uni):
-        iv.refine(eps)
-        mid = float(iv.midpoint())
-        records.append(
-            RootRecord(
-                poly="kite configuration factor",
-                interval=(iv.lo, iv.hi),
-                decimal=mid,
-                theta2=angle_of_r(mid),
-            )
-        )
-    return records
+    return list(root_records("kite configuration factor", _specialize(config_factor, mus), eps)[1])
 
 
 @dataclass(frozen=True)

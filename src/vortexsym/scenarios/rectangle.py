@@ -3,17 +3,25 @@ perpendicular diagonals at 45 degrees and are always linearly unstable."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from vortexsym.groebner import Ideal, eliminate
+from vortexsym.groebner import GroebnerBasis, Ideal, eliminate
 from vortexsym.ratpoly import GrevLex, Poly, Sqrt2
-from vortexsym.realroots import char_poly, coeffs_from_poly, sturm_isolate
-from vortexsym.scenarios.report import RootRecord, ScenarioReport
+from vortexsym.realroots import coeffs_from_poly
+from vortexsym.scenarios.report import (
+    Checks,
+    OracleCheck,
+    ScenarioReport,
+    checks_of,
+    four_circulations,
+    pipeline_check,
+    root_records,
+)
 from vortexsym.trigvortex import (
     RECTANGLE,
     R_REGISTRY,
     TRIG_REGISTRY,
-    angle_of_r,
     cheb_cos,
     half_angle_polynomialize,
     hessian,
@@ -27,98 +35,143 @@ _EPS = Fraction(1, 10**9)
 
 
 def run_rectangle(mus=None, eps=_EPS):
-    if mus is not None and len(mus) != 4:
-        raise ValueError("run_rectangle needs four circulations")
-    report = ScenarioReport(scenario="rectangle")
+    """Classify rectangles from the circulation-free stages
+    ``rectangle_elimination`` and ``branch_angles`` and the per-circulation
+    ``diagonal_instability``, sampled at five circulations without ``mus``."""
+    mus = four_circulations("run_rectangle", mus)
     comps = pipeline(RECTANGLE)
-    report.pipeline_polynomials = [c.r_poly.format(_ORD) for c in comps]
-
-    goals = targets.build_products(targets.R_REGISTRY, targets.RECTANGLE_PIPELINE)
-    report.check(
-        "pipeline_polynomials",
-        all(c.r_poly.primitive(_ORD) == g.primitive(_ORD) for c, g in zip(comps, goals)),
-        "three reduced polynomials match the reference forms up to scalars",
+    stages = {
+        "elimination": rectangle_elimination(comps),
+        "branch_angles": branch_angles(comps, eps),
+        "diagonal_instability": diagonal_instability(mus),
+    }
+    gb = stages["elimination"].gb
+    return ScenarioReport(
+        scenario="rectangle",
+        pipeline_polynomials=[c.r_poly.format(_ORD) for c in comps],
+        elimination_basis=[p.format(gb.order) for p in gb.polys],
+        conditions=[
+            "mu1 - mu3 and mu2 - mu4 (equal pairs)",
+            "mu1 + mu3 and mu2 + mu4 (opposite pairs)",
+        ],
+        roots=list(stages["branch_angles"].roots),
+        stability=stages["diagonal_instability"].stability,
+        oracle_checks=checks_of(stages),
+        artifacts={"pipeline": comps, **stages},
     )
 
+
+@dataclass(frozen=True)
+class RectangleElimination:
+    """The pipeline and elimination checks and the reduced circulation basis."""
+
+    checks: tuple
+    gb: GroebnerBasis
+
+
+def rectangle_elimination(comps):
+    """Check the rectangle ``pipeline`` and eliminate r."""
+    checks = Checks([pipeline_check(comps, targets.RECTANGLE_PIPELINE)])
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
-    report.artifacts["pipeline"] = comps
-    report.artifacts["elimination_gb"] = gb
-    report.elimination_basis = [p.format(gb.order) for p in gb.polys]
     mine = {p.primitive(gb.order) for p in gb.polys}
-    want = {
-        Poly.parse(R_REGISTRY, t).primitive(gb.order)
-        for t in targets.RECTANGLE_ELIMINATION
-    }
-    report.check(
+    want = {Poly.parse(R_REGISTRY, t).primitive(gb.order) for t in targets.RECTANGLE_ELIMINATION}
+    checks.add(
         "elimination_basis",
         mine == want,
         "projection is {mu2 mu3 - mu1 mu4, mu1 mu2 - mu3 mu4, mu1^2 - mu3^2}",
     )
-    report.conditions = [
-        "mu1 - mu3 and mu2 - mu4 (equal pairs)",
-        "mu1 + mu3 and mu2 + mu4 (opposite pairs)",
-    ]
+    return RectangleElimination(checks=tuple(checks), gb=gb)
 
-    # Branch reductions of the gradient components.
+
+@dataclass(frozen=True)
+class BranchAngles:
+    """The residual and angle checks of both branches and the root records
+    of their angles, equal pairs first."""
+
+    checks: tuple
+    roots: tuple
+
+
+def branch_angles(comps, eps):
+    """Reduce the gradient components on the equal-pairs and opposite-pairs
+    branches to multiples of cos(theta2) and cos(2 theta2), and enclose the
+    angles where those targets vanish.
+
+    Every component is q*target/s with a quotient q free of the angle, so
+    wherever q(mu) != 0 the branch angles are exactly the zeros of the
+    target; the half-angle map r -> theta2 is one to one, so a Sturm count
+    of 2 or 4 real r-roots finds them all.
+    """
+    checks = Checks()
     mu1 = Poly.variable(TRIG_REGISTRY, "mu1")
     mu2 = Poly.variable(TRIG_REGISTRY, "mu2")
-    equal = {"mu3": mu1, "mu4": mu2}
-    opposite = {"mu3": -1 * mu1, "mu4": -1 * mu2}
-
-    equal_target = Poly.parse(TRIG_REGISTRY, "c")
-    opposite_target = Poly.parse(TRIG_REGISTRY, "2*c^2 - 1")
-    equal_q = _branch_multiples(comps, equal, equal_target)
-    opposite_q = _branch_multiples(comps, opposite, opposite_target)
-    report.check(
+    equal_q = _branch_multiples(comps, {"mu3": mu1, "mu4": mu2}, cheb_cos(1))
+    opposite_q = _branch_multiples(comps, {"mu3": -1 * mu1, "mu4": -1 * mu2}, cheb_cos(2))
+    checks.add(
         "equal_pairs_residual",
         _all_nonzero(equal_q),
         "components reduce to multiples of cot(theta2); zeros at pi/2, 3*pi/2",
     )
-    report.check(
+    checks.add(
         "opposite_pairs_residual",
         _all_nonzero(opposite_q),
         "components reduce to multiples of cos(2 theta2) csc(theta2);"
         " zeros at pi/4, 3*pi/4, 5*pi/4, 7*pi/4",
     )
-    report.check(
+    checks.add(
         "equal_pairs_residual_exact",
         equal_q is not None,
         "exact: (1-c^2) * numerator is a constant multiple of c * denominator",
     )
-    report.check(
+    checks.add(
         "opposite_pairs_residual_exact",
         opposite_q is not None,
         "exact: (1-c^2) * numerator is a constant multiple of (2c^2-1) * denominator",
     )
-
-    # Every component is q*target/s with a nonzero quotient q free of the
-    # angle, so wherever q(mu) != 0 the branch angles are exactly the zeros
-    # of the target, cos(theta2) or cos(2 theta2); the half-angle map
-    # r -> theta2 is one to one, so a Sturm count of 2 or 4 real r-roots
-    # finds them all.
-    square_roots = _target_roots(equal_target, eps, "equal pairs")
-    diag_roots = _target_roots(opposite_target, eps, "opposite pairs")
-    report.roots = square_roots + diag_roots
-    report.check(
+    square_roots = _target_roots(cheb_cos(1), eps, "equal pairs")
+    diag_roots = _target_roots(cheb_cos(2), eps, "opposite pairs")
+    checks.add(
         "equal_pairs_only_square",
-        _all_nonzero(equal_q) and equal_target == cheb_cos(1) and len(square_roots) == 2,
+        _all_nonzero(equal_q) and len(square_roots) == 2,
         "equal pairs force theta2 = +-pi/2: the square",
     )
-    report.check(
+    checks.add(
         "opposite_pairs_diagonal_angles",
-        _all_nonzero(opposite_q) and opposite_target == cheb_cos(2) and len(diag_roots) == 4,
+        _all_nonzero(opposite_q) and len(diag_roots) == 4,
         "opposite pairs force theta2 in {pi/4, 3pi/4, 5pi/4, 7pi/4}",
     )
+    return BranchAngles(checks=tuple(checks), roots=square_roots + diag_roots)
 
-    # Linear stability of the diagonal family.  mu^{-1} H is linear in mu,
-    # so at mu = (m1, m2, -m1, -m2) its trace is m1 (T1 - T3) + m2 (T2 - T4),
-    # with T_k its trace at the unit circulation e_k.  When T1 = T3 and
-    # T2 = T4, the three eigenvalues beside the rotational zero sum to 0
-    # for every (m1, m2), so they are never all positive.
+
+def _target_roots(target, eps, label):
+    """Root records of the half-angle image of a target in c, one per real
+    root, each enclosed to width ``eps``."""
+    coeffs = coeffs_from_poly(half_angle_polynomialize(target), "r")
+    return root_records(f"{label} branch polynomial", coeffs, eps)[1]
+
+
+@dataclass(frozen=True)
+class DiagonalInstability:
+    """The instability check at one choice of circulations and the stability section."""
+
+    checks: tuple
+    stability: dict
+
+
+def diagonal_instability(mus):
+    """Linear instability of the diagonal family, sampled at (mu1, mu2) of
+    ``mus``, or at five samples for None.
+
+    mu^{-1} H is linear in mu, so at mu = (m1, m2, -m1, -m2) its trace is
+    m1 (T1 - T3) + m2 (T2 - T4), with T_k its trace at the unit circulation
+    e_k.  When T1 = T3 and T2 = T4, the three eigenvalues beside the
+    rotational zero sum to 0 for every (m1, m2), so they are never all
+    positive.
+    """
     traces = _weighted_traces()
-    samples = [(1, 2), (2, 1), (1, 1), (3, 5), (-2, 3)] if mus is None else [(mus[0], mus[1])]
+    samples = [(1, 2), (2, 1), (1, 1), (3, 5), (-2, 3)] if mus is None else [mus[:2]]
     simple = [_zero_eigenvalue_simple(Fraction(a), Fraction(b)) for a, b in samples]
-    report.check(
+    check = OracleCheck.of(
         "diagonal_instability",
         traces[0] == traces[2] and traces[1] == traces[3] and all(simple),
         "trace of mu^-1 H is m1 (T1 - T3) + m2 (T2 - T4) with (T1, T2, T3, T4) ="
@@ -126,7 +179,7 @@ def run_rectangle(mus=None, eps=_EPS):
         " the rotational zero sum to 0 for every (m1, m2); zero eigenvalue simple"
         f" at {sum(simple)} of {len(samples)} circulation samples",
     )
-    report.stability = {
+    stability = {
         "verdict": "nondegenerate rectangles are never linearly stable",
         "window": None,
         "diagonal_samples": [
@@ -134,12 +187,12 @@ def run_rectangle(mus=None, eps=_EPS):
             for (a, b), ok in zip(samples, simple)
         ],
     }
-    if mus is not None and any(Fraction(mus[i + 2]) != -Fraction(mus[i]) for i in (0, 1)):
-        report.stability["note"] = (
+    if mus is not None and (mus[2] != -mus[0] or mus[3] != -mus[1]):
+        stability["note"] = (
             "circulations violate mu3 = -mu1, mu4 = -mu2 (opposite pairs); the"
             " diagonal sample is taken at (mu1, mu2, -mu1, -mu2)"
         )
-    return report
+    return DiagonalInstability(checks=(check,), stability=stability)
 
 
 def _branch_multiples(comps, substitution, target):
@@ -168,23 +221,6 @@ def _all_nonzero(quotients):
     return quotients is not None and not any(q.is_zero() for q in quotients)
 
 
-def _target_roots(target, eps, label):
-    """Root records of the half-angle image of a target in c, one per real
-    root, each enclosed to width ``eps``."""
-    records = []
-    for iv in sturm_isolate(coeffs_from_poly(half_angle_polynomialize(target), "r")):
-        iv.refine(eps)
-        records.append(
-            RootRecord(
-                poly=f"{label} branch polynomial",
-                interval=(iv.lo, iv.hi),
-                decimal=float(iv.midpoint()),
-                theta2=angle_of_r(float(iv.midpoint())),
-            )
-        )
-    return records
-
-
 # cos(theta_i - theta_j) at the 45-degree point, where cos(theta2) = sqrt(2)/2
 _DIAGONAL_COSINES = scenario_cos_table(RECTANGLE, Sqrt2(Fraction(0), Fraction(1, 2)))
 
@@ -200,12 +236,16 @@ def _weighted_traces():
 
 
 def _zero_eigenvalue_simple(m1, m2):
-    """Whether the rotational zero eigenvalue of the Hessian at the 45-degree
-    point, circulations (m1, m2, -m1, -m2), is simple: the exact
-    characteristic polynomial over Q(sqrt(2)) has a simple root at 0."""
-    coeffs = char_poly(hessian(_DIAGONAL_COSINES, [m1, m2, -m1, -m2]))
-    c0, c1 = (c if isinstance(c, Sqrt2) else Sqrt2(Fraction(c)) for c in coeffs[:2])
-    return c0.is_zero() and c1.sign() != 0
+    """Whether the rotational zero eigenvalue of the Hessian H at the
+    45-degree point, circulations (m1, m2, -m1, -m2), is simple, exactly in
+    Q(sqrt(2)).  H is symmetric with zero row sums, so all its cofactors
+    are equal and the lambda-coefficient of det(lambda I - H) is -4 times
+    the minor of rows and columns 2-4: the zero is simple exactly when the
+    rows sum to 0 and that minor is nonzero."""
+    h = hessian(_DIAGONAL_COSINES, [m1, m2, -m1, -m2])
+    (a, b, c), (d, e, f), (g, k, l) = (row[1:] for row in h[1:])
+    minor = a * (e * l - f * k) - b * (d * l - f * g) + c * (d * k - e * g)
+    return all(sum(row) == 0 for row in h) and minor != 0
 
 
 def _show(x):

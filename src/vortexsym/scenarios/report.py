@@ -5,13 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from vortexsym.ratpoly import GrevLex
+from vortexsym.realroots import sturm_isolate
+from vortexsym.trigvortex import angle_of_r
+from vortexsym import targets
+
+_ORD = GrevLex()
+
 
 def rat_str(q):
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleCheck:
     """One derived quantity compared against its frozen reference value."""
 
@@ -31,14 +38,42 @@ class Checks(list):
         self.append(OracleCheck.of(name, ok, detail))
 
 
-@dataclass
+def pipeline_check(comps, reference):
+    """The ``pipeline_polynomials`` check: each reduced polynomial of
+    ``comps`` is a scalar multiple of its product in ``reference``, a
+    pipeline entry of :mod:`vortexsym.targets`."""
+    goals = targets.build_products(targets.R_REGISTRY, reference)
+    return OracleCheck.of(
+        "pipeline_polynomials",
+        all(c.r_poly.primitive(_ORD) == g.primitive(_ORD) for c, g in zip(comps, goals)),
+        "three reduced polynomials match the reference forms up to scalars",
+    )
+
+
+def four_circulations(caller, mus):
+    """``mus`` as a tuple of four Fractions, None left as None; any other
+    count raises ``ValueError`` naming ``caller``."""
+    if mus is not None:
+        mus = tuple(Fraction(m) for m in mus)
+        if len(mus) != 4:
+            raise ValueError(f"{caller} needs four circulations")
+    return mus
+
+
+def checks_of(stages):
+    """The oracle checks of the stage results in ``stages`` (a dict by stage
+    name, None for a stage not run), in order."""
+    return [c for stage in stages.values() if stage is not None for c in stage.checks]
+
+
+@dataclass(frozen=True)
 class RootRecord:
-    """A certified real root enclosure, with its angle when applicable."""
+    """A certified enclosure of a real root r, with the angle theta2 there."""
 
     poly: str
     interval: tuple  # (Fraction, Fraction)
     decimal: float
-    theta2: float | None = None
+    theta2: float
 
     @property
     def width(self):
@@ -54,12 +89,26 @@ class RootRecord:
         }
 
 
+def root_records(poly, coeffs, eps):
+    """The real roots of ``coeffs``, a polynomial in the half-angle variable
+    r named ``poly`` in the report: their isolating intervals refined to
+    width ``eps``, and one record per interval with its float midpoint and
+    the angle there."""
+    intervals = sturm_isolate(coeffs)
+    records = []
+    for iv in intervals:
+        iv.refine(eps)
+        mid = float(iv.midpoint())
+        records.append(RootRecord(poly, (iv.lo, iv.hi), mid, angle_of_r(mid)))
+    return intervals, tuple(records)
+
+
 @dataclass
 class ScenarioReport:
     """Everything one scenario derives, plus its oracle verdicts.
 
-    ``artifacts`` holds live objects (bases, enclosures) for downstream
-    verification; it is not serialised.
+    ``artifacts`` holds each stage result under its stage name, for
+    downstream verification; it is not serialised.
     """
 
     scenario: str
@@ -70,10 +119,6 @@ class ScenarioReport:
     stability: dict = field(default_factory=dict)
     oracle_checks: list = field(default_factory=list)
     artifacts: dict = field(default_factory=dict, repr=False)
-
-    def check(self, name, ok, detail=""):
-        self.oracle_checks.append(OracleCheck.of(name, ok, detail))
-        return ok
 
     def passed(self):
         return all(c.status == "pass" for c in self.oracle_checks)

@@ -52,8 +52,14 @@ from vortexsym.realroots import (
     sturm_isolate,
 )
 from vortexsym.fork import fork_call
-from vortexsym.scenarios.report import Checks, RootRecord, ScenarioReport
-from vortexsym.trigvortex import R_REGISTRY, TRAPEZOID3, angle_of_r, pipeline
+from vortexsym.scenarios.report import (
+    Checks,
+    ScenarioReport,
+    checks_of,
+    pipeline_check,
+    root_records,
+)
+from vortexsym.trigvortex import R_REGISTRY, TRAPEZOID3, pipeline
 from vortexsym import targets
 
 _ORD = GrevLex()
@@ -75,17 +81,12 @@ class IdealShapeError(ValueError):
 
 
 def run_trapezoid(eps=_EPS, check_appendix=True):
-    """Classify trapezoids with three equal sides; returns the checked report.
-
-    The report is assembled from five stages: ``pipeline``,
-    ``elimination_ideal`` (:class:`EliminationIdeal`),
-    ``plane_factorisation`` (:class:`PlaneSplit`), ``annihilating_lines``
-    (:class:`AnnihilatingLines`, only with ``check_appendix``) and
-    ``angle_analysis`` (:class:`AngleAnalysis`), whose checks it appends in
-    that order.  ``angle_analysis`` needs only the pipeline output, so it
-    runs in a forked child (:func:`vortexsym.fork.fork_call`) while this
-    process runs the three stages between; the report is the one a serial
-    run gives.
+    """Classify trapezoids with three equal sides from the five stages of
+    the module docstring (``annihilating_lines`` only with
+    ``check_appendix``), in that order.  ``angle_analysis`` needs only the
+    pipeline output, so it runs in a forked child
+    (:func:`vortexsym.fork.fork_call`) while this process runs the three
+    stages between; the report is the one a serial run gives.
     """
     comps = pipeline(TRAPEZOID3)
     join_angles = fork_call(angle_analysis, comps, eps)
@@ -96,8 +97,14 @@ def run_trapezoid(eps=_EPS, check_appendix=True):
     finally:
         angles = join_angles()
 
+    stages = {
+        "elimination_ideal": elimination,
+        "plane_factorisation": plane,
+        "annihilating_lines": lines,
+        "angle_analysis": angles,
+    }
     gb = elimination.gb
-    report = ScenarioReport(
+    return ScenarioReport(
         scenario="trapezoid",
         pipeline_polynomials=[c.r_poly.format(_ORD) for c in comps],
         elimination_basis=[p.format(gb.order) for p in gb.polys],
@@ -111,26 +118,9 @@ def run_trapezoid(eps=_EPS, check_appendix=True):
             "window": None,
             "true_trapezoid_theta2": angles.true_theta2,
         },
+        oracle_checks=checks_of(stages),
+        artifacts={"pipeline": comps, **stages},
     )
-    stages = {
-        "elimination_ideal": elimination,
-        "plane_factorisation": plane,
-        "annihilating_lines": lines,
-        "angle_analysis": angles,
-    }
-    for stage in stages.values():
-        if stage is not None:
-            report.oracle_checks.extend(stage.checks)
-    report.artifacts.update(
-        stages,
-        pipeline=comps,
-        elimination_gb=gb,
-        ab_gb=plane.ab_gb,
-        angle_projection_gb=angles.angle_projection_gb,
-    )
-    if lines is not None:
-        report.artifacts.update(annihilator_gb=lines.annihilator_gb, sphere_gb=lines.sphere_gb)
-    return report
 
 
 @dataclass(frozen=True)
@@ -148,14 +138,7 @@ class EliminationIdeal:
 def elimination_ideal(comps):
     """Check the pipeline output, eliminate r and factor the sixth basis
     element; see :class:`EliminationIdeal`."""
-    checks = Checks()
-    goals = targets.build_products(targets.R_REGISTRY, targets.TRAPEZOID_PIPELINE)
-    checks.add(
-        "pipeline_polynomials",
-        all(c.r_poly.primitive(_ORD) == g.primitive(_ORD) for c, g in zip(comps, goals)),
-        "three reduced polynomials match the reference forms up to scalars",
-    )
-
+    checks = Checks([pipeline_check(comps, targets.TRAPEZOID_PIPELINE)])
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
     f_ref = [f.map_to(R_REGISTRY) for f in targets.f_basis(MU)]
     mine = {p.primitive(gb.order) for p in gb.polys}
@@ -823,8 +806,8 @@ def angle_analysis(comps, eps):
 
     # the report's enclosures have the requested width; the checks read
     # their own, of the fixed width _EPS, so no verdict depends on eps
-    roots = _g_roots(g_coeffs, eps)[1]
-    checked, checked_roots = _g_roots(g_coeffs, _EPS)
+    roots = root_records("g(r)", g_coeffs, eps)[1]
+    checked, checked_roots = root_records("g(r)", g_coeffs, _EPS)
     r_mags = sorted({round(abs(r.decimal), 6) for r in checked_roots})
     want_r = sorted(row["r"] for row in targets.ANGLE_TABLE)
     theta_mags = sorted({round(abs(r.theta2), 6) for r in checked_roots})
@@ -857,19 +840,6 @@ def angle_analysis(comps, eps):
         angle_projection_gb=gb_vt,
         roots=roots,
         true_theta2=roots[chosen[0]].theta2 if unique else None,
-    )
-
-
-def _g_roots(g_coeffs, eps):
-    """Isolating intervals of the real roots of g(r), refined to width
-    ``eps``, and their root records."""
-    intervals = sturm_isolate(g_coeffs)
-    for iv in intervals:
-        iv.refine(eps)
-    mids = [float(iv.midpoint()) for iv in intervals]
-    return intervals, tuple(
-        RootRecord(poly="g(r)", interval=(iv.lo, iv.hi), decimal=m, theta2=angle_of_r(m))
-        for iv, m in zip(intervals, mids)
     )
 
 

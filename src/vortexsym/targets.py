@@ -9,8 +9,6 @@ significant figures and are matched to 1e-5.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from vortexsym.ratpoly import Poly, VarRegistry
 
 MU_REGISTRY = VarRegistry(["mu1", "mu2", "mu3", "mu4"])
@@ -373,15 +371,9 @@ PLANE_FAMILIES = {
 # Square and kite stability reference data
 # ---------------------------------------------------------------------------
 
-# eigenvalues of the Hessian at the square with mu = (m1, m2, m1, m2)
-SQUARE_HESSIAN_EIGS = ("0", "2*m1*m2", "1/2*(-3*m1^2 + 2*m1*m2)", "1/2*(2*m1*m2 - 3*m2^2)")
-# eigenvalues of the circulation-weighted Hessian at the square
-SQUARE_WEIGHTED_EIGS = ("0", "m1 + m2", "1/2*(2*m1 - 3*m2)", "1/2*(-3*m1 + 2*m2)")
-
 # kite at the 120-degree angle with mu1 = mu2 = mu4: weighted eigenvalues are
 # 0, (3*mu3 - mu1)/2 and the roots of l^2 - (7*mu1 + 3*mu3)/4 * l - 3/8*(3*mu1 + mu3)*(mu1 + 3*mu3)
 KITE_WINDOW_LOWER = -0.335544  # (3/121) * (-47 + 4*sqrt(70))
-KITE_WINDOW_UPPER = -1.0 / 3.0
 
 SQUARE_CONDITIONS = ("mu1 - mu3", "mu2 - mu4")
 

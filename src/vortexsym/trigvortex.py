@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
+from vortexsym.targets import MU_REGISTRY, R_REGISTRY  # noqa: F401
 
 TRIG_REGISTRY = VarRegistry(["s", "c", "mu1", "mu2", "mu3", "mu4"])
-R_REGISTRY = VarRegistry(["r", "mu1", "mu2", "mu3", "mu4"])
-MU_REGISTRY = VarRegistry(["mu1", "mu2", "mu3", "mu4"])
 
 _ORDER = GrevLex()
 

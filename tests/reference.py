@@ -2,6 +2,7 @@
 
 ``reduce`` is textbook multivariate division with remainder on ``Fraction``
 coefficients; ``textbook_basis`` and ``reference_hermite`` are built on it.
+``reference_char_poly`` is Faddeev-LeVerrier over the entries' own ring.
 None of them is fast, and none is used by the package itself.
 """
 
@@ -101,3 +102,20 @@ def reference_hermite(gb):
 
     tr = [sum(nf(mono_mul(b, c))[k] for k, c in enumerate(basis)) for b in basis]
     return [[sum(x * t for x, t in zip(nf(mono_mul(a, b)), tr)) for b in basis] for a in basis]
+
+
+def reference_char_poly(rows):
+    """Faddeev-LeVerrier with Fraction arithmetic over the entries' own ring
+    (Q, Q[x] as ``Poly`` or Q(sqrt(2)) as ``Sqrt2``), ascending coefficients.
+    The leading 1 is a Fraction for a rational matrix and the int 1 otherwise."""
+    n = len(rows)
+    a = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in rows]
+    rational = all(isinstance(c, Fraction) for row in a for c in row)
+    coeffs = [Fraction(1) if rational else 1]  # descending
+    m = a
+    for k in range(1, n + 1):
+        if k > 1:
+            shifted = [[x + coeffs[-1] if t == j else x for j, x in enumerate(row)] for t, row in enumerate(m)]
+            m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*shifted)] for row in a]
+        coeffs.append(-sum(m[i][i] for i in range(n)) / k)
+    return coeffs[::-1]

@@ -77,7 +77,7 @@ def test_criterion_02_kite_pipeline(kite_report):
 
 
 def test_criterion_03_rectangle(rectangle_report):
-    gb = rectangle_report.artifacts["elimination_gb"]
+    gb = rectangle_report.artifacts["elimination"].gb
     mine = {p.primitive(gb.order) for p in gb.polys}
     want = {
         Poly.parse(gb.registry, t).primitive(gb.order)
@@ -118,7 +118,7 @@ def test_criterion_03_rectangle(rectangle_report):
 
 
 def test_criterion_04_trapezoid_ideal_equality(trapezoid_report):
-    gb = trapezoid_report.artifacts["elimination_gb"]
+    gb = trapezoid_report.artifacts["elimination_ideal"].gb
     f_ref = [f.map_to(gb.registry) for f in targets.f_basis()]
     for f in f_ref:
         assert gb.contains(f), "a reference element fails to reduce to zero"
@@ -130,7 +130,7 @@ def test_criterion_04_trapezoid_ideal_equality(trapezoid_report):
 
 def test_criterion_05_plane_division(trapezoid_report):
     assert _status(trapezoid_report, "parametric_remainder") == "pass"
-    gb_ab = trapezoid_report.artifacts["ab_gb"]
+    gb_ab = trapezoid_report.artifacts["plane_factorisation"].ab_gb
     quintic = Poly.parse(gb_ab.registry, targets.B_QUINTIC)
     assert any(
         p.primitive(gb_ab.order) == quintic.primitive(gb_ab.order) for p in gb_ab.polys
@@ -166,7 +166,7 @@ def test_criterion_07_annihilating_lines(trapezoid_report):
     assert _status(trapezoid_report, "linear_coefficients") == "pass"
     assert _status(trapezoid_report, "hermite_signature") == "pass"
     assert _status(trapezoid_report, "table_of_lines") == "pass"
-    gb_sphere = trapezoid_report.artifacts["sphere_gb"]
+    gb_sphere = trapezoid_report.artifacts["annihilating_lines"].sphere_gb
     from vortexsym.realroots import hermite_matrix, inertia
     from vortexsym.groebner import standard_monomials
 
@@ -258,13 +258,13 @@ class TestCriterion11Properties:
         bases = [
             buchberger(Ideal.of(*gens), lex(reg)),
             buchberger(Ideal.of(*gens), grevlex(reg)),
-            kite_report.artifacts["elimination_gb"],
-            rectangle_report.artifacts["elimination_gb"],
-            trapezoid_report.artifacts["elimination_gb"],
-            trapezoid_report.artifacts["ab_gb"],
-            trapezoid_report.artifacts["annihilator_gb"],
-            trapezoid_report.artifacts["sphere_gb"],
-            trapezoid_report.artifacts["angle_projection_gb"],
+            kite_report.artifacts["elimination"].gb,
+            rectangle_report.artifacts["elimination"].gb,
+            trapezoid_report.artifacts["elimination_ideal"].gb,
+            trapezoid_report.artifacts["plane_factorisation"].ab_gb,
+            trapezoid_report.artifacts["annihilating_lines"].annihilator_gb,
+            trapezoid_report.artifacts["annihilating_lines"].sphere_gb,
+            trapezoid_report.artifacts["angle_analysis"].angle_projection_gb,
         ]
         for gb in bases:
             assert gb.verify(), f"S-polynomial reduction failed for {gb!r}"

@@ -138,7 +138,7 @@ class TestOrders:
             lex(XYZ, ["z", "x", "y"]),
             grevlex(XYZ, ["y", "z", "x"]),
             elimination(XYZ, ["y"]),
-            elimination(XYZ, ["z", "x"], inner_names=["y"], outer=lex(XYZ)),
+            elimination(XYZ, ["z", "x"], inner_names=["y"]),
         ]
         for order in orders:
             rows = order.weights(3)

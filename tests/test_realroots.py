@@ -28,7 +28,7 @@ from vortexsym.realroots import (
 )
 from vortexsym.realroots import _components, _neg_div_int, _neg_div_sparse, _primitive_int, _sign_at
 
-from reference import reference_hermite
+from reference import reference_char_poly, reference_hermite
 
 X = VarRegistry(["x"])
 
@@ -378,7 +378,7 @@ class TestHermite:
         assert [list(row) for row in h.rows] == reference_hermite(gb)
 
     def test_hermite_matrix_matches_fraction_reference_on_sphere_basis(self, trapezoid_report):
-        gb = trapezoid_report.artifacts["sphere_gb"]
+        gb = trapezoid_report.artifacts["annihilating_lines"].sphere_gb
         h = hermite_matrix(gb)
         assert h.n == 50
         assert [list(row) for row in h.rows] == reference_hermite(gb)
@@ -525,23 +525,6 @@ def reference_refine(lo, hi, sf, eps):
         else:
             hi = mid
     return lo, hi
-
-
-def reference_char_poly(rows):
-    """Faddeev-LeVerrier with Fraction arithmetic over the entries' own ring
-    (Q, Q[x] as ``Poly`` or Q(sqrt(2)) as ``Sqrt2``), ascending coefficients.
-    The leading 1 is a Fraction for a rational matrix and the int 1 otherwise."""
-    n = len(rows)
-    a = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in rows]
-    rational = all(isinstance(c, Fraction) for row in a for c in row)
-    coeffs = [Fraction(1) if rational else 1]  # descending
-    m = a
-    for k in range(1, n + 1):
-        if k > 1:
-            shifted = [[x + coeffs[-1] if t == j else x for j, x in enumerate(row)] for t, row in enumerate(m)]
-            m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*shifted)] for row in a]
-        coeffs.append(-sum(m[i][i] for i in range(n)) / k)
-    return coeffs[::-1]
 
 
 def reference_inertia(sym):
@@ -705,33 +688,13 @@ class TestFractionFreeRings:
                 rows[0][-1] = _random_entry_poly(rng, reg) + Poly.variable(reg, "x")
             _assert_same_coefficients(char_poly(rows), reference_char_poly(rows), rows)
 
-    def test_sqrt2_matrices_match_fraction_reference(self):
-        rng = random.Random(16)
-        for trial in range(60):
-            n = 1 + trial % 5
-            rows = []
-            for _ in range(n):
-                row = []
-                for _ in range(n):
-                    pick = rng.random()
-                    if pick < 0.4:
-                        entry = Sqrt2(_random_rational(rng), _random_rational(rng))
-                    elif pick < 0.6:
-                        entry = Sqrt2(_random_rational(rng))  # b = 0
-                    elif pick < 0.8:
-                        entry = rng.randint(-5, 5)
-                    else:
-                        entry = _random_rational(rng)
-                    row.append(entry)
-                rows.append(row)
-            if not any(isinstance(c, Sqrt2) for row in rows for c in row):
-                rows[-1][0] = Sqrt2(Fraction(0), Fraction(1, 2))
-            _assert_same_coefficients(char_poly(rows), reference_char_poly(rows), rows)
-
-    def test_sqrt2_squares_fold_to_two(self):
-        # A = sqrt(2) I: det(lambda I - A) = lambda^2 - 2 sqrt(2) lambda + 2
+    def test_sqrt2_entries_raise(self):
+        # Q(sqrt(2)) matrices have no characteristic-polynomial path; the
+        # rectangle decides its nondegeneracy by a 3x3 minor instead
         r2 = Sqrt2(Fraction(0), Fraction(1))
-        assert char_poly([[r2, 0], [0, r2]]) == [Sqrt2(Fraction(2)), Sqrt2(Fraction(0), Fraction(-2)), 1]
+        for rows in ([[r2, 0], [0, r2]], [[1, r2], [r2, 1]], [[Sqrt2(Fraction(1))]]):
+            with pytest.raises(TypeError):
+                char_poly(rows)
 
     @pytest.mark.parametrize(
         "rows",

@@ -19,7 +19,7 @@ from vortexsym.scenarios import (
     run_square,
     run_trapezoid,
 )
-from vortexsym.scenarios import kite
+from vortexsym.scenarios import kite, rectangle
 from vortexsym.scenarios.kite import count_configurations
 from vortexsym.scenarios.rectangle import _all_nonzero, _branch_multiples
 from vortexsym.scenarios.trapezoid import (
@@ -35,7 +35,9 @@ from vortexsym.scenarios.trapezoid import (
     plane_factorisation,
     true_trapezoid_roots,
 )
-from vortexsym.trigvortex import KITE, RECTANGLE, R_REGISTRY, TRIG_REGISTRY, pipeline
+from vortexsym.trigvortex import KITE, RECTANGLE, R_REGISTRY, TRIG_REGISTRY, hessian, pipeline
+
+from reference import reference_char_poly
 
 _ORD = GrevLex()
 
@@ -208,6 +210,31 @@ class TestRectangle:
         with pytest.raises(ValueError):
             run_rectangle(mus=(1, 2))
 
+    def test_simple_zero_agrees_with_the_reference_char_poly(self):
+        # H has zero row and column sums, so all its cofactors are equal and
+        # the lambda-coefficient of det(lambda I - H) is -4 C_11; the zero is
+        # simple exactly when that coefficient is nonzero.  With m1 or m2
+        # zero, two vortices carry no circulation and the zero is not simple.
+        rng = random.Random(1296)
+        points = [
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2))
+            for _ in range(40)
+        ]
+        points += [(Fraction(3), Fraction(0)), (Fraction(0), Fraction(-2, 3))]
+        verdicts = set()
+        for m1, m2 in points:
+            if m1 == m2 == 0:
+                continue
+            h = hessian(rectangle._DIAGONAL_COSINES, [m1, m2, -m1, -m2])
+            c0, c1 = reference_char_poly(h)[:2]
+            (a, b, c), (d, e, f), (g, k, l) = (row[1:] for row in h[1:])
+            minor = a * (e * l - f * k) - b * (d * l - f * g) + c * (d * k - e * g)
+            assert c0 == 0 and c1 == -4 * minor
+            simple = rectangle._zero_eigenvalue_simple(m1, m2)
+            assert simple == (c1 != 0)
+            verdicts.add(simple)
+        assert verdicts == {True, False}
+
     def test_residuals_fail_when_every_circulation_vanishes(self):
         # every component is then 0, a multiple of any target but with no
         # zeros of its own: the quotients exist and all are zero
@@ -296,9 +323,10 @@ class TestTrapezoid:
     def test_elimination_kernel_counts(self, trapezoid_report):
         # Pinned so that a change to S-pair selection or to the criteria
         # shows up here.
+        stages = trapezoid_report.artifacts
         counts = {
-            name: trapezoid_report.artifacts[name].stats
-            for name in ("elimination_gb", "angle_projection_gb")
+            "elimination_gb": stages["elimination_ideal"].gb.stats,
+            "angle_projection_gb": stages["angle_analysis"].angle_projection_gb.stats,
         }
         assert counts == {
             "elimination_gb": KernelStats(
@@ -487,7 +515,7 @@ class TestReferenceBasis:
             assert abs(content) == 1
 
     def test_random_combinations_reduce_to_zero(self, trapezoid_report):
-        gb = trapezoid_report.artifacts["elimination_gb"]
+        gb = trapezoid_report.artifacts["elimination_ideal"].gb
         rng = random.Random(64)
         reg = gb.registry
         fs = [f.map_to(reg) for f in targets.f_basis()]
@@ -568,7 +596,13 @@ SWEEP_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("mus", SWEEP_POINTS, ids=lambda mus: ",".join(map(str, mus)))
+# then circulation tuples of the wrong length
+WRONG_LENGTHS = [(1, 2), (1, 2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize(
+    "mus", SWEEP_POINTS + WRONG_LENGTHS, ids=lambda mus: ",".join(map(str, mus))
+)
 def test_small_drivers_end_in_checks_or_a_clean_error(mus):
     # each run passes, fails a named check, or refuses the input with a
     # ValueError; no other exception escapes
@@ -580,6 +614,42 @@ def test_small_drivers_end_in_checks_or_a_clean_error(mus):
         names = [c.name for c in report.oracle_checks]
         assert names and all(names)
         assert {c.status for c in report.oracle_checks} <= {"pass", "fail"}
+
+
+@pytest.mark.parametrize("mus", WRONG_LENGTHS, ids=lambda mus: ",".join(map(str, mus)))
+def test_small_drivers_refuse_other_than_four_circulations(mus):
+    for run in (run_square, run_kite, run_rectangle):
+        with pytest.raises(ValueError, match=f"^{run.__name__} needs four circulations$"):
+            run(mus=mus)
+
+
+def _scramble(value):
+    """Mutate every list and dict reachable from ``value`` in place; the
+    check and root records in them are frozen."""
+    if isinstance(value, dict):
+        for key in list(value):
+            _scramble(value[key])
+        value["scrambled"] = True
+    elif isinstance(value, list):
+        for item in value:
+            _scramble(item)
+        value.append("scrambled")
+    elif dataclasses.is_dataclass(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, "scrambled")
+
+
+@pytest.mark.parametrize("run", [run_square, run_kite, run_rectangle], ids=lambda run: run.__name__)
+def test_mutating_a_report_leaves_the_next_report_unchanged(run):
+    # the reports must share no mutable state with anything a later call
+    # returns, however the stages come to be computed
+    mus = (Fraction(3, 2), Fraction(1), Fraction(-4, 5), Fraction(1))
+    first = run(mus=mus)
+    want = pickle.dumps(first.to_document())
+    for name in ("pipeline_polynomials", "elimination_basis", "conditions", "roots", "oracle_checks"):
+        _scramble(getattr(first, name))
+    _scramble(first.stability)
+    assert pickle.dumps(run(mus=mus).to_document()) == want
 
 
 class TestNonPositiveEps:
