@@ -56,14 +56,9 @@ class InertiaCountError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def coeffs_from_poly(p, var=None):
+def coeffs_from_poly(p, var):
     """Dense ascending coefficient list of a polynomial univariate in ``var``."""
     reg = p.registry
-    if var is None:
-        used = [n for n in reg.names if p.uses(n)]
-        if len(used) > 1:
-            raise ValueError(f"polynomial uses several variables: {used}")
-        var = used[0] if used else reg.names[0]
     i = reg.index(var)
     deg = 0
     for m in p.terms:
@@ -177,233 +172,6 @@ def squarefree_part(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Descartes and Sturm
-# ---------------------------------------------------------------------------
-
-
-def descartes_positive(coeffs, all_roots_real=False):
-    """Descartes bound on positive real roots: (count_or_bound, exact).
-
-    The bound is exact when it is 0 or 1 (it can only drop by even numbers)
-    or when the caller certifies that every root is real.
-    """
-    coeffs = _trim(list(coeffs))
-    if not coeffs:
-        raise ValueError("zero polynomial")
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    return changes, bool(all_roots_real or changes <= 1)
-
-
-def _variations(chain, num, den):
-    """Sign variations of integer-list chain members at num / den, den > 0."""
-    signs = [s for s in (_sign_at(p, num, den) for p in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-class SturmSequence:
-    """Sturm chain of a squarefree polynomial, with sign-variation counting.
-
-    The members are primitive integer lists, each a positive multiple of the
-    classical chain member over Q, so they have the same signs everywhere.
-    Variations at a rational point are counted from integer signs.
-    """
-
-    def __init__(self, coeffs):
-        coeffs = _primitive_int(_trim(list(coeffs)))
-        if not coeffs:
-            raise ValueError("zero polynomial has no Sturm sequence")
-        chain = [coeffs]
-        if degree(coeffs) >= 1:
-            chain.append(_primitive_int(derivative(coeffs)))
-            while degree(chain[-1]) > 0:
-                r = _poly_rem(chain[-2], chain[-1])
-                if not r:
-                    break
-                chain.append([-c for c in r])
-            if not chain[-1]:
-                chain.pop()
-        self.chain = chain
-
-    def variations_at(self, x):
-        """Sign variations at the rational ``x`` (an int or ``Fraction``)."""
-        return _variations(self.chain, x.numerator, x.denominator)
-
-    def variations_at_inf(self, positive):
-        signs = []
-        for p in self.chain:
-            lc = p[-1]
-            if not positive and degree(p) % 2 == 1:
-                lc = -lc
-            signs.append(1 if lc > 0 else -1)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    def count_open(self, lo, hi):
-        """Number of distinct roots in the open interval (lo, hi).
-
-        Endpoints must not be roots of the squarefree polynomial.
-        """
-        return self.variations_at(lo) - self.variations_at(hi)
-
-    def count_all(self):
-        return self.variations_at_inf(False) - self.variations_at_inf(True)
-
-
-@dataclass
-class IsolatingInterval:
-    """Certified enclosure of exactly one real root: the root lies in
-    [lo, hi], with lo == hi for an exact rational root and a strict sign
-    change across the interval otherwise."""
-
-    lo: Fraction
-    hi: Fraction
-    coeffs: tuple
-
-    @property
-    def exact(self):
-        return self.lo == self.hi
-
-    def width(self):
-        return self.hi - self.lo
-
-    def midpoint(self):
-        return (self.lo + self.hi) / 2
-
-    def __float__(self):
-        return float(self.midpoint())
-
-    def refine(self, eps):
-        """Shrink by sign-preserving bisection until width < eps; returns the
-        midpoint of the final enclosure.
-
-        ``eps`` must be positive.  The bisection runs in integers: with D
-        the lcm of the endpoint denominators, the endpoints after j halvings
-        are integer numerators over D * 2^j, and each midpoint sign comes
-        from the polynomial scaled by D.  The enclosure is exactly the one
-        that halving ``Fraction`` endpoints gives.
-        """
-        eps = Fraction(eps)
-        if eps <= 0:
-            raise ValueError(f"refinement width must be positive, got {eps}")
-        if self.exact:
-            return self.lo
-        den = lcm(self.lo.denominator, self.hi.denominator)
-        a = self.lo.numerator * (den // self.lo.denominator)
-        b = self.hi.numerator * (den // self.hi.denominator)
-        scaled = _scale_var(_primitive_int(self.coeffs), den)
-        s_lo = 1 if _sign_at(scaled, a, 1) > 0 else -1
-        # width (b - a) / (den * 2^j) >= eps, cross-multiplied
-        limit = eps.numerator * den
-        j = 0
-        while (b - a) * eps.denominator >= limit << j:
-            mid = a + b
-            j += 1
-            s = _sign_at(scaled, mid, 1 << j)
-            if s == 0:
-                a = b = mid
-                break
-            if s == s_lo:
-                a, b = mid, 2 * b
-            else:
-                a, b = 2 * a, mid
-        self.lo, self.hi = Fraction(a, den << j), Fraction(b, den << j)
-        return self.midpoint()
-
-    def contains(self, x):
-        return self.lo <= x <= self.hi
-
-
-def root_bound(coeffs):
-    """Cauchy bound: every real root lies in (-B, B)."""
-    lc = abs(coeffs[-1])
-    m = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
-    return Fraction(lc + m, lc)
-
-
-def sturm_isolate(coeffs, var=None):
-    """Disjoint isolating intervals for all real roots of the polynomial.
-
-    Accepts a dense coefficient list or a univariate :class:`Poly`.  The
-    squarefree part is taken first; exact rational roots found during
-    bisection are cut out and reported as point intervals.  With the root
-    bound B = num / den, bisection runs in y = den * x, where the start
-    interval is (-num, num) and every later endpoint is an integer
-    numerator over a power of two; each stack entry carries the Sturm
-    variations at its endpoints, so each new point is evaluated once.
-    """
-    if isinstance(coeffs, Poly):
-        coeffs = coeffs_from_poly(coeffs, var)
-    sf = squarefree_part(coeffs)
-    if degree(sf) < 1:
-        return []
-    bound = root_bound(sf)
-    den = bound.denominator
-    chain = [_scale_var(p, den) for p in SturmSequence(sf).chain]
-    p = chain[0]
-
-    def variations(num, j):
-        return _variations(chain, num, 1 << j)
-
-    def interval(lo, hi, j):
-        return IsolatingInterval(Fraction(lo, den << j), Fraction(hi, den << j), tuple(sf))
-
-    intervals = []
-    top = bound.numerator
-    # entries (lo, variations at lo, hi, variations at hi, j): endpoints
-    # are numerators over 2^j in y
-    stack = [(-top, variations(-top, 0), top, variations(top, 0), 0)]
-    while stack:
-        lo, v_lo, hi, v_hi, j = stack.pop()
-        count = v_lo - v_hi
-        if count == 0:
-            continue
-        if count == 1:
-            # one simple root inside, so the endpoint signs differ
-            intervals.append(interval(lo, hi, j))
-            continue
-        mid, lo, hi, j = lo + hi, 2 * lo, 2 * hi, j + 1
-        if _sign_at(p, mid, 1 << j) == 0:
-            # exact rational root at the split point: report it as a point
-            # interval and cut out a window (mid - delta, mid + delta),
-            # delta = width / 4 halved until it holds only this root
-            intervals.append(interval(mid, mid, j))
-            delta = hi - lo
-            lo, mid, hi, j = 4 * lo, 4 * mid, 4 * hi, j + 2
-            while True:
-                a, b = mid - delta, mid + delta
-                if _sign_at(p, a, 1 << j) and _sign_at(p, b, 1 << j):
-                    v_a, v_b = variations(a, j), variations(b, j)
-                    if v_a - v_b == 1:
-                        break
-                lo, mid, hi, j = 2 * lo, 2 * mid, 2 * hi, j + 1
-            stack.append((lo, v_lo, a, v_a, j))
-            stack.append((b, v_b, hi, v_hi, j))
-            continue
-        v_mid = variations(mid, j)
-        stack.append((lo, v_lo, mid, v_mid, j))
-        stack.append((mid, v_mid, hi, v_hi, j))
-    intervals.sort(key=lambda iv: (iv.lo, iv.hi))
-    return intervals
-
-
-def count_real_roots(coeffs, var=None):
-    if isinstance(coeffs, Poly):
-        coeffs = coeffs_from_poly(coeffs, var)
-    sf = squarefree_part(coeffs)
-    if degree(sf) < 1:
-        return 0
-    return SturmSequence(sf).count_all()
-
-
-def count_positive_roots(coeffs):
-    sf = squarefree_part(coeffs)
-    if degree(sf) < 1:
-        return 0
-    sturm = SturmSequence(sf)
-    return sturm.variations_at(0) - sturm.variations_at_inf(True)
-
-
-# ---------------------------------------------------------------------------
 # Certified rational interval arithmetic
 # ---------------------------------------------------------------------------
 
@@ -500,6 +268,10 @@ class RatInterval:
     def contains(self, x):
         return self.lo <= x <= self.hi
 
+    def meets(self, other):
+        """Whether the two closed intervals share a point."""
+        return self.lo <= other.hi and other.lo <= self.hi
+
     def is_positive(self):
         return self.lo > 0
 
@@ -528,6 +300,176 @@ def eval_interval(coeffs, interval):
         acc = acc * interval
         acc = RatInterval._of(acc.lo + c, acc.hi + c)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Descartes and Sturm
+# ---------------------------------------------------------------------------
+
+
+def descartes_positive(coeffs):
+    """Descartes bound on positive real roots: (count_or_bound, exact).
+
+    The bound is exact when it is 0 or 1, as it can only drop by even
+    numbers.
+    """
+    coeffs = _trim(list(coeffs))
+    if not coeffs:
+        raise ValueError("zero polynomial")
+    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
+    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return changes, changes <= 1
+
+
+def _variations(chain, num, den):
+    """Sign variations of integer-list chain members at num / den, den > 0."""
+    signs = [s for s in (_sign_at(p, num, den) for p in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _sturm_chain(sf):
+    """Sturm chain of a squarefree primitive integer list of degree >= 1.
+
+    The members are primitive integer lists, each a positive multiple of the
+    classical chain member over Q, so they have the same signs everywhere.
+    """
+    chain = [sf, _primitive_int(derivative(sf))]
+    while degree(chain[-1]) > 0:
+        r = _poly_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+class IsolatingInterval(RatInterval):
+    """Certified enclosure of exactly one real root of ``coeffs``: the root
+    lies in [lo, hi], with lo == hi for an exact rational root and a strict
+    sign change across the interval otherwise.
+
+    A value like any :class:`RatInterval`: :meth:`refine` returns a new,
+    narrower enclosure and leaves this one as it is.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, lo, hi, coeffs):
+        super().__init__(lo, hi)
+        self.coeffs = tuple(coeffs)
+
+    @property
+    def exact(self):
+        return self.lo == self.hi
+
+    def refine(self, eps):
+        """The enclosure of width < eps that sign-preserving bisection of
+        this one ends with.
+
+        ``eps`` must be positive.  The bisection runs in integers: with D
+        the lcm of the endpoint denominators, the endpoints after j halvings
+        are integer numerators over D * 2^j, and each midpoint sign comes
+        from the polynomial scaled by D.  The enclosure is exactly the one
+        that halving ``Fraction`` endpoints gives.
+        """
+        eps = Fraction(eps)
+        if eps <= 0:
+            raise ValueError(f"refinement width must be positive, got {eps}")
+        if self.exact:
+            return self
+        den = lcm(self.lo.denominator, self.hi.denominator)
+        a = self.lo.numerator * (den // self.lo.denominator)
+        b = self.hi.numerator * (den // self.hi.denominator)
+        scaled = _scale_var(_primitive_int(self.coeffs), den)
+        s_lo = 1 if _sign_at(scaled, a, 1) > 0 else -1
+        # width (b - a) / (den * 2^j) >= eps, cross-multiplied
+        limit = eps.numerator * den
+        j = 0
+        while (b - a) * eps.denominator >= limit << j:
+            mid = a + b
+            j += 1
+            s = _sign_at(scaled, mid, 1 << j)
+            if s == 0:
+                a = b = mid
+                break
+            if s == s_lo:
+                a, b = mid, 2 * b
+            else:
+                a, b = 2 * a, mid
+        return IsolatingInterval(Fraction(a, den << j), Fraction(b, den << j), self.coeffs)
+
+
+def root_bound(coeffs):
+    """Cauchy bound: every real root lies in (-B, B)."""
+    lc = abs(coeffs[-1])
+    m = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
+    return Fraction(lc + m, lc)
+
+
+def sturm_isolate(coeffs):
+    """Disjoint isolating intervals for all real roots of the polynomial with
+    dense ascending coefficients ``coeffs``, in ascending order; their
+    number is the number of distinct real roots.
+
+    The squarefree part is taken first; exact rational roots found during
+    bisection are cut out and reported as point intervals.  With the root
+    bound B = num / den, bisection runs in y = den * x, where the start
+    interval is (-num, num) and every later endpoint is an integer
+    numerator over a power of two; each stack entry carries the Sturm
+    variations at its endpoints, so each new point is evaluated once.
+    """
+    sf = squarefree_part(coeffs)
+    if degree(sf) < 1:
+        return []
+    bound = root_bound(sf)
+    den = bound.denominator
+    chain = [_scale_var(p, den) for p in _sturm_chain(sf)]
+    p = chain[0]
+
+    def variations(num, j):
+        return _variations(chain, num, 1 << j)
+
+    sf = tuple(sf)
+
+    def interval(lo, hi, j):
+        return IsolatingInterval(Fraction(lo, den << j), Fraction(hi, den << j), sf)
+
+    intervals = []
+    top = bound.numerator
+    # entries (lo, variations at lo, hi, variations at hi, j): endpoints
+    # are numerators over 2^j in y
+    stack = [(-top, variations(-top, 0), top, variations(top, 0), 0)]
+    while stack:
+        lo, v_lo, hi, v_hi, j = stack.pop()
+        count = v_lo - v_hi
+        if count == 0:
+            continue
+        if count == 1:
+            # one simple root inside, so the endpoint signs differ
+            intervals.append(interval(lo, hi, j))
+            continue
+        mid, lo, hi, j = lo + hi, 2 * lo, 2 * hi, j + 1
+        if _sign_at(p, mid, 1 << j) == 0:
+            # exact rational root at the split point: report it as a point
+            # interval and cut out a window (mid - delta, mid + delta),
+            # delta = width / 4 halved until it holds only this root
+            intervals.append(interval(mid, mid, j))
+            delta = hi - lo
+            lo, mid, hi, j = 4 * lo, 4 * mid, 4 * hi, j + 2
+            while True:
+                a, b = mid - delta, mid + delta
+                if _sign_at(p, a, 1 << j) and _sign_at(p, b, 1 << j):
+                    v_a, v_b = variations(a, j), variations(b, j)
+                    if v_a - v_b == 1:
+                        break
+                lo, mid, hi, j = 2 * lo, 2 * mid, 2 * hi, j + 1
+            stack.append((lo, v_lo, a, v_a, j))
+            stack.append((b, v_b, hi, v_hi, j))
+            continue
+        v_mid = variations(mid, j)
+        stack.append((lo, v_lo, mid, v_mid, j))
+        stack.append((mid, v_mid, hi, v_hi, j))
+    intervals.sort(key=lambda iv: (iv.lo, iv.hi))
+    return intervals
 
 
 # ---------------------------------------------------------------------------

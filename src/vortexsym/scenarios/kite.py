@@ -12,13 +12,13 @@ of an exact boundary polynomial.
 from __future__ import annotations
 
 import math
+from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
 
 from vortexsym.groebner import GroebnerBasis, Ideal, buchberger, eliminate
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
 from vortexsym.realroots import (
-    RatInterval,
     coeffs_from_poly,
     eval_at,
     eval_interval,
@@ -75,7 +75,7 @@ def run_kite(mus=None, eps=_EPS):
         roots=list(stages["configuration_count"].roots),
         stability={
             "verdict": "stable kites exist only at theta2 = 2*pi/3 with mu1 = mu2 = mu4",
-            "special_angle": stages["special_angle_analysis"].summary,
+            "special_angle": deepcopy(stages["special_angle_analysis"].summary),
         },
         oracle_checks=checks_of(stages),
         artifacts={"pipeline": comps, **stages},
@@ -314,9 +314,7 @@ def _stability_window(lam2, s_poly, p_poly, eps):
     disc_poly = s_poly * s_poly - 4 * p_poly
     boundary = lam2 * p_poly * disc_poly
     coeffs = coeffs_from_poly(boundary, "t")
-    intervals = sturm_isolate(coeffs)
-    for iv in intervals:
-        iv.refine(Fraction(1, 10**12))
+    intervals = [iv.refine(Fraction(1, 10**12)) for iv in sturm_isolate(coeffs)]
     bounds = sorted(iv.midpoint() for iv in intervals)
 
     lam2_c = coeffs_from_poly(lam2, "t")
@@ -345,10 +343,8 @@ def _stability_window(lam2, s_poly, p_poly, eps):
         return None
     unique = len(stable_gaps) == 1
     left, right = stable_gaps[0]
-    lower_iv = next(iv for iv in intervals if iv.contains(left))
-    upper_iv = next(iv for iv in intervals if iv.contains(right))
-    lower_iv.refine(eps)
-    upper_iv.refine(eps)
+    lower_iv = next(iv for iv in intervals if iv.contains(left)).refine(eps)
+    upper_iv = next(iv for iv in intervals if iv.contains(right)).refine(eps)
 
     def included(iv, exact):
         # An exact end is stable when all three eigenvalues are positive
@@ -358,8 +354,7 @@ def _stability_window(lam2, s_poly, p_poly, eps):
         # when S > 0.
         if exact is not None:
             return count(exact) == 3
-        enclosure = RatInterval(iv.lo, iv.hi)
-        return all(eval_interval(c, enclosure).is_positive() for c in (lam2_c, p_c, s_c))
+        return all(eval_interval(c, iv).is_positive() for c in (lam2_c, p_c, s_c))
 
     lower_exact = lower_iv.lo if lower_iv.exact else None
     upper_exact = (
@@ -370,10 +365,10 @@ def _stability_window(lam2, s_poly, p_poly, eps):
     )
     return {
         "unique": unique,
-        "lower_interval": RatInterval(lower_iv.lo, lower_iv.hi),
+        "lower_interval": lower_iv,
         "lower_decimal": float(lower_iv.midpoint()),
         "lower_included": included(lower_iv, lower_exact),
-        "upper_interval": RatInterval(upper_iv.lo, upper_iv.hi),
+        "upper_interval": upper_iv,
         "upper_exact": upper_exact,
         "upper_included": included(upper_iv, upper_exact),
     }

@@ -3,6 +3,7 @@ perpendicular diagonals at 45 degrees and are always linearly unstable."""
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,7 +56,7 @@ def run_rectangle(mus=None, eps=_EPS):
             "mu1 + mu3 and mu2 + mu4 (opposite pairs)",
         ],
         roots=list(stages["branch_angles"].roots),
-        stability=stages["diagonal_instability"].stability,
+        stability=deepcopy(stages["diagonal_instability"].stability),
         oracle_checks=checks_of(stages),
         artifacts={"pipeline": comps, **stages},
     )
@@ -168,7 +169,7 @@ def diagonal_instability(mus):
     rotational zero sum to 0 for every (m1, m2), so they are never all
     positive.
     """
-    traces = _weighted_traces()
+    traces = _WEIGHTED_TRACES
     samples = [(1, 2), (2, 1), (1, 1), (3, 5), (-2, 3)] if mus is None else [mus[:2]]
     simple = [_zero_eigenvalue_simple(Fraction(a), Fraction(b)) for a, b in samples]
     check = OracleCheck.of(
@@ -224,15 +225,15 @@ def _all_nonzero(quotients):
 # cos(theta_i - theta_j) at the 45-degree point, where cos(theta2) = sqrt(2)/2
 _DIAGONAL_COSINES = scenario_cos_table(RECTANGLE, Sqrt2(Fraction(0), Fraction(1, 2)))
 
-
-def _weighted_traces():
-    """Traces T_1..T_4 of mu^{-1} H at the 45-degree point for the unit
-    circulations e_1..e_4, exact in Q(sqrt(2))."""
-    traces = []
-    for k in range(4):
-        rows = hessian(_DIAGONAL_COSINES, [Fraction(int(i == k)) for i in range(4)], weighted=True)
-        traces.append(sum(rows[i][i] for i in range(4)))
-    return traces
+# traces T_1..T_4 of mu^{-1} H at the 45-degree point for the unit
+# circulations e_1..e_4, exact in Q(sqrt(2))
+_WEIGHTED_TRACES = tuple(
+    sum(rows[i][i] for i in range(4))
+    for rows in (
+        hessian(_DIAGONAL_COSINES, [Fraction(int(i == k)) for i in range(4)], weighted=True)
+        for k in range(4)
+    )
+)
 
 
 def _zero_eigenvalue_simple(m1, m2):

@@ -94,11 +94,10 @@ def root_records(poly, coeffs, eps):
     r named ``poly`` in the report: their isolating intervals refined to
     width ``eps``, and one record per interval with its float midpoint and
     the angle there."""
-    intervals = sturm_isolate(coeffs)
+    intervals = [iv.refine(eps) for iv in sturm_isolate(coeffs)]
     records = []
     for iv in intervals:
-        iv.refine(eps)
-        mid = float(iv.midpoint())
+        mid = float(iv)
         records.append(RootRecord(poly, (iv.lo, iv.hi), mid, angle_of_r(mid)))
     return intervals, tuple(records)
 

@@ -23,7 +23,7 @@ returning a frozen result that carries its own oracle checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from vortexsym.groebner import (
@@ -38,7 +38,6 @@ from vortexsym.groebner import (
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry, lex
 from vortexsym.realroots import (
     RatInterval,
-    SturmSequence,
     _as_interval,
     coeffs_from_poly,
     derivative,
@@ -239,19 +238,14 @@ def plane_factorisation():
 
     # positive b-roots and the induced a-values
     bq = coeffs_from_poly(b_quintic, "b")
-    sturm = SturmSequence(squarefree_part(bq))
-    n_real = sturm.count_all()
-    intervals = sturm_isolate(bq)
-    for iv in intervals:
-        iv.refine(_TIGHT)
-    b_ivs = tuple(_widen(RatInterval(iv.lo, iv.hi)) for iv in intervals)
+    b_ivs = tuple(_widen(iv.refine(_TIGHT)) for iv in sturm_isolate(bq))
+    n_real = len(b_ivs)
     b_vals = [float(iv.midpoint()) for iv in b_ivs]
     changes, _ = descartes_positive(bq)
     checks.add(
         "b_quintic_roots",
         n_real == 3
         and changes == 5
-        and len(intervals) == 3
         and all(
             abs(b - t) < targets.NUMERIC_TOL for b, t in zip(sorted(b_vals), targets.B_ROOTS)
         ),
@@ -574,19 +568,14 @@ def _reconstruct_lines(anni_polys):
     gcd_poly = slice0[0]
     for q in slice0[1:]:
         gcd_poly = _bivariate_gcd_binary(gcd_poly, q)
-    dehom = _dehomogenise(gcd_poly)
+    dehom = coeffs_from_poly(gcd_poly.subs({"mu3": 1}), "mu2")
     # no degree drop: a pure mu2 power survives, so mu3 = 0 is not a line of
     # the slice and dehomogenising by mu3 loses nothing
     if len(dehom) - 1 != gcd_poly.total_degree():
         raise IdealShapeError("dehomogenising the mu4 = 0 slice by mu3 drops its degree")
     for iv in sturm_isolate(dehom):
-        iv.refine(Fraction(1, 10**18))
-        lines.append(
-            AnnihilatingLine(
-                direction=(_widen(RatInterval(iv.lo, iv.hi)), RatInterval(1), RatInterval(0)),
-                case="mu4=0",
-            )
-        )
+        direction = (_widen(iv.refine(Fraction(1, 10**18))), RatInterval(1), RatInterval(0))
+        lines.append(AnnihilatingLine(direction=direction, case="mu4=0"))
 
     # mu4 = 1 slice: zero-dimensional, triangular in lex mu2 > mu3
     slice1 = [p.subs({"mu4": Fraction(1)}).map_to(mu23) for p in anni_polys]
@@ -600,7 +589,7 @@ def _reconstruct_lines(anni_polys):
         raise IdealShapeError("slice basis is not in solvable triangular form")
     shape = linear[0]
     groups = shape.coefficients_in(["mu2"])
-    a_poly = coeffs_from_poly(groups[(1,)].subs({}), "mu3")
+    a_poly = coeffs_from_poly(groups[(1,)], "mu3")
     b_poly = coeffs_from_poly(groups.get((0,), Poly.zero(mu23)), "mu3")
     h_coeffs = coeffs_from_poly(h, "mu3")
     common = poly_gcd(h_coeffs, a_poly)
@@ -608,12 +597,10 @@ def _reconstruct_lines(anni_polys):
         # the refinement below ends only if a_poly is nonzero at the root
         if _vanishes_in(common, iv):
             raise IdealShapeError("the shape-lemma denominator vanishes at a root of the eliminant")
-        iv.refine(Fraction(1, 10**18))
-        window = RatInterval(iv.lo, iv.hi)
+        window = iv.refine(Fraction(1, 10**18))
         denom = eval_interval(a_poly, window)
         while denom.contains(0):
-            iv.refine(window.width() / 2**10)
-            window = RatInterval(iv.lo, iv.hi)
+            window = window.refine(window.width() / 2**10)
             denom = eval_interval(a_poly, window)
         mu2_iv = _widen(-1 * eval_interval(b_poly, window) / denom)
         lines.append(
@@ -624,29 +611,24 @@ def _reconstruct_lines(anni_polys):
     return lines
 
 
-def _vanishes_in(coeffs, iv):
-    """Whether the polynomial has a root in the closed enclosure ``iv``."""
-    sf = squarefree_part(coeffs)
-    if len(sf) < 2:
-        return False
-    if eval_at(sf, iv.lo) == 0 or eval_at(sf, iv.hi) == 0:
-        return True
-    return iv.lo < iv.hi and SturmSequence(sf).count_open(iv.lo, iv.hi) > 0
+def _vanishes_in(divisor, iv):
+    """Whether ``divisor`` has a root in the enclosure ``iv``, given that
+    ``divisor`` divides a polynomial h of which ``iv`` (from
+    ``sturm_isolate``) isolates one root.
 
-
-def _dehomogenise(form, var="mu2"):
-    """Ascending coefficients in ``var`` of a polynomial f(mu2, mu3) with the
-    other variable set to 1: f(t, 1), or f(1, t) for ``var="mu3"``."""
-    i = form.registry.index(var)
-    coeffs = [Fraction(0)] * (form.degree_in(var) + 1)
-    for m, c in form.terms.items():
-        coeffs[m[i]] += c
-    return coeffs
+    An inexact ``iv`` has no root of h at either end, and the one root of h
+    inside is simple in the squarefree part sf of ``divisor`` if it is a root
+    of sf at all; so sf vanishes in ``iv`` exactly when sf(lo) sf(hi) <= 0,
+    which for an exact ``iv`` reads sf(lo) = 0.
+    """
+    sf = squarefree_part(divisor)
+    return eval_at(sf, iv.lo) * eval_at(sf, iv.hi) <= 0
 
 
 def _bivariate_gcd_binary(p, q):
-    """gcd of two binary forms in (mu2, mu3), via univariate dehomogenisation."""
-    g = poly_gcd(_dehomogenise(p), _dehomogenise(q))
+    """gcd of two binary forms in (mu2, mu3), via their dehomogenisations
+    f(t, 1)."""
+    g = poly_gcd(*(coeffs_from_poly(f.subs({"mu3": 1}), "mu2") for f in (p, q)))
     # rehomogenise to the common total degree of contributing factors
     deg = len(g) - 1
     return Poly(p.registry, {(k, deg - k): c for k, c in enumerate(g) if c})
@@ -728,7 +710,8 @@ def _equal_pairs(slice_gb):
     """The gcd g of the mu4 = 1 slice basis at mu2 = 1, ascending in mu3,
     and isolating intervals of its real roots: the mu3 of the slice points
     with mu2 = mu4."""
-    constrained = [c for c in (_dehomogenise(p, "mu3") for p in slice_gb.polys) if any(c)]
+    at_mu2_1 = (coeffs_from_poly(p.subs({"mu2": 1}), "mu3") for p in slice_gb.polys)
+    constrained = [c for c in at_mu2_1 if c]
     g = constrained[0]
     for other in constrained[1:]:
         g = poly_gcd(g, other)
@@ -747,7 +730,7 @@ def _classify(line, plane, equal_pairs):
     """
     g, g_roots = equal_pairs
     window = line.direction[1]
-    if any(root.lo <= window.hi and window.lo <= root.hi for root in g_roots):
+    if any(root.meets(window) for root in g_roots):
         if eval_interval(g, window).contains(0):
             return "mu2=mu4"
     d = line.direction
@@ -849,23 +832,21 @@ def true_trapezoid_roots(g_coeffs, intervals):
 
     ``angle_of_r`` gives theta2 = 2 arccot r in (0, 2*pi/3) exactly when
     r > 0 and 3 r^2 > 1.  Once g(0) != 0 and gcd(g, 3 r^2 - 1) = 1 are
-    proven, no root is 0 or +-1/sqrt(3), so bisecting a copy of each
-    isolating interval ends with r, and for r > 0 also 3 r^2 - 1, of one
-    sign on it.  The intervals passed in are left as they are.
+    proven, no root is 0 or +-1/sqrt(3), so refining each isolating
+    interval ends with r, and for r > 0 also 3 r^2 - 1, of one sign on it.
     """
     boundary = [Fraction(-1), Fraction(0), Fraction(3)]
     if g_coeffs[0] == 0 or len(poly_gcd(g_coeffs, boundary)) > 1:
         return None
     chosen = []
     for i, iv in enumerate(intervals):
-        iv = replace(iv)
         while True:
             if iv.hi < 0 or (iv.lo > 0 and 3 * iv.hi * iv.hi < 1):
                 break
             if iv.lo > 0 and 3 * iv.lo * iv.lo > 1:
                 chosen.append(i)
                 break
-            iv.refine(iv.width() / 2)
+            iv = iv.refine(iv.width() / 2)
     return chosen
 
 
@@ -930,26 +911,24 @@ def _plane_pairing(comps, g_ref, g_intervals):
                 return False, f"component {comp.index} does not vanish on the family"
 
     # labels: the real b-roots ascending, to the families by printed b
-    b_roots = sturm_isolate(coeffs_from_poly(Poly.parse(AB, targets.B_QUINTIC), "b"))
+    b_quintic = coeffs_from_poly(Poly.parse(AB, targets.B_QUINTIC), "b")
+    b_roots = [iv.refine(_TIGHT) for iv in sturm_isolate(b_quintic)]
     labels = sorted(targets.PLANE_FAMILIES, key=lambda label: targets.PLANE_FAMILIES[label]["b"])
     if len(b_roots) != len(labels):
         return False, f"expected {len(labels)} real b-roots, found {len(b_roots)}"
-    for iv in b_roots:
-        iv.refine(_TIGHT)
     b_c = coeffs_from_poly(B, "r")
     assignments = {}
     for iv in g_intervals:
         if iv.lo <= 0:
             continue
-        window = RatInterval(iv.lo, iv.hi)
-        b_val = eval_interval(b_c, window) / eval_interval(a_c, window)
-        met = [i for i, root in enumerate(b_roots) if root.lo <= b_val.hi and b_val.lo <= root.hi]
+        b_val = eval_interval(b_c, iv) / eval_interval(a_c, iv)
+        met = [i for i, root in enumerate(b_roots) if root.meets(b_val)]
         if len(met) != 1:
             return False, f"B/A meets {len(met)} isolating intervals of the b-quintic, expected 1"
         matched = labels[met[0]]
         fam = targets.PLANE_FAMILIES[matched]
         root = b_roots[met[0]]
-        derived = float(eval_interval(a_of_b, RatInterval(root.lo, root.hi)).midpoint())
+        derived = float(eval_interval(a_of_b, root))
         # the paper prints the plane coefficients to six digits
         if abs(derived - fam["a"]) > targets.NUMERIC_TOL:
             return False, (

@@ -16,7 +16,6 @@ from vortexsym.groebner import Ideal, buchberger, eliminate
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry, grevlex, lex
 from vortexsym.realroots import (
     coeffs_from_poly,
-    count_real_roots,
     hermite_count,
     squarefree_part,
     sturm_isolate,
@@ -301,7 +300,7 @@ class TestCriterion11Properties:
                 continue
             p = Poly(reg, {(i,): c for i, c in enumerate(sf)})
             real, cplx = hermite_count(Ideal.of(p))
-            assert real == count_real_roots(sf)
+            assert real == len(sturm_isolate(sf))
             assert real <= cplx == len(sf) - 1
             done += 1
         _announce(11, "(e) Hermite signature equals the Sturm count on 20 random ideals")

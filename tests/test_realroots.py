@@ -1,5 +1,6 @@
 """Root isolation, Descartes/Sturm counting, inertia, and Hermite counting."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -11,22 +12,29 @@ from vortexsym.ratpoly import Poly, RegistryMismatchError, Sqrt2, VarRegistry, g
 from vortexsym.realroots import (
     IsolatingInterval,
     PositiveDimensionalError,
-    SturmSequence,
+    RatInterval,
     SymMatrix,
     char_poly,
     coeffs_from_poly,
-    count_positive_roots,
-    count_real_roots,
     descartes_positive,
     hermite_count,
     hermite_matrix,
     eval_at,
+    eval_interval,
     inertia,
     poly_gcd,
     squarefree_part,
     sturm_isolate,
 )
-from vortexsym.realroots import _components, _neg_div_int, _neg_div_sparse, _primitive_int, _sign_at
+from vortexsym.realroots import (
+    _components,
+    _neg_div_int,
+    _neg_div_sparse,
+    _primitive_int,
+    _sign_at,
+    _sturm_chain,
+    _variations,
+)
 
 from reference import reference_char_poly, reference_hermite
 
@@ -35,6 +43,12 @@ X = VarRegistry(["x"])
 
 def F(*ints):
     return [Fraction(c) for c in ints]
+
+
+def positive_roots(coeffs):
+    # every isolating interval lies on one side of 0, the first bisection
+    # point, so a positive root is one whose interval ends above 0
+    return sum(iv.hi > 0 for iv in sturm_isolate(coeffs))
 
 
 # ascending coefficients of the two heavily used reference polynomials
@@ -46,7 +60,7 @@ class TestDescartes:
     def test_quintic_bound_versus_sturm(self):
         changes, exact = descartes_positive(B_QUINTIC)
         assert changes == 5 and not exact
-        assert count_positive_roots(B_QUINTIC) == 3
+        assert positive_roots(B_QUINTIC) == 3
 
     def test_no_positive_roots(self):
         changes, exact = descartes_positive(F(1, 0, 1))  # x^2 + 1
@@ -56,7 +70,7 @@ class TestDescartes:
         # x^2 - 3x + 2 = (x-1)(x-2)
         changes, _ = descartes_positive(F(2, -3, 1))
         assert changes == 2
-        assert count_positive_roots(F(2, -3, 1)) == 2
+        assert positive_roots(F(2, -3, 1)) == 2
 
 
 class TestSturmIsolation:
@@ -79,9 +93,9 @@ class TestSturmIsolation:
         roots = sturm_isolate(F(-2, 0, 1))
         assert len(roots) == 2
         assert abs(float(roots[0]) + 1.41421) < 1e-2 or roots[0].lo < 0
-        mid = roots[1].refine(Fraction(1, 10**9))
-        assert abs(float(mid) - 1.414213562) < 1e-9
-        assert roots[1].width() < Fraction(1, 10**9)
+        refined = roots[1].refine(Fraction(1, 10**9))
+        assert abs(float(refined) - 1.414213562) < 1e-9
+        assert refined.width() < Fraction(1, 10**9)
 
     def test_exact_rational_roots(self):
         # x(x-1)(x^2-2): roots 0, 1 and +-sqrt(2)
@@ -97,27 +111,49 @@ class TestSturmIsolation:
 
     def test_from_poly(self):
         p = Poly.parse(X, "x^2 - 2")
-        assert len(sturm_isolate(p)) == 2
-        assert count_real_roots(p) == 2
+        assert len(sturm_isolate(coeffs_from_poly(p, "x"))) == 2
 
     def test_no_real_roots(self):
         assert sturm_isolate(F(1, 0, 1)) == []
-        assert count_real_roots(F(1, 0, 1)) == 0
 
     def test_multiple_roots_counted_once(self):
         # (x-1)^2 (x+2)
         p = _mul(_mul(F(-1, 1), F(-1, 1)), F(2, 1))
-        assert count_real_roots(p) == 2
         assert len(sturm_isolate(p)) == 2
 
     def test_refine_halves_and_keeps_sign_change(self):
         iv = sturm_isolate(F(-2, 0, 1))[1]
         assert not iv.exact
         w0 = iv.width()
-        iv.refine(w0 / 16)
-        assert iv.width() < w0 / 16
-        if not iv.exact:
-            assert eval_at(list(iv.coeffs), iv.lo) * eval_at(list(iv.coeffs), iv.hi) < 0
+        refined = iv.refine(w0 / 16)
+        assert refined.width() < w0 / 16
+        assert iv.lo <= refined.lo and refined.hi <= iv.hi
+        if not refined.exact:
+            p = list(refined.coeffs)
+            assert eval_at(p, refined.lo) * eval_at(p, refined.hi) < 0
+
+    def test_refine_returns_a_value_and_leaves_the_receiver(self):
+        iv = sturm_isolate(F(-2, 0, 1))[1]
+        before = (iv.lo, iv.hi, iv.coeffs)
+        refined = iv.refine(Fraction(1, 10**6))
+        assert (iv.lo, iv.hi, iv.coeffs) == before
+        assert refined.coeffs == iv.coeffs
+        # an enclosure is an interval: it goes straight into interval arithmetic
+        assert isinstance(refined, RatInterval)
+        assert eval_interval([-2, 0, 1], refined).contains(0)
+        assert (refined * refined).contains(2)
+        copy = pickle.loads(pickle.dumps(refined))
+        assert (copy.lo, copy.hi, copy.coeffs) == (refined.lo, refined.hi, refined.coeffs)
+        # an exact root is already as narrow as it gets
+        exact = next(r for r in sturm_isolate(F(0, -1, 1)) if r.exact)
+        assert exact.refine(Fraction(1, 10**6)) is exact
+
+    def test_meets_is_a_closed_overlap(self):
+        unit = RatInterval(0, 1)
+        assert unit.meets(RatInterval(1, 2)) and RatInterval(1, 2).meets(unit)
+        assert unit.meets(RatInterval(Fraction(1, 3))) and unit.meets(RatInterval(-1, 5))
+        assert not unit.meets(RatInterval(Fraction(11, 10), 2))
+        assert not RatInterval(-2, Fraction(-1, 10**30)).meets(unit)
 
     @pytest.mark.parametrize("eps", [0, Fraction(0), -1, Fraction(-1, 10**9), -0.5])
     def test_refine_rejects_non_positive_eps(self, eps):
@@ -151,7 +187,7 @@ class TestSquarefree:
         p = _mul(_mul(F(-1, 1), F(-1, 1)), F(1, 1))
         sf = squarefree_part(p)
         assert len(sf) == 3  # degree 2: (x-1)(x+1)
-        assert count_real_roots(sf) == 2
+        assert len(sturm_isolate(sf)) == 2
 
     def test_positive_multiple_of_the_quotient_by_the_gcd(self):
         # x^2 (x + 1) and its negative: gcd(p, p') = x, taken positive-leading
@@ -362,7 +398,7 @@ class TestHermite:
             trials += 1
             p = Poly(X, {(i,): c for i, c in enumerate(sf)})
             real, cplx = hermite_count(Ideal.of(p))
-            assert real == count_real_roots(sf)
+            assert real == len(sturm_isolate(sf))
             assert cplx == len(sf) - 1  # squarefree: all complex roots distinct
             assert real <= cplx
 
@@ -410,7 +446,7 @@ class TestHermite:
 def test_coeffs_from_poly_rejects_multivariate():
     reg = VarRegistry(["x", "y"])
     with pytest.raises(ValueError):
-        coeffs_from_poly(Poly.parse(reg, "x*y"))
+        coeffs_from_poly(Poly.parse(reg, "x*y"), "x")
 
 
 def test_isolating_interval_float():
@@ -594,8 +630,7 @@ class TestIntegerKernels:
             if p[-1] > 0:
                 p = [-c for c in p]
             sf = reference_squarefree(p)
-            sturm = SturmSequence(sf)
-            chain = sturm.chain
+            chain = _sturm_chain(_primitive_int(sf))
             ref = reference_sturm_chain(sf)
             assert len(chain) == len(ref)
             for member, want in zip(chain, ref):
@@ -603,12 +638,14 @@ class TestIntegerKernels:
                 ratios = {Fraction(c) / w for c, w in zip(member, want) if w}
                 assert len(ratios) == 1 and min(ratios) > 0
                 assert [c == 0 for c in member] == [w == 0 for w in want]
-            assert count_real_roots(p) == len(reference_isolate(p)[0])
+            assert len(sturm_isolate(p)) == len(reference_isolate(p)[0])
             for _ in range(6):
                 lo, hi = sorted(_random_rational(rng, 30, 8) for _ in range(2))
                 if eval_at(sf, lo) and eval_at(sf, hi):
                     want = reference_variations(ref, lo) - reference_variations(ref, hi)
-                    assert sturm.count_open(lo, hi) == want
+                    got = _variations(chain, lo.numerator, lo.denominator)
+                    got -= _variations(chain, hi.numerator, hi.denominator)
+                    assert got == want
 
     def test_isolate_and_refine_match_fraction_bisection(self):
         for p in _test_polys(13, 50):
@@ -618,9 +655,8 @@ class TestIntegerKernels:
             for iv, eps in zip(intervals, [Fraction(1, 10**6), Fraction(1, 3), 10**-9, 1]):
                 for step in (eps, eps / 1000):
                     want_lo, want_hi = reference_refine(iv.lo, iv.hi, sf, step)
-                    mid = iv.refine(step)
+                    iv = iv.refine(step)
                     assert (iv.lo, iv.hi) == (want_lo, want_hi)
-                    assert mid == (want_lo + want_hi) / 2
 
     def test_char_poly_matches_fraction_reference(self):
         rng = random.Random(14)

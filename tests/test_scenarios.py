@@ -11,7 +11,7 @@ import pytest
 from vortexsym import targets
 from vortexsym.groebner import Ideal, KernelStats, buchberger
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
-from vortexsym.realroots import RatInterval, sturm_isolate, coeffs_from_poly
+from vortexsym.realroots import RatInterval, coeffs_from_poly, poly_gcd, sturm_isolate
 from vortexsym.scenarios import (
     check_f1_on_plane,
     run_kite,
@@ -30,6 +30,7 @@ from vortexsym.scenarios.trapezoid import (
     _match_table,
     _plane_pairing,
     _reconstruct_lines,
+    _vanishes_in,
     angle_analysis,
     f1_plane_identity_in_ideal,
     plane_factorisation,
@@ -303,9 +304,7 @@ class TestTrapezoid:
         delta = Fraction(1, 10**30)
         for lead, below_two_thirds_pi in ((3 - delta, True), (3 + delta, False)):
             coeffs = [Fraction(-1), Fraction(0), lead]
-            intervals = sturm_isolate(coeffs)
-            for iv in intervals:
-                iv.refine(Fraction(1, 10**9))
+            intervals = [iv.refine(Fraction(1, 10**9)) for iv in sturm_isolate(coeffs)]
             before = [(iv.lo, iv.hi) for iv in intervals]
             positive = [i for i, iv in enumerate(intervals) if iv.lo > 0]
             assert len(positive) == 1
@@ -347,6 +346,35 @@ class TestTrapezoid:
         ]
         with pytest.raises(IdealShapeError):
             _reconstruct_lines(slice_polys)
+
+    @pytest.mark.parametrize(
+        "a_roots, shared",
+        [
+            (("sqrt2", "-sqrt2", Fraction(-5)), {"sqrt2", "-sqrt2"}),
+            ((Fraction(0), Fraction(0), Fraction(-3), Fraction(7)), {Fraction(0), Fraction(-3)}),
+            ((Fraction(7), Fraction(1, 2)), set()),
+        ],
+        ids=["irrational", "rational", "none"],
+    )
+    def test_vanishes_in_matches_the_roots_of_the_divisor(self, a_roots, shared):
+        # h = (mu3^2 - 2) mu3 (mu3 + 3) and a divisor gcd(h, a); each
+        # isolating interval of h, at three widths, holds one root of h, which
+        # the exact comparisons below find, and the divisor vanishes in the
+        # interval exactly when that root is one a shares with h.  The root 0
+        # is isolated as a point, the others in intervals.
+        h_roots = ("sqrt2", "-sqrt2", Fraction(0), Fraction(-3))
+        h = _from_roots(h_roots)
+        common = poly_gcd(h, _from_roots(a_roots))
+        intervals = sturm_isolate(h)
+        assert [iv.exact for iv in intervals] == [False, False, True, False]
+        seen = set()
+        for iv in intervals:
+            for width in (None, Fraction(1, 10), Fraction(1, 10**12)):
+                enclosure = iv if width is None else iv.refine(width)
+                (root,) = [r for r in h_roots if _root_in(r, enclosure)]
+                seen.add(root)
+                assert _vanishes_in(common, enclosure) == (root in shared), (root, enclosure)
+        assert seen == set(h_roots)
 
     def test_classify_rejects_a_line_moved_off_its_case(self, trapezoid_report):
         # the three intersection lines and the null line each lose their
@@ -463,9 +491,8 @@ class TestStages:
     ):
         comps = trapezoid_report.artifacts["pipeline"]
         g_ref = Poly.parse(R_REGISTRY, targets.G_OF_R)
-        intervals = sturm_isolate(coeffs_from_poly(g_ref, "r"))
-        for iv in intervals:
-            iv.refine(Fraction(1, 10**9))
+        g_roots = sturm_isolate(coeffs_from_poly(g_ref, "r"))
+        intervals = [iv.refine(Fraction(1, 10**9)) for iv in g_roots]
         assert _plane_pairing(comps, g_ref, intervals)[0]
         families = dict(targets.PLANE_FAMILIES)
         families["B2"] = {**families["B2"], "a": 0.5}
@@ -487,9 +514,8 @@ class TestStages:
     ):
         comps = trapezoid_report.artifacts["pipeline"]
         g_ref = Poly.parse(R_REGISTRY, targets.G_OF_R)
-        intervals = sturm_isolate(coeffs_from_poly(g_ref, "r"))
-        for iv in intervals:
-            iv.refine(Fraction(1, 10**9))
+        g_roots = sturm_isolate(coeffs_from_poly(g_ref, "r"))
+        intervals = [iv.refine(Fraction(1, 10**9)) for iv in g_roots]
         assert targets.AB_IDEAL_SECOND.endswith(" + 578*b^4")
         monkeypatch.setattr(
             targets, "AB_IDEAL_SECOND", targets.AB_IDEAL_SECOND.replace("578*b^4", "579*b^4")
@@ -623,6 +649,34 @@ def test_small_drivers_refuse_other_than_four_circulations(mus):
             run(mus=mus)
 
 
+def _from_roots(roots):
+    """Ascending Fraction coefficients of the monic polynomial with the given
+    roots: Fractions, or "sqrt2" and "-sqrt2", which enter as one factor
+    mu3^2 - 2 when both are listed."""
+    factors = [[-r, Fraction(1)] for r in roots if isinstance(r, Fraction)]
+    if "sqrt2" in roots:
+        factors.append([Fraction(-2), Fraction(0), Fraction(1)])
+    out = [Fraction(1)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = prod
+    return out
+
+
+def _root_in(root, iv):
+    """Whether ``root`` (a Fraction, "sqrt2" or "-sqrt2") lies in the closed
+    interval ``iv``, decided in exact arithmetic."""
+    if isinstance(root, Fraction):
+        return iv.lo <= root <= iv.hi
+    if root == "-sqrt2":
+        iv = -iv
+    # sqrt(2) in [lo, hi]: hi^2 >= 2 with hi > 0, and lo <= 0 or lo^2 <= 2
+    return iv.hi > 0 and iv.hi * iv.hi >= 2 and (iv.lo <= 0 or iv.lo * iv.lo <= 2)
+
+
 def _scramble(value):
     """Mutate every list and dict reachable from ``value`` in place; the
     check and root records in them are frozen."""
@@ -646,9 +700,12 @@ def test_mutating_a_report_leaves_the_next_report_unchanged(run):
     mus = (Fraction(3, 2), Fraction(1), Fraction(-4, 5), Fraction(1))
     first = run(mus=mus)
     want = pickle.dumps(first.to_document())
+    stages = pickle.dumps(first.artifacts)
     for name in ("pipeline_polynomials", "elimination_basis", "conditions", "roots", "oracle_checks"):
         _scramble(getattr(first, name))
     _scramble(first.stability)
+    # no report field aliases a stage result the report keeps
+    assert pickle.dumps(first.artifacts) == stages
     assert pickle.dumps(run(mus=mus).to_document()) == want
 
 
