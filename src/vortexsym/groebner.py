@@ -37,6 +37,21 @@ terms from a heap of ``-k`` (Monagan & Pearce, CASC 2007).  Polynomials are
 converted to and from this form only on entry to and exit from
 ``_buchberger_int``.
 
+``eliminate`` deflates a dropped variable x whose exponents in the
+generators share a gcd d > 1: the block order runs on the generators with
+x^d replaced by x.  The result cannot change.  Q[x, ...] is a free module
+over Q[x^d, ...] with basis 1, x, ..., x^(d-1), so an ideal I generated by
+polynomials in x^d splits as the direct sum of x^j * (I meet Q[x^d, ...])
+over j < d, and I meets the ring free of x in the same ideal as its
+deflated image does.  The reduced basis of that elimination ideal is
+unique, so it is the same basis.
+
+``standard_monomials`` walks the order ideal of a zero-dimensional basis
+from 1, multiplying by one variable at a time and keeping each monomial no
+leading monomial divides.  Every divisor of a standard monomial is
+standard, so the walk reaches them all, and its cost grows with their
+number and that of the border, not with the box below the pure powers.
+
 ``resultant`` clears denominators and evaluates the Sylvester determinant
 by Bareiss elimination on integer polynomials ``{monomial: int}``, whose
 exact divisions by the previous pivot run on ``ratpoly._div_exact``.  The
@@ -579,14 +594,27 @@ def eliminate(ideal, drop, inner_names=None):
     order, which is returned as the basis order.  On them the block order
     and the inner order agree, so they already are that order's reduced
     basis: primitive, positive-leading and sorted by leading monomial.
+
+    A dropped variable whose exponents in the generators share a gcd
+    d > 1 is deflated first (see the module docstring); only the kernel's
+    work, and so ``stats``, changes.
     """
     reg = ideal.registry if isinstance(ideal, Ideal) else ideal[0].registry
+    gens = ideal.generators if isinstance(ideal, Ideal) else [p for p in ideal if not p.is_zero()]
     drop = list(drop)
     for name in drop:
         reg.index(name)
     order = elimination(reg, drop, inner_names=inner_names)
-    gb = buchberger(ideal, order)
     drop_idx = {reg.index(n) for n in drop}
+    steps = [1] * len(reg)
+    for i in drop_idx:
+        steps[i] = gcd(*(m[i] for p in gens for m in p.terms)) or 1
+    if any(x > 1 for x in steps):
+        gens = [
+            Poly(reg, {tuple(e // x for e, x in zip(m, steps)): c for m, c in p.terms.items()})
+            for p in gens
+        ]
+    gb = buchberger(gens, order)
     kept = [
         p
         for p in gb.polys
@@ -702,11 +730,15 @@ def standard_monomials(gb):
     if any(b is None for b in bounds):
         return QuotientBasis((), gb, False)
 
-    monos = [()]
-    for b in bounds:
-        monos = [m + (e,) for m in monos for e in range(b)]
-    standard = [
-        m for m in monos if not any(mono_divides(lt, m) for lt in lts)
-    ]
-    standard.sort(key=gb.order.key)
-    return QuotientBasis(tuple(standard), gb, True)
+    standard = {(0,) * n}
+    frontier = list(standard)
+    while frontier:
+        grown = []
+        for m in frontier:
+            for i in range(n):
+                t = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                if t not in standard and not any(mono_divides(lt, t) for lt in lts):
+                    standard.add(t)
+                    grown.append(t)
+        frontier = grown
+    return QuotientBasis(tuple(sorted(standard, key=gb.order.key)), gb, True)

@@ -30,7 +30,6 @@ from vortexsym.groebner import (
     GroebnerBasis,
     Ideal,
     buchberger,
-    integer_normal_form,
     standard_monomials,
 )
 from vortexsym.ratpoly import (
@@ -774,19 +773,85 @@ def _shift(mono, i, by=1):
     return tuple(out)
 
 
+def _border_normal_forms(gb, basis):
+    """Normal forms of the border monomials of a reduced grevlex basis.
+
+    The border is every product x_v * b of a variable and a standard
+    monomial that is not itself standard.  Returns a dict from each border
+    monomial t to (u, e): NF(t) = sum_k u[k] * basis[k] / e, with u a
+    primitive integer list and e > 0.  The table is filled by the FGLM
+    recursion (Faugere, Gianni, Lazard & Mora, JSC 1993), with no normal
+    form taken modulo the basis:
+
+    - a leading monomial seeds it: NF(lm g) = -tail(g) / lc(g), since the
+      tail of an element of a reduced basis is standard;
+    - every other border monomial t = x_v * b, taken in increasing order,
+      has a variable w with t_w > 0 such that t - e_w is not standard (a
+      leading monomial properly divides t; w is never v, as t - e_v = b).
+      t - e_w = x_v * (b - e_w) lies on the border and is smaller than t,
+      so NF(t - e_w) = sum_l c_l * b_l is in the table, and
+      NF(t) = sum_l c_l * NF(x_w * b_l).  Every b_l is smaller than
+      t - e_w, so every non-standard x_w * b_l is a border monomial smaller
+      than t, already in the table.
+
+    Raises ``ValueError`` naming the element when a basis tail holds a
+    monomial that is not standard, that is when the basis is not reduced.
+    """
+    d = len(basis)
+    index = {m: k for k, m in enumerate(basis)}
+    nvars = len(gb.registry)
+    table = {}
+    for g in gb.polys:
+        lm = g.leading_monomial(gb.order)
+        scale = lcm(*(c.denominator for c in g.terms.values()))
+        lc = g.terms[lm].numerator * (scale // g.terms[lm].denominator)
+        sign = -1 if lc > 0 else 1
+        u = [0] * d
+        for m, c in g.terms.items():
+            if m == lm:
+                continue
+            if m not in index:
+                raise ValueError(
+                    f"basis element {g.format(gb.order)} is not reduced: "
+                    f"its tail monomial {m} is not standard"
+                )
+            u[index[m]] = sign * c.numerator * (scale // c.denominator)
+        table[lm] = _primitive_over(u, abs(lc))
+    border = {_shift(b, v) for b in basis for v in range(nvars)} - index.keys()
+    for t in sorted(border - table.keys(), key=gb.order.key):
+        w = next(i for i, x in enumerate(t) if x and _shift(t, i, -1) not in index)
+        c, e = table[_shift(t, w, -1)]
+        images = [(x, _shift(basis[l], w)) for l, x in enumerate(c) if x]
+        den = lcm(*(table[m][1] for _, m in images if m not in index))
+        out = [0] * d
+        for x, m in images:
+            k = index.get(m)
+            if k is not None:
+                out[k] += x * den
+            else:
+                u, f = table[m]
+                s = x * (den // f)
+                for k, y in enumerate(u):
+                    if y:
+                        out[k] += s * y
+        table[t] = _primitive_over(out, e * den)
+    return table
+
+
 def hermite_matrix(gb, qb=None):
     """Trace form H_ij = Tr(mult by m_i * m_j) over the standard basis.
 
     Computed in integers.  Each multiplication-by-variable matrix is stored
     by column: a column whose product x_v * b_k is itself a standard
     monomial is a unit column and keeps only its target index; every other
-    column keeps the indices and integer entries of its packed-kernel normal
-    form, over one common denominator per variable.  The coordinates of
-    every monomial are primitive (integer list, denominator) pairs, each
-    chained from a smaller monomial through the present variable with the
-    fewest non-unit columns, skipping zero coordinates.  The traces and
-    entries are integer dot products, returned as one integer matrix over
-    one denominator.
+    column keeps the indices and integer entries of the product's border
+    normal form (:func:`_border_normal_forms`), over one common denominator
+    per variable.  The coordinates of every monomial are primitive (integer
+    list, denominator) pairs, each chained from a smaller monomial through
+    the present variable with the fewest non-unit columns, skipping zero
+    coordinates.  The traces and entries are integer dot products, returned
+    as one integer matrix over one denominator.  A basis that is not reduced
+    raises ``ValueError``.
     """
     if qb is None:
         qb = standard_monomials(gb)
@@ -799,6 +864,7 @@ def hermite_matrix(gb, qb=None):
     index = {m: k for k, m in enumerate(basis)}
     reg = gb.registry
     non_unit = [sum(_shift(m, v) not in index for m in basis) for v in range(len(reg))]
+    border = _border_normal_forms(gb, basis)
 
     def mult_columns(v):
         """Columns of multiplication by variable ``v``, and their denominator."""
@@ -808,8 +874,9 @@ def hermite_matrix(gb, qb=None):
             if target in index:
                 cols.append(index[target])
             else:
-                coeffs, den = integer_normal_form(Poly(reg, {target: Fraction(1)}), gb)
-                cols.append(([index[t] for t in coeffs], list(coeffs.values()), den))
+                u, e = border[target]
+                ks = [k for k, x in enumerate(u) if x]
+                cols.append((ks, [u[k] for k in ks], e))
         den = lcm(*(col[2] for col in cols if not isinstance(col, int)))
         return [
             col if isinstance(col, int) else (col[0], [c * (den // col[2]) for c in col[1]])

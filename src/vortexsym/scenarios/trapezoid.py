@@ -149,7 +149,7 @@ def elimination_ideal(comps):
     )
     checks.add(
         "elimination_ideal_equality",
-        all(gb.contains(f) for f in f_ref) and gb.same_ideal_as(f_ref),
+        gb.same_ideal_as(f_ref),
         "every reference element reduces to zero and conversely",
     )
     f_mine = _order_like(gb, f_ref)

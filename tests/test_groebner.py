@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import vortexsym.groebner as groebner_module
 from vortexsym.groebner import (
     ExponentOverflowError,
     GroebnerBasis,
@@ -26,6 +27,7 @@ from vortexsym.ratpoly import (
     elimination,
     grevlex,
     lex,
+    mono_divides,
 )
 
 from reference import reduce, textbook_basis
@@ -302,6 +304,37 @@ class TestEliminate:
                 assert gb.polys == want.polys, (gens, drop, inner_names)
 
 
+class TestEliminateDeflation:
+    """``eliminate`` runs on r^2 -> r when every exponent of r is even; the
+    elimination ideal and its reduced basis cannot change."""
+
+    R = VarRegistry(["r", "a", "b"])
+
+    def r_free_part(self, gens):
+        full = buchberger(Ideal.of(*gens), elimination(self.R, ["r"]))
+        return tuple(p for p in full.polys if not p.uses("r"))
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ("r^4*a - 2*r^2*b + a - 1", "r^2*a^2 + r^2*b - 3*b + 2", "r^6 - a*b"),
+            ("r^2*a - b^2 + 1", "r^4 - a*b + r^2", "r^2*b - a + 2"),
+        ],
+    )
+    def test_even_in_r_matches_the_undeflated_basis(self, texts):
+        gens = [Poly.parse(self.R, t) for t in texts]
+        gb = eliminate(Ideal.of(*gens), ["r"])
+        assert gb.polys == self.r_free_part(gens)
+        assert gb.polys
+
+    def test_odd_power_of_r_deflates_nothing(self):
+        gens = [Poly.parse(self.R, t) for t in ("r^2*a - b + 1", "r^3 - a*b", "r^2 + a^2 - 2")]
+        gb = eliminate(Ideal.of(*gens), ["r"])
+        full = buchberger(Ideal.of(*gens), elimination(self.R, ["r"]))
+        assert gb.polys == self.r_free_part(gens)
+        assert gb.stats == full.stats
+
+
 def random_rational_poly(rng, registry, terms, degree):
     out = {}
     for _ in range(terms):
@@ -447,6 +480,27 @@ class TestStandardMonomials:
         gb = buchberger(Ideal.of(Poly.parse(reg, "x^2 - 1")), lex(reg))
         with pytest.raises(ValueError):
             standard_monomials(gb)
+
+    def test_walks_the_order_ideal_not_the_box(self, monkeypatch):
+        # (x^n, y^n, z^n, xy, yz, xz) has 3n - 2 standard monomials below a
+        # box of n^3: filtering the box made 6 * 160^3 divisibility tests.
+        n = 160
+        gb = GroebnerBasis(
+            [P(t) for t in ("x*y", "x*z", "y*z", f"x^{n}", f"y^{n}", f"z^{n}")], grevlex(XYZ)
+        )
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return mono_divides(a, b)
+
+        monkeypatch.setattr(groebner_module, "mono_divides", counted)
+        qb = standard_monomials(gb)
+        powers = [tuple(e if j == i else 0 for j in range(3)) for i in range(3) for e in range(1, n)]
+        assert qb.finite
+        assert qb.standard_monomials == tuple(sorted([(0, 0, 0), *powers], key=gb.order.key))
+        assert calls < 6 * 4 * len(qb)
 
 
 def test_groebner_basis_repr_and_same_ideal():

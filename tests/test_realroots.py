@@ -7,7 +7,13 @@ from math import lcm
 
 import pytest
 
-from vortexsym.groebner import Ideal, buchberger
+from vortexsym.groebner import (
+    GroebnerBasis,
+    Ideal,
+    buchberger,
+    integer_normal_form,
+    standard_monomials,
+)
 from vortexsym.ratpoly import Poly, RegistryMismatchError, Sqrt2, VarRegistry, grevlex
 from vortexsym.realroots import (
     IsolatingInterval,
@@ -27,6 +33,7 @@ from vortexsym.realroots import (
     sturm_isolate,
 )
 from vortexsym.realroots import (
+    _border_normal_forms,
     _components,
     _neg_div_int,
     _neg_div_sparse,
@@ -441,6 +448,57 @@ class TestHermite:
         gb = buchberger(Ideal.of(Poly.parse(X, "x^2 - 1")), grevlex(X))
         h = hermite_matrix(gb)
         assert h.rows == ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2)))
+
+    def test_basis_that_is_not_reduced_is_named(self):
+        # y is a leading monomial, so the tail of x^2 + y - 2 is not standard
+        reg = VarRegistry(["x", "y"])
+        gb = GroebnerBasis(
+            [Poly.parse(reg, "y - 1"), Poly.parse(reg, "x^2 + y - 2")], grevlex(reg)
+        )
+        with pytest.raises(ValueError, match=r"x\^2 \+ y - 2"):
+            hermite_matrix(gb)
+
+
+def _random_cubic(rng, reg):
+    """A dense cubic in x, y with small integer coefficients."""
+    return Poly(
+        reg,
+        {(i, j): Fraction(rng.randint(-4, 4)) for i in range(4) for j in range(4 - i)},
+    ) + Poly.parse(reg, "x^3 + y^3")
+
+
+def _property_bases():
+    reg = VarRegistry(["x", "y"])
+    rng = random.Random(1993)
+    gbs = []
+    while len(gbs) < 6:
+        gb = buchberger(Ideal.of(_random_cubic(rng, reg), _random_cubic(rng, reg)), grevlex(reg))
+        if standard_monomials(gb).finite:
+            gbs.append(pytest.param(gb, id=f"cubic{len(gbs)}"))
+    # ideals with multiple roots, so that the trace form is singular
+    for gens in (
+        ("x^2", "y^2"),
+        ("x^3", "x*y", "y^2"),
+        ("x^2 - 2*x + 1", "x*y + 2*x - y - 2", "y^3 + 6*y^2 + 12*y + 8"),
+        ("x^2 - 2*x*y + y^2", "y^3 - y"),
+    ):
+        gb = buchberger(Ideal.of(*(Poly.parse(reg, g) for g in gens)), grevlex(reg))
+        gbs.append(pytest.param(gb, id=",".join(gens)))
+    return gbs
+
+
+@pytest.mark.parametrize("gb", _property_bases())
+def test_border_normal_forms_and_hermite_matrix_match_references(gb):
+    basis = standard_monomials(gb).standard_monomials
+    border = _border_normal_forms(gb, basis)
+    assert border.keys() == {
+        m[:v] + (m[v] + 1,) + m[v + 1 :] for m in basis for v in range(2)
+    } - set(basis)
+    for t, (u, e) in border.items():
+        coeffs, den = integer_normal_form(Poly(gb.registry, {t: Fraction(1)}), gb)
+        assert ({basis[k]: x for k, x in enumerate(u) if x}, e) == (coeffs, den), t
+    h = hermite_matrix(gb)
+    assert [list(row) for row in h.rows] == reference_hermite(gb)
 
 
 def test_coeffs_from_poly_rejects_multivariate():
