@@ -18,10 +18,18 @@ and reduces each component to a polynomial in the half-angle variable r with
 discarding denominators and known collision factors along the way.  The
 cosine convention here is the reflected one (r = cot(theta2/2)), so angles
 are recovered as theta2 = atan2(2r, r^2 - 1).
+
+The reduction depends on the scenario alone, never on the circulations, so
+``pipeline`` derives it once per process and scenario (lazily, on the first
+call) and hands every later caller the same value: a tuple of frozen
+``PipelineComponent``s whose factor lists are tuples.  That value is
+immutable; the ``Poly`` and ``TrigRational`` objects inside it are values
+that no code in the package mutates, and callers must not either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,7 +78,8 @@ class SymmetryScenario:
 
     Only theta2 is ever free, so every angle difference is an integer
     multiple of theta2 plus a half-integer multiple of pi; the construction
-    rejects anything else.
+    rejects anything else.  The sequences are stored as tuples, so every
+    scenario is hashable and one built from lists equals its tuple twin.
     """
 
     kind: str
@@ -79,6 +88,8 @@ class SymmetryScenario:
     r_collision_factors: tuple = ()
 
     def __post_init__(self):
+        for name in ("multiples", "offsets", "r_collision_factors"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.multiples) != 4 or len(self.offsets) != 4:
             raise ValueError("scenario needs four angle definitions")
         if self.multiples[0] != 0 or self.offsets[0] != 0:
@@ -309,15 +320,6 @@ def gradient_component(i, scenario):
     return total
 
 
-def weighted_gradient_sum(scenario):
-    """sum_i mu_i * gradient_component(i): identically zero by rotation symmetry."""
-    total = TrigRational(Poly.zero(TRIG_REGISTRY))
-    for i in range(1, 5):
-        mu_i = Poly.variable(TRIG_REGISTRY, f"mu{i}")
-        total = total + gradient_component(i, scenario) * mu_i
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Collision stripping and the half-angle change of variables
 # ---------------------------------------------------------------------------
@@ -413,15 +415,19 @@ def angle_of_r(r):
     return math.atan2(2 * r, r * r - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineComponent:
-    """One gradient component carried from trig form to an r-polynomial."""
+    """One gradient component carried from trig form to an r-polynomial.
+
+    Frozen, with the stripped factors as tuples of (factor, multiplicity),
+    so that the cached ``pipeline`` can hand one instance to every caller.
+    """
 
     index: int
     trig: TrigRational
-    trig_factors: list
+    trig_factors: tuple
     clear_power: int
-    r_factors: list
+    r_factors: tuple
     content: Fraction
     r_poly: Poly
 
@@ -463,19 +469,26 @@ def reduce_component(i, scenario):
     return PipelineComponent(
         index=i,
         trig=trig,
-        trig_factors=trig_factors,
+        trig_factors=tuple(trig_factors),
         clear_power=clear,
-        r_factors=r_factors,
+        r_factors=tuple(r_factors),
         content=content,
         r_poly=canonical,
     )
 
 
+@functools.cache
 def pipeline(scenario):
-    """Reduced r-polynomials for the three independent components (i = 2, 3, 4)."""
+    """Reduced r-polynomials for the three independent components (i = 2, 3, 4).
+
+    Returns a tuple of three frozen ``PipelineComponent``s.  The reduction
+    does not depend on the circulations, so it runs once per process and
+    scenario, on the first call; every later call with an equal scenario
+    returns the same tuple.  ``pipeline.cache_clear()`` drops it.
+    """
     if not scenario.has_free_angle:
         raise ValueError(f"{scenario.kind} scenario has no free angle to reduce")
-    return [reduce_component(i, scenario) for i in (2, 3, 4)]
+    return tuple(reduce_component(i, scenario) for i in (2, 3, 4))
 
 
 # ---------------------------------------------------------------------------

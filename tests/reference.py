@@ -3,6 +3,7 @@
 ``reduce`` is textbook multivariate division with remainder on ``Fraction``
 coefficients; ``textbook_basis`` and ``reference_hermite`` are built on it.
 ``reference_char_poly`` is Faddeev-LeVerrier over the entries' own ring.
+``weighted_gradient_sum`` is the rotation-symmetry identity of the gradient.
 None of them is fast, and none is used by the package itself.
 """
 
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 from vortexsym.groebner import s_polynomial, standard_monomials
 from vortexsym.ratpoly import Poly, mono_div, mono_divides, mono_mul
+from vortexsym.trigvortex import TRIG_REGISTRY, TrigRational, gradient_component
 
 
 def reduce(p, divisors, order):
@@ -119,3 +121,12 @@ def reference_char_poly(rows):
             m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*shifted)] for row in a]
         coeffs.append(-sum(m[i][i] for i in range(n)) / k)
     return coeffs[::-1]
+
+
+def weighted_gradient_sum(scenario):
+    """sum_i mu_i * gradient_component(i): identically zero by rotation symmetry."""
+    total = TrigRational(Poly.zero(TRIG_REGISTRY))
+    for i in range(1, 5):
+        mu_i = Poly.variable(TRIG_REGISTRY, f"mu{i}")
+        total = total + gradient_component(i, scenario) * mu_i
+    return total

@@ -710,6 +710,19 @@ def test_mutating_a_report_leaves_the_next_report_unchanged(run):
     assert pickle.dumps(run(mus=mus).to_document()) == want
 
 
+@pytest.mark.parametrize(
+    "run,scenario", [(run_kite, KITE), (run_rectangle, RECTANGLE)], ids=["run_kite", "run_rectangle"]
+)
+def test_successive_reports_share_one_pipeline(run, scenario):
+    # the circulation-free reduction is derived once per process; every
+    # report carries that one immutable value, and the stages built on it
+    # come out the same each time
+    mus = (Fraction(3, 2), Fraction(1), Fraction(-4, 5), Fraction(1))
+    first, second = run(mus=mus), run(mus=mus)
+    assert first.artifacts["pipeline"] is second.artifacts["pipeline"] is pipeline(scenario)
+    assert pickle.dumps(first.artifacts) == pickle.dumps(second.artifacts)
+
+
 class TestNonPositiveEps:
     # a zero or negative enclosure width used to bisect forever in refine
     def test_kite(self):

@@ -1,5 +1,6 @@
 """Gradient components, trig reduction pipeline, and Hessian structure."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -36,9 +37,10 @@ from vortexsym.trigvortex import (
     s_reduce,
     scenario_cos_table,
     strip_collision_factors,
-    weighted_gradient_sum,
     TrigRational,
 )
+
+from reference import weighted_gradient_sum
 
 ORD = GrevLex()
 
@@ -175,6 +177,38 @@ class TestPipelines:
         goals = targets.build_products(targets.R_REGISTRY, target)
         for comp, goal in zip(comps, goals):
             assert proportional(comp.r_poly, goal)
+
+    @pytest.mark.parametrize("scenario", [KITE, RECTANGLE, TRAPEZOID3], ids=lambda s: s.kind)
+    def test_pipeline_is_one_frozen_value_per_scenario(self, scenario):
+        comps = pipeline(scenario)
+        assert pipeline(scenario) is comps
+        assert isinstance(comps, tuple) and len(comps) == 3
+        for comp in comps:
+            assert isinstance(comp.trig_factors, tuple)
+            assert isinstance(comp.r_factors, tuple)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                comp.r_poly = Poly.zero(R_REGISTRY)
+
+    @pytest.mark.parametrize("scenario", [KITE, RECTANGLE, TRAPEZOID3], ids=lambda s: s.kind)
+    def test_fresh_derivation_equals_the_cached_one(self, scenario):
+        cached = pipeline(scenario)
+        pipeline.cache_clear()
+        fresh = pipeline(scenario)
+        assert fresh is not cached
+        for a, b in zip(fresh, cached, strict=True):
+            assert a.index == b.index
+            assert (a.trig.num, a.trig.den) == (b.trig.num, b.trig.den)
+            assert a.r_poly == b.r_poly
+            assert a.content == b.content
+            assert a.clear_power == b.clear_power
+            assert a.trig_factors == b.trig_factors
+            assert a.r_factors == b.r_factors
+
+    def test_list_built_scenario_shares_the_cache_entry(self):
+        twin = SymmetryScenario("kite", [0, 1, 0, -1], [0, 0, 1, 0], ["r"])
+        assert twin.multiples == (0, 1, 0, -1) and twin.r_collision_factors == ("r",)
+        assert twin == KITE and hash(twin) == hash(KITE)
+        assert pipeline(twin) is pipeline(KITE)
 
     def test_square_has_no_pipeline(self):
         with pytest.raises(ValueError):
