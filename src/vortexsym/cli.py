@@ -22,6 +22,7 @@ from vortexsym.fork import fork_call
 from vortexsym.groebner import ExponentOverflowError, Ideal, buchberger, eliminate
 from vortexsym.ratpoly import Poly, VarRegistry, grevlex, lex
 from vortexsym.scenarios import run_kite, run_rectangle, run_square, run_trapezoid
+from vortexsym.scenarios.report import DEFAULT_EPS
 from vortexsym.trigvortex import SCENARIOS, Configuration
 
 SCENARIO_ORDER = ("kite", "rectangle", "square", "trapezoid")
@@ -83,8 +84,8 @@ def build_parser():
             p.add_argument(
                 "--eps",
                 type=_parse_eps,
-                default=Fraction(1, 10**9),
-                help="root enclosure width (default 1e-9)",
+                default=DEFAULT_EPS,
+                help="width of every reported root and window enclosure (default 1e-9)",
             )
         if name in ("trapezoid", "all"):
             p.add_argument(

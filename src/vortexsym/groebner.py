@@ -208,15 +208,6 @@ def normal_form(p, basis):
     multivariate division by ``basis.polys`` in ``basis.order`` exactly,
     since both reduce the largest term first by the first basis element
     whose leading monomial divides it.
-    """
-    coeffs, den = integer_normal_form(p, basis)
-    return Poly(p.registry, {m: Fraction(c, den) for m, c in coeffs.items()})
-
-
-def integer_normal_form(p, basis):
-    """Normal form of ``p`` as ``(coeffs, den)``: integer coefficients by
-    monomial, leading term first, over a positive common denominator, in
-    lowest terms.
 
     Raises :class:`ExponentOverflowError` for an exponent the packed fields
     cannot hold and ``ValueError`` for a variable the basis order does not
@@ -225,16 +216,13 @@ def integer_normal_form(p, basis):
     if not isinstance(basis, GroebnerBasis):
         raise TypeError("normal_form expects a GroebnerBasis")
     if p.is_zero():
-        return {}, 1
+        return Poly.zero(p.registry)
     pk, entries = basis._packed(p.registry)
     terms, denom = _int_terms(p, pk)
     rem, (mul, div) = _int_nf(terms, entries, pk)
-    if not rem:
-        return {}, 1
     # rem = mul / div * NF(denom * p), so NF(p) = rem * div / (mul * denom)
     den = mul * denom
-    g = gcd(div, den)
-    return {pk.unpack(q): c * (div // g) for _, q, c in rem}, den // g
+    return Poly(p.registry, {pk.unpack(q): Fraction(c * div, den) for _, q, c in rem})
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, mul
 
-from vortexsym.groebner import (
-    GroebnerBasis,
-    Ideal,
-    buchberger,
-    standard_monomials,
-)
+from vortexsym.groebner import buchberger, standard_monomials
 from vortexsym.ratpoly import (
     ExactDivisionError,
     GrevLex,
@@ -175,28 +170,6 @@ def squarefree_part(coeffs):
 # ---------------------------------------------------------------------------
 
 
-def sqrt_lower(q, bits=96):
-    """A rational lower bound for sqrt(q), q >= 0, tight to ~2^-bits."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("negative radicand")
-    scale = 1 << bits
-    n = q.numerator * scale * scale // q.denominator
-    return Fraction(isqrt(n), scale)
-
-
-def sqrt_upper(q, bits=96):
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("negative radicand")
-    scale = 1 << bits
-    n = q.numerator * scale * scale // q.denominator
-    r = isqrt(n)
-    if r * r < n:
-        r += 1
-    return Fraction(r, scale)
-
-
 class RatInterval:
     """Closed interval with exact rational endpoints."""
 
@@ -278,9 +251,17 @@ class RatInterval:
         return self.hi < 0
 
     def sqrt(self):
+        """An enclosure of the square roots of this interval's points, with
+        endpoints on the grid of multiples of 2^-96: the floor of sqrt(lo)
+        and the ceiling of sqrt(hi) there."""
         if self.lo < 0:
             raise ValueError("interval crosses zero; square root undefined")
-        return RatInterval(sqrt_lower(self.lo), sqrt_upper(self.hi))
+        lo = isqrt((self.lo.numerator << 192) // self.lo.denominator)
+        n = -(-(self.hi.numerator << 192) // self.hi.denominator)
+        hi = isqrt(n)
+        if hi * hi < n:
+            hi += 1
+        return RatInterval._of(Fraction(lo, 1 << 96), Fraction(hi, 1 << 96))
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -958,15 +939,5 @@ def hermite_count(ideal):
     Raises :class:`PositiveDimensionalError` when the quotient ring is
     infinite-dimensional.
     """
-    if isinstance(ideal, GroebnerBasis):
-        gb = ideal
-        if not isinstance(gb.order, GrevLex):
-            gb = buchberger(Ideal.of(*gb.polys), GrevLex())
-    else:
-        gb = buchberger(ideal, GrevLex())
-    qb = standard_monomials(gb)
-    if not qb.finite:
-        raise PositiveDimensionalError("quotient ring is infinite-dimensional")
-    h = hermite_matrix(gb, qb)
-    n_pos, n_neg, _ = inertia(h)
+    n_pos, n_neg, _ = inertia(hermite_matrix(buchberger(ideal, GrevLex())))
     return (n_pos - n_neg, n_pos + n_neg)

@@ -12,19 +12,21 @@ of an exact boundary polynomial.
 from __future__ import annotations
 
 import math
-from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
 
 from vortexsym.groebner import GroebnerBasis, Ideal, buchberger, eliminate
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
 from vortexsym.realroots import (
+    IsolatingInterval,
     coeffs_from_poly,
     eval_at,
     eval_interval,
     sturm_isolate,
 )
 from vortexsym.scenarios.report import (
+    CHECK_WIDTH,
+    DEFAULT_EPS,
     Checks,
     ScenarioReport,
     checks_of,
@@ -46,14 +48,14 @@ from vortexsym.trigvortex import (
 from vortexsym import targets
 
 _ORD = GrevLex()
-_EPS = Fraction(1, 10**9)
 
 
-def run_kite(mus=None, eps=_EPS):
+def run_kite(mus=None, eps=DEFAULT_EPS):
     """Full kite analysis for circulations ``mus`` (defaults to all ones),
     from the circulation-free stages ``kite_elimination`` and
     ``special_angle_analysis`` and the per-circulation
-    ``configuration_count``."""
+    ``configuration_count``; the radii and the window's lower end are
+    enclosed to width ``eps``."""
     mus = four_circulations("run_kite", mus) or (Fraction(1),) * 4
     if any(m == 0 for m in mus):
         raise ValueError("circulation parameters must be nonzero")
@@ -63,8 +65,8 @@ def run_kite(mus=None, eps=_EPS):
     elimination = kite_elimination(comps)
     stages = {
         "elimination": elimination,
-        "configuration_count": configuration_count(elimination.config_factor, mus, eps),
-        "special_angle_analysis": special_angle_analysis(comps, eps),
+        "configuration_count": configuration_count(elimination.config_factor, mus),
+        "special_angle_analysis": special_angle_analysis(comps),
     }
     basis = [p.format(elimination.gb.order) for p in elimination.gb.polys]
     return ScenarioReport(
@@ -72,11 +74,8 @@ def run_kite(mus=None, eps=_EPS):
         pipeline_polynomials=[c.r_poly.format(_ORD) for c in comps],
         elimination_basis=basis,
         conditions=list(basis),
-        roots=list(stages["configuration_count"].roots),
-        stability={
-            "verdict": "stable kites exist only at theta2 = 2*pi/3 with mu1 = mu2 = mu4",
-            "special_angle": deepcopy(stages["special_angle_analysis"].summary),
-        },
+        roots=root_records("kite configuration factor", stages["configuration_count"].radii, eps),
+        stability=stability(stages["special_angle_analysis"], eps),
         oracle_checks=checks_of(stages),
         artifacts={"pipeline": comps, **stages},
     )
@@ -114,20 +113,21 @@ def kite_elimination(comps):
 
 @dataclass(frozen=True)
 class ConfigurationCount:
-    """The count checks at one choice of circulations and the kite radii."""
+    """The count checks at one choice of circulations and the isolating
+    intervals of the kite radii."""
 
     checks: tuple
-    roots: tuple
+    radii: tuple
 
 
-def configuration_count(config_factor, mus, eps):
+def configuration_count(config_factor, mus):
     """Count the kite radii at the four circulations ``mus``."""
     checks = Checks()
-    roots = count_configurations(config_factor, mus, eps)
+    radii = count_configurations(config_factor, mus)
     checks.add(
         "root_count_even_and_bounded",
-        len(roots) % 2 == 0 and len(roots) <= 6,
-        f"{len(roots)} kite angles for mu = {tuple(map(str, mus))}",
+        len(radii) % 2 == 0 and len(radii) <= 6,
+        f"{len(radii)} kite angles for mu = {tuple(map(str, mus))}",
     )
     if mus == (1, 1, 1, 1):
         uni = _specialize(config_factor, mus)
@@ -138,29 +138,79 @@ def configuration_count(config_factor, mus, eps):
             and eval_at(uni[::2], Fraction(1, 3)) == 0,
             "r = 1 and r^2 = 1/3 are exact roots at mu = (1,1,1,1)",
         )
-    return ConfigurationCount(checks=tuple(checks), roots=tuple(roots))
+    return ConfigurationCount(checks=tuple(checks), radii=tuple(radii))
 
 
 def _specialize(poly, mus):
     return coeffs_from_poly(poly.subs({f"mu{i + 1}": Fraction(m) for i, m in enumerate(mus)}), "r")
 
 
-def count_configurations(config_factor, mus, eps):
-    """Isolate the real kite radii for given circulations, as root records."""
-    return list(root_records("kite configuration factor", _specialize(config_factor, mus), eps)[1])
+def count_configurations(config_factor, mus):
+    """Isolating intervals of the real kite radii for given circulations."""
+    return sturm_isolate(_specialize(config_factor, mus))
+
+
+@dataclass(frozen=True)
+class StabilityWindow:
+    """The first bounded range of t = mu1/mu3 where all three nonzero
+    eigenvalues are positive: isolating intervals of the boundary roots at
+    its ends, the upper end exactly (None unless it is exact or -1/3),
+    whether each end is stable itself, whether the range is the only one,
+    and the lower end to width ``CHECK_WIDTH``, which the check reads."""
+
+    lower: IsolatingInterval
+    upper: IsolatingInterval
+    upper_exact: Fraction | None
+    lower_included: bool
+    upper_included: bool
+    unique: bool
+    lower_decimal: float
 
 
 @dataclass(frozen=True)
 class SpecialAngle:
     """What the theta2 = 2*pi/3 stage derives: its four oracle checks in
-    report order and the ``special_angle`` summary of the report's
-    stability section, with ``window`` None unless the window is certified."""
+    report order and the stability window, None unless its upper end is
+    exact."""
 
     checks: tuple
-    summary: dict
+    window: StabilityWindow | None
 
 
-def special_angle_analysis(comps, eps):
+def stability(special, eps):
+    """The report's stability section from ``special`` (a
+    :class:`SpecialAngle`), with the window's lower end enclosed to width
+    ``eps``."""
+    summary = {
+        "theta2": 2 * math.pi / 3,
+        "conditions": ["mu1 - mu4", "mu2 - mu4"],
+        "parameter": "mu1/mu3",
+        "requires": "mu3 > 0",
+        "window": None,
+    }
+    window = special.window
+    if window is not None:
+        lower = window.lower.refine(eps)
+        summary["window"] = {
+            "lower": {
+                "decimal": float(lower.midpoint()),
+                "interval": [rat_str(lower.lo), rat_str(lower.hi)],
+                "included": window.lower_included,
+                "defining_polynomial": "121*t^2 + 282*t + 81",
+            },
+            "upper": {
+                "decimal": float(window.upper_exact),
+                "exact": rat_str(window.upper_exact),
+                "included": window.upper_included,
+            },
+        }
+    return {
+        "verdict": "stable kites exist only at theta2 = 2*pi/3 with mu1 = mu2 = mu4",
+        "special_angle": summary,
+    }
+
+
+def special_angle_analysis(comps):
     """The theta2 = 2*pi/3 kite: forced circulations and stability window;
     see :class:`SpecialAngle`.
 
@@ -220,12 +270,9 @@ def special_angle_analysis(comps, eps):
     t = Poly.variable(treg, "t")
     one = Poly.constant(treg, 1)
     rows = hessian(scenario_cos_table(KITE, half), [t, t, one, t], weighted=True)
-    cp = char_poly_in(rows, lreg, "lam")
     lam = Poly.variable(lreg, "lam")
-    cp = cp.divide_exact(lam)
     lam2 = Poly.parse(lreg, "3/2 - 1/2*t")
-    cubic = cp
-    quad = cubic.divide_exact(lam - lam2)
+    quad = char_poly_in(rows, lreg, "lam").divide_exact(lam).divide_exact(lam - lam2)
     groups = quad.coefficients_in(["lam"])
     s_poly = -groups[(1,)]
     p_poly = groups[(0,)]
@@ -238,22 +285,14 @@ def special_angle_analysis(comps, eps):
         "quadratic pair discriminant is (121 t^2 + 282 t + 81)/16",
     )
 
-    window = _stability_window(
-        lam2.map_to(treg), s_poly.map_to(treg), p_poly.map_to(treg), eps
-    )
-    summary = {
-        "theta2": 2 * math.pi / 3,
-        "conditions": ["mu1 - mu4", "mu2 - mu4"],
-        "parameter": "mu1/mu3",
-        "requires": "mu3 > 0",
-    }
-    if window is None or window["upper_exact"] is None:
+    window = _stability_window(lam2.map_to(treg), s_poly.map_to(treg), p_poly.map_to(treg))
+    if window is None or window.upper_exact is None:
         if window is None:
             derived = "no bounded stable gap"
         else:
-            upper = window["upper_interval"]
+            upper = window.upper
             derived = (
-                f"lower end {window['lower_decimal']:.6f} and an upper end in"
+                f"lower end {window.lower_decimal:.6f} and an upper end in"
                 f" [{rat_str(upper.lo)}, {rat_str(upper.hi)}] that is neither exact nor -1/3"
             )
         checks.add(
@@ -262,29 +301,15 @@ def special_angle_analysis(comps, eps):
             f"expected mu1/mu3 in [{targets.KITE_WINDOW_LOWER:.6f}, -1/3) for mu3 > 0;"
             f" derived {derived}",
         )
-        summary["window"] = None
-        return SpecialAngle(tuple(checks), summary)
-    ok_lower = abs(window["lower_decimal"] - targets.KITE_WINDOW_LOWER) < targets.NUMERIC_TOL
-    ok_upper = window["upper_exact"] == Fraction(-1, 3)
+        return SpecialAngle(tuple(checks), None)
+    ok_lower = abs(window.lower_decimal - targets.KITE_WINDOW_LOWER) < targets.NUMERIC_TOL
+    ok_upper = window.upper_exact == Fraction(-1, 3)
     checks.add(
         "stability_window",
-        ok_lower and ok_upper and window["unique"],
-        f"mu1/mu3 in [{window['lower_decimal']:.6f}, -1/3) for mu3 > 0",
+        ok_lower and ok_upper and window.unique,
+        f"mu1/mu3 in [{window.lower_decimal:.6f}, -1/3) for mu3 > 0",
     )
-    summary["window"] = {
-        "lower": {
-            "decimal": window["lower_decimal"],
-            "interval": [rat_str(window["lower_interval"].lo), rat_str(window["lower_interval"].hi)],
-            "included": window["lower_included"],
-            "defining_polynomial": "121*t^2 + 282*t + 81",
-        },
-        "upper": {
-            "decimal": float(window["upper_exact"]),
-            "exact": rat_str(window["upper_exact"]),
-            "included": window["upper_included"],
-        },
-    }
-    return SpecialAngle(tuple(checks), summary)
+    return SpecialAngle(tuple(checks), window)
 
 
 def _quad_positive_count(s, p, d):
@@ -300,22 +325,18 @@ def _quad_positive_count(s, p, d):
     return 1 if s > 0 else 0
 
 
-def _stability_window(lam2, s_poly, p_poly, eps):
-    """Certified window of t where all three nonzero eigenvalues are positive.
+def _stability_window(lam2, s_poly, p_poly):
+    """The certified :class:`StabilityWindow`, or None when the first stable
+    gap is missing or unbounded.
 
     Boundary candidates are the roots of lam2, P, and the discriminant;
-    sampling each complementary interval with exact arithmetic finds the
-    stable range, and the boundary enclosures give its endpoints.  An end
-    is included when all three eigenvalues are positive at it.  Returns
-    ``None`` when the first stable gap is missing or unbounded;
-    ``upper_exact`` is ``None`` when the upper enclosure is neither exact
-    nor at -1/3.
+    sampling once below, between and above their isolating intervals with
+    exact arithmetic finds the stable range.  An end is included when all
+    three eigenvalues are positive at it.
     """
     disc_poly = s_poly * s_poly - 4 * p_poly
     boundary = lam2 * p_poly * disc_poly
-    coeffs = coeffs_from_poly(boundary, "t")
-    intervals = [iv.refine(Fraction(1, 10**12)) for iv in sturm_isolate(coeffs)]
-    bounds = sorted(iv.midpoint() for iv in intervals)
+    intervals = sturm_isolate(coeffs_from_poly(boundary, "t"))
 
     lam2_c = coeffs_from_poly(lam2, "t")
     s_c = coeffs_from_poly(s_poly, "t")
@@ -326,25 +347,21 @@ def _stability_window(lam2, s_poly, p_poly, eps):
         c = 1 if eval_at(lam2_c, tv) > 0 else 0
         return c + _quad_positive_count(eval_at(s_c, tv), eval_at(p_c, tv), eval_at(d_c, tv))
 
-    stable_gaps = []
-    for i in range(len(bounds) + 1):
-        left = bounds[i - 1] if i > 0 else None
-        right = bounds[i] if i < len(bounds) else None
+    def sample(left, right):
+        # the isolating intervals are disjoint and no inexact one ends at a
+        # root, so this point lies strictly between the two roots
         if left is None:
-            tv = bounds[0] - 1 if bounds else Fraction(0)
-        elif right is None:
-            tv = bounds[-1] + 1
-        else:
-            tv = (left + right) / 2
-        if count(tv) == 3:
-            stable_gaps.append((left, right))
+            return right.lo - 1 if right is not None else Fraction(0)
+        if right is None:
+            return left.hi + 1
+        return (left.hi + right.lo) / 2
 
+    gaps = zip([None] + intervals, intervals + [None])
+    stable_gaps = [(left, right) for left, right in gaps if count(sample(left, right)) == 3]
     if not stable_gaps or None in stable_gaps[0]:
         return None
-    unique = len(stable_gaps) == 1
-    left, right = stable_gaps[0]
-    lower_iv = next(iv for iv in intervals if iv.contains(left)).refine(eps)
-    upper_iv = next(iv for iv in intervals if iv.contains(right)).refine(eps)
+    lower_iv, upper_iv = stable_gaps[0]
+    lower_check = lower_iv.refine(CHECK_WIDTH)
 
     def included(iv, exact):
         # An exact end is stable when all three eigenvalues are positive
@@ -354,6 +371,7 @@ def _stability_window(lam2, s_poly, p_poly, eps):
         # when S > 0.
         if exact is not None:
             return count(exact) == 3
+        iv = iv.refine(CHECK_WIDTH)
         return all(eval_interval(c, iv).is_positive() for c in (lam2_c, p_c, s_c))
 
     lower_exact = lower_iv.lo if lower_iv.exact else None
@@ -363,12 +381,12 @@ def _stability_window(lam2, s_poly, p_poly, eps):
         else Fraction(-1, 3) if upper_iv.contains(Fraction(-1, 3)) and eval_at(p_c, Fraction(-1, 3)) == 0
         else None
     )
-    return {
-        "unique": unique,
-        "lower_interval": lower_iv,
-        "lower_decimal": float(lower_iv.midpoint()),
-        "lower_included": included(lower_iv, lower_exact),
-        "upper_interval": upper_iv,
-        "upper_exact": upper_exact,
-        "upper_included": included(upper_iv, upper_exact),
-    }
+    return StabilityWindow(
+        lower=lower_iv,
+        upper=upper_iv,
+        upper_exact=upper_exact,
+        lower_included=included(lower_check, lower_exact),
+        upper_included=included(upper_iv, upper_exact),
+        unique=len(stable_gaps) == 1,
+        lower_decimal=float(lower_check.midpoint()),
+    )

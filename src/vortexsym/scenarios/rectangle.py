@@ -3,14 +3,14 @@ perpendicular diagonals at 45 degrees and are always linearly unstable."""
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
 
 from vortexsym.groebner import GroebnerBasis, Ideal, eliminate
 from vortexsym.ratpoly import GrevLex, Poly, Sqrt2
-from vortexsym.realroots import coeffs_from_poly
+from vortexsym.realroots import coeffs_from_poly, sturm_isolate
 from vortexsym.scenarios.report import (
+    DEFAULT_EPS,
     Checks,
     OracleCheck,
     ScenarioReport,
@@ -32,21 +32,22 @@ from vortexsym.trigvortex import (
 from vortexsym import targets
 
 _ORD = GrevLex()
-_EPS = Fraction(1, 10**9)
 
 
-def run_rectangle(mus=None, eps=_EPS):
+def run_rectangle(mus=None, eps=DEFAULT_EPS):
     """Classify rectangles from the circulation-free stages
     ``rectangle_elimination`` and ``branch_angles`` and the per-circulation
-    ``diagonal_instability``, sampled at five circulations without ``mus``."""
+    ``diagonal_instability``, sampled at five circulations without ``mus``;
+    the branch angles are enclosed to width ``eps``."""
     mus = four_circulations("run_rectangle", mus)
     comps = pipeline(RECTANGLE)
     stages = {
         "elimination": rectangle_elimination(comps),
-        "branch_angles": branch_angles(comps, eps),
+        "branch_angles": branch_angles(comps),
         "diagonal_instability": diagonal_instability(mus),
     }
     gb = stages["elimination"].gb
+    angles = stages["branch_angles"]
     return ScenarioReport(
         scenario="rectangle",
         pipeline_polynomials=[c.r_poly.format(_ORD) for c in comps],
@@ -55,8 +56,9 @@ def run_rectangle(mus=None, eps=_EPS):
             "mu1 - mu3 and mu2 - mu4 (equal pairs)",
             "mu1 + mu3 and mu2 + mu4 (opposite pairs)",
         ],
-        roots=list(stages["branch_angles"].roots),
-        stability=deepcopy(stages["diagonal_instability"].stability),
+        roots=root_records("equal pairs branch polynomial", angles.square_roots, eps)
+        + root_records("opposite pairs branch polynomial", angles.diagonal_roots, eps),
+        stability=stability(stages["diagonal_instability"], mus),
         oracle_checks=checks_of(stages),
         artifacts={"pipeline": comps, **stages},
     )
@@ -86,14 +88,15 @@ def rectangle_elimination(comps):
 
 @dataclass(frozen=True)
 class BranchAngles:
-    """The residual and angle checks of both branches and the root records
-    of their angles, equal pairs first."""
+    """The residual and angle checks of both branches and the isolating
+    intervals of the half-angle images of their angles."""
 
     checks: tuple
-    roots: tuple
+    square_roots: tuple
+    diagonal_roots: tuple
 
 
-def branch_angles(comps, eps):
+def branch_angles(comps):
     """Reduce the gradient components on the equal-pairs and opposite-pairs
     branches to multiples of cos(theta2) and cos(2 theta2), and enclose the
     angles where those targets vanish.
@@ -129,8 +132,8 @@ def branch_angles(comps, eps):
         opposite_q is not None,
         "exact: (1-c^2) * numerator is a constant multiple of (2c^2-1) * denominator",
     )
-    square_roots = _target_roots(cheb_cos(1), eps, "equal pairs")
-    diag_roots = _target_roots(cheb_cos(2), eps, "opposite pairs")
+    square_roots = _target_roots(cheb_cos(1))
+    diag_roots = _target_roots(cheb_cos(2))
     checks.add(
         "equal_pairs_only_square",
         _all_nonzero(equal_q) and len(square_roots) == 2,
@@ -141,22 +144,22 @@ def branch_angles(comps, eps):
         _all_nonzero(opposite_q) and len(diag_roots) == 4,
         "opposite pairs force theta2 in {pi/4, 3pi/4, 5pi/4, 7pi/4}",
     )
-    return BranchAngles(checks=tuple(checks), roots=square_roots + diag_roots)
+    return BranchAngles(tuple(checks), tuple(square_roots), tuple(diag_roots))
 
 
-def _target_roots(target, eps, label):
-    """Root records of the half-angle image of a target in c, one per real
-    root, each enclosed to width ``eps``."""
-    coeffs = coeffs_from_poly(half_angle_polynomialize(target), "r")
-    return root_records(f"{label} branch polynomial", coeffs, eps)[1]
+def _target_roots(target):
+    """Isolating intervals of the real roots of the half-angle image of ``target``."""
+    return sturm_isolate(coeffs_from_poly(half_angle_polynomialize(target), "r"))
 
 
 @dataclass(frozen=True)
 class DiagonalInstability:
-    """The instability check at one choice of circulations and the stability section."""
+    """The instability check at one choice of circulations and its samples:
+    pairs of (m1, m2) and whether the zero eigenvalue is simple at
+    (m1, m2, -m1, -m2)."""
 
     checks: tuple
-    stability: dict
+    samples: tuple
 
 
 def diagonal_instability(mus):
@@ -180,20 +183,27 @@ def diagonal_instability(mus):
         " the rotational zero sum to 0 for every (m1, m2); zero eigenvalue simple"
         f" at {sum(simple)} of {len(samples)} circulation samples",
     )
-    stability = {
+    return DiagonalInstability(checks=(check,), samples=tuple(zip(samples, simple)))
+
+
+def stability(instability, mus):
+    """The report's stability section from the samples of ``instability``
+    (a :class:`DiagonalInstability`), with a note when ``mus`` lies off the
+    opposite-pairs branch."""
+    section = {
         "verdict": "nondegenerate rectangles are never linearly stable",
         "window": None,
         "diagonal_samples": [
             {"mu": [str(a), str(b), str(-a), str(-b)], "nondegenerate": ok}
-            for (a, b), ok in zip(samples, simple)
+            for (a, b), ok in instability.samples
         ],
     }
     if mus is not None and (mus[2] != -mus[0] or mus[3] != -mus[1]):
-        stability["note"] = (
+        section["note"] = (
             "circulations violate mu3 = -mu1, mu4 = -mu2 (opposite pairs); the"
             " diagonal sample is taken at (mu1, mu2, -mu1, -mu2)"
         )
-    return DiagonalInstability(checks=(check,), stability=stability)
+    return section
 
 
 def _branch_multiples(comps, substitution, target):

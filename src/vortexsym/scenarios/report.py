@@ -6,11 +6,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from vortexsym.ratpoly import GrevLex
-from vortexsym.realroots import sturm_isolate
 from vortexsym.trigvortex import angle_of_r
 from vortexsym import targets
 
 _ORD = GrevLex()
+
+# The stages return isolating intervals; a report refines the ones it shows
+# to its driver's ``eps``, DEFAULT_EPS unless given, and the oracle checks
+# read theirs to the fixed CHECK_WIDTH, so that no verdict depends on eps.
+DEFAULT_EPS = Fraction(1, 10**9)
+CHECK_WIDTH = Fraction(1, 10**12)
 
 
 def rat_str(q):
@@ -89,17 +94,16 @@ class RootRecord:
         }
 
 
-def root_records(poly, coeffs, eps):
-    """The real roots of ``coeffs``, a polynomial in the half-angle variable
-    r named ``poly`` in the report: their isolating intervals refined to
-    width ``eps``, and one record per interval with its float midpoint and
-    the angle there."""
-    intervals = [iv.refine(eps) for iv in sturm_isolate(coeffs)]
+def root_records(poly, intervals, eps):
+    """One record per isolating interval of a root of ``poly``, a polynomial
+    in the half-angle variable r: the interval refined to width ``eps``, its
+    float midpoint and the angle there, as a list."""
     records = []
     for iv in intervals:
+        iv = iv.refine(eps)
         mid = float(iv)
         records.append(RootRecord(poly, (iv.lo, iv.hi), mid, angle_of_r(mid)))
-    return intervals, tuple(records)
+    return records
 
 
 @dataclass

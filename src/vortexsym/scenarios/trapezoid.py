@@ -52,17 +52,18 @@ from vortexsym.realroots import (
 )
 from vortexsym.fork import fork_call
 from vortexsym.scenarios.report import (
+    CHECK_WIDTH,
+    DEFAULT_EPS,
     Checks,
     ScenarioReport,
     checks_of,
     pipeline_check,
     root_records,
 )
-from vortexsym.trigvortex import R_REGISTRY, TRAPEZOID3, pipeline
+from vortexsym.trigvortex import R_REGISTRY, TRAPEZOID3, angle_of_r, pipeline
 from vortexsym import targets
 
 _ORD = GrevLex()
-_EPS = Fraction(1, 10**9)
 _TIGHT = Fraction(1, 10**24)
 _GRID = 1 << 80
 
@@ -79,16 +80,17 @@ class IdealShapeError(ValueError):
     """An ideal lacks the shape a certified reconstruction step relies on."""
 
 
-def run_trapezoid(eps=_EPS, check_appendix=True):
+def run_trapezoid(eps=DEFAULT_EPS, check_appendix=True):
     """Classify trapezoids with three equal sides from the five stages of
     the module docstring (``annihilating_lines`` only with
-    ``check_appendix``), in that order.  ``angle_analysis`` needs only the
-    pipeline output, so it runs in a forked child
-    (:func:`vortexsym.fork.fork_call`) while this process runs the three
-    stages between; the report is the one a serial run gives.
+    ``check_appendix``), in that order, with the roots of g(r) enclosed to
+    width ``eps``.  ``angle_analysis`` needs only the pipeline output, so it
+    runs in a forked child (:func:`vortexsym.fork.fork_call`) while this
+    process runs the three stages between; the report is the one a serial
+    run gives.
     """
     comps = pipeline(TRAPEZOID3)
-    join_angles = fork_call(angle_analysis, comps, eps)
+    join_angles = fork_call(angle_analysis, comps)
     try:
         elimination = elimination_ideal(comps)
         plane = plane_factorisation()
@@ -103,6 +105,7 @@ def run_trapezoid(eps=_EPS, check_appendix=True):
         "angle_analysis": angles,
     }
     gb = elimination.gb
+    roots = root_records("g(r)", angles.roots, eps)
     return ScenarioReport(
         scenario="trapezoid",
         pipeline_polynomials=[c.r_poly.format(_ORD) for c in comps],
@@ -111,11 +114,13 @@ def run_trapezoid(eps=_EPS, check_appendix=True):
             "mu1 - mu3 with mu2 - mu4 (square family)",
             "plane families A1, B2, C3 (one angle each)",
         ],
-        roots=list(angles.roots),
+        roots=roots,
         stability={
             "verdict": "existence classification; no stability claims for this family",
             "window": None,
-            "true_trapezoid_theta2": angles.true_theta2,
+            "true_trapezoid_theta2": (
+                None if angles.true_index is None else roots[angles.true_index].theta2
+            ),
         },
         oracle_checks=checks_of(stages),
         artifacts={"pipeline": comps, **stages},
@@ -750,16 +755,17 @@ def _classify(line, plane, equal_pairs):
 @dataclass(frozen=True)
 class AngleAnalysis:
     """What the angle stage derives: its oracle checks in report order, the
-    projection basis onto (r, mu1, mu3), the certified roots of g(r), and
-    the angle of the true trapezoid (None unless it is proven unique)."""
+    projection basis onto (r, mu1, mu3), the isolating intervals of the
+    roots of g(r), ascending, and the index among them of the true
+    trapezoid (None unless it is proven unique)."""
 
     checks: tuple
     angle_projection_gb: GroebnerBasis
     roots: tuple
-    true_theta2: float | None
+    true_index: int | None
 
 
-def angle_analysis(comps, eps):
+def angle_analysis(comps):
     """The angle stage, from the pipeline output alone; see :class:`AngleAnalysis`."""
     checks = Checks()
     ideal = Ideal.of(*([c.r_poly for c in comps] + [Poly.parse(R_REGISTRY, targets.P1_QUINTIC)]))
@@ -787,17 +793,18 @@ def angle_analysis(comps, eps):
     )
     g_coeffs = coeffs_from_poly(g_ref, "r")
 
-    # the report's enclosures have the requested width; the checks read
-    # their own, of the fixed width _EPS, so no verdict depends on eps
-    roots = root_records("g(r)", g_coeffs, eps)[1]
-    checked, checked_roots = root_records("g(r)", g_coeffs, _EPS)
-    r_mags = sorted({round(abs(r.decimal), 6) for r in checked_roots})
+    # the checks read the roots to the fixed CHECK_WIDTH, so no verdict
+    # depends on the width of the reported enclosures
+    roots = sturm_isolate(g_coeffs)
+    checked = [iv.refine(CHECK_WIDTH) for iv in roots]
+    radii = [float(iv) for iv in checked]
+    r_mags = sorted({round(abs(r), 6) for r in radii})
     want_r = sorted(row["r"] for row in targets.ANGLE_TABLE)
-    theta_mags = sorted({round(abs(r.theta2), 6) for r in checked_roots})
+    theta_mags = sorted({round(abs(angle_of_r(r)), 6) for r in radii})
     want_theta = sorted(row["theta2"] for row in targets.ANGLE_TABLE)
     checks.add(
         "angle_roots",
-        len(checked_roots) == 6
+        len(roots) == 6
         and all(abs(a - b) < targets.NUMERIC_TOL for a, b in zip(r_mags, want_r))
         and all(abs(a - b) < targets.NUMERIC_TOL for a, b in zip(theta_mags, want_theta)),
         f"six real radii {r_mags} with angles {theta_mags}",
@@ -809,7 +816,7 @@ def angle_analysis(comps, eps):
     if chosen is None:
         unique, detail = False, "a root of g(r) may lie at r = 0 or 3 r^2 = 1"
     else:
-        true_angles = [checked_roots[i].theta2 for i in chosen]
+        true_angles = [angle_of_r(radii[i]) for i in chosen]
         # the paper prints theta2 to six digits
         unique = len(true_angles) == 1 and abs(true_angles[0] - 0.687197) < targets.NUMERIC_TOL
         detail = (
@@ -821,8 +828,8 @@ def angle_analysis(comps, eps):
     return AngleAnalysis(
         checks=tuple(checks),
         angle_projection_gb=gb_vt,
-        roots=roots,
-        true_theta2=roots[chosen[0]].theta2 if unique else None,
+        roots=tuple(roots),
+        true_index=chosen[0] if unique else None,
     )
 
 

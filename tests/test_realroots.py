@@ -11,7 +11,7 @@ from vortexsym.groebner import (
     GroebnerBasis,
     Ideal,
     buchberger,
-    integer_normal_form,
+    normal_form,
     standard_monomials,
 )
 from vortexsym.ratpoly import Poly, RegistryMismatchError, Sqrt2, VarRegistry, grevlex
@@ -154,6 +154,23 @@ class TestSturmIsolation:
         # an exact root is already as narrow as it gets
         exact = next(r for r in sturm_isolate(F(0, -1, 1)) if r.exact)
         assert exact.refine(Fraction(1, 10**6)) is exact
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0, 4 + Fraction(1, 2**193)),
+            (Fraction(1, 3), Fraction(2, 3)),
+            (Fraction(4), Fraction(4)),
+            (Fraction(2), 2 + Fraction(1, 10**70)),
+            (0, Fraction(1, 2**200)),
+        ],
+    )
+    def test_sqrt_encloses_the_roots_of_both_ends(self, lo, hi):
+        # the upper end is rounded up from hi itself: flooring hi onto the
+        # 2^-192 grid first put sqrt(4 + 2^-193) at exactly 2, below the root
+        root = RatInterval(lo, hi).sqrt()
+        assert root.lo >= 0
+        assert root.lo * root.lo <= lo and root.hi * root.hi >= hi
 
     def test_meets_is_a_closed_overlap(self):
         unit = RatInterval(0, 1)
@@ -495,8 +512,10 @@ def test_border_normal_forms_and_hermite_matrix_match_references(gb):
         m[:v] + (m[v] + 1,) + m[v + 1 :] for m in basis for v in range(2)
     } - set(basis)
     for t, (u, e) in border.items():
-        coeffs, den = integer_normal_form(Poly(gb.registry, {t: Fraction(1)}), gb)
-        assert ({basis[k]: x for k, x in enumerate(u) if x}, e) == (coeffs, den), t
+        nf = normal_form(Poly(gb.registry, {t: Fraction(1)}), gb)
+        assert {basis[k]: Fraction(x, e) for k, x in enumerate(u) if x} == nf.terms, t
+        # primitive: e is the least common denominator of the normal form
+        assert e == lcm(*(c.denominator for c in nf.terms.values())), t
     h = hermite_matrix(gb)
     assert [list(row) for row in h.rows] == reference_hermite(gb)
 

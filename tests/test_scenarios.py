@@ -22,6 +22,7 @@ from vortexsym.scenarios import (
 from vortexsym.scenarios import kite, rectangle
 from vortexsym.scenarios.kite import count_configurations
 from vortexsym.scenarios.rectangle import _all_nonzero, _branch_multiples
+from vortexsym.scenarios.report import DEFAULT_EPS
 from vortexsym.scenarios.trapezoid import (
     IdealShapeError,
     InconclusiveEnclosureError,
@@ -31,7 +32,6 @@ from vortexsym.scenarios.trapezoid import (
     _plane_pairing,
     _reconstruct_lines,
     _vanishes_in,
-    angle_analysis,
     f1_plane_identity_in_ideal,
     plane_factorisation,
     true_trapezoid_roots,
@@ -110,27 +110,27 @@ class TestKite:
         treg = VarRegistry(["t"])
         lam2 = Poly.parse(treg, "t")
         # S < 0 everywhere, so the quadratic pair is never positive
-        assert kite._stability_window(lam2, Poly.parse(treg, "-1"), Poly.parse(treg, "t^2 + 1"), kite._EPS) is None
+        assert kite._stability_window(lam2, Poly.parse(treg, "-1"), Poly.parse(treg, "t^2 + 1")) is None
         # no boundary root at all
         one = Poly.parse(treg, "1")
-        assert kite._stability_window(one, -one, one, kite._EPS) is None
+        assert kite._stability_window(one, -one, one) is None
 
     def test_inexact_upper_end_fails_its_check(self, monkeypatch):
         # p = 1/8 - t^2 gives the gap (-1/sqrt(8), 1/sqrt(8)), whose upper
         # end is irrational and not -1/3
         treg = VarRegistry(["t"])
         one = Poly.parse(treg, "1")
-        window = kite._stability_window(one, one, Poly.parse(treg, "1/8 - t^2"), kite._EPS)
-        assert window["upper_exact"] is None
+        window = kite._stability_window(one, one, Poly.parse(treg, "1/8 - t^2"))
+        assert window.upper_exact is None
         monkeypatch.setattr(kite, "_stability_window", lambda *args: window)
-        special = kite.special_angle_analysis(pipeline(KITE), kite._EPS)
+        special = kite.special_angle_analysis(pipeline(KITE))
         check = {c.name: c for c in special.checks}["stability_window"]
         assert check.status == "fail"
         assert "expected mu1/mu3 in [-0.335544, -1/3)" in check.detail
         assert "derived lower end -0.353553" in check.detail
-        upper = window["upper_interval"]
+        upper = window.upper
         assert f"[{upper.lo.numerator}/{upper.lo.denominator}," in check.detail
-        assert special.summary["window"] is None
+        assert special.window is None
 
     def test_endpoint_inclusion_is_decided_exactly(self):
         # lam2 = S = 1 and P = (1 + t)/4: all three eigenvalues are positive
@@ -138,21 +138,21 @@ class TestKite:
         # t = 0 it is the double root 1/2, so the window is (-1, 0]
         treg = VarRegistry(["t"])
         one = Poly.parse(treg, "1")
-        window = kite._stability_window(one, one, Poly.parse(treg, "1/4 + 1/4*t"), kite._EPS)
-        assert window["unique"]
-        assert window["lower_interval"].contains(-1)
-        assert window["upper_exact"] == 0
-        assert not window["lower_included"]
-        assert window["upper_included"]
+        window = kite._stability_window(one, one, Poly.parse(treg, "1/4 + 1/4*t"))
+        assert window.unique
+        assert window.lower.contains(-1)
+        assert window.upper_exact == 0
+        assert not window.lower_included
+        assert window.upper_included
 
     def test_missing_stability_window_fails_its_check(self, monkeypatch):
         monkeypatch.setattr(kite, "_stability_window", lambda *args: None)
-        special = kite.special_angle_analysis(pipeline(KITE), kite._EPS)
+        special = kite.special_angle_analysis(pipeline(KITE))
         check = {c.name: c for c in special.checks}["stability_window"]
         assert check.status == "fail"
         assert "expected mu1/mu3 in [-0.335544, -1/3)" in check.detail
         assert "derived no bounded stable gap" in check.detail
-        assert special.summary["window"] is None
+        assert special.window is None
 
     def test_requires_matching_pair(self):
         with pytest.raises(ValueError):
@@ -165,14 +165,13 @@ class TestKite:
         rng = random.Random(20240810)
         comps = pipeline(KITE)
         factor = comps[2].r_poly.primitive(_ORD)
-        eps = Fraction(1, 10**6)
         for _ in range(100):
             mu1 = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
             mu2 = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
             mu3 = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
             if 0 in (mu1, mu2, mu3) or 2 * mu1 + mu2 == 0:
                 continue
-            roots = count_configurations(factor, (mu1, mu2, mu3, mu2), eps)
+            roots = count_configurations(factor, (mu1, mu2, mu3, mu2))
             assert len(roots) % 2 == 0
             assert len(roots) <= 6
 
@@ -435,7 +434,7 @@ class TestStages:
         ]
 
     def test_special_angle_analysis_matches_the_report(self, kite_report):
-        special = kite.special_angle_analysis(pipeline(KITE), kite._EPS)
+        special = kite.special_angle_analysis(pipeline(KITE))
         assert _frozen(special)
         assert [c.name for c in special.checks] == [
             "special_angle_gradient",
@@ -444,7 +443,7 @@ class TestStages:
             "stability_window",
         ]
         assert list(special.checks) == kite_report.oracle_checks[-4:]
-        assert special.summary == kite_report.stability["special_angle"]
+        assert kite.stability(special, DEFAULT_EPS) == kite_report.stability
 
     def test_trapezoid_stage_results_survive_pickling(self, trapezoid_report):
         # the stages must stay forkable: their results cross a pipe pickled
@@ -501,14 +500,6 @@ class TestStages:
         ok, detail = _plane_pairing(comps, g_ref, intervals)
         assert not ok
         assert detail == "a-coefficient mismatch for family B2: expected 0.5, derived 0.480743"
-
-    def test_angle_checks_pass_at_a_coarse_width(self, trapezoid_report):
-        # the checks read their own enclosures; the report keeps the
-        # requested width
-        angles = angle_analysis(trapezoid_report.artifacts["pipeline"], Fraction(1, 10**3))
-        assert all(c.status == "pass" for c in angles.checks), angles.checks
-        assert all(1e-4 < r.width < 1e-3 for r in angles.roots)
-        assert abs(angles.true_theta2 - 0.687197) < 1e-2
 
     def test_plane_pairing_reads_the_a_element_of_the_plane_ideal(
         self, trapezoid_report, monkeypatch
@@ -721,6 +712,37 @@ def test_successive_reports_share_one_pipeline(run, scenario):
     first, second = run(mus=mus), run(mus=mus)
     assert first.artifacts["pipeline"] is second.artifacts["pipeline"] is pipeline(scenario)
     assert pickle.dumps(first.artifacts) == pickle.dumps(second.artifacts)
+
+
+def test_eps_sets_only_the_width_of_the_reported_enclosures(
+    square_report, kite_report, rectangle_report, trapezoid_report
+):
+    # the stages return isolating intervals and only the reports refine
+    # them, so every check reads the same at any eps, and every enclosure a
+    # report shows, the kite window's lower end included, is narrower than
+    # eps
+    checks = {}
+    for eps in (Fraction(1, 10**3), DEFAULT_EPS, Fraction(1, 10**30)):
+        if eps == DEFAULT_EPS:
+            reports = [square_report, kite_report, rectangle_report, trapezoid_report]
+        else:
+            reports = [
+                run_square(),
+                run_kite(eps=eps),
+                run_rectangle(eps=eps),
+                run_trapezoid(eps=eps, check_appendix=True),
+            ]
+        checks[eps] = [r.oracle_checks for r in reports]
+        for report in reports:
+            assert report.passed(), (eps, report.failures())
+            assert all(hi - lo < eps for lo, hi in (root.interval for root in report.roots))
+        lower = reports[1].stability["special_angle"]["window"]["lower"]["interval"]
+        width = Fraction(lower[1]) - Fraction(lower[0])
+        assert 0 < width < eps
+        if eps == Fraction(1, 10**3):
+            assert width > Fraction(1, 10**4)
+    first, *rest = checks.values()
+    assert all(other == first for other in rest)
 
 
 class TestNonPositiveEps:
