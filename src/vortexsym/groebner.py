@@ -74,9 +74,7 @@ from vortexsym.ratpoly import (
     VarRegistry,
     _div_exact,
     elimination,
-    mono_div,
     mono_divides,
-    mono_lcm,
     mono_mul,
 )
 
@@ -170,15 +168,6 @@ class GroebnerBasis:
     def leading_monomials(self):
         return [p.leading_monomial(self.order) for p in self.polys]
 
-    def verify(self):
-        """Buchberger criterion: every S-polynomial reduces to zero."""
-        for i in range(len(self.polys)):
-            for j in range(i + 1, len(self.polys)):
-                s = s_polynomial(self.polys[i], self.polys[j], self.order)
-                if not normal_form(s, self).is_zero():
-                    return False
-        return True
-
 
 @dataclass(frozen=True)
 class QuotientBasis:
@@ -190,15 +179,6 @@ class QuotientBasis:
 
     def __len__(self):
         return len(self.standard_monomials)
-
-
-def s_polynomial(f, g, order):
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
-    L = mono_lcm(mf, mg)
-    tf = Poly(f.registry, {mono_div(L, mf): Fraction(1) / cf})
-    tg = Poly(g.registry, {mono_div(L, mg): Fraction(1) / cg})
-    return tf * f - tg * g
 
 
 def normal_form(p, basis):

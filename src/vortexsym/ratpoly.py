@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 
 class RegistryMismatchError(ValueError):
@@ -287,7 +288,8 @@ def _mul_terms(a, b):
 
 
 class Poly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial with exact rational coefficients;
+    ``terms`` is a read-only view, so a polynomial never changes."""
 
     __slots__ = ("registry", "terms")
 
@@ -303,7 +305,7 @@ class Poly:
                 if len(mono) != n or any(e < 0 for e in mono):
                     raise ValueError(f"bad exponent tuple {mono} for registry of size {n}")
                 clean[tuple(mono)] = coeff
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -443,8 +445,11 @@ class Poly:
     def _raw(cls, registry, terms):
         p = object.__new__(cls)
         p.registry = registry
-        p.terms = terms
+        p.terms = MappingProxyType(terms)
         return p
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return Poly._raw, (self.registry, dict(self.terms))
 
     # -- leading data ------------------------------------------------------
 

@@ -154,7 +154,7 @@ def count_configurations(config_factor, mus):
 class StabilityWindow:
     """The first bounded range of t = mu1/mu3 where all three nonzero
     eigenvalues are positive: isolating intervals of the boundary roots at
-    its ends, the upper end exactly (None unless it is exact or -1/3),
+    its ends, the upper end exactly (None unless it is rational),
     whether each end is stable itself, whether the range is the only one,
     and the lower end to width ``CHECK_WIDTH``, which the check reads."""
 
@@ -293,7 +293,7 @@ def special_angle_analysis(comps):
             upper = window.upper
             derived = (
                 f"lower end {window.lower_decimal:.6f} and an upper end in"
-                f" [{rat_str(upper.lo)}, {rat_str(upper.hi)}] that is neither exact nor -1/3"
+                f" [{rat_str(upper.lo)}, {rat_str(upper.hi)}] that is not rational"
             )
         checks.add(
             "stability_window",
@@ -331,8 +331,8 @@ def _stability_window(lam2, s_poly, p_poly):
 
     Boundary candidates are the roots of lam2, P, and the discriminant;
     sampling once below, between and above their isolating intervals with
-    exact arithmetic finds the stable range.  An end is included when all
-    three eigenvalues are positive at it.
+    exact arithmetic finds the stable range.  An end is exact when it is a
+    rational root, and included when all three eigenvalues are positive at it.
     """
     disc_poly = s_poly * s_poly - 4 * p_poly
     boundary = lam2 * p_poly * disc_poly
@@ -374,13 +374,20 @@ def _stability_window(lam2, s_poly, p_poly):
         iv = iv.refine(CHECK_WIDTH)
         return all(eval_interval(c, iv).is_positive() for c in (lam2_c, p_c, s_c))
 
-    lower_exact = lower_iv.lo if lower_iv.exact else None
-    upper_exact = (
-        upper_iv.lo
-        if upper_iv.exact
-        else Fraction(-1, 3) if upper_iv.contains(Fraction(-1, 3)) and eval_at(p_c, Fraction(-1, 3)) == 0
-        else None
-    )
+    def rational_root(iv):
+        # a rational root p/q in lowest terms of the primitive integer
+        # polynomial iv.coeffs has q dividing its leading coefficient
+        iv = iv.refine(CHECK_WIDTH)
+        lead = abs(iv.coeffs[-1])
+        small = [d for d in range(1, math.isqrt(lead) + 1) if lead % d == 0]
+        for q in small + [lead // d for d in small]:
+            for p in range(math.ceil(iv.lo * q), math.floor(iv.hi * q) + 1):
+                if eval_at(iv.coeffs, Fraction(p, q)) == 0:
+                    return Fraction(p, q)
+        return None
+
+    lower_exact = rational_root(lower_check)
+    upper_exact = rational_root(upper_iv)
     return StabilityWindow(
         lower=lower_iv,
         upper=upper_iv,

@@ -38,7 +38,6 @@ from vortexsym.groebner import (
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry, lex
 from vortexsym.realroots import (
     RatInterval,
-    _as_interval,
     coeffs_from_poly,
     derivative,
     descartes_positive,
@@ -72,10 +71,6 @@ ANNI = targets.ANNI_REGISTRY
 AB = targets.AB_REGISTRY
 
 
-class InconclusiveEnclosureError(ValueError):
-    """An enclosure is too wide to determine a sign; tighten, never guess."""
-
-
 class IdealShapeError(ValueError):
     """An ideal lacks the shape a certified reconstruction step relies on."""
 
@@ -83,17 +78,18 @@ class IdealShapeError(ValueError):
 def run_trapezoid(eps=DEFAULT_EPS, check_appendix=True):
     """Classify trapezoids with three equal sides from the five stages of
     the module docstring (``annihilating_lines`` only with
-    ``check_appendix``), in that order, with the roots of g(r) enclosed to
-    width ``eps``.  ``angle_analysis`` needs only the pipeline output, so it
-    runs in a forked child (:func:`vortexsym.fork.fork_call`) while this
-    process runs the three stages between; the report is the one a serial
-    run gives.
+    ``check_appendix``), with the roots of g(r) enclosed to width ``eps``.
+    ``plane_factorisation`` reads only :mod:`vortexsym.targets`, so it runs
+    first and feeds both lanes; ``angle_analysis`` then runs in a forked
+    child (:func:`vortexsym.fork.fork_call`) while this process runs
+    ``elimination_ideal`` and ``annihilating_lines``.  The report is the one
+    a serial run gives.
     """
     comps = pipeline(TRAPEZOID3)
-    join_angles = fork_call(angle_analysis, comps)
+    plane = plane_factorisation()
+    join_angles = fork_call(angle_analysis, comps, plane)
     try:
         elimination = elimination_ideal(comps)
-        plane = plane_factorisation()
         lines = annihilating_lines(elimination.ordered_basis, plane) if check_appendix else None
     finally:
         angles = join_angles()
@@ -247,14 +243,15 @@ def plane_factorisation():
     n_real = len(b_ivs)
     b_vals = [float(iv.midpoint()) for iv in b_ivs]
     changes, _ = descartes_positive(bq)
+    # the plane families by ascending b, as the b-roots come out
+    families = sorted(targets.PLANE_FAMILIES.values(), key=lambda fam: fam["b"])
+    b_table = tuple(fam["b"] for fam in families)
     checks.add(
         "b_quintic_roots",
         n_real == 3
         and changes == 5
-        and all(
-            abs(b - t) < targets.NUMERIC_TOL for b, t in zip(sorted(b_vals), targets.B_ROOTS)
-        ),
-        f"Descartes bound {changes}, exactly three positive roots near {targets.B_ROOTS}",
+        and all(abs(b - t) < targets.NUMERIC_TOL for b, t in zip(b_vals, b_table)),
+        f"Descartes bound {changes}, exactly three positive roots near {b_table}",
     )
 
     a_poly = _a_of_b(gb_ab.polys)
@@ -263,8 +260,8 @@ def plane_factorisation():
     checks.add(
         "a_values",
         all(
-            abs(float(a.midpoint()) - t) < targets.NUMERIC_TOL
-            for a, t in zip(a_ivs, targets.A_ROOTS)
+            abs(float(a.midpoint()) - fam["a"]) < targets.NUMERIC_TOL
+            for a, fam in zip(a_ivs, families)
         ),
         "a-values (-1.31061, +0.480743, -4.858868); the middle sign is fixed"
         " by the plane mu1 + 0.843716 mu2 + 0.480743 mu3 = 0",
@@ -321,14 +318,16 @@ def plane_factorisation():
     )
 
     # the vanishing of f1 on the three plane families, certified exactly
+    key = f1_plane_identity_in_ideal(gb_ab)
     checks.add(
         "f1_vanishes_on_planes",
-        f1_plane_identity_in_ideal(gb_ab),
+        key is not None,
         "f1 restricted to (alpha mu2 + beta mu3, mu2, mu3, beta mu2 + alpha mu3)"
         " is (mu2^2 - mu3^2)(alpha^2 + beta - beta^2), and alpha^2 + beta -"
         " beta^2 lies in the plane-coefficient ideal",
     )
-    generic_fails = not check_f1_on_plane(1, 1, gb_ab=gb_ab)
+    # the generic plane alpha = beta = 1, that is a = b = -1
+    generic_fails = key is not None and key.evaluate({"a": -1, "b": -1}) != 0
     # the null line (l1, l2, l3) of the cofactor, reversed, with its middle
     # coordinate appended, does not solve f1 = 0
     l1, l2, l3 = null_dir
@@ -411,7 +410,7 @@ def _null_direction(q):
 
 
 def f1_plane_identity_in_ideal(gb_ab):
-    """f1 on the plane family vanishes identically, via ideal membership.
+    """The certified key factor b^2 - a - a^2 of f1 on the plane family, or None.
 
     Substituting mu1 = alpha mu2 + beta mu3 and mu4 = beta mu2 + alpha mu3
     with alpha = -b, beta = -a collapses f1 to (mu2^2 - mu3^2)(b^2 - a - a^2);
@@ -428,38 +427,11 @@ def f1_plane_identity_in_ideal(gb_ab):
     f1 = mu1 * mu1 - mu1 * mu3 + mu2 * mu4 - mu4 * mu4
     groups = f1.coefficients_in(["mu2", "mu3"])
     key_poly = Poly.parse(reg, "b^2 - a - a^2")
-    shape_ok = (
-        groups.get((1, 1), Poly.zero(reg)).is_zero()
-        and groups.get((2, 0), Poly.zero(reg)) == key_poly
-        and groups.get((0, 2), Poly.zero(reg)) == -1 * key_poly
-    )
-    member = normal_form(key_poly.map_to(AB), gb_ab).is_zero()
-    return shape_ok and member
-
-
-def check_f1_on_plane(alpha, beta, gb_ab=None):
-    """Does f1 vanish identically on the plane family given by (alpha, beta)?
-
-    Accepts exact numbers or ``RatInterval`` enclosures.  The restriction of
-    f1 is (mu2^2 - mu3^2)(alpha^2 + beta - beta^2): a sign-definite
-    enclosure of the second factor settles the question; an enclosure
-    straddling zero is decided by the exact ideal-membership certificate
-    when the plane comes from the coefficient ideal (``gb_ab`` supplied),
-    and otherwise raises.
-    """
-    alpha_iv = _as_interval(alpha)
-    beta_iv = _as_interval(beta)
-    key = alpha_iv * alpha_iv + beta_iv - beta_iv * beta_iv
-    if key.is_positive() or key.is_negative():
-        return False
-    if key.lo == key.hi == 0:
-        return True
-    if gb_ab is not None:
-        return normal_form(Poly.parse(AB, "b^2 - a - a^2"), gb_ab).is_zero()
-    raise InconclusiveEnclosureError(
-        "enclosure of alpha^2 + beta - beta^2 straddles zero; tighten it or"
-        " supply the plane-coefficient ideal"
-    )
+    zero = Poly.zero(reg)
+    shape = tuple(groups.get(m, zero) for m in ((1, 1), (2, 0), (0, 2)))
+    key = key_poly.map_to(AB)
+    ok = shape == (zero, key_poly, -key_poly) and normal_form(key, gb_ab).is_zero()
+    return key if ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +737,8 @@ class AngleAnalysis:
     true_index: int | None
 
 
-def angle_analysis(comps):
-    """The angle stage, from the pipeline output alone; see :class:`AngleAnalysis`."""
+def angle_analysis(comps, plane):
+    """The angle stage from the pipeline output and ``plane``; see :class:`AngleAnalysis`."""
     checks = Checks()
     ideal = Ideal.of(*([c.r_poly for c in comps] + [Poly.parse(R_REGISTRY, targets.P1_QUINTIC)]))
     gb_vt = eliminate(ideal, ["mu2", "mu4"], inner_names=["r", "mu1", "mu3"])
@@ -810,7 +782,7 @@ def angle_analysis(comps):
         f"six real radii {r_mags} with angles {theta_mags}",
     )
 
-    checks.add("plane_pairing", *_plane_pairing(comps, g_ref, checked))
+    checks.add("plane_pairing", *_plane_pairing(comps, g_ref, checked, plane))
 
     chosen = true_trapezoid_roots(g_coeffs, checked)
     if chosen is None:
@@ -857,17 +829,17 @@ def true_trapezoid_roots(g_coeffs, intervals):
     return chosen
 
 
-def _plane_pairing(comps, g_ref, g_intervals):
-    """Exact pairing of the angle radii with the plane families.
+def _plane_pairing(comps, g_ref, g_intervals, plane):
+    """Exact pairing of the angle radii with the plane families of ``plane``.
 
     Writes the fourth pipeline polynomial as A(r) mu1 + B(r) mu2 + C(r) mu3.
     A resultant certificate proves that at every root of g the ratio B/A is
     a root of the b-quintic; the division of A^d a(B/A) - C A^(d-1) by g,
-    for the degree-d element a(b) of the plane-coefficient ideal, proves
-    that C/A = a(B/A) there; and ideal membership proves the other two
+    for a(b) of degree d read from the a-linear element of ``plane.ab_gb``,
+    proves that C/A = a(B/A) there; and ideal membership proves the other two
     pipeline polynomials vanish identically on the induced plane family.
-    Each positive radius then takes the family of the one isolating
-    interval of the b-quintic's real roots that its B/A enclosure meets.
+    Each positive radius then takes the family of the one enclosure in
+    ``plane.b_intervals`` that its B/A enclosure meets.
     """
     groups = comps[2].r_poly.coefficients_in(["mu1", "mu2", "mu3", "mu4"])
     if set(groups) != {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)}:
@@ -893,7 +865,7 @@ def _plane_pairing(comps, g_ref, g_intervals):
     if res_b.primitive(_ORD) != (quint_b * quint_b).primitive(_ORD):
         return False, "resultant certificate failed: B/A is not a root of the b-quintic"
 
-    a_of_b = coeffs_from_poly(_a_of_b([Poly.parse(AB, targets.AB_IDEAL_SECOND)]), "b")
+    a_of_b = coeffs_from_poly(_a_of_b(plane.ab_gb.polys), "b")
     d = len(a_of_b) - 1
     terms = (a_k * B**k * A ** (d - k) for k, a_k in enumerate(a_of_b))
     certificate = sum(terms, -C * A ** (d - 1))
@@ -918,24 +890,21 @@ def _plane_pairing(comps, g_ref, g_intervals):
                 return False, f"component {comp.index} does not vanish on the family"
 
     # labels: the real b-roots ascending, to the families by printed b
-    b_quintic = coeffs_from_poly(Poly.parse(AB, targets.B_QUINTIC), "b")
-    b_roots = [iv.refine(_TIGHT) for iv in sturm_isolate(b_quintic)]
     labels = sorted(targets.PLANE_FAMILIES, key=lambda label: targets.PLANE_FAMILIES[label]["b"])
-    if len(b_roots) != len(labels):
-        return False, f"expected {len(labels)} real b-roots, found {len(b_roots)}"
+    if len(plane.b_intervals) != len(labels):
+        return False, f"expected {len(labels)} real b-roots, found {len(plane.b_intervals)}"
     b_c = coeffs_from_poly(B, "r")
     assignments = {}
     for iv in g_intervals:
         if iv.lo <= 0:
             continue
         b_val = eval_interval(b_c, iv) / eval_interval(a_c, iv)
-        met = [i for i, root in enumerate(b_roots) if root.meets(b_val)]
+        met = [i for i, root in enumerate(plane.b_intervals) if root.meets(b_val)]
         if len(met) != 1:
             return False, f"B/A meets {len(met)} isolating intervals of the b-quintic, expected 1"
         matched = labels[met[0]]
         fam = targets.PLANE_FAMILIES[matched]
-        root = b_roots[met[0]]
-        derived = float(eval_interval(a_of_b, root))
+        derived = float(plane.a_intervals[met[0]].midpoint())
         # the paper prints the plane coefficients to six digits
         if abs(derived - fam["a"]) > targets.NUMERIC_TOL:
             return False, (

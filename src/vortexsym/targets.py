@@ -31,10 +31,7 @@ KITE_PIPELINE = (
 
 # even degree-six factor controlling how many kite angles exist for given
 # circulations (the middle pipeline polynomial forces mu2 = mu4)
-KITE_CONFIG_FACTOR = (
-    "-mu2 - 2*mu3 - 6*mu1*r^2 + 15*mu2*r^2 + 4*mu3*r^2 - 4*mu1*r^4"
-    " - 15*mu2*r^4 + 6*mu3*r^4 + 2*mu1*r^6 + mu2*r^6"
-)
+(KITE_CONFIG_FACTOR,) = KITE_PIPELINE[2][1]
 
 RECTANGLE_PIPELINE = (
     (4, ("-mu3 - 3*mu1*r^2 + 3*mu3*r^2 + mu1*r^4",)),
@@ -279,14 +276,9 @@ REMAINDER_COEFFS = (
 
 B_QUINTIC = "-8 + 22*b - 54*b^2 + 117*b^3 - 98*b^4 + 17*b^5"
 
-# The second basis element determines a as a rational function of b, so each
-# of the three positive b-roots below induces exactly one a-value.
+# The second basis element determines a as a polynomial in b, so each of the
+# three positive b-roots in PLANE_FAMILIES induces exactly one a-value.
 AB_IDEAL_SECOND = "434 + 178*a - 484*b + 1885*b^2 - 2907*b^3 + 578*b^4"
-
-B_ROOTS = (0.638032, 0.843716, 4.330096)
-# The sign of the middle value is fixed by the plane
-# mu1 + 0.843716*mu2 + 0.480743*mu3 = 0 that pairs with it: a2 = +0.480743.
-A_ROOTS = (-1.31061, 0.480743, -4.858868)
 
 Q_EIGENVALUES = (1.07524, 0.2035, 0.0)
 Q_NULL_DIRECTION = (-0.95922, -0.0997192, -0.264487)
@@ -359,8 +351,9 @@ ANGLE_TABLE = (
     {"r": 0.199167, "theta2": 2.74840, "plane": "B2", "true_trapezoid": False},
 )
 
-# plane families in parametric form (mu1, mu2, mu3, mu4) =
-# (alpha*mu2 + beta*mu3, mu2, mu3, beta*mu2 + alpha*mu3), alpha = -b, beta = -a
+# The three real planes a*mu2 + b*mu3 + mu4 of the quintic form, as families
+# (alpha*mu2 + beta*mu3, mu2, mu3, beta*mu2 + alpha*mu3) with alpha = -b and
+# beta = -a; B2's plane mu1 + 0.843716*mu2 + 0.480743*mu3 = 0 fixes its a's sign.
 PLANE_FAMILIES = {
     "A1": {"b": 0.638032, "a": -1.31061},
     "B2": {"b": 0.843716, "a": 0.480743},

@@ -23,8 +23,8 @@ The reduction depends on the scenario alone, never on the circulations, so
 ``pipeline`` derives it once per process and scenario (lazily, on the first
 call) and hands every later caller the same value: a tuple of frozen
 ``PipelineComponent``s whose factor lists are tuples.  That value is
-immutable; the ``Poly`` and ``TrigRational`` objects inside it are values
-that no code in the package mutates, and callers must not either.
+immutable: a ``Poly`` exposes its terms only as a read-only view, so no
+caller can change a shared polynomial in place.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class Configuration:
                 d = (self.thetas[i] - self.thetas[j]) % (2 * math.pi)
                 if min(d, 2 * math.pi - d) < 1e-9:
                     raise CollisionError(f"vortices {i + 1} and {j + 1} collide")
-
-    def cos_table(self):
-        """cos(theta_i - theta_j) as floats, the input of ``hessian``."""
-        return [[math.cos(a - b) for b in self.thetas] for a in self.thetas]
 
 
 @dataclass(frozen=True)
@@ -280,17 +276,6 @@ class TrigRational:
         """Substitute circulation symbols (values or polynomials)."""
         return TrigRational(self.num.subs(mapping), self.den.subs(mapping))
 
-    def evaluate(self, theta2, mus):
-        values = {
-            "s": math.sin(theta2),
-            "c": math.cos(theta2),
-            "mu1": float(mus[0]),
-            "mu2": float(mus[1]),
-            "mu3": float(mus[2]),
-            "mu4": float(mus[3]),
-        }
-        return self.num.evaluate(values) / self.den.evaluate(values)
-
     def __repr__(self):
         return f"({self.num.format(_ORDER)}) / ({self.den.format(_ORDER)})"
 
@@ -431,28 +416,6 @@ class PipelineComponent:
     content: Fraction
     r_poly: Poly
 
-    def reconstruct_value(self, theta2, mus):
-        """Evaluate the original trig component from the reduced pieces.
-
-        Multiplies the reduced polynomial back by everything that was
-        stripped or cleared; used to certify that the reduction did not
-        change the zero set away from collisions.
-        """
-        sv, cv = math.sin(theta2), math.cos(theta2)
-        rv = 1 / math.tan(theta2 / 2)
-        values = {"s": sv, "c": cv}
-        rvalues = {"r": rv}
-        for n, m in zip(("mu1", "mu2", "mu3", "mu4"), mus):
-            values[n] = float(m)
-            rvalues[n] = float(m)
-        num = float(self.content) * self.r_poly.evaluate(rvalues)
-        for f, mult in self.r_factors:
-            num *= f.evaluate(rvalues) ** mult
-        num /= (1 + rv * rv) ** self.clear_power
-        for f, mult in self.trig_factors:
-            num *= f.evaluate(values) ** mult
-        return num / self.trig.den.evaluate(values)
-
 
 def reduce_component(i, scenario):
     """Run one gradient component through stripping and the r-substitution."""
@@ -492,33 +455,8 @@ def pipeline(scenario):
 
 
 # ---------------------------------------------------------------------------
-# Potential, gradient, and Hessian evaluation
+# Hessian evaluation
 # ---------------------------------------------------------------------------
-
-
-def potential(thetas, mus):
-    total = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d = thetas[i] - thetas[j]
-            total -= float(mus[i] * mus[j]) * (
-                math.cos(d) + 0.5 * math.log(2 - 2 * math.cos(d))
-            )
-    return total
-
-
-def gradient(thetas, mus):
-    """The four components of grad V (including the mu_i weights)."""
-    out = []
-    for i in range(4):
-        acc = 0.0
-        for j in range(4):
-            if j == i:
-                continue
-            d = thetas[i] - thetas[j]
-            acc += float(mus[j]) * math.sin(d) * (1 - 1 / (2 - 2 * math.cos(d)))
-        out.append(float(mus[i]) * acc)
-    return out
 
 
 def _gprime(cos_d):

@@ -2,15 +2,19 @@
 
 ``reduce`` is textbook multivariate division with remainder on ``Fraction``
 coefficients; ``textbook_basis`` and ``reference_hermite`` are built on it.
+``s_polynomial`` and ``buchberger_criterion`` check a basis pair by pair.
 ``reference_char_poly`` is Faddeev-LeVerrier over the entries' own ring.
-``weighted_gradient_sum`` is the rotation-symmetry identity of the gradient.
+``weighted_gradient_sum`` is the rotation-symmetry identity of the gradient;
+``potential``, ``gradient``, ``cos_table``, ``trig_value`` and
+``reconstruct_value`` evaluate the potential and the pipeline in floats.
 None of them is fast, and none is used by the package itself.
 """
 
+import math
 from fractions import Fraction
 
-from vortexsym.groebner import s_polynomial, standard_monomials
-from vortexsym.ratpoly import Poly, mono_div, mono_divides, mono_mul
+from vortexsym.groebner import normal_form, standard_monomials
+from vortexsym.ratpoly import Poly, mono_div, mono_divides, mono_lcm, mono_mul
 from vortexsym.trigvortex import TRIG_REGISTRY, TrigRational, gradient_component
 
 
@@ -52,6 +56,25 @@ def reduce(p, divisors, order):
         [Poly(reg, q) for q in quotients],
         Poly(reg, remainder),
     )
+
+
+def s_polynomial(f, g, order):
+    mf, cf = f.leading_term(order)
+    mg, cg = g.leading_term(order)
+    L = mono_lcm(mf, mg)
+    tf = Poly(f.registry, {mono_div(L, mf): Fraction(1) / cf})
+    tg = Poly(g.registry, {mono_div(L, mg): Fraction(1) / cg})
+    return tf * f - tg * g
+
+
+def buchberger_criterion(gb):
+    """Whether every S-polynomial of ``gb`` reduces to zero modulo it."""
+    for i in range(len(gb.polys)):
+        for j in range(i + 1, len(gb.polys)):
+            s = s_polynomial(gb.polys[i], gb.polys[j], gb.order)
+            if not normal_form(s, gb).is_zero():
+                return False
+    return True
 
 
 def textbook_basis(gens, order):
@@ -130,3 +153,67 @@ def weighted_gradient_sum(scenario):
         mu_i = Poly.variable(TRIG_REGISTRY, f"mu{i}")
         total = total + gradient_component(i, scenario) * mu_i
     return total
+
+
+def potential(thetas, mus):
+    total = 0.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            d = thetas[i] - thetas[j]
+            total -= float(mus[i] * mus[j]) * (
+                math.cos(d) + 0.5 * math.log(2 - 2 * math.cos(d))
+            )
+    return total
+
+
+def gradient(thetas, mus):
+    """The four components of grad V (including the mu_i weights)."""
+    out = []
+    for i in range(4):
+        acc = 0.0
+        for j in range(4):
+            if j == i:
+                continue
+            d = thetas[i] - thetas[j]
+            acc += float(mus[j]) * math.sin(d) * (1 - 1 / (2 - 2 * math.cos(d)))
+        out.append(float(mus[i]) * acc)
+    return out
+
+
+def cos_table(config):
+    """cos(theta_i - theta_j) of a ``Configuration`` as floats, the input of
+    ``hessian``."""
+    return [[math.cos(a - b) for b in config.thetas] for a in config.thetas]
+
+
+def trig_value(trig, theta2, mus):
+    """A ``TrigRational`` at the angle ``theta2`` and circulations ``mus``."""
+    values = {
+        "s": math.sin(theta2),
+        "c": math.cos(theta2),
+        "mu1": float(mus[0]),
+        "mu2": float(mus[1]),
+        "mu3": float(mus[2]),
+        "mu4": float(mus[3]),
+    }
+    return trig.num.evaluate(values) / trig.den.evaluate(values)
+
+
+def reconstruct_value(comp, theta2, mus):
+    """The original trig component of the ``PipelineComponent`` ``comp``,
+    evaluated from the reduced pieces: the reduced polynomial multiplied
+    back by everything that was stripped or cleared."""
+    sv, cv = math.sin(theta2), math.cos(theta2)
+    rv = 1 / math.tan(theta2 / 2)
+    values = {"s": sv, "c": cv}
+    rvalues = {"r": rv}
+    for n, m in zip(("mu1", "mu2", "mu3", "mu4"), mus):
+        values[n] = float(m)
+        rvalues[n] = float(m)
+    num = float(comp.content) * comp.r_poly.evaluate(rvalues)
+    for f, mult in comp.r_factors:
+        num *= f.evaluate(rvalues) ** mult
+    num /= (1 + rv * rv) ** comp.clear_power
+    for f, mult in comp.trig_factors:
+        num *= f.evaluate(values) ** mult
+    return num / comp.trig.den.evaluate(values)

@@ -14,7 +14,6 @@ from vortexsym.groebner import (
     eliminate,
     normal_form,
     resultant,
-    s_polynomial,
     standard_monomials,
 )
 from vortexsym.ratpoly import (
@@ -30,7 +29,7 @@ from vortexsym.ratpoly import (
     mono_divides,
 )
 
-from reference import reduce, textbook_basis
+from reference import buchberger_criterion, reduce, s_polynomial, textbook_basis
 
 XYZ = VarRegistry(["x", "y", "z"])
 
@@ -132,7 +131,7 @@ class TestBuchberger:
         gb = buchberger(
             Ideal.of(P("x^2 + y"), P("x*y - z"), P("y^3 - x*z")), grevlex(XYZ)
         )
-        assert gb.verify()
+        assert buchberger_criterion(gb)
 
     def test_generators_have_zero_normal_form(self):
         gens = [P("x^2 - y*z + 1"), P("y^2 - 3*z"), P("x*z - y")]

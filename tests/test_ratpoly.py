@@ -1,6 +1,8 @@
 """Ring arithmetic, monomial orders, normalisation, and the text format."""
 
+import pickle
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -63,6 +65,15 @@ class TestArithmetic:
     def test_power(self):
         assert P("x + 1") ** 3 == P("x^3 + 3*x^2 + 3*x + 1")
         assert P("x + 1") ** 0 == P("1")
+
+    def test_terms_are_read_only_and_survive_pickle_and_deepcopy(self):
+        p = P("3*x^2*y - z + 7/2")
+        with pytest.raises(TypeError):
+            p.terms[(1, 0, 0)] = Fraction(1)
+        for copy in (pickle.loads(pickle.dumps(p, pickle.HIGHEST_PROTOCOL)), deepcopy(p)):
+            assert copy == p and hash(copy) == hash(p)
+            with pytest.raises(TypeError):
+                copy.terms[(1, 0, 0)] = Fraction(1)
 
     def test_ring_axioms_randomized(self):
         # Associativity, distributivity, additive inverse on random triples.

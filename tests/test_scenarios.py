@@ -9,23 +9,16 @@ from fractions import Fraction
 import pytest
 
 from vortexsym import targets
-from vortexsym.groebner import Ideal, KernelStats, buchberger
+from vortexsym.groebner import GroebnerBasis, Ideal, KernelStats, buchberger
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
 from vortexsym.realroots import RatInterval, coeffs_from_poly, poly_gcd, sturm_isolate
-from vortexsym.scenarios import (
-    check_f1_on_plane,
-    run_kite,
-    run_rectangle,
-    run_square,
-    run_trapezoid,
-)
+from vortexsym.scenarios import run_kite, run_rectangle, run_square, run_trapezoid
 from vortexsym.scenarios import kite, rectangle
 from vortexsym.scenarios.kite import count_configurations
 from vortexsym.scenarios.rectangle import _all_nonzero, _branch_multiples
 from vortexsym.scenarios.report import DEFAULT_EPS
 from vortexsym.scenarios.trapezoid import (
     IdealShapeError,
-    InconclusiveEnclosureError,
     _classify,
     _equal_pairs,
     _match_table,
@@ -100,6 +93,15 @@ class TestKite:
         )
         assert angles == expected
 
+    def test_the_cached_pipeline_cannot_be_changed_in_place(self):
+        terms = run_kite().artifacts["pipeline"][2].r_poly.terms
+        with pytest.raises(AttributeError):
+            terms.clear()
+        with pytest.raises(TypeError):
+            terms[next(iter(terms))] = Fraction(0)
+        report = run_kite()
+        assert report.passed(), report.failures()
+
     def test_window_endpoints(self, kite_report):
         window = kite_report.stability["special_angle"]["window"]
         assert abs(window["lower"]["decimal"] - (-0.335544)) < 1e-5
@@ -131,6 +133,17 @@ class TestKite:
         upper = window.upper
         assert f"[{upper.lo.numerator}/{upper.lo.denominator}," in check.detail
         assert special.window is None
+
+    def test_rational_window_ends_are_found_exactly(self):
+        # p = 1/25 - t^2 gives the gap (-1/5, 1/5); neither end is a
+        # bisection point of the isolation, and neither is -1/3
+        treg = VarRegistry(["t"])
+        one = Poly.parse(treg, "1")
+        window = kite._stability_window(one, one, Poly.parse(treg, "1/25 - t^2"))
+        assert not window.lower.exact and not window.upper.exact
+        assert window.upper_exact == Fraction(1, 5)
+        assert window.lower.contains(Fraction(-1, 5))
+        assert not window.lower_included and not window.upper_included
 
     def test_endpoint_inclusion_is_decided_exactly(self):
         # lam2 = S = 1 and P = (1 + t)/4: all three eigenvalues are positive
@@ -490,29 +503,38 @@ class TestStages:
         self, trapezoid_report, monkeypatch
     ):
         comps = trapezoid_report.artifacts["pipeline"]
+        plane = trapezoid_report.artifacts["plane_factorisation"]
         g_ref = Poly.parse(R_REGISTRY, targets.G_OF_R)
         g_roots = sturm_isolate(coeffs_from_poly(g_ref, "r"))
         intervals = [iv.refine(Fraction(1, 10**9)) for iv in g_roots]
-        assert _plane_pairing(comps, g_ref, intervals)[0]
+        assert _plane_pairing(comps, g_ref, intervals, plane)[0]
         families = dict(targets.PLANE_FAMILIES)
         families["B2"] = {**families["B2"], "a": 0.5}
         monkeypatch.setattr(targets, "PLANE_FAMILIES", families)
-        ok, detail = _plane_pairing(comps, g_ref, intervals)
+        ok, detail = _plane_pairing(comps, g_ref, intervals, plane)
         assert not ok
         assert detail == "a-coefficient mismatch for family B2: expected 0.5, derived 0.480743"
 
-    def test_plane_pairing_reads_the_a_element_of_the_plane_ideal(
-        self, trapezoid_report, monkeypatch
-    ):
-        comps = trapezoid_report.artifacts["pipeline"]
-        g_ref = Poly.parse(R_REGISTRY, targets.G_OF_R)
-        g_roots = sturm_isolate(coeffs_from_poly(g_ref, "r"))
-        intervals = [iv.refine(Fraction(1, 10**9)) for iv in g_roots]
+    def test_a_perturbed_a_element_fails_the_plane_ideal_basis(self, monkeypatch):
         assert targets.AB_IDEAL_SECOND.endswith(" + 578*b^4")
         monkeypatch.setattr(
             targets, "AB_IDEAL_SECOND", targets.AB_IDEAL_SECOND.replace("578*b^4", "579*b^4")
         )
-        ok, detail = _plane_pairing(comps, g_ref, intervals)
+        check = {c.name: c for c in plane_factorisation().checks}["ab_ideal_basis"]
+        assert check.status == "fail"
+
+    def test_plane_pairing_reads_the_a_element_of_the_plane_ideal(self, trapezoid_report):
+        comps = trapezoid_report.artifacts["pipeline"]
+        plane = trapezoid_report.artifacts["plane_factorisation"]
+        g_ref = Poly.parse(R_REGISTRY, targets.G_OF_R)
+        g_roots = sturm_isolate(coeffs_from_poly(g_ref, "r"))
+        intervals = [iv.refine(Fraction(1, 10**9)) for iv in g_roots]
+        # the a-linear element with one b^4 more than the plane ideal has
+        gb = plane.ab_gb
+        corrupted = [p + Poly.parse(gb.registry, "b^4") if p.uses("a") else p for p in gb.polys]
+        assert corrupted != list(gb.polys)
+        bad_plane = dataclasses.replace(plane, ab_gb=GroebnerBasis(corrupted, gb.order))
+        ok, detail = _plane_pairing(comps, g_ref, intervals, bad_plane)
         assert not ok
         assert detail.startswith("division certificate failed")
 
@@ -549,23 +571,25 @@ class TestReferenceBasis:
 
 class TestPlaneChecks:
     def test_symbolic_identity(self, gb_ab):
-        assert f1_plane_identity_in_ideal(gb_ab)
+        assert f1_plane_identity_in_ideal(gb_ab) == Poly.parse(targets.AB_REGISTRY, "b^2 - a - a^2")
 
     def test_plane_enclosures_pass(self, gb_ab):
-        # each computed plane family satisfies the vanishing certificate
+        # each computed plane family meets the zero set of the key factor
         plane = plane_factorisation()
         assert len(plane.b_intervals) == len(plane.a_intervals) == 3
         for b_iv, a_iv in zip(plane.b_intervals, plane.a_intervals):
-            assert check_f1_on_plane(-1 * b_iv, -1 * a_iv, gb_ab=gb_ab)
+            assert (b_iv * b_iv - a_iv - a_iv * a_iv).contains(0)
 
     def test_generic_plane_fails(self, gb_ab):
-        assert not check_f1_on_plane(1, 1, gb_ab=gb_ab)
-        assert not check_f1_on_plane(Fraction(1, 2), Fraction(-2), gb_ab=gb_ab)
+        key = f1_plane_identity_in_ideal(gb_ab)
+        # (alpha, beta) = (1, 1) and (1/2, -2), with alpha = -b, beta = -a
+        assert key.evaluate({"a": -1, "b": -1}) != 0
+        assert key.evaluate({"a": 2, "b": Fraction(-1, 2)}) != 0
 
-    def test_inconclusive_raises_without_ideal(self):
-        wide = RatInterval(Fraction(-1, 100), Fraction(1, 100))
-        with pytest.raises(InconclusiveEnclosureError):
-            check_f1_on_plane(wide, RatInterval(Fraction(0)), gb_ab=None)
+    def test_key_factor_outside_the_ideal_gives_none(self):
+        ab = targets.AB_REGISTRY
+        other = buchberger(Ideal.of(Poly.parse(ab, "a - 1"), Poly.parse(ab, "b")), GrevLex())
+        assert f1_plane_identity_in_ideal(other) is None
 
 
 class TestSolutionSetAnnihilation:
