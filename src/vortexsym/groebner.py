@@ -47,10 +47,15 @@ deflated image does.  The reduced basis of that elimination ideal is
 unique, so it is the same basis.
 
 ``standard_monomials`` walks the order ideal of a zero-dimensional basis
-from 1, multiplying by one variable at a time and keeping each monomial no
-leading monomial divides.  Every divisor of a standard monomial is
-standard, so the walk reaches them all, and its cost grows with their
-number and that of the border, not with the box below the pure powers.
+from 1, one total degree at a time, multiplying by one variable at a time.
+It keeps a candidate t by the border test: t is standard exactly when it
+is not a leading monomial and every t / x_i with t_i > 0 is standard.  A
+monomial that a leading monomial divides properly has such a t / x_i that
+the leading monomial divides, and induction on the degree does the rest,
+so the test holds for a basis that is not reduced too.  All of degree
+k - 1 are known when degree k is tested, so each test is n set lookups,
+and the walk's cost grows with the number of standard monomials and that
+of the border, not with the box below the pure powers.
 
 ``resultant`` clears denominators and evaluates the Sylvester determinant
 by Bareiss elimination on integer polynomials ``{monomial: int}``, whose
@@ -74,7 +79,6 @@ from vortexsym.ratpoly import (
     VarRegistry,
     _div_exact,
     elimination,
-    mono_divides,
     mono_mul,
 )
 
@@ -686,18 +690,17 @@ def standard_monomials(gb):
         raise ValueError("standard monomials are defined against a grevlex basis")
     lts = gb.leading_monomials()
     n = len(gb.registry)
-    bounds = [None] * n
+    pure = set()  # variables with a pure power among the leading monomials
     for lt in lts:
         support = [i for i, e in enumerate(lt) if e]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or lt[i] < bounds[i]:
-                bounds[i] = lt[i]
-        elif len(support) == 0:
+        if not support:
             return QuotientBasis((), gb, True)  # unit ideal: zero ring
-    if any(b is None for b in bounds):
+        if len(support) == 1:
+            pure.add(support[0])
+    if len(pure) < n:
         return QuotientBasis((), gb, False)
 
+    leading = set(lts)
     standard = {(0,) * n}
     frontier = list(standard)
     while frontier:
@@ -705,7 +708,12 @@ def standard_monomials(gb):
         for m in frontier:
             for i in range(n):
                 t = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                if t not in standard and not any(mono_divides(lt, t) for lt in lts):
+                if t in standard or t in leading:
+                    continue
+                for j in range(n):
+                    if t[j] and t[:j] + (t[j] - 1,) + t[j + 1 :] not in standard:
+                        break
+                else:
                     standard.add(t)
                     grown.append(t)
         frontier = grown

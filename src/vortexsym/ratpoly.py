@@ -90,10 +90,6 @@ def mono_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_degree(a):
     return sum(a)
 
@@ -287,14 +283,30 @@ def _mul_terms(a, b):
     return res
 
 
-class Poly:
+class Immutable:
+    """Base of slotted value types whose attributes cannot be assigned or
+    deleted after construction; constructors set their slots with
+    ``object.__setattr__``.  Pickling such a type needs a ``__reduce__``,
+    since unpickling would restore the slots by ``setattr``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Poly(Immutable):
     """Sparse multivariate polynomial with exact rational coefficients;
-    ``terms`` is a read-only view, so a polynomial never changes."""
+    ``terms`` is a read-only view and no attribute can be assigned or
+    deleted after construction, so a polynomial never changes."""
 
     __slots__ = ("registry", "terms")
 
     def __init__(self, registry, terms=None):
-        self.registry = registry
+        object.__setattr__(self, "registry", registry)
         clean = {}
         if terms:
             n = len(registry)
@@ -305,7 +317,7 @@ class Poly:
                 if len(mono) != n or any(e < 0 for e in mono):
                     raise ValueError(f"bad exponent tuple {mono} for registry of size {n}")
                 clean[tuple(mono)] = coeff
-        self.terms = MappingProxyType(clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     # -- constructors ------------------------------------------------------
 
@@ -444,8 +456,8 @@ class Poly:
     @classmethod
     def _raw(cls, registry, terms):
         p = object.__new__(cls)
-        p.registry = registry
-        p.terms = MappingProxyType(terms)
+        object.__setattr__(p, "registry", registry)
+        object.__setattr__(p, "terms", MappingProxyType(terms))
         return p
 
     def __reduce__(self):  # a mappingproxy does not pickle

@@ -30,10 +30,10 @@ from vortexsym.groebner import buchberger, standard_monomials
 from vortexsym.ratpoly import (
     ExactDivisionError,
     GrevLex,
+    Immutable,
     Poly,
     RegistryMismatchError,
     _div_exact,
-    mono_mul,
 )
 
 
@@ -457,13 +457,14 @@ def sturm_isolate(coeffs):
 # ---------------------------------------------------------------------------
 
 
-class SymMatrix:
+class SymMatrix(Immutable):
     """Symmetric matrix with exact rational entries, held as integer rows
     ``ints`` over one positive denominator ``den``.
 
     ``SymMatrix(rows)`` takes rational rows and checks that they are square
     and symmetric; :meth:`over` wraps integer rows already known to be.
-    ``rows`` reads the entries back as ``Fraction``s.
+    ``rows`` reads the entries back as ``Fraction``s.  No attribute can be
+    assigned or deleted after construction.
     """
 
     __slots__ = ("ints", "den", "n")
@@ -479,19 +480,24 @@ class SymMatrix:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"matrix is not symmetric at ({i},{j})")
         den = lcm(*(c.denominator for row in rows for c in row))
-        self.ints = tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows)
-        self.den = den
-        self.n = n
+        ints = tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def over(cls, ints, den):
         """The matrix ``ints / den`` from square, symmetric integer rows and
         a positive integer ``den``, taken as given."""
         m = object.__new__(cls)
-        m.ints = tuple(map(tuple, ints))
-        m.den = den
-        m.n = len(m.ints)
+        ints = tuple(map(tuple, ints))
+        object.__setattr__(m, "ints", ints)
+        object.__setattr__(m, "den", den)
+        object.__setattr__(m, "n", len(ints))
         return m
+
+    def __reduce__(self):
+        return SymMatrix.over, (self.ints, self.den)
 
     @property
     def rows(self):
@@ -820,19 +826,31 @@ def _border_normal_forms(gb, basis):
 
 
 def hermite_matrix(gb, qb=None):
-    """Trace form H_ij = Tr(mult by m_i * m_j) over the standard basis.
+    """Trace form H_ij = tau(b_i * b_j) over the standard basis b_1 = 1, ...,
+    b_d, with tau(f) the trace of multiplication by f.
 
-    Computed in integers.  Each multiplication-by-variable matrix is stored
-    by column: a column whose product x_v * b_k is itself a standard
-    monomial is a unit column and keeps only its target index; every other
-    column keeps the indices and integer entries of the product's border
-    normal form (:func:`_border_normal_forms`), over one common denominator
-    per variable.  The coordinates of every monomial are primitive (integer
-    list, denominator) pairs, each chained from a smaller monomial through
-    the present variable with the fewest non-unit columns, skipping zero
-    coordinates.  The traces and entries are integer dot products, returned
-    as one integer matrix over one denominator.  A basis that is not reduced
-    raises ``ValueError``.
+    Built by transposed multiplication (the transposition principle of
+    Bostan, Lecerf & Schost, ISSAC 2003), in integers.  Each standard
+    monomial b != 1 hangs off the tree at b = x_v * parent(b), with v the
+    present variable with the fewest non-unit columns.  The columns of
+    multiplication by x_v are the coordinates of x_v * b_k: a unit column
+    when that product is standard, else its border normal form
+    (:func:`_border_normal_forms`), over one denominator per variable.  So
+    M_v^T w is one pass over the columns, one product per unit column and
+    one dot product per border column.
+
+    - The trace vector t_k = tau(b_k) = sum_l [NF(b_k * b_l)]_l is
+      sum_l M_{b_l}^T e_l, by Horner over the tree, children first:
+      W_b = e_b + sum over children c = x_v * b of M_v^T W_c, and t = W_1.
+    - Row 1 of H is t and row b is M_v^T applied to row parent(b), since
+      tau(b * b_j) = (M_b^T t)_j.
+
+    That is 2 (d - 1) transposed products, with vectors kept as primitive
+    (integer list, denominator) pairs and the matrix returned as integer
+    rows over one denominator.  Each off-diagonal entry comes out twice,
+    and ``ValueError`` names the first (i, j) whose two values differ,
+    which happens only when the multiplication matrices do not commute.
+    A basis that is not reduced raises ``ValueError`` too.
     """
     if qb is None:
         qb = standard_monomials(gb)
@@ -843,85 +861,67 @@ def hermite_matrix(gb, qb=None):
     if d == 0:
         return SymMatrix([])
     index = {m: k for k, m in enumerate(basis)}
-    reg = gb.registry
-    non_unit = [sum(_shift(m, v) not in index for m in basis) for v in range(len(reg))]
+    nvars = len(gb.registry)
+    non_unit = [sum(_shift(m, v) not in index for m in basis) for v in range(nvars)]
+    tree = [None]  # (parent index, variable) of basis[k]; basis[0] is 1
+    for m in basis[1:]:
+        v = min((i for i, x in enumerate(m) if x), key=non_unit.__getitem__)
+        tree.append((index[_shift(m, v, -1)], v))
     border = _border_normal_forms(gb, basis)
+    columns = {v: _columns(basis, index, border, v) for v in {v for _, v in tree[1:]}}
 
-    def mult_columns(v):
-        """Columns of multiplication by variable ``v``, and their denominator."""
-        cols = []
-        for m in basis:
-            target = _shift(m, v)
-            if target in index:
-                cols.append(index[target])
-            else:
-                u, e = border[target]
-                ks = [k for k, x in enumerate(u) if x]
-                cols.append((ks, [u[k] for k in ks], e))
-        den = lcm(*(col[2] for col in cols if not isinstance(col, int)))
-        return [
-            col if isinstance(col, int) else (col[0], [c * (den // col[2]) for c in col[1]])
-            for col in cols
-        ], den
+    def transposed(v, u, e):
+        """M_v^T (u / e) as a primitive (integer list, denominator) pair."""
+        cols, den = columns[v]
+        out = [u[c] * den if isinstance(c, int) else sum(map(mul, u, c)) for c in cols]
+        return _primitive_over(out, e * den)
 
-    columns = {}
-    vec_cache = {m: ([int(j == k) for j in range(d)], 1) for m, k in index.items()}
+    pending = [[] for _ in range(d)]
+    for k in range(d - 1, 0, -1):
+        p, v = tree[k]
+        pending[p].append(transposed(v, *_unit_plus(d, k, pending[k])))
+    rows = [_unit_plus(d, 0, pending[0])]
+    for p, v in tree[1:]:
+        rows.append(transposed(v, *rows[p]))
+    den = lcm(*(e for _, e in rows))
+    ints = [[x * (den // e) for x in u] for u, e in rows]
+    for i, row in enumerate(ints):
+        for j in range(i):
+            if row[j] != ints[j][i]:
+                raise ValueError(
+                    f"trace form is not symmetric at ({i},{j}): "
+                    "the multiplication matrices do not commute"
+                )
+    # every row is primitive, so ints / den is already in lowest terms
+    return SymMatrix.over(ints, den)
 
-    def vec(mono):
-        """Coordinates of ``mono`` in the quotient ring as (u, e): u / e.
 
-        Iterative rather than recursive: a closure that calls itself is a
-        reference cycle, which would keep the cache alive until the cyclic
-        garbage collector runs.
-        """
-        chain = []
-        while mono not in vec_cache:
-            v = min((i for i, x in enumerate(mono) if x), key=non_unit.__getitem__)
-            chain.append((mono, v))
-            mono = _shift(mono, v, -1)
-        u, e = vec_cache[mono]
-        for mono, v in reversed(chain):
-            if v not in columns:
-                columns[v] = mult_columns(v)
-            cols, den = columns[v]
-            out = [0] * d
-            for k, x in enumerate(u):
-                if not x:
-                    continue
-                col = cols[k]
-                if isinstance(col, int):
-                    out[col] += x * den
-                else:
-                    for t, c in zip(*col):
-                        out[t] += x * c
-            u, e = _primitive_over(out, e * den)
-            vec_cache[mono] = (u, e)
-        return u, e
+def _columns(basis, index, border, v):
+    """Columns of multiplication by variable ``v`` and their denominator:
+    the target index of a unit column, the dense integer normal form of a
+    border column."""
+    targets = [_shift(m, v) for m in basis]
+    den = lcm(*(border[t][1] for t in targets if t not in index))
+    cols = []
+    for t in targets:
+        if t in index:
+            cols.append(index[t])
+        else:
+            u, e = border[t]
+            cols.append([x * (den // e) for x in u])
+    return cols, den
 
-    # trace of multiplication by each standard monomial, as t / t_den
-    diag = [[vec(mono_mul(m, mk)) for mk in basis] for m in basis]
-    t_den = lcm(*(e for row in diag for _, e in row))
-    trace = [
-        sum(u[k] * (t_den // e) for k, (u, e) in enumerate(row)) for row in diag
-    ]
-    trace, t_den = _primitive_over(trace, t_den)
-    # H_ij = Tr(m_i * m_j) = (u . trace) / (e * t_den), once per distinct
-    # product, over the common denominator h_den * t_den
-    products = [[mono_mul(mi, basis[j]) for j in range(i, d)] for i, mi in enumerate(basis)]
-    traces = {}
-    for row in products:
-        for m in row:
-            if m not in traces:
-                u, e = vec(m)
-                traces[m] = (sum(map(mul, u, trace)), e)
-    h_den = lcm(*(e for _, e in traces.values()))
-    upper = [[t * (h_den // e) for t, e in map(traces.__getitem__, row)] for row in products]
-    g = gcd(h_den * t_den, *(x for row in upper for x in row))
-    ints = [[None] * d for _ in range(d)]
-    for i, row in enumerate(upper):
-        for j, x in enumerate(row, i):
-            ints[i][j] = ints[j][i] = x // g
-    return SymMatrix.over(ints, h_den * t_den // g)
+
+def _unit_plus(d, k, parts):
+    """e_k plus the sum of the (integer list, denominator) pairs ``parts``,
+    as a primitive pair."""
+    den = lcm(*(e for _, e in parts))
+    out = [0] * d
+    out[k] = den
+    for u, e in parts:
+        s = den // e
+        out = [x + s * y for x, y in zip(out, u)]
+    return _primitive_over(out, den)
 
 
 def _primitive_over(u, e):

@@ -376,9 +376,10 @@ def _stability_window(lam2, s_poly, p_poly):
 
     def rational_root(iv):
         # a rational root p/q in lowest terms of the primitive integer
-        # polynomial iv.coeffs has q dividing its leading coefficient
-        iv = iv.refine(CHECK_WIDTH)
+        # polynomial iv.coeffs has q dividing its leading coefficient; below
+        # width 1/lead the enclosure holds at most one p for each such q
         lead = abs(iv.coeffs[-1])
+        iv = iv.refine(Fraction(1, lead))
         small = [d for d in range(1, math.isqrt(lead) + 1) if lead % d == 0]
         for q in small + [lead // d for d in small]:
             for p in range(math.ceil(iv.lo * q), math.floor(iv.hi * q) + 1):

@@ -244,8 +244,8 @@ def plane_factorisation():
     b_vals = [float(iv.midpoint()) for iv in b_ivs]
     changes, _ = descartes_positive(bq)
     # the plane families by ascending b, as the b-roots come out
-    families = sorted(targets.PLANE_FAMILIES.values(), key=lambda fam: fam["b"])
-    b_table = tuple(fam["b"] for fam in families)
+    families = sorted(targets.PLANE_FAMILIES.items(), key=lambda item: item[1]["b"])
+    b_table = tuple(fam["b"] for _, fam in families)
     checks.add(
         "b_quintic_roots",
         n_real == 3
@@ -257,13 +257,19 @@ def plane_factorisation():
     a_poly = _a_of_b(gb_ab.polys)
     a_of_b = coeffs_from_poly(a_poly, "b")
     a_ivs = tuple(_widen(eval_interval(a_of_b, iv)) for iv in b_ivs)
+    # the paper prints the plane coefficients to six digits
+    mismatches = (
+        f"a-coefficient mismatch for family {label}: expected {fam['a']},"
+        f" derived {float(a.midpoint()):.6f}"
+        for a, (label, fam) in zip(a_ivs, families)
+        if abs(float(a.midpoint()) - fam["a"]) >= targets.NUMERIC_TOL
+    )
+    mismatch = next(mismatches, None)
     checks.add(
         "a_values",
-        all(
-            abs(float(a.midpoint()) - fam["a"]) < targets.NUMERIC_TOL
-            for a, fam in zip(a_ivs, families)
-        ),
-        "a-values (-1.31061, +0.480743, -4.858868); the middle sign is fixed"
+        mismatch is None,
+        mismatch
+        or "a-values (-1.31061, +0.480743, -4.858868); the middle sign is fixed"
         " by the plane mu1 + 0.843716 mu2 + 0.480743 mu3 = 0",
     )
 
@@ -838,8 +844,9 @@ def _plane_pairing(comps, g_ref, g_intervals, plane):
     for a(b) of degree d read from the a-linear element of ``plane.ab_gb``,
     proves that C/A = a(B/A) there; and ideal membership proves the other two
     pipeline polynomials vanish identically on the induced plane family.
-    Each positive radius then takes the family of the one enclosure in
-    ``plane.b_intervals`` that its B/A enclosure meets.
+    Each positive radius then takes the label of the one enclosure in
+    ``plane.b_intervals`` that its B/A enclosure meets; the families'
+    printed a-coefficients are the ``a_values`` check's to compare.
     """
     groups = comps[2].r_poly.coefficients_in(["mu1", "mu2", "mu3", "mu4"])
     if set(groups) != {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)}:
@@ -902,16 +909,7 @@ def _plane_pairing(comps, g_ref, g_intervals, plane):
         met = [i for i, root in enumerate(plane.b_intervals) if root.meets(b_val)]
         if len(met) != 1:
             return False, f"B/A meets {len(met)} isolating intervals of the b-quintic, expected 1"
-        matched = labels[met[0]]
-        fam = targets.PLANE_FAMILIES[matched]
-        derived = float(plane.a_intervals[met[0]].midpoint())
-        # the paper prints the plane coefficients to six digits
-        if abs(derived - fam["a"]) > targets.NUMERIC_TOL:
-            return False, (
-                f"a-coefficient mismatch for family {matched}: expected {fam['a']},"
-                f" derived {derived:.6f}"
-            )
-        assignments[round(float(iv.midpoint()), 6)] = matched
+        assignments[round(float(iv.midpoint()), 6)] = labels[met[0]]
     want = {row["r"]: row["plane"] for row in targets.ANGLE_TABLE}
     for r_val, plane in want.items():
         key = min(assignments, key=lambda x: abs(x - r_val))

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
+from vortexsym.ratpoly import GrevLex, Immutable, Poly, VarRegistry
 from vortexsym.targets import MU_REGISTRY, R_REGISTRY  # noqa: F401
 
 TRIG_REGISTRY = VarRegistry(["s", "c", "mu1", "mu2", "mu3", "mu4"])
@@ -227,12 +227,13 @@ def s_reduce(p):
     return Poly(reg, out)
 
 
-class TrigRational:
+class TrigRational(Immutable):
     """Quotient of s,c,mu polynomials with an s-free denominator.
 
     The numerator is kept s-reduced (degree in s at most one); every
     denominator arising from the potential is a polynomial in c alone,
-    which addition and multiplication preserve.
+    which addition and multiplication preserve.  No attribute can be
+    assigned or deleted after construction.
     """
 
     __slots__ = ("num", "den")
@@ -244,8 +245,11 @@ class TrigRational:
             raise ZeroDivisionError("trig rational with zero denominator")
         if den.uses("s"):
             raise ValueError("denominator must be free of s")
-        self.num = s_reduce(num)
-        self.den = den
+        object.__setattr__(self, "num", s_reduce(num))
+        object.__setattr__(self, "den", den)
+
+    def __reduce__(self):
+        return TrigRational, (self.num, self.den)
 
     def __add__(self, other):
         if not isinstance(other, TrigRational):

@@ -2,6 +2,7 @@
 
 ``reduce`` is textbook multivariate division with remainder on ``Fraction``
 coefficients; ``textbook_basis`` and ``reference_hermite`` are built on it.
+``box_standard_monomials`` filters the box below the pure powers.
 ``s_polynomial`` and ``buchberger_criterion`` check a basis pair by pair.
 ``reference_char_poly`` is Faddeev-LeVerrier over the entries' own ring.
 ``weighted_gradient_sum`` is the rotation-symmetry identity of the gradient;
@@ -12,9 +13,10 @@ None of them is fast, and none is used by the package itself.
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from vortexsym.groebner import normal_form, standard_monomials
-from vortexsym.ratpoly import Poly, mono_div, mono_divides, mono_lcm, mono_mul
+from vortexsym.ratpoly import Poly, mono_div, mono_divides, mono_mul
 from vortexsym.trigvortex import TRIG_REGISTRY, TrigRational, gradient_component
 
 
@@ -56,6 +58,10 @@ def reduce(p, divisors, order):
         [Poly(reg, q) for q in quotients],
         Poly(reg, remainder),
     )
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def s_polynomial(f, g, order):
@@ -110,6 +116,18 @@ def textbook_basis(gens, order):
         for i, p in enumerate(minimal)
     ]
     return sorted(reduced, key=lead)
+
+
+def box_standard_monomials(gb):
+    """Standard monomials of a zero-dimensional grevlex basis by filtering
+    the box below the smallest pure power of each variable: every monomial
+    that no leading monomial divides, in increasing order."""
+    lts = gb.leading_monomials()
+    n = len(gb.registry)
+    bounds = [min(lt[i] for lt in lts if lt[i] and sum(lt) == lt[i]) for i in range(n)]
+    box = product(*(range(b) for b in bounds))
+    standard = [t for t in box if not any(mono_divides(lt, t) for lt in lts)]
+    return tuple(sorted(standard, key=gb.order.key))
 
 
 def reference_hermite(gb):

@@ -75,6 +75,19 @@ class TestArithmetic:
             with pytest.raises(TypeError):
                 copy.terms[(1, 0, 0)] = Fraction(1)
 
+    def test_attributes_cannot_be_assigned_or_deleted(self):
+        p = P("3*x^2*y - z + 7/2")
+        for copy in (p, pickle.loads(pickle.dumps(p)), deepcopy(p)):
+            with pytest.raises(AttributeError):
+                copy.terms = {}
+            with pytest.raises(AttributeError):
+                copy.registry = XYZ
+            with pytest.raises(AttributeError):
+                del copy.terms
+            with pytest.raises(AttributeError):
+                copy.extra = 1
+            assert copy == P("3*x^2*y - z + 7/2")
+
     def test_ring_axioms_randomized(self):
         # Associativity, distributivity, additive inverse on random triples.
         rng = random.Random(20240811)

@@ -2,11 +2,14 @@
 
 import pickle
 import random
+from copy import deepcopy
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
 
+import vortexsym.realroots as realroots_module
 from vortexsym.groebner import (
     GroebnerBasis,
     Ideal,
@@ -359,6 +362,19 @@ class TestInertia:
         with pytest.raises(ValueError):
             SymMatrix([[1, 2], [3, 4]])
 
+    def test_attributes_cannot_be_assigned_and_survive_pickle_and_deepcopy(self):
+        m = SymMatrix.over(((1,),), 1)
+        with pytest.raises(AttributeError):
+            m.den = 2
+        with pytest.raises(AttributeError):
+            del m.ints
+        assert m.rows == ((Fraction(1),),)
+        h = SymMatrix([[Fraction(1, 2), 3], [3, -1]])
+        for copy in (pickle.loads(pickle.dumps(h, pickle.HIGHEST_PROTOCOL)), deepcopy(h)):
+            assert (copy.ints, copy.den, copy.n) == (h.ints, h.den, h.n)
+            with pytest.raises(AttributeError):
+                copy.n = 3
+
     def test_sums_to_dimension(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -465,6 +481,51 @@ class TestHermite:
         gb = buchberger(Ideal.of(Poly.parse(X, "x^2 - 1")), grevlex(X))
         h = hermite_matrix(gb)
         assert h.rows == ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2)))
+
+    def test_a_point_has_the_unit_trace_form(self):
+        reg = VarRegistry(["x", "y", "z"])
+        gb = buchberger(Ideal.of(*(Poly.variable(reg, v) for v in "xyz")), grevlex(reg))
+        h = hermite_matrix(gb)
+        assert (h.ints, h.den) == (((1,),), 1)
+
+    def test_every_perturbed_border_entry_breaks_the_symmetry(self, monkeypatch):
+        # each off-diagonal entry is read off two transposed products; a
+        # wrong multiplication column makes the two copies disagree
+        reg = VarRegistry(["x", "y"])
+        u = Poly.parse(reg, "x + y")
+        v = Poly.parse(reg, "x - 2*y")
+        f = u**3 - Fraction(1, 2) * u**2 - 2 * u + 1
+        g = v**3 + Fraction(2, 3) * v - 1
+        gb = buchberger(Ideal.of(f + g, f - 2 * g), grevlex(reg))
+        basis = standard_monomials(gb).standard_monomials
+        table = _border_normal_forms(gb, basis)
+        for t, (coords, e) in table.items():
+            for k in range(len(basis)):
+                wrong = [x + (j == k) for j, x in enumerate(coords)]
+                perturbed = {**table, t: (wrong, e)}
+                monkeypatch.setattr(realroots_module, "_border_normal_forms", lambda *_: perturbed)
+                with pytest.raises(ValueError, match=r"not symmetric at \(\d+,\d+\)"):
+                    hermite_matrix(gb)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_hermite_matrix_matches_fraction_reference_on_dense_trivariate_cubics(self, seed):
+        # three dense cubics with a pure cube each: 27 solutions, a 27 x 27
+        # trace form with large entries
+        reg = VarRegistry(["x", "y", "z"])
+        rng = random.Random(seed)
+        gens = []
+        for i in range(3):
+            terms = {
+                m: rng.randint(-2, 2) if sum(m) < 3 else rng.randint(-1, 1)
+                for m in product(range(4), repeat=3)
+                if sum(m) <= 3
+            }
+            terms[tuple(3 * (j == i) for j in range(3))] = 1
+            gens.append(Poly(reg, terms))
+        gb = buchberger(Ideal.of(*gens), grevlex(reg))
+        h = hermite_matrix(gb)
+        assert h.n == 27
+        assert [list(row) for row in h.rows] == reference_hermite(gb)
 
     def test_basis_that_is_not_reduced_is_named(self):
         # y is a leading monomial, so the tail of x^2 + y - 2 is not standard

@@ -499,21 +499,20 @@ class TestStages:
         assert "expected -85*a^4*b" in check.detail and "31*a" in check.detail
         assert "derived -85*a^4*b" in check.detail
 
-    def test_plane_pairing_failure_shows_expected_and_derived(
-        self, trapezoid_report, monkeypatch
-    ):
+    def test_a_values_failure_shows_expected_and_derived(self, trapezoid_report, monkeypatch):
         comps = trapezoid_report.artifacts["pipeline"]
         plane = trapezoid_report.artifacts["plane_factorisation"]
         g_ref = Poly.parse(R_REGISTRY, targets.G_OF_R)
         g_roots = sturm_isolate(coeffs_from_poly(g_ref, "r"))
         intervals = [iv.refine(Fraction(1, 10**9)) for iv in g_roots]
-        assert _plane_pairing(comps, g_ref, intervals, plane)[0]
         families = dict(targets.PLANE_FAMILIES)
         families["B2"] = {**families["B2"], "a": 0.5}
         monkeypatch.setattr(targets, "PLANE_FAMILIES", families)
-        ok, detail = _plane_pairing(comps, g_ref, intervals, plane)
-        assert not ok
-        assert detail == "a-coefficient mismatch for family B2: expected 0.5, derived 0.480743"
+        check = {c.name: c for c in plane_factorisation().checks}["a_values"]
+        assert check.status == "fail"
+        assert check.detail == "a-coefficient mismatch for family B2: expected 0.5, derived 0.480743"
+        # the pairing reads the family labels alone; a_values owns the a's
+        assert _plane_pairing(comps, g_ref, intervals, plane)[0]
 
     def test_a_perturbed_a_element_fails_the_plane_ideal_basis(self, monkeypatch):
         assert targets.AB_IDEAL_SECOND.endswith(" + 578*b^4")
@@ -723,6 +722,15 @@ def test_mutating_a_report_leaves_the_next_report_unchanged(run):
     # no report field aliases a stage result the report keeps
     assert pickle.dumps(first.artifacts) == stages
     assert pickle.dumps(run(mus=mus).to_document()) == want
+
+
+def test_the_shared_pipeline_cannot_be_reassigned_through_a_report():
+    # every report carries the one cached pipeline, so reassigning a slot of
+    # a polynomial in it would change every later report
+    with pytest.raises(AttributeError):
+        run_kite().artifacts["pipeline"][2].r_poly.terms = {}
+    report = run_kite()
+    assert report.passed(), report.failures()
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import pickle
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -193,6 +195,20 @@ class TestPipelines:
             assert isinstance(comp.r_factors, tuple)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 comp.r_poly = Poly.zero(R_REGISTRY)
+            # nor can a slot of a value inside a component be reassigned
+            with pytest.raises(AttributeError):
+                comp.r_poly.terms = {}
+            with pytest.raises(AttributeError):
+                comp.trig.num = comp.trig.den
+            with pytest.raises(AttributeError):
+                del comp.trig.den
+
+    def test_trig_rational_survives_pickle_and_deepcopy(self):
+        t = pipeline(KITE)[0].trig
+        for copy in (pickle.loads(pickle.dumps(t, pickle.HIGHEST_PROTOCOL)), deepcopy(t)):
+            assert (copy.num, copy.den) == (t.num, t.den)
+            with pytest.raises(AttributeError):
+                copy.num = t.den
 
     @pytest.mark.parametrize("scenario", [KITE, RECTANGLE, TRAPEZOID3], ids=lambda s: s.kind)
     def test_fresh_derivation_equals_the_cached_one(self, scenario):
