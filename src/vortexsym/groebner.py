@@ -57,12 +57,13 @@ k - 1 are known when degree k is tested, so each test is n set lookups,
 and the walk's cost grows with the number of standard monomials and that
 of the border, not with the box below the pure powers.
 
-``resultant`` clears denominators and evaluates the Sylvester determinant
-by Bareiss elimination on integer polynomials ``{monomial: int}``, whose
-exact divisions by the previous pivot run on ``ratpoly._div_exact``.  The
-package's two polynomial kernels thus do different jobs: ``_int_nf`` here
-takes normal forms modulo a basis, ``_div_exact`` the quotient by one
-polynomial.
+``resultant`` clears denominators and evaluates the Sylvester determinant by
+Bareiss elimination on integer polynomials ``{monomial: int}``, whose exact
+divisions by the previous pivot run on ``ratpoly._div_exact``.  One caller
+is left: the ``quintic_full_split`` certificate of the trapezoid's
+``plane_factorisation``.  The package's two polynomial kernels thus do
+different jobs: ``_int_nf`` here takes normal forms modulo a basis,
+``_div_exact`` the quotient by one polynomial.
 """
 
 from __future__ import annotations
@@ -163,11 +164,10 @@ class GroebnerBasis:
         return normal_form(p, self).is_zero()
 
     def same_ideal_as(self, polys):
-        """Two-sided membership: self and ``polys`` generate the same ideal."""
-        other = buchberger(Ideal.of(*polys), self.order)
-        return all(self.contains(p) for p in polys) and all(
-            other.contains(g) for g in self.polys
-        )
+        """Whether ``polys`` generate the ideal of ``self``, which must be a
+        reduced basis: reduced bases are unique and :func:`buchberger`
+        returns them in canonical form, so the two bases agree as sets."""
+        return set(buchberger(Ideal.of(*polys), self.order).polys) == set(self.polys)
 
     def leading_monomials(self):
         return [p.leading_monomial(self.order) for p in self.polys]
@@ -175,10 +175,10 @@ class GroebnerBasis:
 
 @dataclass(frozen=True)
 class QuotientBasis:
-    """Standard monomials of a zero-dimensional quotient ring, grevlex source."""
+    """Standard monomials of a grevlex basis, ascending, and whether the
+    quotient ring they span is finite-dimensional."""
 
     standard_monomials: tuple
-    source: GroebnerBasis
     finite: bool
 
     def __len__(self):
@@ -694,11 +694,11 @@ def standard_monomials(gb):
     for lt in lts:
         support = [i for i, e in enumerate(lt) if e]
         if not support:
-            return QuotientBasis((), gb, True)  # unit ideal: zero ring
+            return QuotientBasis((), True)  # unit ideal: zero ring
         if len(support) == 1:
             pure.add(support[0])
     if len(pure) < n:
-        return QuotientBasis((), gb, False)
+        return QuotientBasis((), False)
 
     leading = set(lts)
     standard = {(0,) * n}
@@ -717,4 +717,4 @@ def standard_monomials(gb):
                     standard.add(t)
                     grown.append(t)
         frontier = grown
-    return QuotientBasis(tuple(sorted(standard, key=gb.order.key)), gb, True)
+    return QuotientBasis(tuple(sorted(standard, key=gb.order.key)), True)

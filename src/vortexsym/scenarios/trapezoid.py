@@ -66,7 +66,6 @@ _ORD = GrevLex()
 _TIGHT = Fraction(1, 10**24)
 _GRID = 1 << 80
 
-MU = targets.MU_REGISTRY
 ANNI = targets.ANNI_REGISTRY
 AB = targets.AB_REGISTRY
 
@@ -140,7 +139,7 @@ def elimination_ideal(comps):
     element; see :class:`EliminationIdeal`."""
     checks = Checks([pipeline_check(comps, targets.TRAPEZOID_PIPELINE)])
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
-    f_ref = [f.map_to(R_REGISTRY) for f in targets.f_basis(MU)]
+    f_ref = targets.f_basis(R_REGISTRY)
     mine = {p.primitive(gb.order) for p in gb.polys}
     theirs = {f.primitive(gb.order) for f in f_ref}
     checks.add(
@@ -542,20 +541,17 @@ def _reconstruct_lines(anni_polys):
     lines = []
     mu23 = VarRegistry(["mu2", "mu3"])
 
-    # mu4 = 0 slice: a single binary quintic survives
-    slice0 = []
-    for p in anni_polys:
-        q = p.subs({"mu4": Fraction(0)})
-        if not q.is_zero():
-            slice0.append(q.map_to(mu23))
-    gcd_poly = slice0[0]
-    for q in slice0[1:]:
-        gcd_poly = _bivariate_gcd_binary(gcd_poly, q)
-    dehom = coeffs_from_poly(gcd_poly.subs({"mu3": 1}), "mu2")
-    # no degree drop: a pure mu2 power survives, so mu3 = 0 is not a line of
-    # the slice and dehomogenising by mu3 loses nothing
-    if len(dehom) - 1 != gcd_poly.total_degree():
+    # mu4 = 0 slice: the lines are the common roots of the surviving binary
+    # forms.  One of them keeping its degree at mu3 = 1 has a pure mu2 power,
+    # so mu3 = 0 is not a line of the slice and dehomogenising by mu3 loses
+    # nothing
+    forms = [q for q in (p.subs({"mu4": Fraction(0)}) for p in anni_polys) if not q.is_zero()]
+    dehoms = [coeffs_from_poly(q.map_to(mu23).subs({"mu3": 1}), "mu2") for q in forms]
+    if not any(len(c) - 1 == q.total_degree() for c, q in zip(dehoms, forms)):
         raise IdealShapeError("dehomogenising the mu4 = 0 slice by mu3 drops its degree")
+    dehom = dehoms[0]
+    for other in dehoms[1:]:
+        dehom = poly_gcd(dehom, other)
     for iv in sturm_isolate(dehom):
         direction = (_widen(iv.refine(Fraction(1, 10**18))), RatInterval(1), RatInterval(0))
         lines.append(AnnihilatingLine(direction=direction, case="mu4=0"))
@@ -606,15 +602,6 @@ def _vanishes_in(divisor, iv):
     """
     sf = squarefree_part(divisor)
     return eval_at(sf, iv.lo) * eval_at(sf, iv.hi) <= 0
-
-
-def _bivariate_gcd_binary(p, q):
-    """gcd of two binary forms in (mu2, mu3), via their dehomogenisations
-    f(t, 1)."""
-    g = poly_gcd(*(coeffs_from_poly(f.subs({"mu3": 1}), "mu2") for f in (p, q)))
-    # rehomogenise to the common total degree of contributing factors
-    deg = len(g) - 1
-    return Poly(p.registry, {(k, deg - k): c for k, c in enumerate(g) if c})
 
 
 def _match_table(lines, plane):
@@ -748,7 +735,7 @@ def angle_analysis(comps, plane):
     checks = Checks()
     ideal = Ideal.of(*([c.r_poly for c in comps] + [Poly.parse(R_REGISTRY, targets.P1_QUINTIC)]))
     gb_vt = eliminate(ideal, ["mu2", "mu4"], inner_names=["r", "mu1", "mu3"])
-    reference = [p.map_to(R_REGISTRY) for p in targets.valid_theta_basis()]
+    reference = targets.valid_theta_basis(R_REGISTRY)
     checks.add(
         "angle_projection_ideal",
         gb_vt.same_ideal_as(reference),
@@ -838,17 +825,22 @@ def true_trapezoid_roots(g_coeffs, intervals):
 def _plane_pairing(comps, g_ref, g_intervals, plane):
     """Exact pairing of the angle radii with the plane families of ``plane``.
 
-    Writes the fourth pipeline polynomial as A(r) mu1 + B(r) mu2 + C(r) mu3.
-    A resultant certificate proves that at every root of g the ratio B/A is
-    a root of the b-quintic; the division of A^d a(B/A) - C A^(d-1) by g,
-    for a(b) of degree d read from the a-linear element of ``plane.ab_gb``,
-    proves that C/A = a(B/A) there; and ideal membership proves the other two
-    pipeline polynomials vanish identically on the induced plane family.
+    Writes the fourth pipeline polynomial as A(r) mu1 + B(r) mu2 + C(r) mu3,
+    so that at a root of g the plane family has b = B/A and a = C/A.  Once
+    gcd(g, g') = 1 (g is squarefree) and gcd(g, A) = 1 (A vanishes at no
+    root of g) are proven, a polynomial P(a, b) of degree d vanishes at
+    (C/A, B/A) on every root of g exactly when g divides the polynomial
+    A^d P(C/A, B/A).  Three such divisions make the proof: by the a-free
+    element q of ``plane.ab_gb``, B/A is a root of the b-quintic; by its
+    a-linear element a(b), C/A = a(B/A); and the first two pipeline
+    polynomials, linear in the circulations, vanish on the family, since g
+    divides each (mu2, mu3)-coefficient of A times their value there.
     Each positive radius then takes the label of the one enclosure in
     ``plane.b_intervals`` that its B/A enclosure meets; the families'
     printed a-coefficients are the ``a_values`` check's to compare.
     """
-    groups = comps[2].r_poly.coefficients_in(["mu1", "mu2", "mu3", "mu4"])
+    mus = ["mu1", "mu2", "mu3", "mu4"]
+    groups = comps[2].r_poly.coefficients_in(mus)
     if set(groups) != {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)}:
         return False, "unexpected structure in the fourth pipeline polynomial"
     A = groups[(1, 0, 0, 0)]
@@ -862,38 +854,29 @@ def _plane_pairing(comps, g_ref, g_intervals, plane):
     if len(poly_gcd(g_c, a_c)) > 1:
         return False, "the mu1 coefficient shares a root with the angle polynomial"
 
-    rb_reg = VarRegistry(["r", "b"])
-    res_b = resultant(
-        g_ref.map_to(rb_reg),
-        A.map_to(rb_reg) * Poly.variable(rb_reg, "b") - B.map_to(rb_reg),
-        "r",
-    )
-    quint_b = Poly.parse(rb_reg, targets.B_QUINTIC)
-    if res_b.primitive(_ORD) != (quint_b * quint_b).primitive(_ORD):
-        return False, "resultant certificate failed: B/A is not a root of the b-quintic"
+    (quintic,) = (p for p in plane.ab_gb.polys if not p.uses("a"))
+    if _cleared(coeffs_from_poly(quintic, "b"), A, B).try_divide(g_ref) is None:
+        return False, "division certificate failed: B/A is not a root of the b-quintic"
 
     a_of_b = coeffs_from_poly(_a_of_b(plane.ab_gb.polys), "b")
     d = len(a_of_b) - 1
-    terms = (a_k * B**k * A ** (d - k) for k, a_k in enumerate(a_of_b))
-    certificate = sum(terms, -C * A ** (d - 1))
-    if certificate.try_divide(g_ref) is None:
+    if (_cleared(a_of_b, A, B) - C * A ** (d - 1)).try_divide(g_ref) is None:
         return False, "division certificate failed: g does not divide A^d a(B/A) - C A^(d-1)"
 
-    # membership: the first two pipeline polynomials vanish on the plane family
-    big = VarRegistry(["r", "a", "b", "mu1", "mu2", "mu3", "mu4"])
-    a, b = Poly.variable(big, "a"), Poly.variable(big, "b")
-    t_star = [
-        g_ref.map_to(big),
-        A.map_to(big) * b - B.map_to(big),
-        A.map_to(big) * a - C.map_to(big),
-    ]
-    gb_t = buchberger(Ideal.of(*t_star), GrevLex())
-    mu2, mu3 = Poly.variable(big, "mu2"), Poly.variable(big, "mu3")
-    on_plane = {"mu1": -b * mu2 - a * mu3, "mu4": -a * mu2 - b * mu3}
+    # A times the first two pipeline polynomials on the plane family
+    mu2, mu3 = Poly.variable(R_REGISTRY, "mu2"), Poly.variable(R_REGISTRY, "mu3")
+    on_plane = {
+        "mu1": -B * mu2 - C * mu3,
+        "mu2": A * mu2,
+        "mu3": A * mu3,
+        "mu4": -C * mu2 - B * mu3,
+    }
     for comp in comps[:2]:
-        image = comp.r_poly.map_to(big).subs(on_plane)
+        if any(sum(m) != 1 for m in comp.r_poly.coefficients_in(mus)):
+            return False, f"component {comp.index} is not linear in the circulations"
+        image = comp.r_poly.subs(on_plane)
         for coefficient in image.coefficients_in(["mu2", "mu3"]).values():
-            if not normal_form(coefficient, gb_t).is_zero():
+            if coefficient.try_divide(g_ref) is None:
                 return False, f"component {comp.index} does not vanish on the family"
 
     # labels: the real b-roots ascending, to the families by printed b
@@ -916,3 +899,14 @@ def _plane_pairing(comps, g_ref, g_intervals, plane):
         if abs(key - r_val) > targets.NUMERIC_TOL or assignments[key] != plane:
             return False, f"radius {r_val} did not pair with plane {plane}"
     return True, "each radius pairs with its plane family, certified exactly"
+
+
+def _cleared(coeffs, A, B):
+    """A^d c(B/A) for the polynomial c of degree d with ascending ``coeffs``,
+    by Horner in B with the powers of A alongside."""
+    total = Poly.zero(A.registry)
+    a_power = Poly.constant(A.registry, 1)
+    for c in reversed(coeffs):
+        total = total * B + c * a_power
+        a_power = a_power * A
+    return total

@@ -67,105 +67,78 @@ P1_QUINTIC = (
     " - 106*mu2*mu4^4 + 98*mu3*mu4^4 + 17*mu4^5"
 )
 
-# each entry: (sign, prefactor texts, inner factor text); the basis element
-# is sign * product(prefactors) * inner
-_F_BASIS_FACTORED = (
-    (1, (), "mu1^2 - mu1*mu3 + mu2*mu4 - mu4^2"),
-    (
-        1,
-        ("mu2 - mu4", "mu4^2"),
-        "2*mu1*mu3^4 - 2*mu3^5 - 6*mu1*mu2*mu3^2*mu4 + 8*mu2*mu3^3*mu4"
-        " + 2*mu1*mu2^2*mu4^2 - 6*mu2^2*mu3*mu4^2 + 7*mu1*mu3^2*mu4^2"
-        " - 9*mu3^3*mu4^2 - 5*mu1*mu2*mu4^3 + 5*mu1*mu3*mu4^3 + 14*mu2*mu3*mu4^3"
-        " - 5*mu3^2*mu4^3 - 8*mu1*mu4^4 + 5*mu2*mu4^4 + 3*mu3*mu4^4 - 9*mu4^5",
-    ),
-    (
-        -1,
-        ("mu2 - mu4", "mu4^2"),
-        "-2*mu1*mu2*mu3^3 + 2*mu2*mu3^4 + 4*mu1*mu2^2*mu3*mu4 - 6*mu2^2*mu3^2*mu4"
-        " + 2*mu1*mu3^3*mu4 - 2*mu3^4*mu4 + 2*mu2^3*mu4^2 - 9*mu1*mu2*mu3*mu4^2"
-        " + 13*mu2*mu3^2*mu4^2 - 5*mu1*mu2*mu4^3 - 7*mu2^2*mu4^3 + 5*mu1*mu3*mu4^3"
-        " + 5*mu2*mu3*mu4^3 - 7*mu3^2*mu4^3 + 9*mu1*mu4^4 - 3*mu2*mu4^4"
-        " - 5*mu3*mu4^4 + 8*mu4^5",
-    ),
-    (
-        -1,
-        ("mu2 - mu4", "mu4^2"),
-        "-2*mu1*mu2^2*mu3^2 + 2*mu2^2*mu3^3 + 2*mu1*mu2^3*mu4 - 4*mu2^3*mu3*mu4"
-        " + 4*mu1*mu2*mu3^2*mu4 - 4*mu2*mu3^3*mu4 - 7*mu1*mu2^2*mu4^2"
-        " + 13*mu2^2*mu3*mu4^2 - 2*mu1*mu3^2*mu4^2 + 2*mu3^3*mu4^2"
-        " - 3*mu1*mu2*mu4^3 + 5*mu2^2*mu4^3 + 4*mu1*mu3*mu4^3 - 14*mu2*mu3*mu4^3"
-        " + 8*mu1*mu4^4 - 14*mu2*mu4^4 + 5*mu3*mu4^4 + 9*mu4^5",
-    ),
-    (
-        1,
-        ("mu2 - mu4", "mu4^2"),
-        "2*mu1*mu2^3*mu3 - 2*mu2^3*mu3^2 + 2*mu2^4*mu4 - 6*mu1*mu2^2*mu3*mu4"
-        " + 6*mu2^2*mu3^2*mu4 - 5*mu1*mu2^2*mu4^2 - 9*mu2^3*mu4^2"
-        " + 17*mu1*mu2*mu3*mu4^2 - 4*mu1*mu3^2*mu4^2 - 6*mu2*mu3^2*mu4^2"
-        " + 14*mu1*mu2*mu4^3 + 4*mu2^2*mu4^3 - 13*mu1*mu3*mu4^3 + 4*mu2*mu3*mu4^3"
-        " + 2*mu3^2*mu4^3 - 9*mu1*mu4^4 + 11*mu2*mu4^4 - 4*mu3*mu4^4 - 8*mu4^5",
-    ),
-    (1, ("mu2 - mu4", "mu4^2"), P1_QUINTIC),
-    (
-        1,
-        ("mu2 - mu4", "mu4^2"),
-        "2*mu1*mu2^4 - 2*mu2^4*mu3 - 9*mu1*mu2^3*mu4 - 5*mu1*mu2^2*mu3*mu4"
-        " + 8*mu2^3*mu3*mu4 + 11*mu1*mu2*mu3^2*mu4 - 4*mu1*mu3^3*mu4"
-        " + 4*mu1*mu2^2*mu4^2 + 5*mu2^3*mu4^2 + 18*mu1*mu2*mu3*mu4^2"
-        " - 23*mu2^2*mu3*mu4^2 - 11*mu1*mu3^2*mu4^2 + 4*mu2*mu3^2*mu4^2"
-        " + 11*mu1*mu2*mu4^3 - 19*mu2^2*mu4^3 - 13*mu1*mu3*mu4^3"
-        " + 30*mu2*mu3*mu4^3 - 4*mu3^2*mu4^3 - 8*mu1*mu4^4 + 23*mu2*mu4^4"
-        " - 13*mu3*mu4^4 - 9*mu4^5",
-    ),
-    (
-        1,
-        ("mu2 - mu4", "mu4"),
-        "4*mu1*mu2^5 + 2*mu1*mu2^3*mu3^2 + 10*mu1*mu2^2*mu3^3 - 22*mu1*mu2*mu3^4"
-        " + 8*mu1*mu3^5 + 4*mu1*mu2^4*mu4 - 28*mu2^4*mu3*mu4 + 2*mu1*mu2^2*mu3^2*mu4"
-        " - 30*mu2^3*mu3^2*mu4 + 10*mu1*mu2*mu3^3*mu4 + 80*mu2^2*mu3^3*mu4"
-        " - 22*mu1*mu3^4*mu4 - 70*mu2*mu3^4*mu4 + 44*mu3^5*mu4 - 33*mu1*mu2^3*mu4^2"
-        " + 30*mu2^4*mu4^2 - 165*mu1*mu2^2*mu3*mu4^2 - 48*mu2^3*mu3*mu4^2"
-        " + 265*mu1*mu2*mu3^2*mu4^2 + 300*mu2^2*mu3^2*mu4^2 - 72*mu1*mu3^3*mu4^2"
-        " - 336*mu2*mu3^3*mu4^2 + 70*mu3^4*mu4^2 - 231*mu1*mu2^2*mu4^3"
-        " - 135*mu2^3*mu4^3 + 575*mu1*mu2*mu3*mu4^3 + 330*mu2^2*mu3*mu4^3"
-        " - 331*mu1*mu3^2*mu4^3 - 489*mu2*mu3^2*mu4^3 + 278*mu3^3*mu4^3"
-        " + 423*mu1*mu2*mu4^4 + 239*mu2^2*mu4^4 - 404*mu1*mu3*mu4^4"
-        " - 563*mu2*mu3*mu4^4 + 329*mu3^2*mu4^4 - 49*mu1*mu4^5 - 78*mu2*mu4^5"
-        " + 67*mu3*mu4^5 + 32*mu4^6",
-    ),
-    (
-        1,
-        ("mu2 - mu4",),
-        "8*mu1*mu2^5*mu3 + 4*mu1*mu2^3*mu3^3 + 20*mu1*mu2^2*mu3^4"
-        " - 44*mu1*mu2*mu3^5 + 16*mu1*mu3^6 - 8*mu2^6*mu4 - 48*mu1*mu2^4*mu3*mu4"
-        " - 60*mu1*mu2^3*mu3^2*mu4 - 4*mu2^4*mu3^2*mu4 + 164*mu1*mu2^2*mu3^3*mu4"
-        " - 20*mu2^3*mu3^3*mu4 - 120*mu1*mu2*mu3^4*mu4 + 44*mu2^2*mu3^4*mu4"
-        " + 44*mu1*mu3^5*mu4 - 16*mu2*mu3^5*mu4 - 8*mu2^5*mu4^2"
-        " - 48*mu1*mu2^3*mu3*mu4^2 + 60*mu2^4*mu3*mu4^2 - 60*mu1*mu2^2*mu3^2*mu4^2"
-        " - 118*mu2^3*mu3^2*mu4^2 + 164*mu1*mu2*mu3^3*mu4^2 + 310*mu2^2*mu3^3*mu4^2"
-        " - 120*mu1*mu3^4*mu4^2 - 262*mu2*mu3^4*mu4^2 + 116*mu3^5*mu4^2"
-        " + 330*mu1*mu2^3*mu4^3 + 236*mu2^4*mu4^3 - 606*mu1*mu2^2*mu3*mu4^3"
-        " - 510*mu2^3*mu3*mu4^3 + 850*mu1*mu2*mu3^2*mu4^3 + 570*mu2^2*mu3^2*mu4^3"
-        " - 292*mu1*mu3^3*mu4^3 - 840*mu2*mu3^3*mu4^3 + 218*mu3^4*mu4^3"
-        " - 1198*mu1*mu2^2*mu4^4 - 599*mu2^3*mu4^4 + 1526*mu1*mu2*mu3*mu4^4"
-        " + 1433*mu2^2*mu3*mu4^4 - 784*mu1*mu3^2*mu4^4 - 897*mu2*mu3^2*mu4^4"
-        " + 600*mu3^3*mu4^4 + 872*mu1*mu2*mu4^5 + 1162*mu2^2*mu4^5"
-        " - 710*mu1*mu3*mu4^5 - 2107*mu2*mu3*mu4^5 + 699*mu3^2*mu4^5"
-        " + 198*mu1*mu4^6 - 1048*mu2*mu4^6 + 574*mu3*mu4^6 + 465*mu4^7",
-    ),
+# the nine homogeneous basis elements, each (sign, factor texts) as
+# ``build_products`` reads them
+F_BASIS = (
+    (1, ("mu1^2 - mu1*mu3 + mu2*mu4 - mu4^2",)),
+    (1, ("mu2 - mu4", "mu4^2",
+         "2*mu1*mu3^4 - 2*mu3^5 - 6*mu1*mu2*mu3^2*mu4 + 8*mu2*mu3^3*mu4"
+         " + 2*mu1*mu2^2*mu4^2 - 6*mu2^2*mu3*mu4^2 + 7*mu1*mu3^2*mu4^2"
+         " - 9*mu3^3*mu4^2 - 5*mu1*mu2*mu4^3 + 5*mu1*mu3*mu4^3 + 14*mu2*mu3*mu4^3"
+         " - 5*mu3^2*mu4^3 - 8*mu1*mu4^4 + 5*mu2*mu4^4 + 3*mu3*mu4^4 - 9*mu4^5")),
+    (-1, ("mu2 - mu4", "mu4^2",
+          "-2*mu1*mu2*mu3^3 + 2*mu2*mu3^4 + 4*mu1*mu2^2*mu3*mu4 - 6*mu2^2*mu3^2*mu4"
+          " + 2*mu1*mu3^3*mu4 - 2*mu3^4*mu4 + 2*mu2^3*mu4^2 - 9*mu1*mu2*mu3*mu4^2"
+          " + 13*mu2*mu3^2*mu4^2 - 5*mu1*mu2*mu4^3 - 7*mu2^2*mu4^3 + 5*mu1*mu3*mu4^3"
+          " + 5*mu2*mu3*mu4^3 - 7*mu3^2*mu4^3 + 9*mu1*mu4^4 - 3*mu2*mu4^4"
+          " - 5*mu3*mu4^4 + 8*mu4^5")),
+    (-1, ("mu2 - mu4", "mu4^2",
+          "-2*mu1*mu2^2*mu3^2 + 2*mu2^2*mu3^3 + 2*mu1*mu2^3*mu4 - 4*mu2^3*mu3*mu4"
+          " + 4*mu1*mu2*mu3^2*mu4 - 4*mu2*mu3^3*mu4 - 7*mu1*mu2^2*mu4^2"
+          " + 13*mu2^2*mu3*mu4^2 - 2*mu1*mu3^2*mu4^2 + 2*mu3^3*mu4^2"
+          " - 3*mu1*mu2*mu4^3 + 5*mu2^2*mu4^3 + 4*mu1*mu3*mu4^3 - 14*mu2*mu3*mu4^3"
+          " + 8*mu1*mu4^4 - 14*mu2*mu4^4 + 5*mu3*mu4^4 + 9*mu4^5")),
+    (1, ("mu2 - mu4", "mu4^2",
+         "2*mu1*mu2^3*mu3 - 2*mu2^3*mu3^2 + 2*mu2^4*mu4 - 6*mu1*mu2^2*mu3*mu4"
+         " + 6*mu2^2*mu3^2*mu4 - 5*mu1*mu2^2*mu4^2 - 9*mu2^3*mu4^2"
+         " + 17*mu1*mu2*mu3*mu4^2 - 4*mu1*mu3^2*mu4^2 - 6*mu2*mu3^2*mu4^2"
+         " + 14*mu1*mu2*mu4^3 + 4*mu2^2*mu4^3 - 13*mu1*mu3*mu4^3 + 4*mu2*mu3*mu4^3"
+         " + 2*mu3^2*mu4^3 - 9*mu1*mu4^4 + 11*mu2*mu4^4 - 4*mu3*mu4^4 - 8*mu4^5")),
+    (1, ("mu2 - mu4", "mu4^2", P1_QUINTIC)),
+    (1, ("mu2 - mu4", "mu4^2",
+         "2*mu1*mu2^4 - 2*mu2^4*mu3 - 9*mu1*mu2^3*mu4 - 5*mu1*mu2^2*mu3*mu4"
+         " + 8*mu2^3*mu3*mu4 + 11*mu1*mu2*mu3^2*mu4 - 4*mu1*mu3^3*mu4"
+         " + 4*mu1*mu2^2*mu4^2 + 5*mu2^3*mu4^2 + 18*mu1*mu2*mu3*mu4^2"
+         " - 23*mu2^2*mu3*mu4^2 - 11*mu1*mu3^2*mu4^2 + 4*mu2*mu3^2*mu4^2"
+         " + 11*mu1*mu2*mu4^3 - 19*mu2^2*mu4^3 - 13*mu1*mu3*mu4^3"
+         " + 30*mu2*mu3*mu4^3 - 4*mu3^2*mu4^3 - 8*mu1*mu4^4 + 23*mu2*mu4^4"
+         " - 13*mu3*mu4^4 - 9*mu4^5")),
+    (1, ("mu2 - mu4", "mu4",
+         "4*mu1*mu2^5 + 2*mu1*mu2^3*mu3^2 + 10*mu1*mu2^2*mu3^3 - 22*mu1*mu2*mu3^4"
+         " + 8*mu1*mu3^5 + 4*mu1*mu2^4*mu4 - 28*mu2^4*mu3*mu4 + 2*mu1*mu2^2*mu3^2*mu4"
+         " - 30*mu2^3*mu3^2*mu4 + 10*mu1*mu2*mu3^3*mu4 + 80*mu2^2*mu3^3*mu4"
+         " - 22*mu1*mu3^4*mu4 - 70*mu2*mu3^4*mu4 + 44*mu3^5*mu4 - 33*mu1*mu2^3*mu4^2"
+         " + 30*mu2^4*mu4^2 - 165*mu1*mu2^2*mu3*mu4^2 - 48*mu2^3*mu3*mu4^2"
+         " + 265*mu1*mu2*mu3^2*mu4^2 + 300*mu2^2*mu3^2*mu4^2 - 72*mu1*mu3^3*mu4^2"
+         " - 336*mu2*mu3^3*mu4^2 + 70*mu3^4*mu4^2 - 231*mu1*mu2^2*mu4^3"
+         " - 135*mu2^3*mu4^3 + 575*mu1*mu2*mu3*mu4^3 + 330*mu2^2*mu3*mu4^3"
+         " - 331*mu1*mu3^2*mu4^3 - 489*mu2*mu3^2*mu4^3 + 278*mu3^3*mu4^3"
+         " + 423*mu1*mu2*mu4^4 + 239*mu2^2*mu4^4 - 404*mu1*mu3*mu4^4"
+         " - 563*mu2*mu3*mu4^4 + 329*mu3^2*mu4^4 - 49*mu1*mu4^5 - 78*mu2*mu4^5"
+         " + 67*mu3*mu4^5 + 32*mu4^6")),
+    (1, ("mu2 - mu4",
+         "8*mu1*mu2^5*mu3 + 4*mu1*mu2^3*mu3^3 + 20*mu1*mu2^2*mu3^4"
+         " - 44*mu1*mu2*mu3^5 + 16*mu1*mu3^6 - 8*mu2^6*mu4 - 48*mu1*mu2^4*mu3*mu4"
+         " - 60*mu1*mu2^3*mu3^2*mu4 - 4*mu2^4*mu3^2*mu4 + 164*mu1*mu2^2*mu3^3*mu4"
+         " - 20*mu2^3*mu3^3*mu4 - 120*mu1*mu2*mu3^4*mu4 + 44*mu2^2*mu3^4*mu4"
+         " + 44*mu1*mu3^5*mu4 - 16*mu2*mu3^5*mu4 - 8*mu2^5*mu4^2"
+         " - 48*mu1*mu2^3*mu3*mu4^2 + 60*mu2^4*mu3*mu4^2 - 60*mu1*mu2^2*mu3^2*mu4^2"
+         " - 118*mu2^3*mu3^2*mu4^2 + 164*mu1*mu2*mu3^3*mu4^2 + 310*mu2^2*mu3^3*mu4^2"
+         " - 120*mu1*mu3^4*mu4^2 - 262*mu2*mu3^4*mu4^2 + 116*mu3^5*mu4^2"
+         " + 330*mu1*mu2^3*mu4^3 + 236*mu2^4*mu4^3 - 606*mu1*mu2^2*mu3*mu4^3"
+         " - 510*mu2^3*mu3*mu4^3 + 850*mu1*mu2*mu3^2*mu4^3 + 570*mu2^2*mu3^2*mu4^3"
+         " - 292*mu1*mu3^3*mu4^3 - 840*mu2*mu3^3*mu4^3 + 218*mu3^4*mu4^3"
+         " - 1198*mu1*mu2^2*mu4^4 - 599*mu2^3*mu4^4 + 1526*mu1*mu2*mu3*mu4^4"
+         " + 1433*mu2^2*mu3*mu4^4 - 784*mu1*mu3^2*mu4^4 - 897*mu2*mu3^2*mu4^4"
+         " + 600*mu3^3*mu4^4 + 872*mu1*mu2*mu4^5 + 1162*mu2^2*mu4^5"
+         " - 710*mu1*mu3*mu4^5 - 2107*mu2*mu3*mu4^5 + 699*mu3^2*mu4^5"
+         " + 198*mu1*mu4^6 - 1048*mu2*mu4^6 + 574*mu3*mu4^6 + 465*mu4^7")),
 )
 
 
 def f_basis(registry=MU_REGISTRY):
     """The nine homogeneous basis elements of the trapezoid elimination ideal."""
-    out = []
-    for sign, factors, inner in _F_BASIS_FACTORED:
-        p = Poly.constant(registry, sign)
-        for factor in factors:
-            p = p * Poly.parse(registry, factor)
-        out.append(p * Poly.parse(registry, inner))
-    return out
+    return build_products(registry, F_BASIS)
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +293,24 @@ VALID_THETA_REGISTRY = VarRegistry(["r", "mu1", "mu3"])
 
 _VT = VALID_THETA_REGISTRY
 
+# the five-element projection basis onto (r, mu1, mu3), each (sign, factor
+# texts) as ``build_products`` reads them
+VALID_THETA_BASIS = (
+    (1, ("mu1^2", "mu1 - mu3", G_OF_R)),
+    (-1, ("mu1", "2*mu1 - mu3 - mu3*r^2", G_OF_R)),
+    (1, ("mu1^2", "r - 1", "r + 1", G_OF_R)),
+    (1, ("mu1", "r - 1", "r + 1", "r^2 + 1", G_OF_R)),
+    (-1, ("mu3^3", G_OF_R,
+          "2048*mu1^2 + mu3^2 - 40*mu3^2*r^2 + 672*mu3^2*r^4 - 4568*mu3^2*r^6"
+          " + 7529*mu3^2*r^8 + 7056*mu3^2*r^10 - 17272*mu3^2*r^12 - 912*mu3^2*r^14"
+          " + 7971*mu3^2*r^16 - 2664*mu3^2*r^18 + 88*mu3^2*r^20 + 104*mu3^2*r^22"
+          " - 13*mu3^2*r^24")),
+)
+
 
 def valid_theta_basis(registry=_VT):
     """Five-element projection basis onto (r, mu1, mu3), stated factored."""
-    g = Poly.parse(registry, G_OF_R)
-    mu1 = Poly.variable(registry, "mu1")
-    mu3 = Poly.variable(registry, "mu3")
-    r = Poly.variable(registry, "r")
-    one = Poly.constant(registry, 1)
-    big = Poly.parse(
-        registry,
-        "2048*mu1^2 + mu3^2 - 40*mu3^2*r^2 + 672*mu3^2*r^4 - 4568*mu3^2*r^6"
-        " + 7529*mu3^2*r^8 + 7056*mu3^2*r^10 - 17272*mu3^2*r^12 - 912*mu3^2*r^14"
-        " + 7971*mu3^2*r^16 - 2664*mu3^2*r^18 + 88*mu3^2*r^20 + 104*mu3^2*r^22"
-        " - 13*mu3^2*r^24",
-    )
-    return [
-        mu1 * mu1 * (mu1 - mu3) * g,
-        -1 * mu1 * (2 * mu1 - mu3 - mu3 * r * r) * g,
-        mu1 * mu1 * (r - one) * (r + one) * g,
-        mu1 * (r - one) * (r + one) * (r * r + one) * g,
-        -1 * mu3 * mu3 * mu3 * g * big,
-    ]
+    return build_products(registry, VALID_THETA_BASIS)
 
 
 # r-root magnitude, angle magnitude, and the plane pair each one selects

@@ -533,3 +533,8 @@ def test_groebner_basis_repr_and_same_ideal():
     gb = buchberger(Ideal.of(*gens), lex(XYZ))
     assert gb.same_ideal_as(gens)
     assert "GroebnerBasis" in repr(gb)
+    # a different ideal, and the same ideal from generators that are not a basis
+    assert not gb.same_ideal_as([P("x^2 - y"), P("y - 2")])
+    not_a_basis = [P("x^2 - y"), P("x^2 - 1")]
+    assert set(gb.polys) != set(not_a_basis)
+    assert gb.same_ideal_as(not_a_basis)

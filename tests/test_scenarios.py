@@ -13,7 +13,7 @@ from vortexsym.groebner import GroebnerBasis, Ideal, KernelStats, buchberger
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
 from vortexsym.realroots import RatInterval, coeffs_from_poly, poly_gcd, sturm_isolate
 from vortexsym.scenarios import run_kite, run_rectangle, run_square, run_trapezoid
-from vortexsym.scenarios import kite, rectangle
+from vortexsym.scenarios import kite, rectangle, trapezoid
 from vortexsym.scenarios.kite import count_configurations
 from vortexsym.scenarios.rectangle import _all_nonzero, _branch_multiples
 from vortexsym.scenarios.report import DEFAULT_EPS
@@ -360,6 +360,16 @@ class TestTrapezoid:
         with pytest.raises(IdealShapeError):
             _reconstruct_lines(slice_polys)
 
+    def test_mu4_slice_with_two_forms_on_mu3_zero_is_rejected(self):
+        # Both forms survive at mu4 = 0 and both carry the factor mu3, so the
+        # line (1, 0, 0) lies on the slice; dehomogenising by mu3 would lose it.
+        common = Poly.parse(targets.ANNI_REGISTRY, "mu3*mu2 - mu3^2")
+        forms = [
+            common * Poly.parse(targets.ANNI_REGISTRY, t) for t in ("mu2 + 2*mu3", "mu2 - 5*mu3")
+        ]
+        with pytest.raises(IdealShapeError, match="drops its degree"):
+            _reconstruct_lines(forms)
+
     @pytest.mark.parametrize(
         "a_roots, shared",
         [
@@ -536,6 +546,45 @@ class TestStages:
         ok, detail = _plane_pairing(comps, g_ref, intervals, bad_plane)
         assert not ok
         assert detail.startswith("division certificate failed")
+
+    @pytest.fixture
+    def pairing_inputs(self, trapezoid_report):
+        comps = trapezoid_report.artifacts["pipeline"]
+        plane = trapezoid_report.artifacts["plane_factorisation"]
+        g_ref = Poly.parse(R_REGISTRY, targets.G_OF_R)
+        g_roots = sturm_isolate(coeffs_from_poly(g_ref, "r"))
+        return comps, g_ref, [iv.refine(Fraction(1, 10**9)) for iv in g_roots], plane
+
+    def test_plane_pairing_takes_only_divisions(self, pairing_inputs, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the plane pairing takes exact divisions only")
+
+        for name in ("resultant", "buchberger", "normal_form", "VarRegistry"):
+            monkeypatch.setattr(trapezoid, name, refuse)
+        assert _plane_pairing(*pairing_inputs) == (
+            True,
+            "each radius pairs with its plane family, certified exactly",
+        )
+
+    def test_plane_pairing_rejects_a_perturbed_b_quintic(self, pairing_inputs):
+        comps, g_ref, intervals, plane = pairing_inputs
+        gb = plane.ab_gb
+        one = Poly.constant(gb.registry, 1)
+        perturbed = [p if p.uses("a") else p + one for p in gb.polys]
+        bad_plane = dataclasses.replace(plane, ab_gb=GroebnerBasis(perturbed, gb.order))
+        assert _plane_pairing(comps, g_ref, intervals, bad_plane) == (
+            False,
+            "division certificate failed: B/A is not a root of the b-quintic",
+        )
+
+    def test_plane_pairing_rejects_a_perturbed_component(self, pairing_inputs):
+        comps, g_ref, intervals, plane = pairing_inputs
+        bump = Poly.parse(R_REGISTRY, "mu2*r^2")
+        first = dataclasses.replace(comps[0], r_poly=comps[0].r_poly + bump)
+        assert _plane_pairing((first, *comps[1:]), g_ref, intervals, plane) == (
+            False,
+            "component 2 does not vanish on the family",
+        )
 
 
 @pytest.fixture(scope="module")
