@@ -69,9 +69,8 @@ different jobs: ``_int_nf`` here takes normal forms modulo a basis,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from vortexsym.ratpoly import (
     GrevLex,
@@ -142,7 +141,10 @@ class GroebnerBasis:
             rows = self.order.weights(len(registry))
             ranked = [i for i in range(len(registry)) if any(row[i] for row in rows)]
             pk = _Packing(self.order, len(registry), ranked)
-            entries = [_entry(_int_terms(p, pk)[0], pk) for p in self.polys]
+            entries = [
+                _entry(sorted((pk.pack(m) + (c,) for m, c in p.ints.items()), reverse=True), pk)
+                for p in self.polys
+            ]
             self._kernel = (registry, pk, entries)
         return self._kernel[1:]
 
@@ -165,9 +167,16 @@ class GroebnerBasis:
 
     def same_ideal_as(self, polys):
         """Whether ``polys`` generate the ideal of ``self``, which must be a
-        reduced basis: reduced bases are unique and :func:`buchberger`
-        returns them in canonical form, so the two bases agree as sets."""
-        return set(buchberger(Ideal.of(*polys), self.order).polys) == set(self.polys)
+        reduced basis.  When the primitive parts of ``polys`` and of the
+        basis agree as sets, each generator is a scalar multiple of a basis
+        element and conversely, so the answer is yes with no Buchberger
+        run.  Otherwise the reduced basis of ``polys`` is computed: reduced
+        bases are unique and :func:`buchberger` returns them in canonical
+        form, so the two bases agree as sets."""
+        order = self.order
+        if {p.primitive(order) for p in polys} == {p.primitive(order) for p in self.polys}:
+            return True
+        return set(buchberger(Ideal.of(*polys), order).polys) == set(self.polys)
 
     def leading_monomials(self):
         return [p.leading_monomial(self.order) for p in self.polys]
@@ -202,11 +211,9 @@ def normal_form(p, basis):
     if p.is_zero():
         return Poly.zero(p.registry)
     pk, entries = basis._packed(p.registry)
-    terms, denom = _int_terms(p, pk)
-    rem, (mul, div) = _int_nf(terms, entries, pk)
-    # rem = mul / div * NF(denom * p), so NF(p) = rem * div / (mul * denom)
-    den = mul * denom
-    return Poly(p.registry, {pk.unpack(q): Fraction(c * div, den) for _, q, c in rem})
+    rem, (mul, div) = _int_nf([pk.pack(m) + (c,) for m, c in p.ints.items()], entries, pk)
+    # rem = mul / div * NF(den * p), so NF(p) = rem * div / (mul * den)
+    return Poly.over(p.registry, {pk.unpack(q): c * div for _, q, c in rem}, mul * p.den)
 
 
 # ---------------------------------------------------------------------------
@@ -295,34 +302,6 @@ class _Packing:
             )
 
 
-def _int_terms(poly, pk):
-    """Integer (k, p, c) terms of ``poly`` scaled by its common denominator,
-    leading term first, and that denominator."""
-    denom = 1
-    for c in poly.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    terms = [pk.pack(m) + (c.numerator * (denom // c.denominator),) for m, c in poly.terms.items()]
-    terms.sort(reverse=True)
-    return terms, denom
-
-
-def _int_strip(terms):
-    """Make descending (k, p, c) terms primitive with positive leading sign;
-    returns them with the signed content divided out."""
-    if not terms:
-        return terms, 1
-    g = 0
-    for _, _, c in terms:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    if terms[0][2] < 0:
-        g = -g
-    if g != 1:
-        return [(k, p, c // g) for k, p, c in terms], g
-    return terms, 1
-
-
 def _int_nf(terms, basis, pk):
     """Fraction-free normal form of (k, p, c) ``terms`` against basis entries.
 
@@ -404,8 +383,13 @@ def _int_nf(terms, basis, pk):
                 work = {m: v // g for m, v in work.items()}
                 rem_c = [v // g for v in rem_c]
                 div *= g
-    rem, g = _int_strip(list(zip(rem_k, rem_p, rem_c)))
-    return rem, (mul, div * g)
+    # the remainder, leading term first, made primitive and positive-leading
+    g = gcd(*rem_c) or 1
+    if rem_c and rem_c[0] < 0:
+        g = -g
+    if g != 1:
+        rem_c = [c // g for c in rem_c]
+    return list(zip(rem_k, rem_p, rem_c)), (mul, div * g)
 
 
 def _int_spoly(f, g, lcm_p, pk):
@@ -493,14 +477,14 @@ def _buchberger_int(gens, order):
     computed over packed monomials, as integer-primitive Polys, and the
     run's :class:`KernelStats`."""
     reg = gens[0].registry
-    active = sorted({i for g in gens for m in g.terms for i, e in enumerate(m) if e})
+    active = sorted({i for g in gens for m in g.ints for i, e in enumerate(m) if e})
     pk = _Packing(order, len(reg), active)
     entries = []
     sugars = []  # sugar degree of each entry
     pairs = {}
     n_created = n_reduced = n_zero = 0
     for g in gens:
-        r, _ = _int_nf(_int_terms(g, pk)[0], entries, pk)
+        r, _ = _int_nf([pk.pack(m) + (c,) for m, c in g.ints.items()], entries, pk)
         if r:
             pairs, new = _gm_update(entries, sugars, pairs, r, g.total_degree(), pk)
             n_created += new
@@ -531,10 +515,8 @@ def _buchberger_int(gens, order):
         others = minimal[:i] + minimal[i + 1 :]
         reduced.append(_int_nf([e[:3], *zip(*e[3])], others, pk)[0])
     reduced.sort(key=lambda terms: terms[0][0])
-    polys = [
-        Poly(reg, {pk.unpack(p): Fraction(c) for _, p, c in terms})
-        for terms in reduced
-    ]
+    # integer-primitive numerators over 1: already canonical
+    polys = [Poly.over(reg, {pk.unpack(p): c for _, p, c in terms}) for terms in reduced]
     return polys, KernelStats(n_created, n_reduced, n_zero)
 
 
@@ -580,17 +562,17 @@ def eliminate(ideal, drop, inner_names=None):
     drop_idx = {reg.index(n) for n in drop}
     steps = [1] * len(reg)
     for i in drop_idx:
-        steps[i] = gcd(*(m[i] for p in gens for m in p.terms)) or 1
+        steps[i] = gcd(*(m[i] for p in gens for m in p.ints)) or 1
     if any(x > 1 for x in steps):
         gens = [
-            Poly(reg, {tuple(e // x for e, x in zip(m, steps)): c for m, c in p.terms.items()})
+            Poly.over(reg, {tuple(e // x for e, x in zip(m, steps)): c for m, c in p.ints.items()}, p.den)
             for p in gens
         ]
     gb = buchberger(gens, order)
     kept = [
         p
         for p in gb.polys
-        if all(all(m[i] == 0 for i in drop_idx) for m in p.terms)
+        if all(all(m[i] == 0 for i in drop_idx) for m in p.ints)
     ]
     return GroebnerBasis(kept, GrevLex(order.rest), stats=gb.stats)
 
@@ -651,14 +633,12 @@ def resultant(f, g, var):
     i = reg.index(var)
 
     def coeff_list(p):
-        """Integer coefficients in ``var``, highest degree first, and the
-        denominator cleared from ``p``."""
-        denom = lcm(*(c.denominator for c in p.terms.values()))
+        """Integer numerators in ``var``, highest degree first, and their
+        denominator."""
         rows = [dict() for _ in range(p.degree_in(var) + 1)]
-        for mono, c in p.terms.items():
-            rest = mono[:i] + (0,) + mono[i + 1 :]
-            rows[mono[i]][rest] = c.numerator * (denom // c.denominator)
-        return rows[::-1], denom
+        for mono, c in p.ints.items():
+            rows[mono[i]][mono[:i] + (0,) + mono[i + 1 :]] = c
+        return rows[::-1], p.den
 
     fc, df = coeff_list(f)
     gc, dg = coeff_list(g)
@@ -676,7 +656,7 @@ def resultant(f, g, var):
             rows.append(row)
     scale = df**n * dg**m
     det = _bareiss_int(rows)
-    return Poly(reg, {mono: Fraction(c, scale) for mono, c in det.items()})
+    return Poly.over(reg, det, scale)
 
 
 def standard_monomials(gb):

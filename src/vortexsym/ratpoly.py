@@ -1,10 +1,17 @@
 """Exact multivariate polynomial arithmetic over Q with pluggable monomial orders.
 
-Polynomials are sparse maps from exponent tuples to nonzero ``Fraction``
-coefficients, tied to an immutable variable registry.  Mixing registries is
-an error: the classification pipeline switches between several variable
-worlds (trig variables, the half-angle variable, circulation parameters)
-and silent coercion between them is the main source of bugs.
+A polynomial is a sparse map from exponent tuples to integer numerators
+over one positive denominator, tied to an immutable variable registry: the
+content/primitive split of Geddes, Czapor & Labahn (*Algorithms for Computer
+Algebra*, 1992), as in FLINT's ``fmpq_poly``.  The form is canonical: no
+numerator is zero and the gcd of the denominator and every numerator is 1,
+so equal polynomials have equal (numerators, denominator) pairs.  Ring
+operations run on ints and take one gcd at the end to restore the form;
+``Poly.terms`` reads the coefficients back as ``Fraction``s for callers
+outside the arithmetic.  Mixing registries is an error: the classification
+pipeline switches between several variable worlds (trig variables, the
+half-angle variable, circulation parameters) and silent coercion between
+them is the main source of bugs.
 
 Every exact quotient in the package runs through one kernel,
 :func:`_div_exact`, on integer coefficients keyed by monomial:
@@ -22,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 
@@ -147,10 +154,6 @@ class MonomialOrder:
     def weights(self, nvars):
         raise NotImplementedError
 
-    def sort_terms(self, terms):
-        """Terms of a coefficient map sorted leading-first."""
-        return sorted(terms.items(), key=lambda t: self.key(t[0]), reverse=True)
-
 
 class Lex(MonomialOrder):
     kind = "lex"
@@ -261,16 +264,15 @@ def elimination(registry, drop, inner_names=None):
     return Elimination(block, rest)
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value):
+    """``value`` as an integer pair (numerator, denominator > 0)."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
 def _mul_terms(a, b):
-    """Product of two term dicts, in the order the nested loop meets it."""
+    """Product of two integer term dicts, in the order the nested loop meets it."""
     res = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -299,78 +301,107 @@ class Immutable:
 
 
 class Poly(Immutable):
-    """Sparse multivariate polynomial with exact rational coefficients;
-    ``terms`` is a read-only view and no attribute can be assigned or
-    deleted after construction, so a polynomial never changes."""
+    """Sparse multivariate polynomial: the read-only map ``ints`` of
+    integer numerators over the denominator ``den``, in the canonical form
+    of the module docstring (the zero polynomial is ``{}`` over 1).
+    ``terms`` reads the coefficients back as ``Fraction``s.  No attribute
+    can be assigned or deleted, so a polynomial never changes."""
 
-    __slots__ = ("registry", "terms")
+    __slots__ = ("registry", "ints", "den")
 
     def __init__(self, registry, terms=None):
-        object.__setattr__(self, "registry", registry)
-        clean = {}
-        if terms:
-            n = len(registry)
-            for mono, coeff in terms.items():
-                coeff = _as_fraction(coeff)
-                if coeff == 0:
-                    continue
+        n = len(registry)
+        pairs = {}
+        for mono, coeff in (terms or {}).items():
+            num, den = _ratio(coeff)
+            if num:
                 if len(mono) != n or any(e < 0 for e in mono):
                     raise ValueError(f"bad exponent tuple {mono} for registry of size {n}")
-                clean[tuple(mono)] = coeff
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+                pairs[tuple(mono)] = num, den
+        # reduced numerators share no factor with the lcm of the denominators
+        den = lcm(*(d for _, d in pairs.values()))
+        _set_registry(self, registry)
+        _set_ints(self, MappingProxyType({m: num * (den // d) for m, (num, d) in pairs.items()}))
+        _set_den(self, den)
+
+    @staticmethod
+    def over(registry, ints, den=1):
+        """The polynomial ``ints / den`` in canonical form, from a fresh dict
+        of nonzero integer numerators, which it takes over, and a nonzero
+        integer ``den``.  The slots are set through their descriptors, the
+        cheapest way past ``Immutable.__setattr__``."""
+        if den != 1:
+            g = gcd(den, *ints.values()) if den > 0 else -gcd(den, *ints.values())
+            if g != 1:
+                ints = {m: c // g for m, c in ints.items()}
+                den //= g
+        p = _new(Poly)
+        _set_registry(p, registry)
+        _set_ints(p, MappingProxyType(ints))
+        _set_den(p, den)
+        return p
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return Poly.over, (self.registry, self.ints.copy(), self.den)
+
+    @property
+    def terms(self):
+        """Read-only ``{monomial: Fraction}`` view of the coefficients."""
+        den = self.den
+        return MappingProxyType({m: Fraction(c, den) for m, c in self.ints.items()})
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, registry):
-        return cls(registry, {})
+        return Poly.over(registry, {})
 
     @classmethod
     def constant(cls, registry, value):
-        zero = (0,) * len(registry)
-        return cls(registry, {zero: _as_fraction(value)})
+        num, den = _ratio(value)
+        return Poly.over(registry, {(0,) * len(registry): num} if num else {}, den)
 
     @classmethod
     def variable(cls, registry, name, power=1):
         exps = [0] * len(registry)
         exps[registry.index(name)] = power
-        return cls(registry, {tuple(exps): Fraction(1)})
+        return Poly.over(registry, {tuple(exps): 1})
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def is_constant(self):
-        return all(mono_degree(m) == 0 for m in self.terms)
+        return all(mono_degree(m) == 0 for m in self.ints)
 
     def total_degree(self):
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(mono_degree(m) for m in self.ints)
 
     def degree_in(self, name):
-        if not self.terms:
+        if not self.ints:
             return -1
         i = self.registry.index(name)
-        return max(m[i] for m in self.terms)
+        return max(m[i] for m in self.ints)
 
     def uses(self, name):
         i = self.registry.index(name)
-        return any(m[i] for m in self.terms)
+        return any(m[i] for m in self.ints)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.registry, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.registry == other.registry and self.terms == other.terms
+        return self.registry == other.registry and self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash((self.registry, frozenset(self.terms.items())))
+        return hash((self.registry, self.den, frozenset(self.ints.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.ints)
 
     # -- ring operations ---------------------------------------------------
 
@@ -388,58 +419,59 @@ class Poly(Immutable):
             return other
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) + c
+    def _combine(self, other, sign):
+        """``self + sign * other`` over the lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        res = {m: c * sa for m, c in self.ints.items()} if sa != 1 else self.ints.copy()
+        for m, c in other.ints.items():
+            s = res.get(m, 0) + sb * c
             if s:
                 res[m] = s
             else:
                 res.pop(m, None)
-        return Poly._raw(self.registry, res)
+        return Poly.over(self.registry, res, den)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(self.registry, {m: -c for m, c in self.terms.items()})
+        return Poly.over(self.registry, {m: -c for m, c in self.ints.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) - c
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
-        return Poly._raw(self.registry, res)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
+    def _scaled(self, num, den):
+        """``self * num / den`` for ints ``num`` and ``den != 0``."""
+        ints = {m: c * num for m, c in self.ints.items()} if num else {}
+        return Poly.over(self.registry, ints, self.den * den)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly.zero(self.registry)
-            other = _as_fraction(other)
-            return Poly._raw(self.registry, {m: c * other for m, c in self.terms.items()})
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return Poly._raw(self.registry, _mul_terms(self.terms, other.terms))
+        return Poly.over(self.registry, _mul_terms(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        scalar = _as_fraction(scalar)
-        if scalar == 0:
+        num, den = _ratio(scalar)
+        if not num:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        return self * (Fraction(1) / scalar)
+        return self._scaled(den, num)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -453,65 +485,50 @@ class Poly(Immutable):
             n >>= 1
         return result
 
-    @classmethod
-    def _raw(cls, registry, terms):
-        p = object.__new__(cls)
-        object.__setattr__(p, "registry", registry)
-        object.__setattr__(p, "terms", MappingProxyType(terms))
-        return p
-
-    def __reduce__(self):  # a mappingproxy does not pickle
-        return Poly._raw, (self.registry, dict(self.terms))
-
     # -- leading data ------------------------------------------------------
+
+    def leading_monomial(self, order):
+        """The order-maximal monomial; errors on zero."""
+        if not self.ints:
+            raise ValueError("zero polynomial has no leading term")
+        return max(self.ints, key=order.key)
 
     def leading_term(self, order):
         """The order-maximal (monomial, coefficient) pair; errors on zero."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
-
-    def leading_monomial(self, order):
-        return self.leading_term(order)[0]
-
-    def leading_coefficient(self, order):
-        return self.leading_term(order)[1]
-
-    def sorted_terms(self, order):
-        return order.sort_terms(self.terms)
+        m = self.leading_monomial(order)
+        return m, Fraction(self.ints[m], self.den)
 
     # -- normalisation -----------------------------------------------------
+
+    def _content(self, order):
+        """The gcd of the numerators, signed like the leading one, and the
+        primitive part: ``self == content / den * primitive``."""
+        g = gcd(*self.ints.values())
+        if self.ints[self.leading_monomial(order or _GREVLEX)] < 0:
+            g = -g
+        if g == 1 and self.den == 1:
+            return 1, self
+        return g, Poly.over(self.registry, {m: c // g for m, c in self.ints.items()})
 
     def content_strip(self, order=None):
         """Split ``p = c * q`` with ``q`` integer-primitive and positive-leading.
 
         Returns ``(c, q)``.  The zero polynomial yields ``(1, 0)``.
         """
-        if not self.terms:
+        if not self.ints:
             return Fraction(1), self
-        if order is None:
-            order = GrevLex()
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        if self.leading_coefficient(order) < 0:
-            content = -content
-        q = Poly._raw(self.registry, {m: c / content for m, c in self.terms.items()})
-        return content, q
+        g, q = self._content(order)
+        return Fraction(g, self.den), q
 
     def primitive(self, order=None):
-        return self.content_strip(order)[1]
+        return self._content(order)[1] if self.ints else self
 
     # -- division ----------------------------------------------------------
 
     def divide_exact(self, divisor):
         """Exact quotient ``q`` with ``q * divisor == self``.
 
-        Divides the integer-primitive parts of both operands with
+        Divides the integer-primitive parts of both numerators with
         :func:`_div_exact` and scales the quotient by the ratio of their
         contents: by Gauss's lemma a primitive divisor divides over Q
         exactly when it divides over Z.  When the division does not come
@@ -521,19 +538,21 @@ class Poly(Immutable):
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        num_content, num = self.content_strip()
-        den_content, den = divisor.content_strip()
+        if self.is_zero():
+            return self
+        num_content = gcd(*self.ints.values())
+        den_content = gcd(*divisor.ints.values())
         try:
             quotient = _div_exact(
-                {m: c.numerator for m, c in num.terms.items()},
-                {m: c.numerator for m, c in den.terms.items()},
+                {m: c // num_content for m, c in self.ints.items()},
+                {m: c // den_content for m, c in divisor.ints.items()},
             )
         except ExactDivisionError as err:
-            raise ExactDivisionError(
-                Poly._raw(self.registry, {m: c * num_content for m, c in err.remainder.items()})
-            ) from None
-        ratio = num_content / den_content
-        return Poly._raw(self.registry, {m: q * ratio for m, q in quotient.items()})
+            left = {m: c * num_content for m, c in err.remainder.items()}
+            raise ExactDivisionError(Poly.over(self.registry, left, self.den)) from None
+        scale = num_content * divisor.den
+        quotient = {m: q * scale for m, q in quotient.items()}
+        return Poly.over(self.registry, quotient, self.den * den_content)
 
     def try_divide(self, divisor):
         """Exact quotient, or None when the division is not exact."""
@@ -547,75 +566,88 @@ class Poly(Immutable):
     def evaluate(self, values):
         """Evaluate at a point given as ``{name: value}``; missing names error.
 
-        Exact when all values are int/Fraction; float values give floats.
+        Exact when all values are int/Fraction: the polynomial is
+        substituted at the point on integers, and only the value becomes a
+        ``Fraction``.  Float values give floats.
         """
-        point = [values[n] for n in self.registry.names]
+        point = {n: values[n] for n in self.registry.names}
+        if all(isinstance(x, (int, Fraction)) for x in point.values()):
+            value = self.subs(point)
+            return Fraction(value.ints.get((0,) * len(point), 0), value.den)
         total = 0
         for mono, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(point, mono):
+            for x, e in zip(point.values(), mono):
                 if e:
-                    term = term * x**e
-            total = total + term
+                    coeff = coeff * x**e
+            total = total + coeff
         return total
 
     def subs(self, mapping):
         """Substitute polynomials (or scalars) for variables, same registry.
 
-        One pass over the terms into one dict: a scalar image multiplies
-        straight into the coefficient, an unmapped variable stays in the
-        monomial, and each polynomial image enters as its power, computed
-        once per exponent.
+        One pass over the terms: a scalar image n/d multiplies n^e into the
+        numerator and d^e into the term's denominator, an unmapped variable
+        stays in the monomial, and each polynomial image enters as its
+        power, computed once per exponent.  The terms are then summed over
+        the lcm of their denominators.
         """
         reg = self.registry
         images = []
         for name in reg.names:
             v = mapping.get(name)
             if isinstance(v, (int, Fraction)):
-                v = _as_fraction(v)
+                v = (v.numerator, v.denominator)
             elif v is not None and v.registry != reg:
                 raise RegistryMismatchError("substitution image in a different registry")
             images.append(v)
         powers = {}
-        result = {}
-        for mono, coeff in self.terms.items():
+        pieces = []
+        for mono, c in self.ints.items():
             kept = list(mono)
             factors = []
+            d = 1
             for i, e in enumerate(mono):
                 v = images[i]
                 if not e or v is None:
                     continue
                 kept[i] = 0
-                if isinstance(v, Fraction):
-                    coeff *= v**e
+                if type(v) is tuple:
+                    c *= v[0] ** e
+                    d *= v[1] ** e
                 else:
                     if (i, e) not in powers:
-                        powers[(i, e)] = (v**e).terms
-                    factors.append(powers[(i, e)])
-            if not coeff:
+                        powers[(i, e)] = v**e
+                    factors.append(powers[(i, e)].ints)
+                    d *= powers[(i, e)].den
+            if not c:
                 continue
-            term = {tuple(kept): coeff}
+            term = {tuple(kept): c}
             for f in factors:
                 term = _mul_terms(term, f)
+            pieces.append((term, d))
+        den = lcm(*(d for _, d in pieces))
+        result = {}
+        for term, d in pieces:
+            scale = den // d
             for m, c in term.items():
-                s = result.get(m, 0) + c
+                s = result.get(m, 0) + c * scale
                 if s:
                     result[m] = s
                 else:
                     result.pop(m, None)
-        return Poly._raw(reg, result)
+        return Poly.over(reg, result, self.den * den)
 
     def map_to(self, registry):
         """Re-express the polynomial in another registry.
 
         Every used variable must exist in the target; unused variables may
-        be dropped or added freely.
+        be dropped or added freely, so distinct monomials stay distinct.
         """
         names = enumerate(self.registry.names)
         positions = {i: registry.index(name) for i, name in names if registry.contains(name)}
         n = len(registry)
-        terms = {}
-        for mono, coeff in self.terms.items():
+        ints = {}
+        for mono, coeff in self.ints.items():
             exps = [0] * n
             for i, e in enumerate(mono):
                 if not e:
@@ -626,8 +658,8 @@ class Poly(Immutable):
                         f"from target registry {registry}"
                     )
                 exps[positions[i]] = e
-            terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
-        return Poly(registry, terms)
+            ints[tuple(exps)] = coeff
+        return Poly.over(registry, ints, self.den)
 
     def coefficients_in(self, names):
         """Group terms by their monomial in ``names``.
@@ -639,36 +671,36 @@ class Poly(Immutable):
         idx = [self.registry.index(n) for n in names]
         idx_set = set(idx)
         groups = {}
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self.ints.items():
             sub = tuple(mono[i] for i in idx)
             rest = tuple(0 if i in idx_set else e for i, e in enumerate(mono))
-            bucket = groups.setdefault(sub, {})
-            bucket[rest] = bucket.get(rest, Fraction(0)) + coeff
-        return {sub: Poly(self.registry, bucket) for sub, bucket in groups.items()}
+            groups.setdefault(sub, {})[rest] = coeff
+        return {sub: Poly.over(self.registry, bucket, self.den) for sub, bucket in groups.items()}
 
     # -- text format ---------------------------------------------------------
 
     def format(self, order=None):
         """Canonical text: terms sorted leading-first under ``order``."""
-        if not self.terms:
+        if not self.ints:
             return "0"
         if order is None:
-            order = GrevLex()
+            order = _GREVLEX
         parts = []
-        for mono, coeff in self.sorted_terms(order):
+        for mono, coeff in sorted(self.ints.items(), key=lambda t: order.key(t[0]), reverse=True):
             factors = []
             for name, e in zip(self.registry.names, mono):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            mag = abs(coeff)
+            g = gcd(coeff, self.den)
+            mag = str(abs(coeff) // g) + (f"/{self.den // g}" if self.den != g else "")
             if not factors:
-                body = _format_rational(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = _format_rational(mag) + "*" + "*".join(factors)
+                body = mag + "*" + "*".join(factors)
             if not parts:
                 parts.append(body if coeff > 0 else "-" + body)
             else:
@@ -683,106 +715,91 @@ class Poly(Immutable):
         return _parse_poly(registry, text)
 
 
-def _format_rational(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+_new = object.__new__
+_set_registry, _set_ints, _set_den = (vars(Poly)[name].__set__ for name in Poly.__slots__)
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
-)
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
 
 
 def _tokenize(text):
-    pos = 0
-    out = []
+    """(kind, value) tokens of ``text``, closed by an ("end", None) sentinel."""
+    out, pos, text = [], 0, text.rstrip()
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize polynomial text at {text[pos:]!r}")
-            break
+        if not m:
+            raise ValueError(f"cannot tokenize polynomial text at {text[pos:]!r}")
         pos = m.end()
-        if m.lastgroup == "num":
-            out.append(("num", int(m.group("num"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-    return out
+        num, name, op = m.groups()
+        out.append(("num", int(num)) if num else ("name", name) if name else ("op", op))
+    return out + [("end", None)]
 
 
 def _parse_poly(registry, text):
     """Parse the canonical text format: terms like ``-3/2*x^2*y + z - 7``.
 
     ``^`` for powers; ``*`` optional between a coefficient and its monomial.
-    Parentheses are not part of the format.
+    Parentheses are not part of the format.  Each term is read as an
+    integer pair (numerator, denominator); the sum is taken over the lcm of
+    the denominators.
     """
     tokens = _tokenize(text)
-    if not tokens:
+    if len(tokens) == 1:
         raise ValueError("empty polynomial text")
-    n = len(registry)
-    result = {}
+    terms = []  # (monomial, numerator, denominator) of each term
     i = 0
-
-    def term_done(coeff, exps):
-        key = tuple(exps)
-        s = result.get(key, Fraction(0)) + coeff
-        if s:
-            result[key] = s
-        else:
-            result.pop(key, None)
-
-    while i < len(tokens):
+    while tokens[i][0] != "end":
         sign = 1
-        while i < len(tokens) and tokens[i] in (("op", "-"), ("op", "+")):
-            if tokens[i] == ("op", "-"):
+        while tokens[i] in (("op", "-"), ("op", "+")):
+            if tokens[i][1] == "-":
                 sign = -sign
             i += 1
-        if i >= len(tokens):
+        if tokens[i][0] == "end":
             raise ValueError(f"dangling sign in {text!r}")
-        coeff = Fraction(sign)
-        exps = [0] * n
-        saw_factor = False
-        expect_factor = True
-        while i < len(tokens):
+        num, den, exps = sign, 1, [0] * len(registry)
+        saw_factor, expect_factor = False, True
+        while True:
+            # a token other than the sentinel is followed by two more
             kind, value = tokens[i]
             if kind == "num":
-                num = value
-                i += 1
-                if i < len(tokens) and tokens[i] == ("op", "/"):
-                    if i + 1 >= len(tokens) or tokens[i + 1][0] != "num":
+                num *= value
+                if tokens[i + 1] == ("op", "/"):
+                    if tokens[i + 2][0] != "num":
                         raise ValueError(f"malformed fraction in {text!r}")
-                    coeff *= Fraction(num, tokens[i + 1][1])
+                    if not tokens[i + 2][1]:
+                        raise ZeroDivisionError(f"zero denominator in {text!r}")
+                    den *= tokens[i + 2][1]
                     i += 2
-                else:
-                    coeff *= num
-                saw_factor = True
             elif kind == "name":
                 j = registry.index(value)
-                power = 1
-                i += 1
-                if i < len(tokens) and tokens[i] == ("op", "^"):
-                    if i + 1 >= len(tokens) or tokens[i + 1][0] != "num":
+                if tokens[i + 1] == ("op", "^"):
+                    if tokens[i + 2][0] != "num":
                         raise ValueError(f"malformed power in {text!r}")
-                    power = tokens[i + 1][1]
+                    exps[j] += tokens[i + 2][1] - 1
                     i += 2
-                exps[j] += power
-                saw_factor = True
+                exps[j] += 1
             elif (kind, value) == ("op", "*"):
                 i += 1
                 expect_factor = True
                 continue
             else:
                 break
-            expect_factor = False
+            i += 1
+            saw_factor, expect_factor = True, False
         if not saw_factor or expect_factor:
             raise ValueError(f"malformed term in {text!r}")
-        term_done(coeff, exps)
-        if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] not in "+-":
+        terms.append((tuple(exps), num, den))
+        if tokens[i][0] == "op" and tokens[i][1] not in "+-":
             raise ValueError(f"unexpected {tokens[i][1]!r} in {text!r}")
-    return Poly(registry, result)
+    den = lcm(*(d for _, _, d in terms))
+    result = {}
+    for key, num, d in terms:
+        s = result.get(key, 0) + num * (den // d)
+        if s:
+            result[key] = s
+        else:
+            result.pop(key, None)
+    return Poly.over(registry, result, den)
 
 
 # ---------------------------------------------------------------------------

@@ -51,17 +51,13 @@ class InertiaCountError(ArithmeticError):
 
 
 def coeffs_from_poly(p, var):
-    """Dense ascending coefficient list of a polynomial univariate in ``var``."""
-    reg = p.registry
-    i = reg.index(var)
-    deg = 0
-    for m in p.terms:
-        if any(e and j != i for j, e in enumerate(m)):
-            raise ValueError(f"polynomial is not univariate in {var!r}")
-        deg = max(deg, m[i])
-    out = [Fraction(0)] * (deg + 1)
-    for m, c in p.terms.items():
-        out[m[i]] = c
+    """Dense ascending ``Fraction`` coefficients of a polynomial in ``var`` alone."""
+    i = p.registry.index(var)
+    if any(e and j != i for m in p.ints for j, e in enumerate(m)):
+        raise ValueError(f"polynomial is not univariate in {var!r}")
+    out = [Fraction(0)] * (p.degree_in(var) + 1)
+    for m, c in p.ints.items():
+        out[m[i]] = Fraction(c, p.den)
     return _trim(out)
 
 
@@ -584,22 +580,23 @@ def _lower_poly(rows, entries):
     for p in polys:
         if p.registry != reg:
             raise RegistryMismatchError(f"cannot mix registries {reg} and {p.registry}")
-    top = max((e for p in polys for m in p.terms for e in m), default=0)
+    top = max((e for p in polys for m in p.ints for e in m), default=0)
     width = (len(rows) * top).bit_length() or 1
     shifts = range(0, width * len(reg), width)
     mask = (1 << width) - 1
 
-    def parts(c):
+    def lowered(c):  # integer numerators keyed by packed monomial, and their denominator
         if not isinstance(c, Poly):
-            return (_constant_part(c),)
-        return [(sum(e << s for e, s in zip(m, shifts)), q) for m, q in c.terms.items()]
+            _, q = _constant_part(c)
+            return ({0: q.numerator} if q else {}), q.denominator
+        return {sum(e << s for e, s in zip(m, shifts)): n for m, n in c.ints.items()}, c.den
 
     def lift(c, scale):
-        return Poly(reg, {tuple(key >> s & mask for s in shifts): Fraction(v, scale) for key, v in c.items()})
+        return Poly.over(reg, {tuple(key >> s & mask for s in shifts): v for key, v in c.items()}, scale)
 
-    split = [[[(k, q) for k, q in parts(c) if q] for c in row] for row in rows]
-    d = lcm(*(q.denominator for row in split for entry in row for _, q in entry))
-    a = [[{k: q.numerator * (d // q.denominator) for k, q in entry} for entry in row] for row in split]
+    split = [[lowered(c) for c in row] for row in rows]
+    d = lcm(*(den for row in split for _, den in row))
+    a = [[{k: n * (d // den) for k, n in ints.items()} for ints, den in row] for row in split]
     return a, d, lift
 
 
@@ -790,11 +787,10 @@ def _border_normal_forms(gb, basis):
     table = {}
     for g in gb.polys:
         lm = g.leading_monomial(gb.order)
-        scale = lcm(*(c.denominator for c in g.terms.values()))
-        lc = g.terms[lm].numerator * (scale // g.terms[lm].denominator)
+        lc = g.ints[lm]
         sign = -1 if lc > 0 else 1
         u = [0] * d
-        for m, c in g.terms.items():
+        for m, c in g.ints.items():
             if m == lm:
                 continue
             if m not in index:
@@ -802,7 +798,7 @@ def _border_normal_forms(gb, basis):
                     f"basis element {g.format(gb.order)} is not reduced: "
                     f"its tail monomial {m} is not standard"
                 )
-            u[index[m]] = sign * c.numerator * (scale // c.denominator)
+            u[index[m]] = sign * c
         table[lm] = _primitive_over(u, abs(lc))
     border = {_shift(b, v) for b in basis for v in range(nvars)} - index.keys()
     for t in sorted(border - table.keys(), key=gb.order.key):

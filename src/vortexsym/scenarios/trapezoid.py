@@ -7,8 +7,10 @@ returning a frozen result that carries its own oracle checks:
   r-polynomials;
 * ``elimination_ideal`` (:class:`EliminationIdeal`) eliminates the
   half-angle variable: nine polynomials over the circulations whose variety
-  splits into the square family (mu1 = mu3, mu2 = mu4) and three plane
-  families;
+  contains the square family (mu1 = mu3, mu2 = mu4), three plane families
+  and the planes {mu1 = 0, mu2 = mu4} and {mu1 = 0, mu4 = 0}; those two
+  need a zero circulation, which ``Configuration`` rejects, so no report
+  admits them;
 * ``plane_factorisation`` (:class:`PlaneSplit`) splits the quintic form
   inside the sixth basis element into three real planes and a positive
   semi-definite quadratic;
@@ -363,8 +365,8 @@ def _a_of_b(polys):
     for p in polys:
         groups = p.coefficients_in(["a"])
         if set(groups) == {(0,), (1,)} and groups[(1,)].is_constant():
-            (lead,) = groups[(1,)].terms.values()
-            return -1 * groups[(0,)] / lead
+            (lead,) = groups[(1,)].ints.values()
+            return groups[(0,)] * Fraction(-groups[(1,)].den, lead)
     raise IdealShapeError("no element of the plane-coefficient basis gives a as a polynomial in b")
 
 
@@ -734,7 +736,10 @@ def angle_analysis(comps, plane):
     """The angle stage from the pipeline output and ``plane``; see :class:`AngleAnalysis`."""
     checks = Checks()
     ideal = Ideal.of(*([c.r_poly for c in comps] + [Poly.parse(R_REGISTRY, targets.P1_QUINTIC)]))
-    gb_vt = eliminate(ideal, ["mu2", "mu4"], inner_names=["r", "mu1", "mu3"])
+    # Any order on the dropped block gives the same reduced basis of the
+    # elimination ideal under grevlex(r, mu1, mu3): the block-order basis
+    # elements free of mu2 and mu4 are that basis.  mu4 first runs shorter.
+    gb_vt = eliminate(ideal, ["mu4", "mu2"], inner_names=["r", "mu1", "mu3"])
     reference = targets.valid_theta_basis(R_REGISTRY)
     checks.add(
         "angle_projection_ideal",

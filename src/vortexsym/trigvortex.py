@@ -202,12 +202,12 @@ def s_reduce(p):
     reg = p.registry
     si = reg.index("s")
     ci = reg.index("c")
-    out = {}
+    out = {}  # integer numerators over p.den
     pyth_cache = {}
-    for mono, coeff in p.terms.items():
+    for mono, coeff in p.ints.items():
         e = mono[si]
         if e < 2:
-            out[mono] = out.get(mono, Fraction(0)) + coeff
+            out[mono] = out.get(mono, 0) + coeff
             continue
         half, rem = divmod(e, 2)
         if half not in pyth_cache:
@@ -215,16 +215,16 @@ def s_reduce(p):
             pyth_cache[half] = base**half
         stripped = list(mono)
         stripped[si] = rem
-        for m2, c2 in pyth_cache[half].terms.items():
+        for m2, c2 in pyth_cache[half].ints.items():
             mm = list(stripped)
             mm[ci] += m2[ci]
             key = tuple(mm)
-            v = out.get(key, Fraction(0)) + coeff * c2
+            v = out.get(key, 0) + coeff * c2
             if v:
                 out[key] = v
             else:
                 out.pop(key, None)
-    return Poly(reg, out)
+    return Poly.over(reg, {m: c for m, c in out.items() if c}, p.den)
 
 
 class TrigRational(Immutable):
@@ -371,7 +371,7 @@ def half_angle_polynomialize(t):
     ci = TRIG_REGISTRY.index("c")
     if p.is_zero():
         return Poly.zero(R_REGISTRY)
-    clear = max(m[si] + m[ci] for m in p.terms)
+    clear = max(m[si] + m[ci] for m in p.ints)
     r = Poly.variable(R_REGISTRY, "r")
     one = Poly.constant(R_REGISTRY, 1)
     sin_num = 2 * r
@@ -387,10 +387,10 @@ def half_angle_polynomialize(t):
         return cache[e]
 
     out = Poly.zero(R_REGISTRY)
-    for mono, coeff in p.terms.items():
+    for mono, coeff in p.ints.items():
         e, k = mono[si], mono[ci]
         mu_mono = (0,) + mono[2:]
-        term = Poly(R_REGISTRY, {mu_mono: coeff})
+        term = Poly.over(R_REGISTRY, {mu_mono: coeff}, p.den)
         term = term * power(powers_sin, sin_num, e)
         term = term * power(powers_cos, cos_num, k)
         term = term * power(powers_unit, unit, clear - e - k)
@@ -429,7 +429,7 @@ def reduce_component(i, scenario):
     core, trig_factors = strip_collision_factors(trig.num, scenario)
     si = TRIG_REGISTRY.index("s")
     ci = TRIG_REGISTRY.index("c")
-    clear = max(m[si] + m[ci] for m in core.terms)
+    clear = max(m[si] + m[ci] for m in core.ints)
     raw = half_angle_polynomialize(core)
     stripped, r_factors = strip_collision_factors(raw, scenario)
     content, canonical = stripped.content_strip(_ORDER)
@@ -505,12 +505,12 @@ def _eval_in_c(poly, x):
     """Value of a polynomial in c at c = x, by ring operations only."""
     c_idx = TRIG_REGISTRY.index("c")
     total = 0
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in poly.ints.items():
         term = coeff
         for _ in range(mono[c_idx]):
             term = term * x
         total = total + term
-    return total
+    return total / poly.den if poly.den != 1 else total
 
 
 def scenario_cos_table(scenario, cos_theta2=None):

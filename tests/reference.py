@@ -1,7 +1,8 @@
 """Plain references over Q that the tests check the package's kernels against.
 
-``reduce`` is textbook multivariate division with remainder on ``Fraction``
-coefficients; ``textbook_basis`` and ``reference_hermite`` are built on it.
+``FracPoly`` is polynomial arithmetic on ``{monomial: Fraction}`` dicts,
+the oracle for ``ratpoly.Poly``.  ``reduce`` is textbook multivariate
+division with remainder on ``Fraction`` coefficients; ``textbook_basis`` and ``reference_hermite`` are built on it.
 ``box_standard_monomials`` filters the box below the pure powers.
 ``s_polynomial`` and ``buchberger_criterion`` check a basis pair by pair.
 ``reference_char_poly`` is Faddeev-LeVerrier over the entries' own ring.
@@ -33,6 +34,7 @@ def reduce(p, divisors, order):
     lead = [d.leading_term(order) for d in divisors]
     quotients = [dict() for _ in divisors]
     remainder = {}
+    tails = [dict(d.terms) for d in divisors]
     work = dict(p.terms)
     while work:
         m = max(work, key=order.key)
@@ -42,7 +44,7 @@ def reduce(p, divisors, order):
                 qm = mono_div(m, dm)
                 qc = c / dc
                 quotients[i][qm] = quotients[i].get(qm, 0) + qc
-                for m2, c2 in divisors[i].terms.items():
+                for m2, c2 in tails[i].items():
                     if m2 == dm:
                         continue
                     mm = mono_mul(qm, m2)
@@ -58,6 +60,155 @@ def reduce(p, divisors, order):
         [Poly(reg, q) for q in quotients],
         Poly(reg, remainder),
     )
+
+
+class FracPoly:
+    """A polynomial as a dict ``{monomial: Fraction}`` of nonzero
+    coefficients: the arithmetic ``ratpoly.Poly`` ran before it moved to
+    integer numerators over one denominator, kept as the oracle for it.
+    Every operation builds its dict in the same order as ``Poly`` does, so
+    ``terms`` of both agree as ordered lists."""
+
+    def __init__(self, registry, terms):
+        self.registry = registry
+        self.terms = {m: Fraction(c) for m, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, poly):
+        return cls(poly.registry, poly.terms)
+
+    def _scalar(self, value):
+        zero = (0,) * len(self.registry)
+        return FracPoly(self.registry, {zero: value})
+
+    def _combine(self, other, sign):
+        if not isinstance(other, FracPoly):
+            other = self._scalar(other)
+        res = dict(self.terms)
+        for m, c in other.terms.items():
+            s = res.get(m, Fraction(0)) + sign * c
+            if s:
+                res[m] = s
+            else:
+                res.pop(m, None)
+        return FracPoly(self.registry, res)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return FracPoly(self.registry, {m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, FracPoly):
+            return FracPoly(self.registry, {m: c * other for m, c in self.terms.items()})
+        return FracPoly(self.registry, _frac_mul(self.terms, other.terms))
+
+    def __truediv__(self, scalar):
+        return self * (1 / Fraction(scalar))
+
+    def __pow__(self, n):
+        result = self._scalar(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def evaluate(self, values):
+        point = [values[n] for n in self.registry.names]
+        total = 0
+        for mono, coeff in self.terms.items():
+            term = coeff
+            for x, e in zip(point, mono):
+                if e:
+                    term = term * x**e
+            total = total + term
+        return total
+
+    def subs(self, mapping):
+        """``mapping`` sends names to scalars or ``FracPoly``s."""
+        images = [mapping.get(n) for n in self.registry.names]
+        powers = {}
+        result = {}
+        for mono, coeff in self.terms.items():
+            kept = list(mono)
+            factors = []
+            for i, e in enumerate(mono):
+                v = images[i]
+                if not e or v is None:
+                    continue
+                kept[i] = 0
+                if isinstance(v, FracPoly):
+                    if (i, e) not in powers:
+                        powers[(i, e)] = (v**e).terms
+                    factors.append(powers[(i, e)])
+                else:
+                    coeff *= Fraction(v) ** e
+            if not coeff:
+                continue
+            term = {tuple(kept): coeff}
+            for f in factors:
+                term = _frac_mul(term, f)
+            for m, c in term.items():
+                s = result.get(m, 0) + c
+                if s:
+                    result[m] = s
+                else:
+                    result.pop(m, None)
+        return FracPoly(self.registry, result)
+
+    def map_to(self, registry):
+        positions = [registry.index(n) if registry.contains(n) else None for n in self.registry.names]
+        terms = {}
+        for mono, coeff in self.terms.items():
+            exps = [0] * len(registry)
+            for i, e in enumerate(mono):
+                if e:
+                    exps[positions[i]] = e
+            terms[tuple(exps)] = coeff
+        return FracPoly(registry, terms)
+
+    def coefficients_in(self, names):
+        idx = [self.registry.index(n) for n in names]
+        groups = {}
+        for mono, coeff in self.terms.items():
+            sub = tuple(mono[i] for i in idx)
+            rest = tuple(0 if i in idx else e for i, e in enumerate(mono))
+            groups.setdefault(sub, {})[rest] = coeff
+        return {sub: FracPoly(self.registry, bucket) for sub, bucket in groups.items()}
+
+    def content_strip(self, order):
+        """``(c, q)`` with ``q`` integer-primitive and positive-leading."""
+        if not self.terms:
+            return Fraction(1), self
+        num_gcd = 0
+        den_lcm = 1
+        for c in self.terms.values():
+            num_gcd = math.gcd(num_gcd, c.numerator)
+            den_lcm = math.lcm(den_lcm, c.denominator)
+        content = Fraction(num_gcd, den_lcm)
+        if self.terms[max(self.terms, key=order.key)] < 0:
+            content = -content
+        return content, FracPoly(self.registry, {m: c / content for m, c in self.terms.items()})
+
+
+def _frac_mul(a, b):
+    res = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            s = res.get(m, 0) + c1 * c2
+            if s:
+                res[m] = s
+            else:
+                res.pop(m, None)
+    return res
 
 
 def mono_lcm(a, b):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from vortexsym import groebner
 from vortexsym.groebner import (
     ExponentOverflowError,
     GroebnerBasis,
@@ -538,3 +539,16 @@ def test_groebner_basis_repr_and_same_ideal():
     not_a_basis = [P("x^2 - y"), P("x^2 - 1")]
     assert set(gb.polys) != set(not_a_basis)
     assert gb.same_ideal_as(not_a_basis)
+
+
+def test_same_ideal_as_takes_scaled_basis_elements_without_a_buchberger_run(monkeypatch):
+    gb = buchberger(Ideal.of(P("x^2 - y"), P("y - 1")), lex(XYZ))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("buchberger must not run")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    scaled = [p * Fraction(-3, 7) for p in reversed(gb.polys)]
+    assert gb.same_ideal_as(scaled)
+    with pytest.raises(AssertionError, match="must not run"):
+        gb.same_ideal_as([P("x^2 - y"), P("x^2 - 1")])

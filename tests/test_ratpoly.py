@@ -3,7 +3,9 @@
 import pickle
 import random
 from copy import deepcopy
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,7 +20,7 @@ from vortexsym.ratpoly import (
     mono_degree,
 )
 
-from reference import reduce
+from reference import FracPoly, reduce
 
 XYZ = VarRegistry(["x", "y", "z"])
 
@@ -102,6 +104,126 @@ class TestArithmetic:
             assert (p - p).is_zero()
             assert p + q == q + p
             assert p * q == q * p
+
+
+def canonical(p):
+    """The integer form's invariant: den > 0, no zero numerator, and no
+    common factor of den and the numerators."""
+    return p.den > 0 and 0 not in p.ints.values() and gcd(p.den, *p.ints.values()) == 1
+
+
+def same(got, want):
+    """``got`` is canonical and equals the oracle's polynomial, term for
+    term and in the same order."""
+    return canonical(got) and list(got.terms.items()) == list(want.terms.items())
+
+
+class TestIntegerForm:
+    def test_canonical_form(self):
+        p = Poly(XYZ, {(1, 0, 0): Fraction(6, 4), (0, 1, 0): Fraction(-9, 6), (0, 0, 1): 0})
+        assert dict(p.ints) == {(1, 0, 0): 3, (0, 1, 0): -3} and p.den == 2
+        q = Poly.over(XYZ, {(1, 0, 0): 4, (0, 0, 0): -10}, -6)
+        assert dict(q.ints) == {(1, 0, 0): -2, (0, 0, 0): 5} and q.den == 3
+        for zero in (Poly.zero(XYZ), P("x - x"), P("3/4*x") * 0, Poly.over(XYZ, {}, 7)):
+            assert dict(zero.ints) == {} and zero.den == 1
+        for r in (p, q, p * q, p + q, p - p, p**3, P("2/6*x - 4/6"), (p * q).divide_exact(q)):
+            assert canonical(r)
+
+    def test_equal_polynomials_from_different_fractions_are_equal_and_hash_alike(self):
+        forms = [
+            Poly(XYZ, {(1, 0, 0): Fraction(1, 2), (0, 0, 0): 1}),
+            Poly(XYZ, {(1, 0, 0): Fraction(3, 6), (0, 0, 0): Fraction(4, 4)}),
+            P("x + 2") / 2,
+            P("1/4*x + 1/2") * 2,
+            P("2/4*x + 3/3"),
+            P("1/1*x") * Fraction(5, 10) + 1,
+        ]
+        assert len({(frozenset(f.ints.items()), f.den) for f in forms}) == 1
+        assert all(f == forms[0] and hash(f) == hash(forms[0]) for f in forms)
+        assert len(set(forms)) == 1
+        assert P("x + 1") != P("x + 1") / 2 and P("2") == 2 and P("1/2") == Fraction(1, 2)
+
+    def test_terms_are_a_read_only_view_of_fractions(self):
+        p = P("6/4*x^2 - 2*y + 1/3")
+        assert p.terms == {(2, 0, 0): Fraction(3, 2), (0, 1, 0): Fraction(-2), (0, 0, 0): Fraction(1, 3)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert dict(p.ints) == {(2, 0, 0): 9, (0, 1, 0): -12, (0, 0, 0): 2} and p.den == 6
+        for view in (p.terms, p.ints):
+            with pytest.raises(TypeError):
+                view[(0, 0, 1)] = 1
+        with pytest.raises(AttributeError):
+            p.den = 1
+        with pytest.raises(AttributeError):
+            p.ints = {}
+
+    def test_pickle_round_trip_keeps_the_integer_form(self):
+        # fork_call sends polynomials between processes by pickle
+        for p in (P("6/4*x^2*y - z + 7/3"), Poly.zero(XYZ), P("-5")):
+            for proto in range(2, pickle.HIGHEST_PROTOCOL + 1):
+                copy = pickle.loads(pickle.dumps(p, proto))
+                assert copy == p and hash(copy) == hash(p) and copy.registry == XYZ
+                assert dict(copy.ints) == dict(p.ints) and copy.den == p.den and canonical(copy)
+                with pytest.raises(TypeError):
+                    copy.ints[(0, 0, 0)] = 1
+
+    def test_constructor_rejects_bad_exponents_and_inexact_coefficients(self):
+        for mono in [(1, 0), (1, 0, 0, 0), (-1, 0, 0)]:
+            with pytest.raises(ValueError):
+                Poly(XYZ, {mono: 1})
+        for coeff in [0.5, 1.0, "1", Decimal("0.5"), 1j]:
+            with pytest.raises(TypeError):
+                Poly(XYZ, {(1, 0, 0): coeff})
+            with pytest.raises(TypeError):
+                Poly.constant(XYZ, coeff)
+        with pytest.raises(TypeError):
+            P("x") * 0.5
+        with pytest.raises(TypeError):
+            P("x") + 0.5
+        with pytest.raises(ZeroDivisionError):
+            P("x") / 0
+        with pytest.raises(ZeroDivisionError):
+            P("1/0*x")
+
+    def test_every_ring_operation_matches_the_fraction_dict_oracle(self):
+        rng = random.Random(20261019)
+        order = grevlex(XYZ)
+        reg2 = VarRegistry(["w", "z", "x", "y"])
+        for _ in range(600):
+            p, q = random_poly(rng, XYZ, max_terms=5), random_poly(rng, XYZ, max_terms=4)
+            fp, fq = FracPoly.of(p), FracPoly.of(q)
+            s = Fraction(rng.choice([-6, -1, 1, 2, 9]), rng.choice([1, 2, 3, 4, 15]))
+            n = rng.randint(-3, 3)
+            assert same(p + q, fp + fq) and same(p - q, fp - fq) and same(-p, -fp)
+            assert same(p * q, fp * fq) and same(q * p, fq * fp)
+            assert same(p * s, fp * s) and same(s * p, fp * s) and same(p * n, fp * n)
+            assert same(p / s, fp / s) and same(p + s, fp + s) and same(s - p, -(fp - s))
+            k = rng.randint(0, 3)
+            assert same(p**k, fp**k)
+            images, fimages = {}, {}
+            for name in rng.sample(XYZ.names, rng.randint(0, 3)):
+                if rng.random() < 0.5:
+                    images[name] = fimages[name] = rng.choice([0, 1, -2, Fraction(rng.randint(-5, 5), 3)])
+                else:
+                    images[name] = random_poly(rng, XYZ, max_terms=3, max_exp=2)
+                    fimages[name] = FracPoly.of(images[name])
+            assert same(p.subs(images), fp.subs(fimages))
+            point = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in XYZ.names}
+            assert p.evaluate(point) == fp.evaluate(point)
+            floats = {v: rng.uniform(-2, 2) for v in XYZ.names}
+            assert p.evaluate(floats) == fp.evaluate(floats)
+            assert same(p.map_to(reg2), fp.map_to(reg2))
+            names = rng.sample(XYZ.names, rng.randint(1, 2))
+            groups, fgroups = p.coefficients_in(names), fp.coefficients_in(names)
+            assert list(groups) == list(fgroups)
+            assert all(same(groups[k], fgroups[k]) for k in groups)
+            c, prim = p.content_strip(order)
+            fc, fprim = fp.content_strip(order)
+            assert c == fc and same(prim, fprim) and same(p.primitive(order), fprim)
+            parsed = Poly.parse(XYZ, p.format(order))
+            assert canonical(parsed) and parsed.terms == fp.terms
+            if not q.is_zero():
+                quotient = (p * q).divide_exact(q)
+                assert canonical(quotient) and quotient.terms == fp.terms
 
 
 class TestOrders:
@@ -217,7 +339,7 @@ class TestContentStrip:
                 for x in coeffs:
                     g = gcd(g, x.numerator)
                 assert g == 1
-                assert q.leading_coefficient(grevlex(XYZ)) > 0
+                assert q.leading_term(grevlex(XYZ))[1] > 0
 
 
 class TestDivision:

@@ -345,7 +345,7 @@ class TestTrapezoid:
                 pairs_created=208, pairs_reduced=173, zero_reductions=113
             ),
             "angle_projection_gb": KernelStats(
-                pairs_created=106, pairs_reduced=98, zero_reductions=68
+                pairs_created=83, pairs_reduced=77, zero_reductions=44
             ),
         }
 
