@@ -152,7 +152,7 @@ def elimination_ideal(comps):
     checks.add(
         "elimination_ideal_equality",
         gb.same_ideal_as(f_ref),
-        "every reference element reduces to zero and conversely",
+        "the reduced basis of the reference elements equals the computed basis",
     )
     f_mine = _order_like(gb, f_ref)
 
