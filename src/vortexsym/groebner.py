@@ -69,6 +69,7 @@ different jobs: ``_int_nf`` here takes normal forms modulo a basis,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -384,7 +385,7 @@ def _int_nf(terms, basis, pk):
                 rem_c = [v // g for v in rem_c]
                 div *= g
     # the remainder, leading term first, made primitive and positive-leading
-    g = gcd(*rem_c) or 1
+    g = reduce(gcd, rem_c, 0) or 1
     if rem_c and rem_c[0] < 0:
         g = -g
     if g != 1:
@@ -413,12 +414,14 @@ def _int_spoly(f, g, lcm_p, pk):
 def _entry(terms, pk):
     """Basis entry (k, p, c, tail, tail_lcm) of descending (k, p, c) terms.
 
-    ``tail`` holds the other terms as three parallel tuples (ks, ps, cs),
-    three objects in place of one tuple per term; ``tail_lcm`` bounds every
-    tail exponent for the overflow check.
+    ``tail`` holds the other terms as three parallel lists (ks, ps, cs),
+    three objects in place of one tuple per term, and lists rather than
+    tuples for the free-list reason in ``ratpoly``'s module docstring;
+    ``tail_lcm`` bounds every tail exponent for the overflow check.
     """
     k, p, c = terms[0]
-    tail = tuple(zip(*terms[1:])) or ((), (), ())
+    rest = terms[1:]
+    tail = ([t[0] for t in rest], [t[1] for t in rest], [t[2] for t in rest])
     tail_lcm = 0
     for tp in tail[1]:
         tail_lcm = pk.lcm(tail_lcm, tp)

@@ -20,6 +20,11 @@ with it, ``groebner`` takes the exact divisions of Bareiss elimination with
 it, and ``realroots`` the squarefree part.  Normal forms modulo a basis are
 the job of ``groebner``'s packed kernel.
 
+Hot integer kernels fold gcd and lcm with ``reduce``, not ``gcd(*values)``:
+CPython 3.11 keeps freed argument tuples of 20 items, or of 11 to 20 built
+from a generator, on free lists that only a full collection empties, and
+these kernels, allocating few tracked objects, rarely trigger one.
+
 ``Sqrt2`` is the exact scalar field Q(sqrt(2)), in which the rectangle's
 diagonal Hessians live.
 """
@@ -29,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -287,9 +293,10 @@ def _mul_terms(a, b):
 
 class Immutable:
     """Base of slotted value types whose attributes cannot be assigned or
-    deleted after construction; constructors set their slots with
-    ``object.__setattr__``.  Pickling such a type needs a ``__reduce__``,
-    since unpickling would restore the slots by ``setattr``."""
+    deleted after construction; constructors set their slots past
+    ``__setattr__`` (with ``object.__setattr__`` or the slot descriptors).
+    Pickling such a type needs a ``__reduce__``, since unpickling would
+    restore the slots by ``setattr``."""
 
     __slots__ = ()
 
@@ -319,7 +326,7 @@ class Poly(Immutable):
                     raise ValueError(f"bad exponent tuple {mono} for registry of size {n}")
                 pairs[tuple(mono)] = num, den
         # reduced numerators share no factor with the lcm of the denominators
-        den = lcm(*(d for _, d in pairs.values()))
+        den = reduce(lcm, (d for _, d in pairs.values()), 1)
         _set_registry(self, registry)
         _set_ints(self, MappingProxyType({m: num * (den // d) for m, (num, d) in pairs.items()}))
         _set_den(self, den)
@@ -719,20 +726,28 @@ _new = object.__new__
 _set_registry, _set_ints, _set_den = (vars(Poly)[name].__set__ for name in Poly.__slots__)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+)
 
 
 def _tokenize(text):
-    """(kind, value) tokens of ``text``, closed by an ("end", None) sentinel."""
-    out, pos, text = [], 0, text.rstrip()
+    pos = 0
+    out = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot tokenize polynomial text at {text[pos:]!r}")
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise ValueError(f"cannot tokenize polynomial text at {text[pos:]!r}")
+            break
         pos = m.end()
-        num, name, op = m.groups()
-        out.append(("num", int(num)) if num else ("name", name) if name else ("op", op))
-    return out + [("end", None)]
+        if m.lastgroup == "num":
+            out.append(("num", int(m.group("num"))))
+        elif m.lastgroup == "name":
+            out.append(("name", m.group("name")))
+        else:
+            out.append(("op", m.group("op")))
+    return out
 
 
 def _parse_poly(registry, text):
@@ -744,52 +759,58 @@ def _parse_poly(registry, text):
     the denominators.
     """
     tokens = _tokenize(text)
-    if len(tokens) == 1:
+    if not tokens:
         raise ValueError("empty polynomial text")
+    n = len(registry)
     terms = []  # (monomial, numerator, denominator) of each term
     i = 0
-    while tokens[i][0] != "end":
+    while i < len(tokens):
         sign = 1
-        while tokens[i] in (("op", "-"), ("op", "+")):
-            if tokens[i][1] == "-":
+        while i < len(tokens) and tokens[i] in (("op", "-"), ("op", "+")):
+            if tokens[i] == ("op", "-"):
                 sign = -sign
             i += 1
-        if tokens[i][0] == "end":
+        if i >= len(tokens):
             raise ValueError(f"dangling sign in {text!r}")
-        num, den, exps = sign, 1, [0] * len(registry)
-        saw_factor, expect_factor = False, True
-        while True:
-            # a token other than the sentinel is followed by two more
+        num, den = sign, 1
+        exps = [0] * n
+        saw_factor = False
+        expect_factor = True
+        while i < len(tokens):
             kind, value = tokens[i]
             if kind == "num":
                 num *= value
-                if tokens[i + 1] == ("op", "/"):
-                    if tokens[i + 2][0] != "num":
+                i += 1
+                if i < len(tokens) and tokens[i] == ("op", "/"):
+                    if i + 1 >= len(tokens) or tokens[i + 1][0] != "num":
                         raise ValueError(f"malformed fraction in {text!r}")
-                    if not tokens[i + 2][1]:
+                    if not tokens[i + 1][1]:
                         raise ZeroDivisionError(f"zero denominator in {text!r}")
-                    den *= tokens[i + 2][1]
+                    den *= tokens[i + 1][1]
                     i += 2
+                saw_factor = True
             elif kind == "name":
                 j = registry.index(value)
-                if tokens[i + 1] == ("op", "^"):
-                    if tokens[i + 2][0] != "num":
+                power = 1
+                i += 1
+                if i < len(tokens) and tokens[i] == ("op", "^"):
+                    if i + 1 >= len(tokens) or tokens[i + 1][0] != "num":
                         raise ValueError(f"malformed power in {text!r}")
-                    exps[j] += tokens[i + 2][1] - 1
+                    power = tokens[i + 1][1]
                     i += 2
-                exps[j] += 1
+                exps[j] += power
+                saw_factor = True
             elif (kind, value) == ("op", "*"):
                 i += 1
                 expect_factor = True
                 continue
             else:
                 break
-            i += 1
-            saw_factor, expect_factor = True, False
+            expect_factor = False
         if not saw_factor or expect_factor:
             raise ValueError(f"malformed term in {text!r}")
         terms.append((tuple(exps), num, den))
-        if tokens[i][0] == "op" and tokens[i][1] not in "+-":
+        if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] not in "+-":
             raise ValueError(f"unexpected {tokens[i][1]!r} in {text!r}")
     den = lcm(*(d for _, _, d in terms))
     result = {}

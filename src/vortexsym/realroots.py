@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm
 from operator import add, mul
 
@@ -50,15 +51,21 @@ class InertiaCountError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def coeffs_from_poly(p, var):
-    """Dense ascending ``Fraction`` coefficients of a polynomial in ``var`` alone."""
+def int_coeffs(p, var):
+    """Dense ascending integer numerators of a polynomial in ``var`` alone:
+    ``p.den`` times its coefficients, so the same roots and signs."""
     i = p.registry.index(var)
     if any(e and j != i for m in p.ints for j, e in enumerate(m)):
         raise ValueError(f"polynomial is not univariate in {var!r}")
-    out = [Fraction(0)] * (p.degree_in(var) + 1)
+    out = [0] * (p.degree_in(var) + 1)
     for m, c in p.ints.items():
-        out[m[i]] = Fraction(c, p.den)
+        out[m[i]] = c
     return _trim(out)
+
+
+def coeffs_from_poly(p, var):
+    """Dense ascending ``Fraction`` coefficients of a polynomial in ``var`` alone."""
+    return [Fraction(c, p.den) for c in int_coeffs(p, var)]
 
 
 def _trim(coeffs):
@@ -729,7 +736,7 @@ def _upper_inertia(u):
         ]
         g = 0
         for row in u:
-            g = gcd(g, *row)
+            g = reduce(gcd, row, g)
             if g == 1:
                 break
         if g > 1:
@@ -897,7 +904,7 @@ def _columns(basis, index, border, v):
     the target index of a unit column, the dense integer normal form of a
     border column."""
     targets = [_shift(m, v) for m in basis]
-    den = lcm(*(border[t][1] for t in targets if t not in index))
+    den = reduce(lcm, (border[t][1] for t in targets if t not in index), 1)
     cols = []
     for t in targets:
         if t in index:

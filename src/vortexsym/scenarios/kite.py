@@ -22,6 +22,7 @@ from vortexsym.realroots import (
     coeffs_from_poly,
     eval_at,
     eval_interval,
+    int_coeffs,
     sturm_isolate,
 )
 from vortexsym.scenarios.report import (
@@ -142,7 +143,7 @@ def configuration_count(config_factor, mus):
 
 
 def _specialize(poly, mus):
-    return coeffs_from_poly(poly.subs({f"mu{i + 1}": Fraction(m) for i, m in enumerate(mus)}), "r")
+    return int_coeffs(poly.subs({f"mu{i + 1}": Fraction(m) for i, m in enumerate(mus)}), "r")
 
 
 def count_configurations(config_factor, mus):
@@ -336,7 +337,7 @@ def _stability_window(lam2, s_poly, p_poly):
     """
     disc_poly = s_poly * s_poly - 4 * p_poly
     boundary = lam2 * p_poly * disc_poly
-    intervals = sturm_isolate(coeffs_from_poly(boundary, "t"))
+    intervals = sturm_isolate(int_coeffs(boundary, "t"))
 
     lam2_c = coeffs_from_poly(lam2, "t")
     s_c = coeffs_from_poly(s_poly, "t")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from vortexsym.groebner import GroebnerBasis, Ideal, eliminate
 from vortexsym.ratpoly import GrevLex, Poly, Sqrt2
-from vortexsym.realroots import coeffs_from_poly, sturm_isolate
+from vortexsym.realroots import int_coeffs, sturm_isolate
 from vortexsym.scenarios.report import (
     DEFAULT_EPS,
     Checks,
@@ -149,7 +149,7 @@ def branch_angles(comps):
 
 def _target_roots(target):
     """Isolating intervals of the real roots of the half-angle image of ``target``."""
-    return sturm_isolate(coeffs_from_poly(half_angle_polynomialize(target), "r"))
+    return sturm_isolate(int_coeffs(half_angle_polynomialize(target), "r"))
 
 
 @dataclass(frozen=True)

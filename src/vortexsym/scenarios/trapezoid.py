@@ -47,6 +47,7 @@ from vortexsym.realroots import (
     eval_interval,
     hermite_matrix,
     inertia,
+    int_coeffs,
     poly_gcd,
     squarefree_part,
     sturm_isolate,
@@ -152,7 +153,8 @@ def elimination_ideal(comps):
     checks.add(
         "elimination_ideal_equality",
         gb.same_ideal_as(f_ref),
-        "the reduced basis of the reference elements equals the computed basis",
+        "the reference elements generate the ideal of the computed reduced basis"
+        " (equal primitive parts, or equal reduced bases)",
     )
     f_mine = _order_like(gb, f_ref)
 
@@ -548,7 +550,7 @@ def _reconstruct_lines(anni_polys):
     # so mu3 = 0 is not a line of the slice and dehomogenising by mu3 loses
     # nothing
     forms = [q for q in (p.subs({"mu4": Fraction(0)}) for p in anni_polys) if not q.is_zero()]
-    dehoms = [coeffs_from_poly(q.map_to(mu23).subs({"mu3": 1}), "mu2") for q in forms]
+    dehoms = [int_coeffs(q.map_to(mu23).subs({"mu3": 1}), "mu2") for q in forms]
     if not any(len(c) - 1 == q.total_degree() for c, q in zip(dehoms, forms)):
         raise IdealShapeError("dehomogenising the mu4 = 0 slice by mu3 drops its degree")
     dehom = dehoms[0]
@@ -572,7 +574,7 @@ def _reconstruct_lines(anni_polys):
     groups = shape.coefficients_in(["mu2"])
     a_poly = coeffs_from_poly(groups[(1,)], "mu3")
     b_poly = coeffs_from_poly(groups.get((0,), Poly.zero(mu23)), "mu3")
-    h_coeffs = coeffs_from_poly(h, "mu3")
+    h_coeffs = int_coeffs(h, "mu3")
     common = poly_gcd(h_coeffs, a_poly)
     for iv in sturm_isolate(h_coeffs):
         # the refinement below ends only if a_poly is nonzero at the root
@@ -682,7 +684,7 @@ def _equal_pairs(slice_gb):
     """The gcd g of the mu4 = 1 slice basis at mu2 = 1, ascending in mu3,
     and isolating intervals of its real roots: the mu3 of the slice points
     with mu2 = mu4."""
-    at_mu2_1 = (coeffs_from_poly(p.subs({"mu2": 1}), "mu3") for p in slice_gb.polys)
+    at_mu2_1 = (int_coeffs(p.subs({"mu2": 1}), "mu3") for p in slice_gb.polys)
     constrained = [c for c in at_mu2_1 if c]
     g = constrained[0]
     for other in constrained[1:]:
@@ -761,7 +763,7 @@ def angle_analysis(comps, plane):
         g_mine is not None and g_mine.primitive(_ORD) == g_ref.primitive(_ORD),
         "mu1^2 (mu1 - mu3) g(r) appears in the projection basis",
     )
-    g_coeffs = coeffs_from_poly(g_ref, "r")
+    g_coeffs = int_coeffs(g_ref, "r")
 
     # the checks read the roots to the fixed CHECK_WIDTH, so no verdict
     # depends on the width of the reported enclosures
@@ -852,7 +854,7 @@ def _plane_pairing(comps, g_ref, g_intervals, plane):
     B = groups[(0, 1, 0, 0)]
     C = groups[(0, 0, 1, 0)]
 
-    g_c = coeffs_from_poly(g_ref, "r")
+    g_c = int_coeffs(g_ref, "r")
     a_c = coeffs_from_poly(A, "r")
     if len(poly_gcd(g_c, derivative(g_c))) > 1:
         return False, "the angle polynomial is not squarefree"

@@ -31,6 +31,7 @@ from vortexsym.realroots import (
     eval_at,
     eval_interval,
     inertia,
+    int_coeffs,
     poly_gcd,
     squarefree_part,
     sturm_isolate,
@@ -585,6 +586,20 @@ def test_coeffs_from_poly_rejects_multivariate():
     reg = VarRegistry(["x", "y"])
     with pytest.raises(ValueError):
         coeffs_from_poly(Poly.parse(reg, "x*y"), "x")
+    with pytest.raises(ValueError):
+        int_coeffs(Poly.parse(reg, "x*y"), "x")
+
+
+def test_int_coeffs_are_the_numerators_over_the_denominator():
+    reg = VarRegistry(["x", "y"])
+    p = Poly.parse(reg, "3/4*x^3 - 1/6*x + 5/2")
+    ints = int_coeffs(p, "x")
+    assert ints == [30, -2, 0, 9] and p.den == 12
+    assert coeffs_from_poly(p, "x") == [Fraction(c, p.den) for c in ints]
+    assert all(type(c) is int for c in ints)
+    ends = [[(iv.lo, iv.hi, iv.coeffs) for iv in sturm_isolate(c)] for c in (ints, coeffs_from_poly(p, "x"))]
+    assert ends[0] == ends[1]
+    assert int_coeffs(Poly.zero(reg), "x") == coeffs_from_poly(Poly.zero(reg), "x") == []
 
 
 def test_isolating_interval_float():
