@@ -57,7 +57,7 @@ k - 1 are known when degree k is tested, so each test is n set lookups,
 and the walk's cost grows with the number of standard monomials and that
 of the border, not with the box below the pure powers.
 
-``resultant`` clears denominators and evaluates the Sylvester determinant by
+``resultant`` reads integer numerators and evaluates the Sylvester determinant by
 Bareiss elimination on integer polynomials ``{monomial: int}``, whose exact
 divisions by the previous pivot run on ``ratpoly._div_exact``.  One caller
 is left: the ``quintic_full_split`` certificate of the trapezoid's
