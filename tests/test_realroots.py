@@ -597,7 +597,10 @@ def test_int_coeffs_are_the_numerators_over_the_denominator():
     assert ints == [30, -2, 0, 9] and p.den == 12
     assert coeffs_from_poly(p, "x") == [Fraction(c, p.den) for c in ints]
     assert all(type(c) is int for c in ints)
-    ends = [[(iv.lo, iv.hi, iv.coeffs) for iv in sturm_isolate(c)] for c in (ints, coeffs_from_poly(p, "x"))]
+    ends = [
+        [(iv.lo, iv.hi, iv.coeffs) for iv in sturm_isolate(c)]
+        for c in (ints, coeffs_from_poly(p, "x"))
+    ]
     assert ends[0] == ends[1]
     assert int_coeffs(Poly.zero(reg), "x") == coeffs_from_poly(Poly.zero(reg), "x") == []
 
