@@ -57,13 +57,8 @@ k - 1 are known when degree k is tested, so each test is n set lookups,
 and the walk's cost grows with the number of standard monomials and that
 of the border, not with the box below the pure powers.
 
-``resultant`` reads integer numerators and evaluates the Sylvester determinant by
-Bareiss elimination on integer polynomials ``{monomial: int}``, whose exact
-divisions by the previous pivot run on ``ratpoly._div_exact``.  One caller
-is left: the ``quintic_full_split`` certificate of the trapezoid's
-``plane_factorisation``.  The package's two polynomial kernels thus do
-different jobs: ``_int_nf`` here takes normal forms modulo a basis,
-``_div_exact`` the quotient by one polynomial.
+``resultant`` is the Sylvester determinant, taken exactly by
+``realroots.char_poly``; no classification stage calls it.
 """
 
 from __future__ import annotations
@@ -78,9 +73,7 @@ from vortexsym.ratpoly import (
     Poly,
     RegistryMismatchError,
     VarRegistry,
-    _div_exact,
     elimination,
-    mono_mul,
 )
 
 
@@ -580,86 +573,33 @@ def eliminate(ideal, drop, inner_names=None):
     return GroebnerBasis(kept, GrevLex(order.rest), stats=gb.stats)
 
 
-def _mul_sub(a, b, c, d):
-    """``a*b - c*d`` for integer polynomials ``{monomial: int}``."""
-    out = {}
-    for x, y, sign in ((a, b, 1), (c, d, -1)):
-        for mx, cx in x.items():
-            cx *= sign
-            for my, cy in y.items():
-                m = mono_mul(mx, my)
-                s = out.get(m, 0) + cx * cy
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-    return out
-
-
-def _bareiss_int(matrix):
-    """Determinant of a square matrix of integer polynomials ``{monomial:
-    int}`` by fraction-free elimination; each division by the previous
-    pivot is exact by the Bareiss identity."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot is None:
-                return {}
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pivot_row = m[k]
-        for row in m[k + 1 :]:
-            for j in range(k + 1, n):
-                num = _mul_sub(row[j], pivot_row[k], row[k], pivot_row[j])
-                row[j] = _div_exact(num, prev) if prev and num else num
-        prev = pivot_row[k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else {mono: -c for mono, c in det.items()}
-
-
 def resultant(f, g, var):
-    """Resultant of two polynomials with respect to ``var``.
+    """Resultant of two polynomials with respect to ``var``, free of ``var``:
+    the determinant of their Sylvester matrix S over the other variables,
+    of size m + n for ``m = deg f`` and ``n = deg g``.  The constant term
+    of ``realroots.char_poly(S)``, det(-S), is (-1)^(m+n) det S."""
+    from vortexsym.realroots import char_poly  # realroots imports this module
 
-    Treats both as univariate in ``var`` with coefficients in the remaining
-    variables; the result is free of ``var``.  With ``m = deg f``, ``n =
-    deg g`` and ``F = df * f``, ``G = dg * g`` cleared of denominators,
-    ``res(f, g) = res(F, G) / (df**n * dg**m)``, and the Sylvester
-    determinant of ``F`` and ``G`` is evaluated on integer polynomials.
-    """
     reg = f.registry
     if g.registry != reg:
         raise ValueError("resultant operands must share a registry")
-    i = reg.index(var)
-
-    def coeff_list(p):
-        """Integer numerators in ``var``, highest degree first, and their
-        denominator."""
-        rows = [dict() for _ in range(p.degree_in(var) + 1)]
-        for mono, c in p.ints.items():
-            rows[mono[i]][mono[:i] + (0,) + mono[i + 1 :]] = c
-        return rows[::-1], p.den
-
-    fc, df = coeff_list(f)
-    gc, dg = coeff_list(g)
+    fc, gc = (
+        [groups.get((k,), 0) for k in range(p.degree_in(var), -1, -1)]
+        for p in (f, g)
+        for groups in [p.coefficients_in([var])]
+    )
     m, n = len(fc) - 1, len(gc) - 1
     if m < 0 or n < 0:
         raise ValueError("resultant of the zero polynomial")
-    size = m + n
-    if size == 0:
+    if m + n == 0:
         return Poly.constant(reg, 1)
-    rows = []
-    for coeffs, shifts in ((fc, n), (gc, m)):
-        for k in range(shifts):
-            row = [{}] * size
-            row[k : k + len(coeffs)] = coeffs
-            rows.append(row)
-    scale = df**n * dg**m
-    det = _bareiss_int(rows)
-    return Poly.over(reg, det, scale)
+    rows = [
+        [0] * k + coeffs + [0] * (shifts - 1 - k)
+        for coeffs, shifts in ((fc, n), (gc, m))
+        for k in range(shifts)
+    ]
+    det = char_poly(rows)[0]
+    return -det if (m + n) % 2 else det
 
 
 def standard_monomials(gb):

@@ -34,7 +34,6 @@ from vortexsym.groebner import (
     buchberger,
     eliminate,
     normal_form,
-    resultant,
     standard_monomials,
 )
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry, lex
@@ -225,18 +224,20 @@ def plane_factorisation():
         )
     elif not identity_ok:
         detail = "p1 minus the remainder is not a multiple of the plane"
-    checks.add("parametric_remainder", identity_ok and bad is None, detail)
+    remainder_ok = identity_ok and bad is None
+    checks.add("parametric_remainder", remainder_ok, detail)
 
     # Groebner basis of the coefficient ideal in (a, b), lex a > b
     gb_ab = buchberger(Ideal.of(*(g.map_to(AB) for g in got)), lex(AB))
     b_quintic = Poly.parse(AB, targets.B_QUINTIC)
     a_linear = Poly.parse(AB, targets.AB_IDEAL_SECOND)
     basis = {p.primitive(gb_ab.order) for p in gb_ab.polys}
+    basis_ok = len(gb_ab) == 2 and all(
+        q.primitive(gb_ab.order) in basis for q in (b_quintic, a_linear)
+    )
     checks.add(
         "ab_ideal_basis",
-        len(gb_ab) == 2
-        and b_quintic.primitive(gb_ab.order) in basis
-        and a_linear.primitive(gb_ab.order) in basis,
+        basis_ok,
         "basis is the b-quintic and 178a + 578b^4 - 2907b^3 + 1885b^2 - 484b + 434",
     )
 
@@ -276,22 +277,30 @@ def plane_factorisation():
         " by the plane mu1 + 0.843716 mu2 + 0.480743 mu3 = 0",
     )
 
-    # exact full-split certificate: the resultant in b of the quintic and
-    # the plane a(b) mu2 + b mu3 + mu4 is 17^4 times the product of the five
-    # planes through its roots, two of them conjugate complex, and so 17^3
-    # times the quintic form
-    breg = VarRegistry(["b", "mu2", "mu3", "mu4"])
-    m_plane = a_poly.map_to(breg) * Poly.variable(breg, "mu2") + Poly.parse(breg, "b*mu3 + mu4")
-    res = resultant(b_quintic.map_to(breg), m_plane, "b")
-    res_content, res_prim = res.content_strip(_ORD)
-    p1_content, p1_prim = Poly.parse(breg, targets.P1_QUINTIC).content_strip(_ORD)
-    split_ok = res_prim == p1_prim and res_content / p1_content == bq[-1] ** 3
-    checks.add(
-        "quintic_full_split",
-        split_ok,
-        "resultant certificate: the quintic form is 17 times the product of"
-        " the five plane factors",
+    # exact full split by degree: each plane a(b_i) mu2 + b_i mu3 + mu4 through
+    # a complex root b_i of q divides p1, as the remainder coefficients
+    # generate <q(b), a - a(b)>.  q is squarefree of degree 5, so the planes
+    # are distinct, and the form p1 of degree 5 is c times their product, c =
+    # p1(0, 0, 1) its mu4^5 coefficient; q(b) = -p1(0, 1, -b) has lead c too.
+    q_ints = int_coeffs(b_quintic, "b")
+    c = p1.evaluate({"mu4": 1, "mu2": 0, "mu3": 0, "a": 0, "b": 0})
+    split_ok = (
+        remainder_ok
+        and basis_ok
+        and len(q_ints) == 6
+        and len(poly_gcd(q_ints, derivative(q_ints))) == 1
+        and all(sum(m) == 5 for m in p1.ints)
+        and c == bq[-1]
     )
+    detail = (
+        "resultant certificate: the quintic form is 17 times the product of"
+        " the five plane factors"
+    )
+    if c != bq[-1]:
+        detail = f"mu4^5 coefficient of the quintic form: expected {bq[-1]}, derived {c}"
+    elif not split_ok:
+        detail = "the planes through the roots of the b-quintic are not shown to split p1"
+    checks.add("quintic_full_split", split_ok, detail)
 
     # symmetric functions of the complex conjugate root pair, by Vieta: the
     # five roots sum to -bq[4]/bq[5] and multiply to -bq[0]/bq[5]

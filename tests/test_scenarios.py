@@ -559,7 +559,7 @@ class TestStages:
         def refuse(*args, **kwargs):
             raise AssertionError("the plane pairing takes exact divisions only")
 
-        for name in ("resultant", "buchberger", "normal_form", "VarRegistry"):
+        for name in ("buchberger", "normal_form", "VarRegistry"):
             monkeypatch.setattr(trapezoid, name, refuse)
         assert _plane_pairing(*pairing_inputs) == (
             True,
