@@ -293,8 +293,8 @@ def plane_factorisation():
         and c == bq[-1]
     )
     detail = (
-        "resultant certificate: the quintic form is 17 times the product of"
-        " the five plane factors"
+        f"degree argument: the quintic form is {c} times the product of the"
+        " five distinct plane factors"
     )
     if c != bq[-1]:
         detail = f"mu4^5 coefficient of the quintic form: expected {bq[-1]}, derived {c}"
