@@ -73,7 +73,7 @@ def build_parser():
         p = sub.add_parser(name, help=f"run the {name} classification")
         p.add_argument("--json", metavar="PATH", help="write the report as JSON")
         p.add_argument("--svg", metavar="DIR", help="write a configuration figure")
-        if name != "all":
+        if name in ("square", "kite", "rectangle"):
             p.add_argument(
                 "--mu",
                 type=_parse_mu,
@@ -171,13 +171,10 @@ def emit_svg(config, path):
         handle.write("\n".join(lines) + "\n")
 
 
-def _figure_config(name, mus=None):
-    scenario = SCENARIOS[name]
-    theta2 = FIGURE_THETA2[name]
-    thetas = scenario.angles(theta2)
-    if mus is None:
-        mus = (1.0, 1.0, 1.0, 1.0)
-    return Configuration(tuple(thetas), tuple(float(m) for m in mus))
+def _figure_config(name):
+    """The figure's configuration: ``emit_svg`` reads only its angles."""
+    thetas = SCENARIOS[name].angles(FIGURE_THETA2[name])
+    return Configuration(tuple(thetas), (1.0, 1.0, 1.0, 1.0))
 
 
 def _run_in_order(names, args):
@@ -221,9 +218,7 @@ def _scenario_command(name, args, stream):
         _print_report(outcome, stream)
         if args.svg:
             os.makedirs(args.svg, exist_ok=True)
-            mus = getattr(args, "mu", None)
-            config = _figure_config(scenario_name, mus)
-            emit_svg(config, os.path.join(args.svg, f"{scenario_name}.svg"))
+            emit_svg(_figure_config(scenario_name), os.path.join(args.svg, f"{scenario_name}.svg"))
     if args.json:
         if len(reports) == 1:
             document = reports[0].to_document()

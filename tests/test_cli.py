@@ -137,7 +137,12 @@ class TestScenarioCommands:
 
     @pytest.mark.parametrize(
         "argv",
-        [["square", "--eps", "1e-9"], ["kite", "--check-appendix"], ["all", "--mu", "1,1,1,1"]],
+        [
+            ["square", "--eps", "1e-9"],
+            ["kite", "--check-appendix"],
+            ["all", "--mu", "1,1,1,1"],
+            ["trapezoid", "--mu", "1,1,1,1"],
+        ],
     )
     def test_options_a_scenario_does_not_read_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
