@@ -558,7 +558,7 @@ def eliminate(ideal, drop, inner_names=None):
     drop_idx = {reg.index(n) for n in drop}
     steps = [1] * len(reg)
     for i in drop_idx:
-        steps[i] = gcd(*(m[i] for p in gens for m in p.ints)) or 1
+        steps[i] = reduce(gcd, (m[i] for p in gens for m in p.ints), 0) or 1
     if any(x > 1 for x in steps):
         gens = [
             Poly.over(reg, {tuple(e // x for e, x in zip(m, steps)): c for m, c in p.ints.items()}, p.den)

@@ -632,7 +632,7 @@ class Poly(Immutable):
             for f in factors:
                 term = _mul_terms(term, f)
             pieces.append((term, d))
-        den = lcm(*(d for _, d in pieces))
+        den = reduce(lcm, (d for _, d in pieces), 1)
         result = {}
         for term, d in pieces:
             scale = den // d
@@ -812,7 +812,7 @@ def _parse_poly(registry, text):
         terms.append((tuple(exps), num, den))
         if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] not in "+-":
             raise ValueError(f"unexpected {tokens[i][1]!r} in {text!r}")
-    den = lcm(*(d for _, _, d in terms))
+    den = reduce(lcm, (d for _, _, d in terms), 1)
     result = {}
     for key, num, d in terms:
         s = result.get(key, 0) + num * (den // d)

@@ -91,7 +91,7 @@ def derivative(coeffs):
 
 def _primitive_int(coeffs):
     """Integer coefficients with content 1: a positive multiple of the input."""
-    den = lcm(*(c.denominator for c in coeffs))
+    den = reduce(lcm, (c.denominator for c in coeffs), 1)
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
     g = gcd(*ints)
     if g > 1:
@@ -482,7 +482,7 @@ class SymMatrix(Immutable):
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"matrix is not symmetric at ({i},{j})")
-        den = lcm(*(c.denominator for row in rows for c in row))
+        den = reduce(lcm, (c.denominator for row in rows for c in row), 1)
         ints = tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows)
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "den", den)
@@ -531,7 +531,7 @@ def char_poly(rows):
         raise ValueError("char_poly needs a square matrix")
     entries = [c for row in rows for c in row]
     if not any(isinstance(c, Poly) for c in entries):
-        d = lcm(*(c.denominator for _, c in map(_constant_part, entries)))
+        d = reduce(lcm, (c.denominator for _, c in map(_constant_part, entries)), 1)
         a = [[c.numerator * (d // c.denominator) for c in row] for row in rows]
         coeffs = _faddeev_leverrier(a, _dot_int, add, _neg_div_int)
         return [Fraction(c, d**k) for k, c in reversed(list(enumerate([1, *coeffs])))]
@@ -602,7 +602,7 @@ def _lower_poly(rows, entries):
         return Poly.over(reg, {tuple(key >> s & mask for s in shifts): v for key, v in c.items()}, scale)
 
     split = [[lowered(c) for c in row] for row in rows]
-    d = lcm(*(den for row in split for _, den in row))
+    d = reduce(lcm, (den for row in split for _, den in row), 1)
     a = [[{k: n * (d // den) for k, n in ints.items()} for ints, den in row] for row in split]
     return a, d, lift
 
@@ -812,7 +812,7 @@ def _border_normal_forms(gb, basis):
         w = next(i for i, x in enumerate(t) if x and _shift(t, i, -1) not in index)
         c, e = table[_shift(t, w, -1)]
         images = [(x, _shift(basis[l], w)) for l, x in enumerate(c) if x]
-        den = lcm(*(table[m][1] for _, m in images if m not in index))
+        den = reduce(lcm, (table[m][1] for _, m in images if m not in index), 1)
         out = [0] * d
         for x, m in images:
             k = index.get(m)
@@ -886,7 +886,7 @@ def hermite_matrix(gb, qb=None):
     rows = [_unit_plus(d, 0, pending[0])]
     for p, v in tree[1:]:
         rows.append(transposed(v, *rows[p]))
-    den = lcm(*(e for _, e in rows))
+    den = reduce(lcm, (e for _, e in rows), 1)
     ints = [[x * (den // e) for x in u] for u, e in rows]
     for i, row in enumerate(ints):
         for j in range(i):
@@ -918,7 +918,7 @@ def _columns(basis, index, border, v):
 def _unit_plus(d, k, parts):
     """e_k plus the sum of the (integer list, denominator) pairs ``parts``,
     as a primitive pair."""
-    den = lcm(*(e for _, e in parts))
+    den = reduce(lcm, (e for _, e in parts), 1)
     out = [0] * d
     out[k] = den
     for u, e in parts:

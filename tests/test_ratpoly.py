@@ -1,14 +1,17 @@
 """Ring arithmetic, monomial orders, normalisation, and the text format."""
 
+import ast
 import pickle
 import random
 from copy import deepcopy
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import vortexsym
 from vortexsym.ratpoly import (
     ExactDivisionError,
     Poly,
@@ -521,3 +524,24 @@ class TestTextFormat:
 
 def test_mono_degree():
     assert mono_degree((1, 2, 0)) == 3
+
+
+def test_no_gcd_or_lcm_unpacks_a_generator():
+    # The rule of the ratpoly module docstring: fold with ``reduce``.  An
+    # argument tuple grown from a generator goes on a CPython free list that
+    # only a full collection empties.
+    def name(func):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(vortexsym.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and name(node.func) in ("gcd", "lcm")
+        and any(
+            isinstance(arg, ast.Starred) and isinstance(arg.value, ast.GeneratorExp)
+            for arg in node.args
+        )
+    ]
+    assert found == []
