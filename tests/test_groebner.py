@@ -413,7 +413,7 @@ class TestResultant:
 
     def test_vanishing_pivot(self):
         # The Sylvester matrix of these two has a vanishing leading minor,
-        # so the elimination swaps rows: res = g(-1) * g(1) = 2 * (-2).
+        # where an elimination would need a row swap: res = g(-1) * g(1) = 2 * (-2).
         assert resultant(P("x^2 - 1"), P("x^2 - 2*x - 1"), "x") == P("-4")
 
     def test_swapping_the_operands_gives_the_sign_of_mn(self):

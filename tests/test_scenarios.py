@@ -4,11 +4,12 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from vortexsym import targets
+from vortexsym import groebner, targets
 from vortexsym.groebner import GroebnerBasis, Ideal, KernelStats, buchberger
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
 from vortexsym.realroots import RatInterval, coeffs_from_poly, poly_gcd, sturm_isolate
@@ -508,6 +509,25 @@ class TestStages:
         assert check.detail.startswith("coefficient of mu2^4*mu3: expected ")
         assert "expected -85*a^4*b" in check.detail and "31*a" in check.detail
         assert "derived -85*a^4*b" in check.detail
+
+    def test_plane_factorisation_takes_no_resultant(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quintic split is proven by degree")
+
+        original = groebner.resultant
+        ours = [module for name, module in sys.modules.items() if name.startswith("vortexsym")]
+        for module in ours:
+            if vars(module).get("resultant") is original:
+                monkeypatch.setattr(module, "resultant", refuse)
+        checks = plane_factorisation().checks
+        assert all(c.status == "pass" for c in checks), checks
+
+    def test_quintic_split_failure_shows_expected_and_derived(self, monkeypatch):
+        doubled = 2 * Poly.parse(R_REGISTRY, targets.P1_QUINTIC)
+        monkeypatch.setattr(targets, "P1_QUINTIC", doubled.format())
+        check = {c.name: c for c in plane_factorisation().checks}["quintic_full_split"]
+        assert check.status == "fail"
+        assert check.detail == "mu4^5 coefficient of the quintic form: expected 17, derived 34"
 
     def test_a_values_failure_shows_expected_and_derived(self, trapezoid_report, monkeypatch):
         comps = trapezoid_report.artifacts["pipeline"]
