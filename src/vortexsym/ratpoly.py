@@ -16,8 +16,8 @@ them is the main source of bugs.
 Every exact quotient in the package runs through one kernel,
 :func:`_div_exact`, on integer coefficients keyed by monomial:
 ``Poly.divide_exact`` divides the integer-primitive parts of its operands
-with it, and ``realroots`` the squarefree part.  Normal forms modulo a basis are
-the job of ``groebner``'s packed kernel.
+with it, and ``realroots`` the squarefree part.  Normal forms modulo a
+basis are the job of ``groebner``'s packed kernel.
 
 Hot integer kernels fold gcd and lcm with ``reduce``, not ``gcd(*values)``:
 CPython 3.11 keeps freed argument tuples of 20 items, or of 11 to 20 built
