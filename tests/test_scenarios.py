@@ -529,6 +529,15 @@ class TestStages:
         assert check.status == "fail"
         assert check.detail == "mu4^5 coefficient of the quintic form: expected 17, derived 34"
 
+    def test_quintic_split_needs_a_squarefree_b_quintic(self, monkeypatch):
+        # a common factor of q and q' would merge two of the five planes
+        monkeypatch.setattr(trapezoid, "poly_gcd", lambda a, b: [-1, 1])
+        check = {c.name: c for c in plane_factorisation().checks}["quintic_full_split"]
+        assert check.status == "fail"
+        assert check.detail == (
+            "the planes through the roots of the b-quintic are not shown to split p1"
+        )
+
     def test_a_values_failure_shows_expected_and_derived(self, trapezoid_report, monkeypatch):
         comps = trapezoid_report.artifacts["pipeline"]
         plane = trapezoid_report.artifacts["plane_factorisation"]
