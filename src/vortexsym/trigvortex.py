@@ -13,9 +13,11 @@ scenario that leaves only theta2 free, expands multiple angles into
 polynomials in s = sin(theta2), c = cos(theta2) via Chebyshev recurrences,
 and reduces each component to a polynomial in the half-angle variable r with
 
-    sin(theta2) = 2r / (1 + r^2),     cos(theta2) = (r^2 - 1) / (1 + r^2),
+    sin(theta2) = 2r / (1 + r^2),     cos(theta2) = (r^2 - 1) / (1 + r^2).
 
-discarding denominators and known collision factors along the way.  The
+The reduction drops the component's denominator (it vanishes only at
+collisions), clears the half-angle denominators of its numerator, and only
+then, in r, divides out the scenario's collision factors.  The
 cosine convention here is the reflected one (r = cot(theta2/2)), so angles
 are recovered as theta2 = atan2(2r, r^2 - 1).
 
@@ -314,41 +316,29 @@ def gradient_component(i, scenario):
 # ---------------------------------------------------------------------------
 
 
-def _trig_collision_factors(scenario):
-    # sin(theta2) vanishes at theta2 = 0 or pi, both collisions in every
-    # scenario; in the s-reduced representation its powers appear as
-    # s * (1-c)^a * (1+c)^b.  Scenario-specific factors (powers of r, the
-    # 120-degree factor of the equal-sided trapezoid) are stripped after the
-    # half-angle substitution instead.
-    texts = ["s", "1 - c", "1 + c"]
-    return [Poly.parse(TRIG_REGISTRY, t) for t in texts]
-
-
-def _r_collision_factors(scenario):
-    return [Poly.parse(R_REGISTRY, t) for t in scenario.r_collision_factors]
-
-
 def strip_collision_factors(p, scenario):
-    """Divide out all powers of the scenario's collision factors.
+    """Divide a polynomial in r by all powers of the scenario's collision factors.
 
-    Accepts a polynomial in either the trig world (s, c) or the half-angle
-    world (r); returns (stripped polynomial, list of (factor, multiplicity)).
+    Returns (stripped polynomial, list of (factor, multiplicity)); a
+    polynomial outside the half-angle registry is refused.  This is the
+    pipeline's only stripping step.  The collision factors of the trig ring
+    need no pass of their own, because the half-angle map sends them to
+
+        1 - c = 2 / (1 + r^2),  s = 2r / (1 + r^2),  1 + c = 2r^2 / (1 + r^2):
+
+    the clearing power of ``half_angle_polynomialize`` absorbs 1 - c, and
+    s and 1 + c become powers of r, which every free-angle scenario lists
+    among its ``r_collision_factors``.
     """
+    if p.registry != R_REGISTRY:
+        raise ValueError(f"collision factors are stripped in r, not over {p.registry}")
     if p.is_zero():
         raise ValueError("cannot strip factors from the zero polynomial")
-    if p.registry == TRIG_REGISTRY:
-        factors = _trig_collision_factors(scenario)
-    elif p.registry == R_REGISTRY:
-        factors = _r_collision_factors(scenario)
-    else:
-        raise ValueError(f"unexpected registry {p.registry}")
     stripped = []
-    for f in factors:
+    for text in scenario.r_collision_factors:
+        f = Poly.parse(R_REGISTRY, text)
         count = 0
-        while True:
-            q = p.try_divide(f)
-            if q is None:
-                break
+        while (q := p.try_divide(f)) is not None:
             p = q
             count += 1
         if count:
@@ -356,15 +346,14 @@ def strip_collision_factors(p, scenario):
     return p, stripped
 
 
-def half_angle_polynomialize(t):
-    """Numerator polynomial in r after the tangent half-angle substitution.
+def half_angle_polynomialize(p):
+    """Numerator polynomial in r of an s,c polynomial under the tangent
+    half-angle substitution.
 
-    Accepts a TrigRational (its s-free denominator is dropped: solutions of
-    numerator = 0 are preserved away from collisions) or a bare s,c
-    polynomial.  Every term c^k s^e maps to (r^2-1)^k (2r)^e (1+r^2)^(N-k-e)
-    with N the maximal k+e, clearing all half-angle denominators.
+    Every term c^k s^e maps to (r^2-1)^k (2r)^e (1+r^2)^(N-k-e) with N the
+    maximal k+e, so the result is (1 + r^2)^N p(s(r), c(r)), cleared of all
+    half-angle denominators.
     """
-    p = t.num if isinstance(t, TrigRational) else t
     if p.registry != TRIG_REGISTRY:
         raise ValueError("half-angle substitution expects the trig registry")
     si = TRIG_REGISTRY.index("s")
@@ -408,36 +397,34 @@ def angle_of_r(r):
 class PipelineComponent:
     """One gradient component carried from trig form to an r-polynomial.
 
-    Frozen, with the stripped factors as tuples of (factor, multiplicity),
+    The pieces satisfy one exact identity in Q[r, mu]:
+
+        half_angle_polynomialize(trig.num)
+            == content * r_poly * prod(f**m for f, m in r_factors).
+
+    The trig denominator is dropped, since it vanishes only at collisions.
+    Frozen, with the stripped factors as a tuple of (factor, multiplicity),
     so that the cached ``pipeline`` can hand one instance to every caller.
     """
 
     index: int
     trig: TrigRational
-    trig_factors: tuple
-    clear_power: int
     r_factors: tuple
     content: Fraction
     r_poly: Poly
 
 
 def reduce_component(i, scenario):
-    """Run one gradient component through stripping and the r-substitution."""
+    """Clear one gradient component's numerator of half-angle denominators,
+    then strip its collision factors in r and split off its content."""
     trig = gradient_component(i, scenario)
     if trig.is_zero():
         raise ValueError(f"component {i} of {scenario.kind} vanishes identically")
-    core, trig_factors = strip_collision_factors(trig.num, scenario)
-    si = TRIG_REGISTRY.index("s")
-    ci = TRIG_REGISTRY.index("c")
-    clear = max(m[si] + m[ci] for m in core.ints)
-    raw = half_angle_polynomialize(core)
-    stripped, r_factors = strip_collision_factors(raw, scenario)
+    stripped, r_factors = strip_collision_factors(half_angle_polynomialize(trig.num), scenario)
     content, canonical = stripped.content_strip(_ORDER)
     return PipelineComponent(
         index=i,
         trig=trig,
-        trig_factors=tuple(trig_factors),
-        clear_power=clear,
         r_factors=tuple(r_factors),
         content=content,
         r_poly=canonical,

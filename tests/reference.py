@@ -7,8 +7,11 @@ division with remainder on ``Fraction`` coefficients; ``textbook_basis`` and ``r
 ``s_polynomial`` and ``buchberger_criterion`` check a basis pair by pair.
 ``reference_char_poly`` is Faddeev-LeVerrier over the entries' own ring.
 ``weighted_gradient_sum`` is the rotation-symmetry identity of the gradient;
-``potential``, ``gradient``, ``cos_table``, ``trig_value`` and
-``reconstruct_value`` evaluate the potential and the pipeline in floats.
+``potential``, ``gradient``, ``cos_table`` and ``trig_value`` evaluate the
+potential, its gradient and a trig component in floats.  The half-angle
+pipeline has no float reference: each component is checked as one exact
+identity in Q[r, mu], and against the gradient computed exactly at rational
+half-angles (``test_pipeline_oracle``).
 None of them is fast, and none is used by the package itself.
 """
 
@@ -367,22 +370,3 @@ def trig_value(trig, theta2, mus):
     }
     return trig.num.evaluate(values) / trig.den.evaluate(values)
 
-
-def reconstruct_value(comp, theta2, mus):
-    """The original trig component of the ``PipelineComponent`` ``comp``,
-    evaluated from the reduced pieces: the reduced polynomial multiplied
-    back by everything that was stripped or cleared."""
-    sv, cv = math.sin(theta2), math.cos(theta2)
-    rv = 1 / math.tan(theta2 / 2)
-    values = {"s": sv, "c": cv}
-    rvalues = {"r": rv}
-    for n, m in zip(("mu1", "mu2", "mu3", "mu4"), mus):
-        values[n] = float(m)
-        rvalues[n] = float(m)
-    num = float(comp.content) * comp.r_poly.evaluate(rvalues)
-    for f, mult in comp.r_factors:
-        num *= f.evaluate(rvalues) ** mult
-    num /= (1 + rv * rv) ** comp.clear_power
-    for f, mult in comp.trig_factors:
-        num *= f.evaluate(values) ** mult
-    return num / comp.trig.den.evaluate(values)

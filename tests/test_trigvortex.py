@@ -37,15 +37,12 @@ from vortexsym.trigvortex import (
     s_reduce,
     scenario_cos_table,
     strip_collision_factors,
-    TrigRational,
 )
 
 from reference import (
     cos_table,
     gradient,
     potential,
-    reconstruct_value,
-    trig_value,
     weighted_gradient_sum,
 )
 
@@ -54,6 +51,10 @@ ORD = GrevLex()
 
 def T(text):
     return Poly.parse(TRIG_REGISTRY, text)
+
+
+def R(text):
+    return Poly.parse(R_REGISTRY, text)
 
 
 def proportional(p, q):
@@ -85,16 +86,15 @@ class TestGradientComponents:
             assert t.num == s_reduce(expected[i - 1] * t.den)
 
     def test_kite_component3_proportional_to_displayed_form(self):
-        t = gradient_component(3, KITE)
-        core, factors = strip_collision_factors(t.num, KITE)
-        assert proportional(core, T("mu2 - mu4") * T("1 + 2*c"))
-        assert any(f == T("s") for f, _ in factors)
+        comp = reduce_component(3, KITE)
+        displayed = half_angle_polynomialize(T("mu2 - mu4") * T("1 + 2*c"))
+        assert proportional(comp.r_poly, displayed)
+        assert any(f == R("r") for f, _ in comp.r_factors)
 
     def test_rectangle_component2_displayed_form(self):
-        t = gradient_component(2, RECTANGLE)
-        core, _ = strip_collision_factors(t.num, RECTANGLE)
+        comp = reduce_component(2, RECTANGLE)
         target = T("mu1 + mu3") * T("c") + T("mu1 - mu3") * T("2*c^2 - 1")
-        assert proportional(core, target)
+        assert proportional(comp.r_poly, half_angle_polynomialize(target))
 
     def test_weighted_dependency_identity(self):
         for scenario in (SQUARE, KITE, RECTANGLE, TRAPEZOID3):
@@ -107,49 +107,49 @@ class TestGradientComponents:
 
 class TestStripping:
     def test_kite_component2_strips_sin_cubed(self):
-        t = gradient_component(2, KITE)
-        core, factors = strip_collision_factors(t.num, KITE)
-        product = Poly.constant(TRIG_REGISTRY, 1)
-        for f, mult in factors:
-            product = product * f**mult
-        assert product == s_reduce(T("s") ** 3)
+        # s^3 = (2r)^3 / (1 + r^2)^3 leaves r^3 once the denominators clear
+        comp = reduce_component(2, KITE)
+        assert comp.r_factors == ((R("r"), 3),)
         expected = T("2*mu1 - 2*mu3 - 2*mu1*c - 2*mu3*c + 6*mu4*c - 4*mu1*c^2 + 4*mu3*c^2 - 8*mu4*c^3")
-        assert proportional(core, expected)
+        assert proportional(comp.r_poly, half_angle_polynomialize(expected))
 
     def test_r_world_strip(self):
-        p = Poly.parse(R_REGISTRY, "r^2") * Poly.parse(R_REGISTRY, "r + 1")
+        p = R("r^2") * R("r + 1")
         stripped, factors = strip_collision_factors(p, KITE)
-        assert stripped == Poly.parse(R_REGISTRY, "r + 1")
-        assert factors == [(Poly.parse(R_REGISTRY, "r"), 2)]
+        assert stripped == R("r + 1")
+        assert factors == [(R("r"), 2)]
 
     def test_trapezoid_strips_collinear_factor(self):
         comp = reduce_component(4, TRAPEZOID3)
-        assert any(f == Poly.parse(R_REGISTRY, "-1 + 3*r^2") for f, _ in comp.r_factors)
+        assert comp.r_factors == ((R("r"), 1), (R("-1 + 3*r^2"), 1))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             strip_collision_factors(Poly.zero(R_REGISTRY), KITE)
 
+    def test_trig_polynomial_refused(self):
+        with pytest.raises(ValueError, match="stripped in r"):
+            strip_collision_factors(s_reduce(T("s") ** 3), KITE)
+
 
 class TestHalfAngle:
     def test_constant_passthrough(self):
-        t = TrigRational(Poly.constant(TRIG_REGISTRY, 1))
-        assert half_angle_polynomialize(t) == Poly.constant(R_REGISTRY, 1)
+        assert half_angle_polynomialize(T("1")) == R("1")
 
     def test_kite_component3_end_to_end(self):
         comp = reduce_component(3, KITE)
-        target = Poly.parse(R_REGISTRY, "mu2 - mu4") * Poly.parse(R_REGISTRY, "-1 + 3*r^2")
-        assert proportional(comp.r_poly, target)
+        assert proportional(comp.r_poly, R("mu2 - mu4") * R("-1 + 3*r^2"))
 
     def test_rectangle_component2_end_to_end(self):
         comp = reduce_component(2, RECTANGLE)
-        target = Poly.parse(R_REGISTRY, "-mu3 - 3*mu1*r^2 + 3*mu3*r^2 + mu1*r^4")
-        assert proportional(comp.r_poly, target)
+        assert proportional(comp.r_poly, R("-mu3 - 3*mu1*r^2 + 3*mu3*r^2 + mu1*r^4"))
 
     def test_substitution_identity_on_samples(self):
-        # c^k s^e (1+r^2)^(N-k-e)-clearing must agree with evaluating the
-        # trig polynomial at the angle corresponding to r
+        # c^k s^e (1+r^2)^(N-k-e)-clearing must agree exactly with evaluating
+        # the trig polynomial at the rational sine and cosine of the angle
+        # whose half-angle cotangent is a rational r
         rng = random.Random(8)
+        mus = {"mu1": 2, "mu2": 1, "mu3": 1, "mu4": 1}
         for _ in range(50):
             terms = {}
             for _ in range(rng.randint(1, 4)):
@@ -159,14 +159,13 @@ class TestHalfAngle:
             if p.is_zero():
                 continue
             rp = half_angle_polynomialize(p)
-            theta = rng.uniform(0.1, math.pi - 0.1)
-            rv = 1 / math.tan(theta / 2)
+            rv = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            unit = 1 + rv * rv
             si = TRIG_REGISTRY.index("s")
             ci = TRIG_REGISTRY.index("c")
             clear = max(m[si] + m[ci] for m in p.terms)
-            lhs = p.evaluate({"s": math.sin(theta), "c": math.cos(theta), "mu1": 2.0, "mu2": 1.0, "mu3": 1.0, "mu4": 1.0})
-            rhs = rp.evaluate({"r": rv, "mu1": 2.0, "mu2": 1.0, "mu3": 1.0, "mu4": 1.0}) / (1 + rv * rv) ** clear
-            assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+            lhs = p.evaluate({"s": 2 * rv / unit, "c": (rv * rv - 1) / unit, **mus})
+            assert lhs * unit**clear == rp.evaluate({"r": rv, **mus})
 
 
 class TestPipelines:
@@ -191,7 +190,6 @@ class TestPipelines:
         assert pipeline(scenario) is comps
         assert isinstance(comps, tuple) and len(comps) == 3
         for comp in comps:
-            assert isinstance(comp.trig_factors, tuple)
             assert isinstance(comp.r_factors, tuple)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 comp.r_poly = Poly.zero(R_REGISTRY)
@@ -221,8 +219,6 @@ class TestPipelines:
             assert (a.trig.num, a.trig.den) == (b.trig.num, b.trig.den)
             assert a.r_poly == b.r_poly
             assert a.content == b.content
-            assert a.clear_power == b.clear_power
-            assert a.trig_factors == b.trig_factors
             assert a.r_factors == b.r_factors
 
     def test_list_built_scenario_shares_the_cache_entry(self):
@@ -236,27 +232,15 @@ class TestPipelines:
             pipeline(SQUARE)
 
     def test_evaluation_consistency(self):
-        # at random angles and circulations the reduced polynomial, times the
-        # stripped factors and cleared denominators, recovers the original
-        # trig component value
-        rng = random.Random(99)
+        # each of the nine components is one exact identity in Q[r, mu]: the
+        # cleared half-angle numerator is the content times the reduced
+        # polynomial times the stripped factors
         for scenario in (KITE, RECTANGLE, TRAPEZOID3):
-            comps = pipeline(scenario)
-            count = 0
-            while count < 34:
-                theta2 = rng.uniform(-math.pi, math.pi)
-                if min(abs(theta2), abs(theta2 - math.pi), abs(theta2 + math.pi)) < 0.2:
-                    continue
-                if scenario is TRAPEZOID3 and min(
-                    abs(abs(theta2) - 2 * math.pi / 3), abs(abs(theta2) - math.pi / 2)
-                ) < 0.2:
-                    continue
-                mus = [rng.uniform(0.5, 2.0) * rng.choice([-1, 1]) for _ in range(4)]
-                for comp in comps:
-                    direct = trig_value(comp.trig, theta2, mus)
-                    rebuilt = reconstruct_value(comp, theta2, mus)
-                    assert abs(direct - rebuilt) < 1e-9 * max(1.0, abs(direct), abs(rebuilt))
-                count += 1
+            for comp in pipeline(scenario):
+                rebuilt = comp.content * comp.r_poly
+                for f, mult in comp.r_factors:
+                    rebuilt = rebuilt * f**mult
+                assert half_angle_polynomialize(comp.trig.num) == rebuilt
 
 
 class TestAngleOfR:
