@@ -37,11 +37,16 @@ FIGURE_THETA2 = {
 
 
 def _parse_fraction(text):
+    """A rational from ``n/d`` or a finite decimal.  Malformed or infinite
+    input is a usage error (exit 2), not an arithmetic traceback."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(Decimal(text))
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(Decimal(text))
+    except (ArithmeticError, ValueError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite rational") from None
 
 
 def _parse_mu(text):
@@ -55,7 +60,7 @@ def _parse_mu(text):
 
 
 def _parse_eps(text):
-    eps = Fraction(Decimal(text))
+    eps = _parse_fraction(text)
     if eps <= 0:
         raise argparse.ArgumentTypeError("--eps must be positive")
     return eps

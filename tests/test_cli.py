@@ -210,6 +210,26 @@ def test_parse_fraction_forms():
     assert cli._parse_fraction("-2.5") == Fraction(-5, 2)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kite", "--mu", "1/0,1,1,1"],
+        ["kite", "--mu", "abc,1,1,1"],
+        ["kite", "--mu", "inf,1,1,1"],
+        ["kite", "--mu", "nan,1,1,1"],
+        ["kite", "--eps", "abc"],
+        ["kite", "--eps", "inf"],
+        ["kite", "--eps", "1/0"],
+    ],
+)
+def test_malformed_rational_is_a_usage_error(argv, capsys):
+    # exit 1 means a failed oracle check; a bad number is exit 2
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "is not a finite rational" in capsys.readouterr().err
+
+
 def test_kite_mismatched_pair_exits_cleanly(capsys):
     code = cli.main(["kite", "--mu", "1,2,1,3"])
     captured = capsys.readouterr()
