@@ -19,10 +19,11 @@ Every exact quotient in the package runs through one kernel,
 with it, and ``realroots`` the squarefree part.  Normal forms modulo a
 basis are the job of ``groebner``'s packed kernel.
 
-Hot integer kernels fold gcd and lcm with ``reduce``, not ``gcd(*values)``:
-CPython 3.11 keeps freed argument tuples of 20 items, or of 11 to 20 built
-from a generator, on free lists that only a full collection empties, and
-these kernels, allocating few tracked objects, rarely trigger one.
+Every gcd and lcm over many integers folds with ``reduce``, never
+``gcd(*values)``: CPython 3.11 keeps freed argument tuples of 20 items, or of
+11 to 20 built from a generator, on free lists that only a full collection
+empties, and these kernels, allocating few tracked objects, rarely trigger
+one.
 
 ``Sqrt2`` is the exact scalar field Q(sqrt(2)), in which the rectangle's
 diagonal Hessians live.
@@ -337,7 +338,9 @@ class Poly(Immutable):
         integer ``den``.  The slots are set through their descriptors, the
         cheapest way past ``Immutable.__setattr__``."""
         if den != 1:
-            g = gcd(den, *ints.values()) if den > 0 else -gcd(den, *ints.values())
+            g = reduce(gcd, ints.values(), abs(den))
+            if den < 0:
+                g = -g
             if g != 1:
                 ints = {m: c // g for m, c in ints.items()}
                 den //= g
@@ -509,7 +512,7 @@ class Poly(Immutable):
     def _content(self, order):
         """The gcd of the numerators, signed like the leading one, and the
         primitive part: ``self == content / den * primitive``."""
-        g = gcd(*self.ints.values())
+        g = reduce(gcd, self.ints.values(), 0)
         if self.ints[self.leading_monomial(order or _GREVLEX)] < 0:
             g = -g
         if g == 1 and self.den == 1:
@@ -546,8 +549,8 @@ class Poly(Immutable):
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        num_content = gcd(*self.ints.values())
-        den_content = gcd(*divisor.ints.values())
+        num_content = reduce(gcd, self.ints.values(), 0)
+        den_content = reduce(gcd, divisor.ints.values(), 0)
         try:
             quotient = _div_exact(
                 {m: c // num_content for m, c in self.ints.items()},

@@ -93,7 +93,7 @@ def _primitive_int(coeffs):
     """Integer coefficients with content 1: a positive multiple of the input."""
     den = reduce(lcm, (c.denominator for c in coeffs), 1)
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = gcd(*ints)
+    g = reduce(gcd, ints, 0)
     if g > 1:
         ints = [c // g for c in ints]
     return ints
@@ -929,7 +929,7 @@ def _unit_plus(d, k, parts):
 
 def _primitive_over(u, e):
     """Divide the integer vector ``u`` and denominator ``e`` by their gcd."""
-    g = gcd(e, *u)
+    g = reduce(gcd, u, e)
     if g == 1:
         return u, e
     return [x // g for x in u], e // g
