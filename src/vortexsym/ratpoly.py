@@ -19,11 +19,10 @@ Every exact quotient in the package runs through one kernel,
 with it, and ``realroots`` the squarefree part.  Normal forms modulo a
 basis are the job of ``groebner``'s packed kernel.
 
-Every gcd and lcm over many integers folds with ``reduce``, never
-``gcd(*values)``: CPython 3.11 keeps freed argument tuples of 20 items, or of
-11 to 20 built from a generator, on free lists that only a full collection
-empties, and these kernels, allocating few tracked objects, rarely trigger
-one.
+A gcd or lcm of many values folds with ``reduce``, never ``gcd(*values)``:
+CPython 3.11 keeps freed argument tuples of 20 items, or of 11 to 20 built
+from a generator, on free lists that only a full collection empties, and
+these kernels, allocating few tracked objects, rarely trigger one.
 
 ``Sqrt2`` is the exact scalar field Q(sqrt(2)), in which the rectangle's
 diagonal Hessians live.
