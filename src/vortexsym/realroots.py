@@ -78,13 +78,6 @@ def degree(coeffs):
     return len(coeffs) - 1
 
 
-def eval_at(coeffs, x):
-    acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def derivative(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
 
@@ -99,11 +92,13 @@ def _primitive_int(coeffs):
     return ints
 
 
-def _sign_at(coeffs, num, den):
+def sign_at(coeffs, num, den):
     """Sign of p(num / den) for integer coefficients and den > 0.
 
     Horner on den^deg * p(num / den) = sum c_i num^i den^(deg - i), which
-    has the sign of p(num / den) and stays in integers.
+    has the sign of p(num / den) and stays in integers.  A positive multiple
+    of p (``int_coeffs`` of a ``Poly``, say) has the same signs, so every
+    sign or zero test at a rational point runs here.
     """
     acc = 0
     scale = 1
@@ -306,7 +301,7 @@ def descartes_positive(coeffs):
 
 def _variations(chain, num, den):
     """Sign variations of integer-list chain members at num / den, den > 0."""
-    signs = [s for s in (_sign_at(p, num, den) for p in chain) if s]
+    signs = [s for s in (sign_at(p, num, den) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -363,14 +358,14 @@ class IsolatingInterval(RatInterval):
         a = self.lo.numerator * (den // self.lo.denominator)
         b = self.hi.numerator * (den // self.hi.denominator)
         scaled = _scale_var(_primitive_int(self.coeffs), den)
-        s_lo = 1 if _sign_at(scaled, a, 1) > 0 else -1
+        s_lo = 1 if sign_at(scaled, a, 1) > 0 else -1
         # width (b - a) / (den * 2^j) >= eps, cross-multiplied
         limit = eps.numerator * den
         j = 0
         while (b - a) * eps.denominator >= limit << j:
             mid = a + b
             j += 1
-            s = _sign_at(scaled, mid, 1 << j)
+            s = sign_at(scaled, mid, 1 << j)
             if s == 0:
                 a = b = mid
                 break
@@ -431,7 +426,7 @@ def sturm_isolate(coeffs):
             intervals.append(interval(lo, hi, j))
             continue
         mid, lo, hi, j = lo + hi, 2 * lo, 2 * hi, j + 1
-        if _sign_at(p, mid, 1 << j) == 0:
+        if sign_at(p, mid, 1 << j) == 0:
             # exact rational root at the split point: report it as a point
             # interval and cut out a window (mid - delta, mid + delta),
             # delta = width / 4 halved until it holds only this root
@@ -440,7 +435,7 @@ def sturm_isolate(coeffs):
             lo, mid, hi, j = 4 * lo, 4 * mid, 4 * hi, j + 2
             while True:
                 a, b = mid - delta, mid + delta
-                if _sign_at(p, a, 1 << j) and _sign_at(p, b, 1 << j):
+                if sign_at(p, a, 1 << j) and sign_at(p, b, 1 << j):
                     v_a, v_b = variations(a, j), variations(b, j)
                     if v_a - v_b == 1:
                         break
@@ -516,7 +511,8 @@ def char_poly(rows):
     registry.  The matrix is lowered once to d*A, with d the positive lcm
     of every rational denominator in it, over Z or Z[x] (integer
     coefficient dicts keyed by packed monomials), and one fraction-free
-    loop runs there: its coefficients are integral, so each division by k
+    loop runs there (``int_char_poly`` over Z): its coefficients are
+    integral, so each division by k
     is exact, and a nonzero remainder raises ``ExactDivisionError``.  The
     coefficient of lambda^(n-k) is lifted back over d^k.  Result types are
     those of generic arithmetic on the entries: all ``Fraction`` for a
@@ -533,8 +529,7 @@ def char_poly(rows):
     if not any(isinstance(c, Poly) for c in entries):
         d = reduce(lcm, (c.denominator for _, c in map(_constant_part, entries)), 1)
         a = [[c.numerator * (d // c.denominator) for c in row] for row in rows]
-        coeffs = _faddeev_leverrier(a, _dot_int, add, _neg_div_int)
-        return [Fraction(c, d**k) for k, c in reversed(list(enumerate([1, *coeffs])))]
+        return [Fraction(c, d ** (n - k)) for k, c in enumerate(int_char_poly(a))]
     a, d, lift = _lower_poly(rows, entries)
     coeffs = _faddeev_leverrier(a, _dot_sparse, _add_sparse, _neg_div_sparse)
     out = [lift(c, d**k) for k, c in enumerate(coeffs, 1)]
@@ -542,6 +537,16 @@ def char_poly(rows):
         # generic arithmetic keeps the trace of a rational diagonal rational
         out[0] = Fraction(coeffs[0].get(0, 0), d)
     return [*reversed(out), 1]
+
+
+def int_char_poly(a):
+    """Ascending integer coefficients of det(y*I - A) for an integer matrix.
+
+    For a rational matrix B cleared to A = d*B, det(lambda*I - B) has the
+    root lambda exactly when this polynomial has the root d*lambda, so a
+    root test needs no ``Fraction``: ``sign_at(p, d * num, den)``.
+    """
+    return [*reversed(_faddeev_leverrier(a, _dot_int, add, _neg_div_int)), 1]
 
 
 def _faddeev_leverrier(a, dot, add, neg_div):

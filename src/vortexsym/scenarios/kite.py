@@ -19,10 +19,9 @@ from vortexsym.groebner import GroebnerBasis, Ideal, buchberger, eliminate
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
 from vortexsym.realroots import (
     IsolatingInterval,
-    coeffs_from_poly,
-    eval_at,
     eval_interval,
     int_coeffs,
+    sign_at,
     sturm_isolate,
 )
 from vortexsym.scenarios.report import (
@@ -99,14 +98,14 @@ def kite_elimination(comps):
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
     checks.add(
         "elimination_basis",
-        [p.primitive(gb.order) for p in gb.polys] == [Poly.parse(R_REGISTRY, "mu2 - mu4")],
+        [p.primitive(gb.order) for p in gb.polys] == [targets.parsed(R_REGISTRY, "mu2 - mu4")],
         "projection onto circulation space is {mu2 - mu4}",
     )
     # the even configuration-counting factor (V_theta4 side, mu4 eliminated)
     config_factor = comps[2].r_poly.primitive(_ORD)
     checks.add(
         "configuration_factor",
-        config_factor == Poly.parse(R_REGISTRY, targets.KITE_CONFIG_FACTOR).primitive(_ORD),
+        config_factor == targets.parsed(R_REGISTRY, targets.KITE_CONFIG_FACTOR).primitive(_ORD),
         "degree-six even factor matches the reference form",
     )
     return KiteElimination(checks=tuple(checks), gb=gb, config_factor=config_factor)
@@ -134,9 +133,9 @@ def configuration_count(config_factor, mus):
         uni = _specialize(config_factor, mus)
         checks.add(
             "uniform_circulation_exact_roots",
-            eval_at(uni, Fraction(1)) == 0
+            sign_at(uni, 1, 1) == 0
             and all(c == 0 for c in uni[1::2])
-            and eval_at(uni[::2], Fraction(1, 3)) == 0,
+            and sign_at(uni[::2], 1, 3) == 0,
             "r = 1 and r^2 = 1/3 are exact roots at mu = (1,1,1,1)",
         )
     return ConfigurationCount(checks=tuple(checks), radii=tuple(radii))
@@ -223,10 +222,10 @@ def special_angle_analysis(comps):
     # w = (mu1(mu4-mu2), mu2(mu1-mu4), 0, mu4(mu2-mu1))
     half = Fraction(-1, 2)
     w_expected = [
-        Poly.parse(TRIG_REGISTRY, "mu1*mu4 - mu1*mu2"),
-        Poly.parse(TRIG_REGISTRY, "mu1*mu2 - mu2*mu4"),
+        targets.parsed(TRIG_REGISTRY, "mu1*mu4 - mu1*mu2"),
+        targets.parsed(TRIG_REGISTRY, "mu1*mu2 - mu2*mu4"),
         Poly.zero(TRIG_REGISTRY),
-        Poly.parse(TRIG_REGISTRY, "mu2*mu4 - mu1*mu4"),
+        targets.parsed(TRIG_REGISTRY, "mu2*mu4 - mu1*mu4"),
     ]
     display_ok = True
     trig = [gradient_component(1, KITE)] + [c.trig for c in comps]
@@ -252,9 +251,9 @@ def special_angle_analysis(comps):
     # nonzero circulations annihilate the gradient only when all three agree
     mu_reg = VarRegistry(["mu1", "mu2", "mu4"])
     residuals = [
-        Poly.parse(mu_reg, "mu4 - mu2"),
-        Poly.parse(mu_reg, "mu1 - mu4"),
-        Poly.parse(mu_reg, "mu2 - mu1"),
+        targets.parsed(mu_reg, "mu4 - mu2"),
+        targets.parsed(mu_reg, "mu1 - mu4"),
+        targets.parsed(mu_reg, "mu2 - mu1"),
     ]
     forced = buchberger(Ideal.of(*residuals), GrevLex())
     forced_set = {p.primitive(forced.order).format(forced.order) for p in forced.polys}
@@ -272,7 +271,7 @@ def special_angle_analysis(comps):
     one = Poly.constant(treg, 1)
     rows = hessian(scenario_cos_table(KITE, half), [t, t, one, t], weighted=True)
     lam = Poly.variable(lreg, "lam")
-    lam2 = Poly.parse(lreg, "3/2 - 1/2*t")
+    lam2 = targets.parsed(lreg, "3/2 - 1/2*t")
     quad = char_poly_in(rows, lreg, "lam").divide_exact(lam).divide_exact(lam - lam2)
     groups = quad.coefficients_in(["lam"])
     s_poly = -groups[(1,)]
@@ -282,7 +281,7 @@ def special_angle_analysis(comps):
         "special_angle_weighted_spectrum",
         groups.get((2,)) == Poly.constant(lreg, 1)
         and disc_poly.map_to(treg).primitive(_ORD)
-        == Poly.parse(treg, "121*t^2 + 282*t + 81").primitive(_ORD),
+        == targets.parsed(treg, "121*t^2 + 282*t + 81").primitive(_ORD),
         "quadratic pair discriminant is (121 t^2 + 282 t + 81)/16",
     )
 
@@ -314,7 +313,8 @@ def special_angle_analysis(comps):
 
 
 def _quad_positive_count(s, p, d):
-    """Positive roots (with multiplicity) of lam^2 - s lam + p, disc d."""
+    """Positive roots (with multiplicity) of lam^2 - s lam + p, disc d,
+    from the signs s, p and d of those three values."""
     if d < 0:
         return 0
     if d == 0:
@@ -339,14 +339,12 @@ def _stability_window(lam2, s_poly, p_poly):
     boundary = lam2 * p_poly * disc_poly
     intervals = sturm_isolate(int_coeffs(boundary, "t"))
 
-    lam2_c = coeffs_from_poly(lam2, "t")
-    s_c = coeffs_from_poly(s_poly, "t")
-    p_c = coeffs_from_poly(p_poly, "t")
-    d_c = coeffs_from_poly(disc_poly, "t")
+    # positive multiples of the four polynomials: the same signs everywhere
+    lam2_c, s_c, p_c, d_c = (int_coeffs(f, "t") for f in (lam2, s_poly, p_poly, disc_poly))
 
     def count(tv):
-        c = 1 if eval_at(lam2_c, tv) > 0 else 0
-        return c + _quad_positive_count(eval_at(s_c, tv), eval_at(p_c, tv), eval_at(d_c, tv))
+        signs = [sign_at(c, tv.numerator, tv.denominator) for c in (lam2_c, s_c, p_c, d_c)]
+        return (signs[0] > 0) + _quad_positive_count(*signs[1:])
 
     def sample(left, right):
         # the isolating intervals are disjoint and no inexact one ends at a
@@ -384,7 +382,7 @@ def _stability_window(lam2, s_poly, p_poly):
         small = [d for d in range(1, math.isqrt(lead) + 1) if lead % d == 0]
         for q in small + [lead // d for d in small]:
             for p in range(math.ceil(iv.lo * q), math.floor(iv.hi * q) + 1):
-                if eval_at(iv.coeffs, Fraction(p, q)) == 0:
+                if sign_at(iv.coeffs, p, q) == 0:
                     return Fraction(p, q)
         return None
 

@@ -77,7 +77,9 @@ def rectangle_elimination(comps):
     checks = Checks([pipeline_check(comps, targets.RECTANGLE_PIPELINE)])
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
     mine = {p.primitive(gb.order) for p in gb.polys}
-    want = {Poly.parse(R_REGISTRY, t).primitive(gb.order) for t in targets.RECTANGLE_ELIMINATION}
+    want = {
+        targets.parsed(R_REGISTRY, t).primitive(gb.order) for t in targets.RECTANGLE_ELIMINATION
+    }
     checks.add(
         "elimination_basis",
         mine == want,
@@ -211,7 +213,7 @@ def _branch_multiples(comps, substitution, target):
     one per component after the substitution; None when some component is
     not such a multiple.  Each component is then q*target*s/(1-c^2), a
     multiple of target/s."""
-    pyth = Poly.parse(TRIG_REGISTRY, "1 - c^2")
+    pyth = targets.parsed(TRIG_REGISTRY, "1 - c^2")
     zero = Poly.zero(TRIG_REGISTRY)
     quotients = []
     for comp in comps:

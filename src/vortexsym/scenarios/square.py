@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
-from vortexsym.realroots import char_poly, eval_at
+from vortexsym.realroots import int_char_poly, sign_at
 from vortexsym.scenarios.report import (
     Checks,
     ScenarioReport,
@@ -88,31 +89,32 @@ def symbolic_spectra():
     cos_table = scenario_cos_table(SQUARE)
 
     h_texts = ("0", "2*m1*m2", "-3/2*m1^2 + m1*m2", "m1*m2 - 3/2*m2^2")
-    h_eigs = [Poly.parse(msym, t) for t in h_texts]
+    h_eigs = [targets.parsed(msym, t) for t in h_texts]
     h_factors = [lam - e.map_to(lreg) for e in h_eigs]
+    h_rows = hessian(cos_table, [m1, m2, m1, m2])
     checks.add(
         "hessian_eigenvalues",
-        char_poly_in(hessian(cos_table, [m1, m2, m1, m2]), lreg, "lam") == math.prod(h_factors),
+        char_poly_in(h_rows, lreg, "lam") == math.prod(h_factors),
         "spectrum 0, 2 m1 m2, (2 m1 m2 - 3 m1^2)/2, (2 m1 m2 - 3 m2^2)/2",
     )
 
     # degenerate exactly at the 3:2 and 2:3 circulation ratios
-    deg32 = h_factors[2].subs({"m2": Poly.parse(lreg, "3/2*m1")})
-    deg23 = h_factors[3].subs({"m2": Poly.parse(lreg, "2/3*m1")})
+    deg32 = h_factors[2].subs({"m2": targets.parsed(lreg, "3/2*m1")})
+    deg23 = h_factors[3].subs({"m2": targets.parsed(lreg, "2/3*m1")})
     checks.add(
         "degenerate_ratios",
         deg32 == lam and deg23 == lam,
         "extra zero eigenvalue exactly when m2 = 3/2 m1 or m2 = 2/3 m1",
     )
 
-    e1 = Poly.parse(msym, "m1 - 3/2*m2")
-    e2 = Poly.parse(msym, "-3/2*m1 + m2")
-    e3 = Poly.parse(msym, "m1 + m2")
+    e1 = targets.parsed(msym, "m1 - 3/2*m2")
+    e2 = targets.parsed(msym, "-3/2*m1 + m2")
+    e3 = targets.parsed(msym, "m1 + m2")
     w_eigs = [Poly.zero(msym), e1, e2, e3]
-    w_cp = char_poly_in(hessian(cos_table, [m1, m2, m1, m2], weighted=True), lreg, "lam")
+    w_rows = hessian(cos_table, [m1, m2, m1, m2], weighted=True)
     checks.add(
         "weighted_eigenvalues",
-        w_cp == math.prod(lam - e.map_to(lreg) for e in w_eigs),
+        char_poly_in(w_rows, lreg, "lam") == math.prod(lam - e.map_to(lreg) for e in w_eigs),
         "spectrum 0, (2 m1 - 3 m2)/2, (-3 m1 + 2 m2)/2, m1 + m2",
     )
 
@@ -124,20 +126,38 @@ def symbolic_spectra():
         "2*e1 + 2*e2 + e3 = 0 exactly with e3 = m1 + m2",
     )
 
-    # the formulas' values are exact roots of both characteristic polynomials
-    sample_ok = True
-    for a, b in EIGEN_SAMPLES:
-        a, b = Fraction(a), Fraction(b)
-        for weighted, eigs in ((True, w_eigs), (False, h_eigs)):
-            p = char_poly(hessian(cos_table, (a, b, a, b), weighted=weighted))
-            if any(eval_at(p, e.evaluate({"m1": a, "m2": b})) != 0 for e in eigs):
-                sample_ok = False
     checks.add(
         "eigenvalue_formulas_at_samples",
-        sample_ok,
+        all(
+            _roots_at_samples(rows, eigs, EIGEN_SAMPLES)
+            for rows, eigs in ((w_rows, w_eigs), (h_rows, h_eigs))
+        ),
         f"exact roots of the characteristic polynomial at {len(EIGEN_SAMPLES)} samples",
     )
     return SymbolicSpectra(checks=tuple(checks), weighted_eigenvalues=tuple(w_eigs))
+
+
+def _roots_at_samples(rows, eigs, samples):
+    """Whether every formula of ``eigs`` is, at each integer pair (m1, m2)
+    of ``samples``, a root of the characteristic polynomial of the matrix
+    ``rows``, all polynomials in (m1, m2), in integers only.
+
+    With d the lcm of the entries' denominators, d*A is an integer matrix
+    at an integer sample, and a value n/q of a formula is an eigenvalue of
+    A exactly when d*n/q is a root of det(y*I - d*A).
+    """
+    d = reduce(math.lcm, (c.den for row in rows for c in row), 1)
+    for a, b in samples:
+        p = int_char_poly([[_numerator_at(c, a, b) * (d // c.den) for c in row] for row in rows])
+        if any(sign_at(p, d * _numerator_at(e, a, b), e.den) for e in eigs):
+            return False
+    return True
+
+
+def _numerator_at(p, a, b):
+    """``p.den`` times the value of ``p``, a polynomial in (m1, m2), at the
+    integers (a, b)."""
+    return sum(c * a**i * b**j for (i, j), c in p.ints.items())
 
 
 def stability(spectra, mus):

@@ -42,12 +42,12 @@ from vortexsym.realroots import (
     coeffs_from_poly,
     derivative,
     descartes_positive,
-    eval_at,
     eval_interval,
     hermite_matrix,
     inertia,
     int_coeffs,
     poly_gcd,
+    sign_at,
     squarefree_part,
     sturm_isolate,
 )
@@ -158,10 +158,10 @@ def elimination_ideal(comps):
     f_mine = _order_like(gb, f_ref)
 
     # the sixth element factors as mu4^2 (mu2 - mu4) p1
-    p1_r = Poly.parse(R_REGISTRY, targets.P1_QUINTIC)
-    quotient = f_mine[5].try_divide(Poly.parse(R_REGISTRY, "mu4^2"))
+    p1_r = targets.parsed(R_REGISTRY, targets.P1_QUINTIC)
+    quotient = f_mine[5].try_divide(targets.parsed(R_REGISTRY, "mu4^2"))
     if quotient is not None:
-        quotient = quotient.try_divide(Poly.parse(R_REGISTRY, "mu2 - mu4"))
+        quotient = quotient.try_divide(targets.parsed(R_REGISTRY, "mu2 - mu4"))
     checks.add(
         "f6_factorisation",
         quotient is not None and quotient.primitive(_ORD) == p1_r.primitive(_ORD),
@@ -207,12 +207,12 @@ def plane_factorisation():
     # mu4 first the plane is monic and linear in mu4, so the remainder of p1
     # is p1 at mu4 = -a*mu2 - b*mu3, and p1 minus it is a multiple of the plane
     preg = VarRegistry(["mu4", "mu2", "mu3", "a", "b"])
-    p1 = Poly.parse(preg, targets.P1_QUINTIC)
-    plane = Poly.parse(preg, "a*mu2 + b*mu3 + mu4")
-    remainder = p1.subs({"mu4": Poly.parse(preg, "-a*mu2 - b*mu3")})
+    p1 = targets.parsed(preg, targets.P1_QUINTIC)
+    plane = targets.parsed(preg, "a*mu2 + b*mu3 + mu4")
+    remainder = p1.subs({"mu4": targets.parsed(preg, "-a*mu2 - b*mu3")})
     groups = remainder.coefficients_in(["mu2", "mu3"])
     got = [groups.get((5 - k, k), Poly.zero(preg)) for k in range(6)]
-    want = [Poly.parse(preg, t) for t in targets.REMAINDER_COEFFS]
+    want = [targets.parsed(preg, t) for t in targets.REMAINDER_COEFFS]
     identity_ok = (p1 - remainder).try_divide(plane) is not None
     bad = next((k for k in range(6) if got[k] != want[k]), None)
     detail = "six remainder coefficients match the reference forms exactly"
@@ -229,8 +229,8 @@ def plane_factorisation():
 
     # Groebner basis of the coefficient ideal in (a, b), lex a > b
     gb_ab = buchberger(Ideal.of(*(g.map_to(AB) for g in got)), lex(AB))
-    b_quintic = Poly.parse(AB, targets.B_QUINTIC)
-    a_linear = Poly.parse(AB, targets.AB_IDEAL_SECOND)
+    b_quintic = targets.parsed(AB, targets.B_QUINTIC)
+    a_linear = targets.parsed(AB, targets.AB_IDEAL_SECOND)
     basis = {p.primitive(gb_ab.order) for p in gb_ab.polys}
     basis_ok = len(gb_ab) == 2 and all(
         q.primitive(gb_ab.order) in basis for q in (b_quintic, a_linear)
@@ -444,7 +444,7 @@ def f1_plane_identity_in_ideal(gb_ab):
     mu4 = beta * mu2 + alpha * mu3
     f1 = mu1 * mu1 - mu1 * mu3 + mu2 * mu4 - mu4 * mu4
     groups = f1.coefficients_in(["mu2", "mu3"])
-    key_poly = Poly.parse(reg, "b^2 - a - a^2")
+    key_poly = targets.parsed(reg, "b^2 - a - a^2")
     zero = Poly.zero(reg)
     shape = tuple(groups.get(m, zero) for m in ((1, 1), (2, 0), (0, 2)))
     key = key_poly.map_to(AB)
@@ -497,7 +497,7 @@ def annihilating_lines(ordered_basis, plane):
             break
         c_polys.append(groups[(1,)].map_to(ANNI))
         c_polys.append(groups[(0,)].map_to(ANNI))
-    want = [Poly.parse(ANNI, t) for t in targets.C_POLYS]
+    want = [targets.parsed(ANNI, t) for t in targets.C_POLYS]
     checks.add(
         "linear_coefficients",
         linear_ok
@@ -506,11 +506,11 @@ def annihilating_lines(ordered_basis, plane):
         "the fourteen mu1-linear coefficients match the reference forms",
     )
 
-    p1 = Poly.parse(ANNI, targets.P1_QUINTIC)
+    p1 = targets.parsed(ANNI, targets.P1_QUINTIC)
     gb_anni = buchberger(Ideal.of(*(c_polys + [p1])), GrevLex())
     mine = {p.primitive(gb_anni.order) for p in gb_anni.polys}
     want_basis = {
-        Poly.parse(ANNI, t).primitive(gb_anni.order) for t in targets.ANNIHILATOR_BASIS
+        targets.parsed(ANNI, t).primitive(gb_anni.order) for t in targets.ANNIHILATOR_BASIS
     }
     checks.add(
         "annihilator_basis",
@@ -518,7 +518,7 @@ def annihilating_lines(ordered_basis, plane):
         "reduced six-element basis matches the reference forms",
     )
 
-    sphere = Poly.parse(ANNI, "mu2^2 + mu3^2 + mu4^2 - 1")
+    sphere = targets.parsed(ANNI, "mu2^2 + mu3^2 + mu4^2 - 1")
     gb_sphere = buchberger(Ideal.of(*(list(gb_anni.polys) + [sphere])), GrevLex())
     qb = standard_monomials(gb_sphere)
     n_pos, n_neg, _ = inertia(hermite_matrix(gb_sphere, qb))
@@ -614,7 +614,8 @@ def _vanishes_in(divisor, iv):
     which for an exact ``iv`` reads sf(lo) = 0.
     """
     sf = squarefree_part(divisor)
-    return eval_at(sf, iv.lo) * eval_at(sf, iv.hi) <= 0
+    lo, hi = iv.lo, iv.hi
+    return sign_at(sf, lo.numerator, lo.denominator) * sign_at(sf, hi.numerator, hi.denominator) <= 0
 
 
 def _match_table(lines, plane):
@@ -746,7 +747,8 @@ class AngleAnalysis:
 def angle_analysis(comps, plane):
     """The angle stage from the pipeline output and ``plane``; see :class:`AngleAnalysis`."""
     checks = Checks()
-    ideal = Ideal.of(*([c.r_poly for c in comps] + [Poly.parse(R_REGISTRY, targets.P1_QUINTIC)]))
+    p1 = targets.parsed(R_REGISTRY, targets.P1_QUINTIC)
+    ideal = Ideal.of(*([c.r_poly for c in comps] + [p1]))
     # Any order on the dropped block gives the same reduced basis of the
     # elimination ideal under grevlex(r, mu1, mu3): the block-order basis
     # elements free of mu2 and mu4 are that basis.  mu4 first runs shorter.
@@ -760,13 +762,13 @@ def angle_analysis(comps, plane):
 
     # the degree-ten angle polynomial, extracted by exact division
     g_mine = None
-    divisor = Poly.parse(R_REGISTRY, "mu1^2") * Poly.parse(R_REGISTRY, "mu1 - mu3")
+    divisor = targets.parsed(R_REGISTRY, "mu1^2") * targets.parsed(R_REGISTRY, "mu1 - mu3")
     for p in gb_vt.polys:
         q = p.try_divide(divisor)
         if q is not None and not any(q.uses(n) for n in ("mu1", "mu2", "mu3", "mu4")):
             g_mine = q
             break
-    g_ref = Poly.parse(R_REGISTRY, targets.G_OF_R)
+    g_ref = targets.parsed(R_REGISTRY, targets.G_OF_R)
     checks.add(
         "angle_polynomial",
         g_mine is not None and g_mine.primitive(_ORD) == g_ref.primitive(_ORD),

@@ -3,11 +3,15 @@
 Every oracle check in :mod:`vortexsym.scenarios` compares a quantity the
 package derives from scratch against one of these constants.  Polynomial
 targets are stored in the plain text format of :mod:`vortexsym.ratpoly`,
-factored the way the classification states them; numeric targets carry six
-significant figures and are matched to 1e-5.
+factored the way the classification states them, and parsed once per
+process on first use (``parsed``, ``build_products``); numeric targets
+carry six significant figures and are matched to 1e-5.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 from vortexsym.ratpoly import Poly, VarRegistry
 
@@ -343,12 +347,23 @@ SQUARE_CONDITIONS = ("mu1 - mu3", "mu2 - mu4")
 NUMERIC_TOL = 1e-5
 
 
+@functools.cache
+def parsed(registry, text):
+    """The polynomial of ``text`` over ``registry``, parsed once per process.
+
+    Lazy: a text is parsed on its first use, so importing costs nothing.
+    The cache is keyed by the text itself, so a reference constant that is
+    changed (by a test, say) is a new key and is parsed afresh; every
+    caller shares one immutable ``Poly``.
+    """
+    return Poly.parse(registry, text)
+
+
+@functools.cache
 def build_products(registry, entries):
-    """Materialise (scalar, factor texts) pairs as polynomials."""
-    out = []
-    for scalar, factors in entries:
-        p = Poly.constant(registry, scalar)
-        for text in factors:
-            p = p * Poly.parse(registry, text)
-        out.append(p)
-    return out
+    """Materialise (scalar, factor texts) pairs as a tuple of polynomials,
+    once per process for each registry and tuple of entries."""
+    return tuple(
+        math.prod((parsed(registry, t) for t in factors), start=Poly.constant(registry, scalar))
+        for scalar, factors in entries
+    )

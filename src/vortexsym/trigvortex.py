@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from vortexsym.ratpoly import GrevLex, Immutable, Poly, VarRegistry
-from vortexsym.targets import MU_REGISTRY, R_REGISTRY  # noqa: F401
+from vortexsym.targets import MU_REGISTRY, R_REGISTRY, parsed  # noqa: F401
 
 TRIG_REGISTRY = VarRegistry(["s", "c", "mu1", "mu2", "mu3", "mu4"])
 
@@ -213,8 +213,7 @@ def s_reduce(p):
             continue
         half, rem = divmod(e, 2)
         if half not in pyth_cache:
-            base = Poly.parse(reg, "1 - c^2")
-            pyth_cache[half] = base**half
+            pyth_cache[half] = parsed(reg, "1 - c^2") ** half
         stripped = list(mono)
         stripped[si] = rem
         for m2, c2 in pyth_cache[half].ints.items():
@@ -336,7 +335,7 @@ def strip_collision_factors(p, scenario):
         raise ValueError("cannot strip factors from the zero polynomial")
     stripped = []
     for text in scenario.r_collision_factors:
-        f = Poly.parse(R_REGISTRY, text)
+        f = parsed(R_REGISTRY, text)
         count = 0
         while (q := p.try_divide(f)) is not None:
             p = q
@@ -460,31 +459,34 @@ def _gprime(cos_d):
 def hessian(cos_table, mus, weighted=False):
     """Hessian of V as four rows, over the scalar ring of its inputs.
 
-    ``cos_table[i][j]`` is cos(theta_i - theta_j) (the diagonal is unused)
-    in a field such as float, Fraction or Q(sqrt(2)); ``mus`` are the four
+    ``cos_table[i][j]`` is cos(theta_i - theta_j), an even function of the
+    difference, so only the entries above the diagonal are read; they lie
+    in a field such as float, Fraction or Q(sqrt(2)).  ``mus`` are the four
     circulations in any ring that multiplies with it, Polys included.
     The i != j entry is mu_i mu_j g'(theta_i - theta_j) with
-    g'(x) = -cos x - 1/(2 - 2 cos x); diagonals are the negated row sums,
-    which realises the rotational degeneracy V_theta_theta * 1 = 0.  With
-    ``weighted`` the rows are those of mu^{-1} V_theta_theta (row i divided
-    by mu_i), which is not symmetric.  g' is evaluated once per distinct
-    cosine of the table (keyed with its type, so that equal values of
-    different rings keep their own ring).
+    g'(x) = -cos x - 1/(2 - 2 cos x), formed once per unordered pair;
+    diagonals are the negated row sums, which realises the rotational
+    degeneracy V_theta_theta * 1 = 0.  With ``weighted`` the rows are those
+    of mu^{-1} V_theta_theta (row i divided by mu_i), which is not
+    symmetric.  g' is evaluated once per distinct cosine of the table
+    (keyed with its type, so that equal values of different rings keep
+    their own ring).
     """
     gprime = {}
     rows = [[None] * 4 for _ in range(4)]
     for i in range(4):
-        for j in range(4):
-            if i != j:
-                cos_d = cos_table[i][j]
-                key = (type(cos_d), cos_d)
-                g = gprime.get(key)
-                if g is None:
-                    g = gprime[key] = _gprime(cos_d)
-                scale = mus[j] if weighted else mus[i] * mus[j]
-                rows[i][j] = scale * g
-    for i in range(4):
-        rows[i][i] = -sum(rows[i][j] for j in range(4) if j != i)
+        for j in range(i + 1, 4):
+            cos_d = cos_table[i][j]
+            key = (type(cos_d), cos_d)
+            g = gprime.get(key)
+            if g is None:
+                g = gprime[key] = _gprime(cos_d)
+            if weighted:
+                rows[i][j], rows[j][i] = mus[j] * g, mus[i] * g
+            else:
+                rows[i][j] = rows[j][i] = mus[i] * mus[j] * g
+    for i, row in enumerate(rows):
+        row[i] = -sum(x for j, x in enumerate(row) if j != i)
     return rows
 
 

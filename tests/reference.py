@@ -5,13 +5,15 @@ the oracle for ``ratpoly.Poly``.  ``reduce`` is textbook multivariate
 division with remainder on ``Fraction`` coefficients; ``textbook_basis`` and ``reference_hermite`` are built on it.
 ``box_standard_monomials`` filters the box below the pure powers.
 ``s_polynomial`` and ``buchberger_criterion`` check a basis pair by pair.
-``reference_char_poly`` is Faddeev-LeVerrier over the entries' own ring.
+``reference_char_poly`` is Faddeev-LeVerrier over the entries' own ring,
+and ``eval_at`` is Horner on a dense coefficient list in the ring of its
+point, the oracle for the integer sign test ``realroots.sign_at``.
 ``weighted_gradient_sum`` is the rotation-symmetry identity of the gradient;
-``potential``, ``gradient``, ``cos_table`` and ``trig_value`` evaluate the
-potential, its gradient and a trig component in floats.  The half-angle
+``potential``, ``gradient`` and ``cos_table`` evaluate the potential, its
+gradient and the cosines of a configuration in floats.  The half-angle
 pipeline has no float reference: each component is checked as one exact
-identity in Q[r, mu], and against the gradient computed exactly at rational
-half-angles (``test_pipeline_oracle``).
+identity in Q[r, mu], and against ``gradient_rows``, the gradient computed
+exactly at rational half-angles from the angles alone.
 None of them is fast, and none is used by the package itself.
 """
 
@@ -318,6 +320,15 @@ def reference_char_poly(rows):
     return coeffs[::-1]
 
 
+def eval_at(coeffs, x):
+    """p(x) by Horner for dense ascending coefficients: exact for a rational
+    x, a float for a float x."""
+    acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def weighted_gradient_sum(scenario):
     """sum_i mu_i * gradient_component(i): identically zero by rotation symmetry."""
     total = TrigRational(Poly.zero(TRIG_REGISTRY))
@@ -358,15 +369,61 @@ def cos_table(config):
     return [[math.cos(a - b) for b in config.thetas] for a in config.thetas]
 
 
-def trig_value(trig, theta2, mus):
-    """A ``TrigRational`` at the angle ``theta2`` and circulations ``mus``."""
-    values = {
-        "s": math.sin(theta2),
-        "c": math.cos(theta2),
-        "mu1": float(mus[0]),
-        "mu2": float(mus[1]),
-        "mu3": float(mus[2]),
-        "mu4": float(mus[3]),
-    }
-    return trig.num.evaluate(values) / trig.den.evaluate(values)
+# ---------------------------------------------------------------------------
+# The gradient at rational half-angles, exactly
+# ---------------------------------------------------------------------------
 
+# theta_i = k * theta2 + q * pi for i = 1..4, as (k, q), after the paper
+ANGLES = {
+    "kite": ((0, 0), (1, 0), (0, 1), (-1, 0)),
+    "rectangle": ((0, 0), (1, 0), (0, 1), (1, 1)),
+    "trapezoid": ((0, 0), (1, 0), (2, 0), (3, 0)),
+}
+
+# 25 fixed points n/d, |n| <= 5, d <= 3; 22 survive the exclusions of
+# r = 0 and r^2 = 1
+HALF_ANGLE_POINTS = sorted({Fraction(n, d) for n, d in product(range(-5, 6), (1, 2, 3))})
+
+
+def half_angle(r):
+    """(cos theta2, sin theta2) at r = cot(theta2/2), exactly."""
+    unit = r * r + 1
+    return (r * r - 1) / unit, 2 * r / unit
+
+
+def _mul(z, w):
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+def _unit_power(z, k):
+    """z**k for z = (cos, sin) on the unit circle and any integer k."""
+    if k < 0:
+        z, k = (z[0], -z[1]), -k
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = _mul(out, z)
+    return out
+
+
+def gradient_rows(kind, r):
+    """Rows i = 2, 3, 4 of the scaled gradient at r as coefficient lists
+    over (mu1, ..., mu4), or None when two vortices collide: entry j of
+    row i is sin d_ij (1 - 1/(2 - 2 cos d_ij)) with d_ij = theta_i - theta_j,
+    from the angles alone."""
+    e2 = half_angle(r)
+    points = []
+    for k, q in ANGLES[kind]:
+        x, y = _unit_power(e2, k)
+        points.append((-x, -y) if q % 2 else (x, y))
+    rows = []
+    for i in (1, 2, 3):
+        row = [Fraction(0)] * 4
+        for j in range(4):
+            if j == i:
+                continue
+            cos_d, sin_d = _mul(points[i], (points[j][0], -points[j][1]))
+            if cos_d == 1:
+                return None
+            row[j] = sin_d * (1 - 1 / (2 - 2 * cos_d))
+        rows.append(row)
+    return rows

@@ -25,16 +25,19 @@ from vortexsym.trigvortex import (
     RECTANGLE,
     SQUARE,
     TRAPEZOID3,
+    TRIG_REGISTRY,
     Configuration,
     gradient_component,
     hessian,
 )
 
 from reference import (
+    HALF_ANGLE_POINTS,
     buchberger_criterion,
     cos_table,
     gradient,
-    trig_value,
+    gradient_rows,
+    half_angle,
     weighted_gradient_sum,
 )
 
@@ -89,37 +92,31 @@ def test_criterion_03_rectangle(rectangle_report):
         for t in targets.RECTANGLE_ELIMINATION
     }
     assert mine == want
-    # residuals proportional to cot and cos(2t) csc(t), 20 random angles each
-    rng = random.Random(42)
-    from vortexsym.ratpoly import Poly as P
-    from vortexsym.trigvortex import TRIG_REGISTRY
-
-    m1 = P.variable(TRIG_REGISTRY, "mu1")
-    m2 = P.variable(TRIG_REGISTRY, "mu2")
+    # On each branch every residual is one constant times cot(theta2), or
+    # times cos(2 theta2) csc(theta2): exact ratios at fixed rational r, of
+    # the program's component and of the gradient from the angles alone.
+    m1, m2 = Fraction(9, 10), Fraction(17, 10)
+    mu1 = Poly.variable(TRIG_REGISTRY, "mu1")
+    mu2 = Poly.variable(TRIG_REGISTRY, "mu2")
     branches = [
-        ({"mu3": m1, "mu4": m2}, lambda t: math.cos(t) / math.sin(t)),
-        ({"mu3": -1 * m1, "mu4": -1 * m2}, lambda t: math.cos(2 * t) / math.sin(t)),
+        ({"mu3": mu1, "mu4": mu2}, (m1, m2, m1, m2), lambda c, s: c / s),
+        ({"mu3": -1 * mu1, "mu4": -1 * mu2}, (m1, m2, -m1, -m2), lambda c, s: (2 * c * c - 1) / s),
     ]
-    for substitution, target in branches:
-        for i in (2, 3, 4):
-            comp = gradient_component(i, RECTANGLE).subs_mu(substitution)
-            ratios = []
-            while len(ratios) < 20:
-                theta = rng.uniform(-math.pi, math.pi)
-                if min(
-                    abs(theta),
-                    abs(abs(theta) - math.pi),
-                    abs(abs(theta) - math.pi / 2),
-                    abs(abs(theta) - math.pi / 4),
-                    abs(abs(theta) - 3 * math.pi / 4),
-                ) < 0.1:
-                    continue
-                base = target(theta)
-                value = trig_value(comp, theta, (0.9, 1.7, 0.9, 1.7))
-                ratios.append(value / base)
-            spread = max(ratios) - min(ratios)
-            assert spread <= 1e-10 * max(1.0, max(abs(x) for x in ratios))
-    _announce(3, "rectangle basis and both branch residuals verified (1e-10)")
+    for substitution, mus, target in branches:
+        comps = [gradient_component(i, RECTANGLE).subs_mu(substitution) for i in (2, 3, 4)]
+        ratios = [set() for _ in comps]
+        for r in HALF_ANGLE_POINTS:
+            rows = gradient_rows("rectangle", r)
+            c, s = half_angle(r)
+            if rows is None or c == 0:  # a collision, or a zero of cot(theta2)
+                continue
+            point = {"s": s, "c": c, "mu1": m1, "mu2": m2, "mu3": mus[2], "mu4": mus[3]}
+            for comp, row, seen in zip(comps, rows, ratios):
+                value = comp.num.evaluate(point) / comp.den.evaluate(point)
+                assert value == sum(w * m for w, m in zip(row, mus))
+                seen.add(value / target(c, s))
+        assert all(len(seen) == 1 and 0 not in seen for seen in ratios), ratios
+    _announce(3, "rectangle basis and both branch residuals verified (exact, 22 rational r)")
 
 
 def test_criterion_04_trapezoid_ideal_equality(trapezoid_report):

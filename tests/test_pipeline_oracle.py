@@ -5,7 +5,7 @@ At a rational r = cot(theta2/2) the angle theta2 has the rational cosine
 an integer multiple of theta2 plus a multiple of pi.  Row i of the scaled
 gradient, sum_j mu_j sin d_ij (1 - 1/(2 - 2 cos d_ij)) with
 d_ij = theta_i - theta_j, is then a linear form in mu with rational
-coefficients.  This module computes it from the angles alone, by exact
+coefficients.  ``reference.gradient_rows`` computes it from the angles alone, by exact
 complex powers: no Chebyshev expansion, no trig ring, and nothing of
 ``trigvortex`` but the output under test.  Each pipeline polynomial, and
 each reference polynomial of ``targets``, must give at r a nonzero rational
@@ -13,66 +13,19 @@ multiple of that row, or both must vanish.
 """
 
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 from vortexsym import targets
 from vortexsym.trigvortex import KITE, RECTANGLE, TRAPEZOID3, pipeline
 
-# theta_i = k * theta2 + q * pi for i = 1..4, as (k, q), after the paper
-ANGLES = {
-    "kite": ((0, 0), (1, 0), (0, 1), (-1, 0)),
-    "rectangle": ((0, 0), (1, 0), (0, 1), (1, 1)),
-    "trapezoid": ((0, 0), (1, 0), (2, 0), (3, 0)),
-}
+from reference import HALF_ANGLE_POINTS, gradient_rows
 
 REFERENCE = {
     "kite": targets.KITE_PIPELINE,
     "rectangle": targets.RECTANGLE_PIPELINE,
     "trapezoid": targets.TRAPEZOID_PIPELINE,
 }
-
-# 25 fixed points n/d, |n| <= 5, d <= 3; 22 survive the exclusions
-POINTS = sorted({Fraction(n, d) for n, d in product(range(-5, 6), (1, 2, 3))})
-
-
-def _mul(z, w):
-    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
-
-
-def _unit_power(z, k):
-    """z**k for z = (cos, sin) on the unit circle and any integer k."""
-    if k < 0:
-        z, k = (z[0], -z[1]), -k
-    out = (Fraction(1), Fraction(0))
-    for _ in range(k):
-        out = _mul(out, z)
-    return out
-
-
-def gradient_rows(kind, r):
-    """Rows i = 2, 3, 4 of the scaled gradient at r as coefficient lists
-    over (mu1, ..., mu4), or None when two vortices collide."""
-    unit = r * r + 1
-    e2 = ((r * r - 1) / unit, 2 * r / unit)
-    points = []
-    for k, q in ANGLES[kind]:
-        x, y = _unit_power(e2, k)
-        points.append((-x, -y) if q % 2 else (x, y))
-    rows = []
-    for i in (1, 2, 3):
-        row = [Fraction(0)] * 4
-        for j in range(4):
-            if j == i:
-                continue
-            cos_d, sin_d = _mul(points[i], (points[j][0], -points[j][1]))
-            if cos_d == 1:
-                return None
-            row[j] = sin_d * (1 - 1 / (2 - 2 * cos_d))
-        rows.append(row)
-    return rows
-
 
 def mu_coefficients(poly, r):
     """The coefficients of mu1, ..., mu4 of a polynomial linear in mu, at r."""
@@ -106,7 +59,7 @@ def _polys(scenario, source):
 def test_rows_proportional_to_the_exact_gradient(scenario, source):
     polys = _polys(scenario, source)
     checked = 0
-    for r in POINTS:
+    for r in HALF_ANGLE_POINTS:
         if r == 0 or r * r == 1 or 3 * r * r == 1:
             continue
         rows = gradient_rows(scenario.kind, r)

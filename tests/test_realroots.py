@@ -28,9 +28,9 @@ from vortexsym.realroots import (
     descartes_positive,
     hermite_count,
     hermite_matrix,
-    eval_at,
     eval_interval,
     inertia,
+    int_char_poly,
     int_coeffs,
     poly_gcd,
     squarefree_part,
@@ -42,12 +42,12 @@ from vortexsym.realroots import (
     _neg_div_int,
     _neg_div_sparse,
     _primitive_int,
-    _sign_at,
+    sign_at,
     _sturm_chain,
     _variations,
 )
 
-from reference import reference_char_poly, reference_hermite
+from reference import eval_at, reference_char_poly, reference_hermite
 
 X = VarRegistry(["x"])
 
@@ -771,14 +771,44 @@ class TestIntegerKernels:
         rng = random.Random(11)
         for p in _test_polys(11, 60):
             ints = _primitive_int(p)
+            # the integer numerators of a Poly, another positive multiple
+            numerators = int_coeffs(Poly(X, {(i,): c for i, c in enumerate(p) if c}), "x")
             points = [_random_rational(rng, 40, 16) for _ in range(8)]
             points += [-p[0], Fraction(0), Fraction(1, 3)]
             points += [iv.lo for iv in sturm_isolate(p) if iv.exact]
             for x in points:
                 want = _sign(eval_at(p, x))
-                assert _sign_at(ints, x.numerator, x.denominator) == want, (p, x)
+                assert sign_at(ints, x.numerator, x.denominator) == want, (p, x)
+                assert sign_at(numerators, x.numerator, x.denominator) == want, (p, x)
                 # an unreduced numerator/denominator pair gives the same sign
-                assert _sign_at(ints, 6 * x.numerator, 6 * x.denominator) == want
+                assert sign_at(ints, 6 * x.numerator, 6 * x.denominator) == want
+
+    def test_integer_char_poly_roots_match_the_fraction_reference(self):
+        # B = E D E^-1 over elementary integer E has the rational eigenvalues
+        # D; lambda is a root of det(lambda*I - B) exactly when d*lambda is a
+        # root of int_char_poly(d*B)
+        rng = random.Random(16)
+        for trial in range(40):
+            n = rng.randint(1, 5)
+            eigs = [_random_rational(rng, 6, 4) for _ in range(n)]
+            b = [[eigs[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    b[i][j] = _random_rational(rng)
+            for _ in range(2 * n if n > 1 else 0):
+                i, j = rng.sample(range(n), 2)
+                k = rng.randint(-2, 2)
+                b[i] = [x + k * y for x, y in zip(b[i], b[j])]
+                for row in b:
+                    row[j] -= k * row[i]
+            d = lcm(*(c.denominator for row in b for c in row))
+            p = int_char_poly([[int(c * d) for c in row] for row in b])
+            ref = reference_char_poly(b)
+            for x in eigs + [_random_rational(rng, 40, 16) for _ in range(4)]:
+                want = _sign(eval_at(ref, x))
+                assert sign_at(p, d * x.numerator, x.denominator) == want, (b, x)
+                if x in eigs:
+                    assert want == 0
 
     def test_sturm_chains_with_negative_leading_coefficients(self):
         rng = random.Random(12)

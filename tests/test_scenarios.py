@@ -14,7 +14,7 @@ from vortexsym.groebner import GroebnerBasis, Ideal, KernelStats, buchberger
 from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
 from vortexsym.realroots import RatInterval, coeffs_from_poly, poly_gcd, sturm_isolate
 from vortexsym.scenarios import run_kite, run_rectangle, run_square, run_trapezoid
-from vortexsym.scenarios import kite, rectangle, trapezoid
+from vortexsym.scenarios import kite, rectangle, square, trapezoid
 from vortexsym.scenarios.kite import count_configurations
 from vortexsym.scenarios.rectangle import _all_nonzero, _branch_multiples
 from vortexsym.scenarios.report import DEFAULT_EPS
@@ -30,9 +30,18 @@ from vortexsym.scenarios.trapezoid import (
     plane_factorisation,
     true_trapezoid_roots,
 )
-from vortexsym.trigvortex import KITE, RECTANGLE, R_REGISTRY, TRIG_REGISTRY, hessian, pipeline
+from vortexsym.trigvortex import (
+    KITE,
+    RECTANGLE,
+    R_REGISTRY,
+    SQUARE,
+    TRIG_REGISTRY,
+    hessian,
+    pipeline,
+    scenario_cos_table,
+)
 
-from reference import reference_char_poly
+from reference import eval_at, reference_char_poly
 
 _ORD = GrevLex()
 
@@ -64,6 +73,44 @@ class TestSquare:
         report = run_square(mus=(3, 2, 3, 2))
         assert report.passed()
         assert report.stability["eigencounts"]["zero"] == 2  # the 2:3 ratio
+
+    def test_integer_sample_check_agrees_with_the_fraction_reference(self):
+        # seeded integer (m1, m2), each formula and the formula plus m1 + 1:
+        # the integer root test against Fraction Horner on the Fraction
+        # characteristic polynomial of the Hessian built at the point
+        rng = random.Random(29)
+        msym = VarRegistry(["m1", "m2"])
+        m1, m2 = Poly.variable(msym, "m1"), Poly.variable(msym, "m2")
+        cos = scenario_cos_table(SQUARE)
+        formulas = {
+            False: ("0", "2*m1*m2", "-3/2*m1^2 + m1*m2", "m1*m2 - 3/2*m2^2"),
+            True: ("0", "m1 - 3/2*m2", "-3/2*m1 + m2", "m1 + m2"),
+        }
+        seen = set()
+        for weighted, texts in formulas.items():
+            rows = hessian(cos, [m1, m2, m1, m2], weighted=weighted)
+            for _ in range(12):
+                a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+                point = [Fraction(x) for x in (a, b, a, b)]
+                ref = reference_char_poly(hessian(cos, point, weighted=weighted))
+                for text in texts:
+                    for e in (Poly.parse(msym, text), Poly.parse(msym, text) + m1 + 1):
+                        want = eval_at(ref, e.evaluate({"m1": a, "m2": b})) == 0
+                        assert square._roots_at_samples(rows, [e], [(a, b)]) == want, (e, a, b)
+                        seen.add(want)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1), (2, 3), (3, 0)])
+    def test_a_flipped_hessian_entry_fails_the_sample_check(self, entry, monkeypatch):
+        def flipped(*args, **kwargs):
+            rows = hessian(*args, **kwargs)
+            i, j = entry
+            rows[i][j] = -rows[i][j]
+            return rows
+
+        monkeypatch.setattr(square, "hessian", flipped)
+        checks = {c.name: c.status for c in square.symbolic_spectra().checks}
+        assert checks["eigenvalue_formulas_at_samples"] == "fail"
 
     def test_document_shape(self, square_report):
         doc = square_report.to_document()
@@ -438,6 +485,40 @@ def _frozen(result):
     with pytest.raises(dataclasses.FrozenInstanceError):
         result.checks = ()
     return True
+
+
+class TestReferenceTexts:
+    def test_a_second_op_parses_no_text(self, monkeypatch):
+        # the reference texts are parsed on first use, and every later
+        # driver call shares those polynomials
+        mus = (Fraction(2, 3), Fraction(-5, 4), Fraction(1, 7), Fraction(-5, 4))
+        runs = (run_square, run_kite, run_rectangle)
+        first = [run(mus=mus).to_document() for run in runs]
+        shared = targets.build_products(R_REGISTRY, targets.KITE_PIPELINE)
+        parse = Poly.parse.__func__
+        texts = []
+
+        def counted(cls, registry, text):
+            texts.append(text)
+            return parse(cls, registry, text)
+
+        monkeypatch.setattr(Poly, "parse", classmethod(counted))
+        assert [run(mus=mus).to_document() for run in runs] == first
+        assert texts == []
+        assert targets.build_products(R_REGISTRY, targets.KITE_PIPELINE) is shared
+
+    def test_a_changed_reference_text_changes_the_next_report(self, monkeypatch):
+        assert run_kite().passed()  # every kite text is parsed by now
+        entries = list(targets.KITE_PIPELINE)
+        entries[1] = (1, ("mu2 - mu4", "-1 + 2*r^2"))
+        monkeypatch.setattr(targets, "KITE_PIPELINE", tuple(entries))
+        monkeypatch.setattr(
+            targets, "KITE_CONFIG_FACTOR", targets.KITE_CONFIG_FACTOR.replace("15*mu2", "16*mu2")
+        )
+        failed = {c.name for c in run_kite().failures()}
+        assert failed == {"pipeline_polynomials", "configuration_factor"}
+        monkeypatch.undo()
+        assert run_kite().passed()
 
 
 class TestStages:

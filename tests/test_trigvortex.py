@@ -41,6 +41,7 @@ from vortexsym.trigvortex import (
 
 from reference import (
     cos_table,
+    eval_at,
     gradient,
     potential,
     weighted_gradient_sum,
@@ -302,7 +303,7 @@ class TestHessian:
 
     def test_square_exact_eigenvalues_at_samples(self):
         # eigenvalues 0, 2 m1 m2, (2 m1 m2 - 3 m1^2)/2, (2 m1 m2 - 3 m2^2)/2
-        from vortexsym.realroots import char_poly, eval_at
+        from vortexsym.realroots import char_poly
 
         samples = [(1, 1), (3, 2), (2, 3), (5, 1), (1, 5), (-1, 2), (2, -1), (7, 3), (4, 9), (1, -1)]
         for m1, m2 in samples:
@@ -353,7 +354,7 @@ class TestHessian:
         assert cp == prod
 
     def test_square_weighted_uniform_circulations(self):
-        from vortexsym.realroots import char_poly, eval_at
+        from vortexsym.realroots import char_poly
 
         config = Configuration(
             (0.0, math.pi / 2, math.pi, 3 * math.pi / 2), (1.0, 1.0, 1.0, 1.0)
@@ -412,7 +413,7 @@ class TestHessian:
     def test_kite_special_angle_exact_rational_entries(self):
         mus = [Fraction(m) for m in (1, 1, 3, 1)]
         h = hessian(scenario_cos_table(KITE, Fraction(-1, 2)), mus)
-        from vortexsym.realroots import char_poly, eval_at
+        from vortexsym.realroots import char_poly
 
         assert all(isinstance(e, Fraction) for row in h for e in row)
         assert all(h[i][j] == h[j][i] for i in range(4) for j in range(4))
