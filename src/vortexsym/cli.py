@@ -215,23 +215,35 @@ def _scenario_command(name, args, stream):
     # a side list cut short ends in an error, where the loop stops
     outcomes += last
     reports = []
-    for scenario_name, outcome in zip(names, outcomes):
+    for outcome in outcomes:
         if isinstance(outcome, ValueError):
             print(f"error: {outcome}", file=sys.stderr)
             return 2
         reports.append(outcome)
         _print_report(outcome, stream)
+    try:
         if args.svg:
             os.makedirs(args.svg, exist_ok=True)
-            emit_svg(_figure_config(scenario_name), os.path.join(args.svg, f"{scenario_name}.svg"))
-    if args.json:
-        if len(reports) == 1:
-            document = reports[0].to_document()
-        else:
-            document = {"scenarios": [r.to_document() for r in reports]}
-        with open(args.json, "w") as handle:
-            handle.write(render_json(document))
+            for scenario_name in names:
+                path = os.path.join(args.svg, f"{scenario_name}.svg")
+                emit_svg(_figure_config(scenario_name), path)
+        if args.json:
+            if len(reports) == 1:
+                document = reports[0].to_document()
+            else:
+                document = {"scenarios": [r.to_document() for r in reports]}
+            with open(args.json, "w") as handle:
+                handle.write(render_json(document))
+    except OSError as err:
+        return _cannot_write(err)
     return 0 if all(r.passed() for r in reports) else 1
+
+
+def _cannot_write(err):
+    """One error line and exit 2 for an output path that cannot be written,
+    so that exit 1 keeps meaning a failed oracle check."""
+    print(f"error: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
+    return 2
 
 
 def _groebner_command(args, stream):
@@ -283,8 +295,11 @@ def _groebner_command(args, stream):
         "eliminated": dropped,
     }
     if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(render_json(document))
+        try:
+            with open(args.json, "w") as handle:
+                handle.write(render_json(document))
+        except OSError as err:
+            return _cannot_write(err)
     else:
         print(render_json(document), end="", file=stream)
     return 0

@@ -161,6 +161,27 @@ class TestScenarioCommands:
         assert code == 1
         assert "[FAIL]" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kite", "--json", "{missing}/kite.json"],
+            ["square", "--svg", "{file}/figs"],
+            ["groebner", "--in", "{system}", "--vars", "x,y", "--json", "{missing}/basis.json"],
+        ],
+        ids=["kite-json", "square-svg", "groebner-json"],
+    )
+    def test_unwritable_output_is_a_usage_error(self, argv, tmp_path, capsys):
+        # exit 1 means a failed oracle check, so an output path that cannot
+        # be written ends in one error line and exit 2, not a traceback
+        system = tmp_path / "system.txt"
+        system.write_text("x + y\n")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        paths = {"missing": tmp_path / "missing", "file": blocker, "system": system}
+        code, _, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+        assert code == 2
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
 
 class TestSvg:
     def test_square_figure_points_on_axes(self, tmp_path):
