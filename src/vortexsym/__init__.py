@@ -8,6 +8,6 @@ configuration angles, and linear-stability verdicts for each family, and
 checks every derivation against frozen reference values.
 """
 
-from vortexsym.ratpoly import Poly, VarRegistry, MonomialOrder, lex, grevlex, elimination
+from vortexsym.ratpoly import GrevLex, Lex, MonomialOrder, Poly, VarRegistry, elimination
 
-__all__ = ["Poly", "VarRegistry", "MonomialOrder", "lex", "grevlex", "elimination"]
+__all__ = ["Poly", "VarRegistry", "MonomialOrder", "Lex", "GrevLex", "elimination"]

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from vortexsym.fork import fork_call
 from vortexsym.groebner import ExponentOverflowError, Ideal, buchberger, eliminate
-from vortexsym.ratpoly import Poly, VarRegistry, grevlex, lex
+from vortexsym.ratpoly import GrevLex, Lex, Poly, VarRegistry
 from vortexsym.scenarios import run_kite, run_rectangle, run_square, run_trapezoid
 from vortexsym.scenarios.report import DEFAULT_EPS
 from vortexsym.trigvortex import SCENARIOS, Configuration
@@ -270,13 +270,16 @@ def _groebner_command(args, stream):
     if not polys:
         print("error: no polynomials in input", file=sys.stderr)
         return 2
-    order = lex(registry) if args.order == "lex" else grevlex(registry)
+    order = Lex() if args.order == "lex" else GrevLex()
     dropped = []
     if args.eliminate:
         dropped = [v.strip() for v in args.eliminate.split(",") if v.strip()]
-        for v in dropped:
+        for k, v in enumerate(dropped):
             if not registry.contains(v):
                 print(f"error: cannot eliminate unknown variable {v!r}", file=sys.stderr)
+                return 2
+            if v in dropped[:k]:
+                print(f"error: cannot eliminate variable {v!r} twice", file=sys.stderr)
                 return 2
     try:
         if args.eliminate:

@@ -122,19 +122,13 @@ class GroebnerBasis:
 
     def _packed(self, registry):
         """The kernel's packing and packed basis entries for inputs over
-        ``registry``, built on first use.
-
-        Every variable the order ranks gets a field, so any input free of
-        unranked variables can be reduced.
-        """
+        ``registry``, built on first use, with a field for every variable."""
         if self.polys and registry != self.registry:
             raise RegistryMismatchError(
                 f"cannot reduce over {registry} modulo a basis over {self.registry}"
             )
         if self._kernel is None or self._kernel[0] != registry:
-            rows = self.order.weights(len(registry))
-            ranked = [i for i in range(len(registry)) if any(row[i] for row in rows)]
-            pk = _Packing(self.order, len(registry), ranked)
+            pk = _Packing(self.order, len(registry), range(len(registry)))
             entries = [
                 _entry(sorted((pk.pack(m) + (c,) for m, c in p.ints.items()), reverse=True), pk)
                 for p in self.polys
@@ -197,8 +191,7 @@ def normal_form(p, basis):
     whose leading monomial divides it.
 
     Raises :class:`ExponentOverflowError` for an exponent the packed fields
-    cannot hold and ``ValueError`` for a variable the basis order does not
-    rank.
+    cannot hold.
     """
     if not isinstance(basis, GroebnerBasis):
         raise TypeError("normal_form expects a GroebnerBasis")
@@ -227,18 +220,15 @@ _EXP_MAX = (1 << _EXP_BITS) - 1
 class _Packing:
     """The packed ``(k, p)`` encoding of the monomials of one kernel run.
 
-    Only the variables that occur in the generators get fields; no other
-    variable can appear during the run.
+    Only the ``active`` variables get fields: those that occur in the
+    generators of a Buchberger run, where no other variable can appear,
+    and every variable for the normal forms modulo a basis.
     """
 
-    __slots__ = ("order", "nvars", "active", "shifts", "k_of_var", "guard")
+    __slots__ = ("nvars", "active", "shifts", "k_of_var", "guard")
 
     def __init__(self, order, nvars, active):
         rows = order.weights(nvars)
-        for i in active:
-            if not any(row[i] for row in rows):
-                raise ValueError(f"monomial order {order!r} does not rank variable {i}")
-        self.order = order
         rows = [row for row in ([row[i] for i in active] for row in rows) if any(row)]
         bound = max((sum(abs(w) for w in row) for row in rows), default=0) * _EXP_MAX
         width = bound.bit_length() + 2
@@ -252,7 +242,7 @@ class _Packing:
         self.guard = sum(1 << (s + _EXP_BITS) for s in self.shifts)
 
     def pack(self, exps):
-        k = p = total = 0
+        k = p = 0
         for i, s, w in zip(self.active, self.shifts, self.k_of_var):
             e = exps[i]
             if e > _EXP_MAX:
@@ -261,10 +251,6 @@ class _Packing:
                 )
             k += e * w
             p |= e << s
-            total += e
-        if total != sum(exps):
-            i = next(i for i, e in enumerate(exps) if e and i not in self.active)
-            raise ValueError(f"monomial order {self.order!r} does not rank variable {i}")
         return k, p
 
     def exponents(self, p):
@@ -525,52 +511,43 @@ def buchberger(ideal, order):
     :class:`ExponentOverflowError` when an exponent outgrows the packed
     fields.
     """
-    if isinstance(ideal, Ideal):
-        gens = ideal.generators
-    else:
-        gens = [p for p in ideal if not p.is_zero()]
-        if not gens:
-            raise ValueError("cannot take a Groebner basis of the zero ideal")
-    polys, stats = _buchberger_int(gens, order)
+    if not isinstance(ideal, Ideal):
+        raise TypeError("buchberger expects an Ideal")
+    polys, stats = _buchberger_int(ideal.generators, order)
     return GroebnerBasis(polys, order, stats=stats)
 
 
-def eliminate(ideal, drop, inner_names=None):
+def eliminate(ideal, drop):
     """Reduced basis of the elimination ideal dropping the named variables.
 
-    Works through a block elimination order, then keeps the basis elements
-    free of the dropped variables.  By the elimination theorem these form a
-    Groebner basis of the intersection ideal under the inner (grevlex)
-    order, which is returned as the basis order.  On them the block order
-    and the inner order agree, so they already are that order's reduced
-    basis: primitive, positive-leading and sorted by leading monomial.
+    Works through a block elimination order whose block ranks ``drop`` in
+    the order given, then keeps the basis elements free of the dropped
+    variables.  By the elimination theorem these form a Groebner basis of
+    the intersection ideal under grevlex, which is returned as the basis
+    order.  On them the block order and grevlex agree, so they already are
+    grevlex's reduced basis: primitive, positive-leading and sorted by
+    leading monomial.
 
     A dropped variable whose exponents in the generators share a gcd
     d > 1 is deflated first (see the module docstring); only the kernel's
     work, and so ``stats``, changes.
     """
-    reg = ideal.registry if isinstance(ideal, Ideal) else ideal[0].registry
-    gens = ideal.generators if isinstance(ideal, Ideal) else [p for p in ideal if not p.is_zero()]
-    drop = list(drop)
-    for name in drop:
-        reg.index(name)
-    order = elimination(reg, drop, inner_names=inner_names)
-    drop_idx = {reg.index(n) for n in drop}
+    if not isinstance(ideal, Ideal):
+        raise TypeError("eliminate expects an Ideal")
+    reg = ideal.registry
+    order = elimination(reg, drop)
     steps = [1] * len(reg)
-    for i in drop_idx:
-        steps[i] = reduce(gcd, (m[i] for p in gens for m in p.ints), 0) or 1
+    for i in order.block:
+        steps[i] = reduce(gcd, (m[i] for p in ideal.generators for m in p.ints), 0) or 1
     if any(x > 1 for x in steps):
-        gens = [
+        deflated = (
             Poly.over(reg, {tuple(e // x for e, x in zip(m, steps)): c for m, c in p.ints.items()}, p.den)
-            for p in gens
-        ]
-    gb = buchberger(gens, order)
-    kept = [
-        p
-        for p in gb.polys
-        if all(all(m[i] == 0 for i in drop_idx) for m in p.ints)
-    ]
-    return GroebnerBasis(kept, GrevLex(order.rest), stats=gb.stats)
+            for p in ideal.generators
+        )
+        ideal = Ideal.of(*deflated)
+    gb = buchberger(ideal, order)
+    kept = [p for p in gb.polys if all(all(m[i] == 0 for i in order.block) for m in p.ints)]
+    return GroebnerBasis(kept, GrevLex(), stats=gb.stats)
 
 
 def resultant(f, g, var):

@@ -54,7 +54,7 @@ class VarRegistry:
     """Ordered collection of distinct variable names.
 
     The tuple order fixes the exponent positions of every monomial and the
-    default variable precedence of the monomial orders.
+    variable precedence of the monomial orders.
     """
 
     __slots__ = ("names", "_index")
@@ -161,27 +161,22 @@ class MonomialOrder:
 
 
 class Lex(MonomialOrder):
+    """Lexicographic order; the registry order is the variable precedence."""
+
     kind = "lex"
 
-    def __init__(self, vars=None):
-        # vars: variable indices in decreasing precedence; None = registry order.
-        self.vars = tuple(vars) if vars is not None else None
-
     def key(self, exps):
-        if self.vars is None:
-            return exps
-        return tuple(exps[i] for i in self.vars)
+        return exps
 
     def weights(self, nvars):
-        order = range(nvars) if self.vars is None else self.vars
-        return [_unit_row(nvars, i) for i in order]
+        return [_unit_row(nvars, i) for i in range(nvars)]
 
     def __repr__(self):
-        return "lex" if self.vars is None else f"lex{self.vars}"
+        return "lex"
 
 
 class GrevLex(MonomialOrder):
-    """Graded reverse lexicographic order.
+    """Graded reverse lexicographic order in registry precedence.
 
     Higher total degree wins; ties break in favour of the monomial whose
     last differing exponent is smaller.
@@ -189,23 +184,14 @@ class GrevLex(MonomialOrder):
 
     kind = "grevlex"
 
-    def __init__(self, vars=None):
-        self.vars = tuple(vars) if vars is not None else None
-
     def key(self, exps):
-        if self.vars is not None:
-            exps = tuple(exps[i] for i in self.vars)
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
     def weights(self, nvars):
-        order = range(nvars) if self.vars is None else self.vars
-        total = [0] * nvars
-        for i in order:
-            total[i] += 1
-        return [tuple(total)] + [_unit_row(nvars, i, -1) for i in reversed(order)]
+        return [(1,) * nvars] + [_unit_row(nvars, i, -1) for i in reversed(range(nvars))]
 
     def __repr__(self):
-        return "grevlex" if self.vars is None else f"grevlex{self.vars}"
+        return "grevlex"
 
 
 _GREVLEX = GrevLex()
@@ -240,33 +226,12 @@ class Elimination(MonomialOrder):
         return f"elimination(block={self.block}, rest={self.rest})"
 
 
-def lex(registry, names=None):
-    """Lex order; ``names`` optionally gives an explicit precedence list."""
-    if names is None:
-        return Lex()
-    return Lex([registry.index(n) for n in names])
-
-
-def grevlex(registry, names=None):
-    if names is None:
-        return GrevLex()
-    return GrevLex([registry.index(n) for n in names])
-
-
-def elimination(registry, drop, inner_names=None):
-    """Block order eliminating the variables in ``drop``.
-
-    Remaining variables keep registry precedence unless ``inner_names``
-    spells out a different one.  Both blocks are ordered by grevlex.
-    """
+def elimination(registry, drop):
+    """Block order eliminating the variables in ``drop``, which rank in the
+    order given; the other variables keep registry precedence.  Both blocks
+    are ordered by grevlex."""
     block = [registry.index(n) for n in drop]
-    if inner_names is not None:
-        rest = [registry.index(n) for n in inner_names]
-        if set(rest) & set(block):
-            raise ValueError("inner_names overlaps the eliminated block")
-    else:
-        rest = [i for i in range(len(registry)) if i not in set(block)]
-    return Elimination(block, rest)
+    return Elimination(block, [i for i in range(len(registry)) if i not in block])
 
 
 def _ratio(value):

@@ -57,8 +57,6 @@ def run_kite(mus=None, eps=DEFAULT_EPS):
     ``configuration_count``; the radii and the window's lower end are
     enclosed to width ``eps``."""
     mus = four_circulations("run_kite", mus) or (Fraction(1),) * 4
-    if any(m == 0 for m in mus):
-        raise ValueError("circulation parameters must be nonzero")
     if mus[1] != mus[3]:
         raise ValueError("kite circulations require mu2 == mu4")
     comps = pipeline(KITE)

@@ -56,12 +56,15 @@ def pipeline_check(comps, reference):
 
 
 def four_circulations(caller, mus):
-    """``mus`` as a tuple of four Fractions, None left as None; any other
-    count raises ``ValueError`` naming ``caller``."""
+    """``mus`` as a tuple of four nonzero Fractions, None left as None; any
+    other count raises ``ValueError`` naming ``caller``, and so does a zero
+    circulation, at which the weighted Hessian is undefined."""
     if mus is not None:
         mus = tuple(Fraction(m) for m in mus)
         if len(mus) != 4:
             raise ValueError(f"{caller} needs four circulations")
+        if not all(mus):
+            raise ValueError(f"{caller} needs nonzero circulations")
     return mus
 
 

@@ -9,8 +9,8 @@ returning a frozen result that carries its own oracle checks:
   half-angle variable: nine polynomials over the circulations whose variety
   contains the square family (mu1 = mu3, mu2 = mu4), three plane families
   and the planes {mu1 = 0, mu2 = mu4} and {mu1 = 0, mu4 = 0}; those two
-  need a zero circulation, which ``Configuration`` rejects, so no report
-  admits them;
+  need a zero circulation, which every driver that takes circulations
+  refuses (``report.four_circulations``), so no report admits them;
 * ``plane_factorisation`` (:class:`PlaneSplit`) splits the quintic form
   inside the sixth basis element into three real planes and a positive
   semi-definite quadratic;
@@ -36,7 +36,7 @@ from vortexsym.groebner import (
     normal_form,
     standard_monomials,
 )
-from vortexsym.ratpoly import GrevLex, Poly, VarRegistry, lex
+from vortexsym.ratpoly import GrevLex, Lex, Poly, VarRegistry
 from vortexsym.realroots import (
     RatInterval,
     coeffs_from_poly,
@@ -141,7 +141,7 @@ def elimination_ideal(comps):
     element; see :class:`EliminationIdeal`."""
     checks = Checks([pipeline_check(comps, targets.TRAPEZOID_PIPELINE)])
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
-    f_ref = targets.f_basis(R_REGISTRY)
+    f_ref = targets.f_basis()
     mine = {p.primitive(gb.order) for p in gb.polys}
     theirs = {f.primitive(gb.order) for f in f_ref}
     checks.add(
@@ -228,7 +228,7 @@ def plane_factorisation():
     checks.add("parametric_remainder", remainder_ok, detail)
 
     # Groebner basis of the coefficient ideal in (a, b), lex a > b
-    gb_ab = buchberger(Ideal.of(*(g.map_to(AB) for g in got)), lex(AB))
+    gb_ab = buchberger(Ideal.of(*(g.map_to(AB) for g in got)), Lex())
     b_quintic = targets.parsed(AB, targets.B_QUINTIC)
     a_linear = targets.parsed(AB, targets.AB_IDEAL_SECOND)
     basis = {p.primitive(gb_ab.order) for p in gb_ab.polys}
@@ -571,7 +571,7 @@ def _reconstruct_lines(anni_polys):
 
     # mu4 = 1 slice: zero-dimensional, triangular in lex mu2 > mu3
     slice1 = [p.subs({"mu4": Fraction(1)}).map_to(mu23) for p in anni_polys]
-    gb1 = buchberger(Ideal.of(*slice1), lex(mu23))
+    gb1 = buchberger(Ideal.of(*slice1), Lex())
     univariate = [p for p in gb1.polys if not p.uses("mu2")]
     if len(univariate) != 1:
         raise IdealShapeError("expected a single eliminant in mu3")
@@ -750,10 +750,10 @@ def angle_analysis(comps, plane):
     p1 = targets.parsed(R_REGISTRY, targets.P1_QUINTIC)
     ideal = Ideal.of(*([c.r_poly for c in comps] + [p1]))
     # Any order on the dropped block gives the same reduced basis of the
-    # elimination ideal under grevlex(r, mu1, mu3): the block-order basis
+    # elimination ideal under grevlex in (r, mu1, mu3): the block-order basis
     # elements free of mu2 and mu4 are that basis.  mu4 first runs shorter.
-    gb_vt = eliminate(ideal, ["mu4", "mu2"], inner_names=["r", "mu1", "mu3"])
-    reference = targets.valid_theta_basis(R_REGISTRY)
+    gb_vt = eliminate(ideal, ["mu4", "mu2"])
+    reference = targets.valid_theta_basis()
     checks.add(
         "angle_projection_ideal",
         gb_vt.same_ideal_as(reference),

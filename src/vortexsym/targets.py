@@ -140,9 +140,10 @@ F_BASIS = (
 )
 
 
-def f_basis(registry=MU_REGISTRY):
-    """The nine homogeneous basis elements of the trapezoid elimination ideal."""
-    return build_products(registry, F_BASIS)
+def f_basis():
+    """The nine homogeneous basis elements of the trapezoid elimination
+    ideal, over ``R_REGISTRY``."""
+    return build_products(R_REGISTRY, F_BASIS)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +294,6 @@ TABLE_LINES = (
 
 G_OF_R = "-1 + 33*r^2 - 202*r^4 + 146*r^6 - 117*r^8 + 13*r^10"
 
-VALID_THETA_REGISTRY = VarRegistry(["r", "mu1", "mu3"])
-
-_VT = VALID_THETA_REGISTRY
-
 # the five-element projection basis onto (r, mu1, mu3), each (sign, factor
 # texts) as ``build_products`` reads them
 VALID_THETA_BASIS = (
@@ -312,9 +309,10 @@ VALID_THETA_BASIS = (
 )
 
 
-def valid_theta_basis(registry=_VT):
-    """Five-element projection basis onto (r, mu1, mu3), stated factored."""
-    return build_products(registry, VALID_THETA_BASIS)
+def valid_theta_basis():
+    """Five-element projection basis onto (r, mu1, mu3), stated factored,
+    over ``R_REGISTRY``."""
+    return build_products(R_REGISTRY, VALID_THETA_BASIS)
 
 
 # r-root magnitude, angle magnitude, and the plane pair each one selects

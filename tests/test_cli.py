@@ -13,6 +13,7 @@ from vortexsym.trigvortex import Configuration
 
 GOLDEN = Path(__file__).parent / "golden" / "all_check_appendix.json"
 TRAPEZOID_GOLDEN = Path(__file__).parent / "golden" / "trapezoid.json"
+GROEBNER_IN = Path(__file__).parent / "golden" / "groebner_in.txt"
 
 
 def run_cli(argv, capsys):
@@ -98,6 +99,35 @@ class TestGroebnerCommand:
         )
         assert code == 2
 
+    def test_repeated_eliminate_variable(self, tmp_path, capsys):
+        infile = tmp_path / "system.txt"
+        infile.write_text("x + y + z\n")
+        code, out, err = run_cli(
+            ["groebner", "--in", str(infile), "--vars", "x,y,z", "--eliminate", "z,z"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot eliminate variable 'z' twice\n"
+
+    @pytest.mark.parametrize(
+        "flags, golden",
+        [
+            (["--order", "lex"], "groebner_lex.json"),
+            (["--order", "grevlex"], "groebner_grevlex.json"),
+            (["--eliminate", "x"], "groebner_eliminate_x.json"),
+            (["--eliminate", "z,x"], "groebner_eliminate_z_x.json"),
+        ],
+    )
+    def test_matches_its_golden(self, flags, golden, tmp_path, capsys):
+        outfile = tmp_path / "basis.json"
+        code, _, _ = run_cli(
+            ["groebner", "--in", str(GROEBNER_IN), "--vars", "x,y,z", *flags,
+             "--json", str(outfile)],
+            capsys,
+        )
+        assert code == 0
+        assert outfile.read_text() == (GROEBNER_IN.parent / golden).read_text()
 
     def test_exponent_overflow_exits_cleanly(self, tmp_path, capsys):
         infile = tmp_path / "system.txt"

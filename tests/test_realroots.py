@@ -17,7 +17,7 @@ from vortexsym.groebner import (
     normal_form,
     standard_monomials,
 )
-from vortexsym.ratpoly import Poly, RegistryMismatchError, Sqrt2, VarRegistry, grevlex
+from vortexsym.ratpoly import GrevLex, Poly, RegistryMismatchError, Sqrt2, VarRegistry
 from vortexsym.realroots import (
     IsolatingInterval,
     PositiveDimensionalError,
@@ -449,7 +449,7 @@ class TestHermite:
         v = Poly.parse(reg, "x - 2*y")
         f = u**3 - Fraction(1, 2) * u**2 - 2 * u + 1
         g = v**3 + Fraction(2, 3) * v - 1
-        gb = buchberger(Ideal.of(f + g, f - 2 * g), grevlex(reg))
+        gb = buchberger(Ideal.of(f + g, f - 2 * g), GrevLex())
         h = hermite_matrix(gb)
         assert h.n == 9
         assert [list(row) for row in h.rows] == reference_hermite(gb)
@@ -473,19 +473,19 @@ class TestHermite:
         reg = VarRegistry(["x", "y"])
         ideal = Ideal.of(*(Poly.parse(reg, g) for g in gens))
         assert hermite_count(ideal) == count
-        gb = buchberger(ideal, grevlex(reg))
+        gb = buchberger(ideal, GrevLex())
         h = hermite_matrix(gb)
         assert [list(row) for row in h.rows] == reference_hermite(gb)
         assert len(_components(h.ints)) > 1
 
     def test_hermite_matrix_univariate_power_sums(self):
-        gb = buchberger(Ideal.of(Poly.parse(X, "x^2 - 1")), grevlex(X))
+        gb = buchberger(Ideal.of(Poly.parse(X, "x^2 - 1")), GrevLex())
         h = hermite_matrix(gb)
         assert h.rows == ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(2)))
 
     def test_a_point_has_the_unit_trace_form(self):
         reg = VarRegistry(["x", "y", "z"])
-        gb = buchberger(Ideal.of(*(Poly.variable(reg, v) for v in "xyz")), grevlex(reg))
+        gb = buchberger(Ideal.of(*(Poly.variable(reg, v) for v in "xyz")), GrevLex())
         h = hermite_matrix(gb)
         assert (h.ints, h.den) == (((1,),), 1)
 
@@ -497,7 +497,7 @@ class TestHermite:
         v = Poly.parse(reg, "x - 2*y")
         f = u**3 - Fraction(1, 2) * u**2 - 2 * u + 1
         g = v**3 + Fraction(2, 3) * v - 1
-        gb = buchberger(Ideal.of(f + g, f - 2 * g), grevlex(reg))
+        gb = buchberger(Ideal.of(f + g, f - 2 * g), GrevLex())
         basis = standard_monomials(gb).standard_monomials
         table = _border_normal_forms(gb, basis)
         for t, (coords, e) in table.items():
@@ -523,7 +523,7 @@ class TestHermite:
             }
             terms[tuple(3 * (j == i) for j in range(3))] = 1
             gens.append(Poly(reg, terms))
-        gb = buchberger(Ideal.of(*gens), grevlex(reg))
+        gb = buchberger(Ideal.of(*gens), GrevLex())
         h = hermite_matrix(gb)
         assert h.n == 27
         assert [list(row) for row in h.rows] == reference_hermite(gb)
@@ -532,7 +532,7 @@ class TestHermite:
         # y is a leading monomial, so the tail of x^2 + y - 2 is not standard
         reg = VarRegistry(["x", "y"])
         gb = GroebnerBasis(
-            [Poly.parse(reg, "y - 1"), Poly.parse(reg, "x^2 + y - 2")], grevlex(reg)
+            [Poly.parse(reg, "y - 1"), Poly.parse(reg, "x^2 + y - 2")], GrevLex()
         )
         with pytest.raises(ValueError, match=r"x\^2 \+ y - 2"):
             hermite_matrix(gb)
@@ -551,7 +551,7 @@ def _property_bases():
     rng = random.Random(1993)
     gbs = []
     while len(gbs) < 6:
-        gb = buchberger(Ideal.of(_random_cubic(rng, reg), _random_cubic(rng, reg)), grevlex(reg))
+        gb = buchberger(Ideal.of(_random_cubic(rng, reg), _random_cubic(rng, reg)), GrevLex())
         if standard_monomials(gb).finite:
             gbs.append(pytest.param(gb, id=f"cubic{len(gbs)}"))
     # ideals with multiple roots, so that the trace form is singular
@@ -561,7 +561,7 @@ def _property_bases():
         ("x^2 - 2*x + 1", "x*y + 2*x - y - 2", "y^3 + 6*y^2 + 12*y + 8"),
         ("x^2 - 2*x*y + y^2", "y^3 - y"),
     ):
-        gb = buchberger(Ideal.of(*(Poly.parse(reg, g) for g in gens)), grevlex(reg))
+        gb = buchberger(Ideal.of(*(Poly.parse(reg, g) for g in gens)), GrevLex())
         gbs.append(pytest.param(gb, id=",".join(gens)))
     return gbs
 
