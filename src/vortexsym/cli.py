@@ -23,7 +23,7 @@ from vortexsym.groebner import ExponentOverflowError, Ideal, buchberger, elimina
 from vortexsym.ratpoly import GrevLex, Lex, Poly, VarRegistry
 from vortexsym.scenarios import run_kite, run_rectangle, run_square, run_trapezoid
 from vortexsym.scenarios.report import DEFAULT_EPS
-from vortexsym.trigvortex import SCENARIOS, Configuration
+from vortexsym.trigvortex import SCENARIOS
 
 SCENARIO_ORDER = ("kite", "rectangle", "square", "trapezoid")
 
@@ -148,12 +148,11 @@ def render_json(document):
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def emit_svg(config, path):
-    """Write an SVG figure: unit circle, dominant vortex, labelled quadrilateral."""
-    order = sorted(range(4), key=lambda i: config.thetas[i] % (2 * math.pi))
-    points = [
-        (math.cos(t), -math.sin(t)) for t in config.thetas
-    ]  # y flipped for screen coordinates
+def emit_svg(thetas, path):
+    """Write an SVG figure of the four vortices at angles ``thetas``: unit
+    circle, dominant vortex, labelled quadrilateral."""
+    order = sorted(range(4), key=lambda i: thetas[i] % (2 * math.pi))
+    points = [(math.cos(t), -math.sin(t)) for t in thetas]  # y flipped for screen coordinates
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="-1.45 -1.45 2.9 2.9" width="360" height="360">',
@@ -174,12 +173,6 @@ def emit_svg(config, path):
     lines.append("</svg>")
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-def _figure_config(name):
-    """The figure's configuration: ``emit_svg`` reads only its angles."""
-    thetas = SCENARIOS[name].angles(FIGURE_THETA2[name])
-    return Configuration(tuple(thetas), (1.0, 1.0, 1.0, 1.0))
 
 
 def _run_in_order(names, args):
@@ -226,7 +219,7 @@ def _scenario_command(name, args, stream):
             os.makedirs(args.svg, exist_ok=True)
             for scenario_name in names:
                 path = os.path.join(args.svg, f"{scenario_name}.svg")
-                emit_svg(_figure_config(scenario_name), path)
+                emit_svg(SCENARIOS[scenario_name].angles(FIGURE_THETA2[scenario_name]), path)
         if args.json:
             if len(reports) == 1:
                 document = reports[0].to_document()
@@ -270,10 +263,18 @@ def _groebner_command(args, stream):
     if not polys:
         print("error: no polynomials in input", file=sys.stderr)
         return 2
+    try:
+        ideal = Ideal.of(*polys)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     order = Lex() if args.order == "lex" else GrevLex()
     dropped = []
-    if args.eliminate:
+    if args.eliminate is not None:
         dropped = [v.strip() for v in args.eliminate.split(",") if v.strip()]
+        if not dropped:
+            print("error: --eliminate names no variable", file=sys.stderr)
+            return 2
         for k, v in enumerate(dropped):
             if not registry.contains(v):
                 print(f"error: cannot eliminate unknown variable {v!r}", file=sys.stderr)
@@ -282,10 +283,10 @@ def _groebner_command(args, stream):
                 print(f"error: cannot eliminate variable {v!r} twice", file=sys.stderr)
                 return 2
     try:
-        if args.eliminate:
-            gb = eliminate(Ideal.of(*polys), dropped)
+        if dropped:
+            gb = eliminate(ideal, dropped)
         else:
-            gb = buchberger(Ideal.of(*polys), order)
+            gb = buchberger(ideal, order)
     except ExponentOverflowError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -14,8 +14,7 @@ monomial multiplier), and a reduced S-polynomial keeps its pair's sugar
 its S-pairs in :class:`KernelStats`.
 
 Inside the kernel a monomial with exponents ``e`` over the ``n`` variables
-that occur in the generators is two Python ints (Bachmann & Schoenemann,
-ISSAC 1998):
+of the registry is two Python ints (Bachmann & Schoenemann, ISSAC 1998):
 
 - ``k`` packs the rows ``w`` of the order's weight matrix
   (``MonomialOrder.weights``) into signed fields of ``W`` bits, first row
@@ -118,23 +117,6 @@ class GroebnerBasis:
         self.polys = tuple(polys)
         self.order = order
         self.stats = stats
-        self._kernel = None  # (registry, packing, packed entries)
-
-    def _packed(self, registry):
-        """The kernel's packing and packed basis entries for inputs over
-        ``registry``, built on first use, with a field for every variable."""
-        if self.polys and registry != self.registry:
-            raise RegistryMismatchError(
-                f"cannot reduce over {registry} modulo a basis over {self.registry}"
-            )
-        if self._kernel is None or self._kernel[0] != registry:
-            pk = _Packing(self.order, len(registry), range(len(registry)))
-            entries = [
-                _entry(sorted((pk.pack(m) + (c,) for m, c in p.ints.items()), reverse=True), pk)
-                for p in self.polys
-            ]
-            self._kernel = (registry, pk, entries)
-        return self._kernel[1:]
 
     def __len__(self):
         return len(self.polys)
@@ -161,10 +143,9 @@ class GroebnerBasis:
         run.  Otherwise the reduced basis of ``polys`` is computed: reduced
         bases are unique and :func:`buchberger` returns them in canonical
         form, so the two bases agree as sets."""
-        order = self.order
-        if {p.primitive(order) for p in polys} == {p.primitive(order) for p in self.polys}:
+        if {p.primitive() for p in polys} == {p.primitive() for p in self.polys}:
             return True
-        return set(buchberger(Ideal.of(*polys), order).polys) == set(self.polys)
+        return set(buchberger(Ideal.of(*polys), self.order).polys) == set(self.polys)
 
     def leading_monomials(self):
         return [p.leading_monomial(self.order) for p in self.polys]
@@ -190,14 +171,22 @@ def normal_form(p, basis):
     since both reduce the largest term first by the first basis element
     whose leading monomial divides it.
 
-    Raises :class:`ExponentOverflowError` for an exponent the packed fields
-    cannot hold.
+    Packs the basis on each call.  Raises :class:`ExponentOverflowError`
+    for an exponent the packed fields cannot hold.
     """
     if not isinstance(basis, GroebnerBasis):
         raise TypeError("normal_form expects a GroebnerBasis")
     if p.is_zero():
         return Poly.zero(p.registry)
-    pk, entries = basis._packed(p.registry)
+    if basis.polys and p.registry != basis.registry:
+        raise RegistryMismatchError(
+            f"cannot reduce over {p.registry} modulo a basis over {basis.registry}"
+        )
+    pk = _Packing(basis.order, len(p.registry))
+    entries = [
+        _entry(sorted((pk.pack(m) + (c,) for m, c in q.ints.items()), reverse=True), pk)
+        for q in basis.polys
+    ]
     rem, (mul, div) = _int_nf([pk.pack(m) + (c,) for m, c in p.ints.items()], entries, pk)
     # rem = mul / div * NF(den * p), so NF(p) = rem * div / (mul * den)
     return Poly.over(p.registry, {pk.unpack(q): c * div for _, q, c in rem}, mul * p.den)
@@ -218,33 +207,25 @@ _EXP_MAX = (1 << _EXP_BITS) - 1
 
 
 class _Packing:
-    """The packed ``(k, p)`` encoding of the monomials of one kernel run.
+    """The packed ``(k, p)`` encoding of monomials over ``nvars`` variables,
+    one field per variable of the registry."""
 
-    Only the ``active`` variables get fields: those that occur in the
-    generators of a Buchberger run, where no other variable can appear,
-    and every variable for the normal forms modulo a basis.
-    """
+    __slots__ = ("shifts", "k_of_var", "guard")
 
-    __slots__ = ("nvars", "active", "shifts", "k_of_var", "guard")
-
-    def __init__(self, order, nvars, active):
-        rows = order.weights(nvars)
-        rows = [row for row in ([row[i] for i in active] for row in rows) if any(row)]
+    def __init__(self, order, nvars):
+        rows = [row for row in order.weights(nvars) if any(row)]
         bound = max((sum(abs(w) for w in row) for row in rows), default=0) * _EXP_MAX
         width = bound.bit_length() + 2
-        self.nvars = nvars
-        self.active = tuple(active)
-        self.shifts = tuple(_P_WIDTH * j for j in range(len(active)))
+        self.shifts = tuple(_P_WIDTH * j for j in range(nvars))
         self.k_of_var = tuple(
             sum(row[j] << (width * (len(rows) - 1 - r)) for r, row in enumerate(rows))
-            for j in range(len(active))
+            for j in range(nvars)
         )
         self.guard = sum(1 << (s + _EXP_BITS) for s in self.shifts)
 
     def pack(self, exps):
         k = p = 0
-        for i, s, w in zip(self.active, self.shifts, self.k_of_var):
-            e = exps[i]
+        for e, s, w in zip(exps, self.shifts, self.k_of_var):
             if e > _EXP_MAX:
                 raise ExponentOverflowError(
                     f"exponent {e} exceeds the packed maximum {_EXP_MAX}"
@@ -260,10 +241,7 @@ class _Packing:
         return sum(self.exponents(p))
 
     def unpack(self, p):
-        exps = [0] * self.nvars
-        for i, e in zip(self.active, self.exponents(p)):
-            exps[i] = e
-        return tuple(exps)
+        return tuple(self.exponents(p))
 
     def k_of(self, p):
         return sum(e * w for e, w in zip(self.exponents(p), self.k_of_var))
@@ -459,8 +437,7 @@ def _buchberger_int(gens, order):
     computed over packed monomials, as integer-primitive Polys, and the
     run's :class:`KernelStats`."""
     reg = gens[0].registry
-    active = sorted({i for g in gens for m in g.ints for i, e in enumerate(m) if e})
-    pk = _Packing(order, len(reg), active)
+    pk = _Packing(order, len(reg))
     entries = []
     sugars = []  # sugar degree of each entry
     pairs = {}

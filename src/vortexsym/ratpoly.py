@@ -473,28 +473,29 @@ class Poly(Immutable):
 
     # -- normalisation -----------------------------------------------------
 
-    def _content(self, order):
-        """The gcd of the numerators, signed like the leading one, and the
-        primitive part: ``self == content / den * primitive``."""
+    def _content(self):
+        """The gcd of the numerators, signed like the grevlex-leading one, and
+        the primitive part: ``self == content / den * primitive``."""
         g = reduce(gcd, self.ints.values(), 0)
-        if self.ints[self.leading_monomial(order or _GREVLEX)] < 0:
+        if self.ints[self.leading_monomial(_GREVLEX)] < 0:
             g = -g
         if g == 1 and self.den == 1:
             return 1, self
         return g, Poly.over(self.registry, {m: c // g for m, c in self.ints.items()})
 
-    def content_strip(self, order=None):
-        """Split ``p = c * q`` with ``q`` integer-primitive and positive-leading.
+    def content_strip(self):
+        """Split ``p = c * q`` with ``q`` integer-primitive and positive-leading
+        under grevlex.
 
         Returns ``(c, q)``.  The zero polynomial yields ``(1, 0)``.
         """
         if not self.ints:
             return Fraction(1), self
-        g, q = self._content(order)
+        g, q = self._content()
         return Fraction(g, self.den), q
 
-    def primitive(self, order=None):
-        return self._content(order)[1] if self.ints else self
+    def primitive(self):
+        return self._content()[1] if self.ints else self
 
     # -- division ----------------------------------------------------------
 

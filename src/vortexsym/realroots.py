@@ -21,7 +21,6 @@ distinct complex ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm
@@ -514,11 +513,10 @@ def char_poly(rows):
     loop runs there (``int_char_poly`` over Z): its coefficients are
     integral, so each division by k
     is exact, and a nonzero remainder raises ``ExactDivisionError``.  The
-    coefficient of lambda^(n-k) is lifted back over d^k.  Result types are
-    those of generic arithmetic on the entries: all ``Fraction`` for a
-    rational matrix; otherwise the int 1 and then ``Poly``s, except that
-    the trace coefficient is a ``Fraction`` when no diagonal entry is a
-    ``Poly``.  Ragged or non-square rows and ``Poly``s over different
+    coefficient of lambda^(n-k) is lifted back over d^k.  The coefficients
+    are all ``Fraction``s for a rational matrix and all ``Poly``s over the
+    entries' registry, the leading 1 included, for a matrix with a ``Poly``
+    entry.  Ragged or non-square rows and ``Poly``s over different
     registries raise ``ValueError``, other entries (``Sqrt2`` included)
     ``TypeError``.
     """
@@ -533,10 +531,7 @@ def char_poly(rows):
     a, d, lift = _lower_poly(rows, entries)
     coeffs = _faddeev_leverrier(a, _dot_sparse, _add_sparse, _neg_div_sparse)
     out = [lift(c, d**k) for k, c in enumerate(coeffs, 1)]
-    if not any(isinstance(rows[i][i], Poly) for i in range(n)):
-        # generic arithmetic keeps the trace of a rational diagonal rational
-        out[0] = Fraction(coeffs[0].get(0, 0), d)
-    return [*reversed(out), 1]
+    return [*reversed(out), lift({0: 1}, 1)]
 
 
 def int_char_poly(a):
@@ -833,7 +828,7 @@ def _border_normal_forms(gb, basis):
     return table
 
 
-def hermite_matrix(gb, qb=None):
+def hermite_matrix(gb):
     """Trace form H_ij = tau(b_i * b_j) over the standard basis b_1 = 1, ...,
     b_d, with tau(f) the trace of multiplication by f.
 
@@ -860,8 +855,7 @@ def hermite_matrix(gb, qb=None):
     which happens only when the multiplication matrices do not commute.
     A basis that is not reduced raises ``ValueError`` too.
     """
-    if qb is None:
-        qb = standard_monomials(gb)
+    qb = standard_monomials(gb)
     if not qb.finite:
         raise PositiveDimensionalError("quotient ring is infinite-dimensional")
     basis = qb.standard_monomials

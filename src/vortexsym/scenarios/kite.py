@@ -47,8 +47,6 @@ from vortexsym.trigvortex import (
 )
 from vortexsym import targets
 
-_ORD = GrevLex()
-
 
 def run_kite(mus=None, eps=DEFAULT_EPS):
     """Full kite analysis for circulations ``mus`` (defaults to all ones),
@@ -69,7 +67,7 @@ def run_kite(mus=None, eps=DEFAULT_EPS):
     basis = [p.format(elimination.gb.order) for p in elimination.gb.polys]
     return ScenarioReport(
         scenario="kite",
-        pipeline_polynomials=[c.r_poly.format(_ORD) for c in comps],
+        pipeline_polynomials=[c.r_poly.format() for c in comps],
         elimination_basis=basis,
         conditions=list(basis),
         roots=root_records("kite configuration factor", stages["configuration_count"].radii, eps),
@@ -96,14 +94,14 @@ def kite_elimination(comps):
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
     checks.add(
         "elimination_basis",
-        [p.primitive(gb.order) for p in gb.polys] == [targets.parsed(R_REGISTRY, "mu2 - mu4")],
+        [p.primitive() for p in gb.polys] == [targets.parsed(R_REGISTRY, "mu2 - mu4")],
         "projection onto circulation space is {mu2 - mu4}",
     )
     # the even configuration-counting factor (V_theta4 side, mu4 eliminated)
-    config_factor = comps[2].r_poly.primitive(_ORD)
+    config_factor = comps[2].r_poly.primitive()
     checks.add(
         "configuration_factor",
-        config_factor == targets.parsed(R_REGISTRY, targets.KITE_CONFIG_FACTOR).primitive(_ORD),
+        config_factor == targets.parsed(R_REGISTRY, targets.KITE_CONFIG_FACTOR).primitive(),
         "degree-six even factor matches the reference form",
     )
     return KiteElimination(checks=tuple(checks), gb=gb, config_factor=config_factor)
@@ -254,7 +252,7 @@ def special_angle_analysis(comps):
         targets.parsed(mu_reg, "mu2 - mu1"),
     ]
     forced = buchberger(Ideal.of(*residuals), GrevLex())
-    forced_set = {p.primitive(forced.order).format(forced.order) for p in forced.polys}
+    forced_set = {p.primitive().format(forced.order) for p in forced.polys}
     checks.add(
         "special_angle_conditions",
         forced_set == {"mu1 - mu4", "mu2 - mu4"},
@@ -278,8 +276,8 @@ def special_angle_analysis(comps):
     checks.add(
         "special_angle_weighted_spectrum",
         groups.get((2,)) == Poly.constant(lreg, 1)
-        and disc_poly.map_to(treg).primitive(_ORD)
-        == targets.parsed(treg, "121*t^2 + 282*t + 81").primitive(_ORD),
+        and disc_poly.map_to(treg).primitive()
+        == targets.parsed(treg, "121*t^2 + 282*t + 81").primitive(),
         "quadratic pair discriminant is (121 t^2 + 282 t + 81)/16",
     )
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from vortexsym.groebner import GroebnerBasis, Ideal, eliminate
-from vortexsym.ratpoly import GrevLex, Poly, Sqrt2
+from vortexsym.ratpoly import Poly, Sqrt2
 from vortexsym.realroots import int_coeffs, sturm_isolate
 from vortexsym.scenarios.report import (
     DEFAULT_EPS,
@@ -31,8 +31,6 @@ from vortexsym.trigvortex import (
 )
 from vortexsym import targets
 
-_ORD = GrevLex()
-
 
 def run_rectangle(mus=None, eps=DEFAULT_EPS):
     """Classify rectangles from the circulation-free stages
@@ -50,7 +48,7 @@ def run_rectangle(mus=None, eps=DEFAULT_EPS):
     angles = stages["branch_angles"]
     return ScenarioReport(
         scenario="rectangle",
-        pipeline_polynomials=[c.r_poly.format(_ORD) for c in comps],
+        pipeline_polynomials=[c.r_poly.format() for c in comps],
         elimination_basis=[p.format(gb.order) for p in gb.polys],
         conditions=[
             "mu1 - mu3 and mu2 - mu4 (equal pairs)",
@@ -76,9 +74,9 @@ def rectangle_elimination(comps):
     """Check the rectangle ``pipeline`` and eliminate r."""
     checks = Checks([pipeline_check(comps, targets.RECTANGLE_PIPELINE)])
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
-    mine = {p.primitive(gb.order) for p in gb.polys}
+    mine = {p.primitive() for p in gb.polys}
     want = {
-        targets.parsed(R_REGISTRY, t).primitive(gb.order) for t in targets.RECTANGLE_ELIMINATION
+        targets.parsed(R_REGISTRY, t).primitive() for t in targets.RECTANGLE_ELIMINATION
     }
     checks.add(
         "elimination_basis",

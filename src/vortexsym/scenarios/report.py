@@ -5,11 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from vortexsym.ratpoly import GrevLex
 from vortexsym.trigvortex import angle_of_r
 from vortexsym import targets
-
-_ORD = GrevLex()
 
 # The stages return isolating intervals; a report refines the ones it shows
 # to its driver's ``eps``, DEFAULT_EPS unless given, and the oracle checks
@@ -50,7 +47,7 @@ def pipeline_check(comps, reference):
     goals = targets.build_products(targets.R_REGISTRY, reference)
     return OracleCheck.of(
         "pipeline_polynomials",
-        all(c.r_poly.primitive(_ORD) == g.primitive(_ORD) for c, g in zip(comps, goals)),
+        all(c.r_poly.primitive() == g.primitive() for c, g in zip(comps, goals)),
         "three reduced polynomials match the reference forms up to scalars",
     )
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
+from vortexsym.ratpoly import Poly, VarRegistry
 from vortexsym.realroots import int_char_poly, sign_at
 from vortexsym.scenarios.report import (
     Checks,
@@ -27,7 +27,6 @@ from vortexsym.trigvortex import (
 )
 from vortexsym import targets
 
-_ORD = GrevLex()
 
 # circulation samples (m1, m2) used to spot-check the eigenvalue formulas
 EIGEN_SAMPLES = (
@@ -60,7 +59,7 @@ def gradient_conditions():
     )
 
     # vanishing forces equal circulations on opposite corners
-    cond_texts = tuple(sorted({t.num.primitive(_ORD).format(_ORD) for t in comps}))
+    cond_texts = tuple(sorted({t.num.primitive().format() for t in comps}))
     checks.add(
         "conditions",
         cond_texts == tuple(sorted(targets.SQUARE_CONDITIONS)),

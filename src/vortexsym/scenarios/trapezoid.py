@@ -34,7 +34,6 @@ from vortexsym.groebner import (
     buchberger,
     eliminate,
     normal_form,
-    standard_monomials,
 )
 from vortexsym.ratpoly import GrevLex, Lex, Poly, VarRegistry
 from vortexsym.realroots import (
@@ -64,7 +63,6 @@ from vortexsym.scenarios.report import (
 from vortexsym.trigvortex import R_REGISTRY, TRAPEZOID3, angle_of_r, pipeline
 from vortexsym import targets
 
-_ORD = GrevLex()
 _TIGHT = Fraction(1, 10**24)
 _GRID = 1 << 80
 
@@ -105,7 +103,7 @@ def run_trapezoid(eps=DEFAULT_EPS, check_appendix=True):
     roots = root_records("g(r)", angles.roots, eps)
     return ScenarioReport(
         scenario="trapezoid",
-        pipeline_polynomials=[c.r_poly.format(_ORD) for c in comps],
+        pipeline_polynomials=[c.r_poly.format() for c in comps],
         elimination_basis=[p.format(gb.order) for p in gb.polys],
         conditions=[
             "mu1 - mu3 with mu2 - mu4 (square family)",
@@ -142,8 +140,8 @@ def elimination_ideal(comps):
     checks = Checks([pipeline_check(comps, targets.TRAPEZOID_PIPELINE)])
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
     f_ref = targets.f_basis()
-    mine = {p.primitive(gb.order) for p in gb.polys}
-    theirs = {f.primitive(gb.order) for f in f_ref}
+    mine = {p.primitive() for p in gb.polys}
+    theirs = {f.primitive() for f in f_ref}
     checks.add(
         "elimination_basis_exact",
         mine == theirs,
@@ -164,7 +162,7 @@ def elimination_ideal(comps):
         quotient = quotient.try_divide(targets.parsed(R_REGISTRY, "mu2 - mu4"))
     checks.add(
         "f6_factorisation",
-        quotient is not None and quotient.primitive(_ORD) == p1_r.primitive(_ORD),
+        quotient is not None and quotient.primitive() == p1_r.primitive(),
         "f6 = mu4^2 (mu2 - mu4) p1 by exact division",
     )
     return EliminationIdeal(checks=tuple(checks), gb=gb, ordered_basis=tuple(f_mine))
@@ -172,8 +170,8 @@ def elimination_ideal(comps):
 
 def _order_like(gb, reference):
     """My basis elements rearranged to match the reference order (by primitive)."""
-    by_primitive = {p.primitive(gb.order): p for p in gb.polys}
-    return [by_primitive.get(f.primitive(gb.order), f) for f in reference]
+    by_primitive = {p.primitive(): p for p in gb.polys}
+    return [by_primitive.get(f.primitive(), f) for f in reference]
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +217,8 @@ def plane_factorisation():
     if bad is not None:
         mono = Poly.variable(preg, "mu2", 5 - bad) * Poly.variable(preg, "mu3", bad)
         detail = (
-            f"coefficient of {mono}: expected {want[bad].format(_ORD)},"
-            f" derived {got[bad].format(_ORD)}"
+            f"coefficient of {mono}: expected {want[bad].format()},"
+            f" derived {got[bad].format()}"
         )
     elif not identity_ok:
         detail = "p1 minus the remainder is not a multiple of the plane"
@@ -231,9 +229,9 @@ def plane_factorisation():
     gb_ab = buchberger(Ideal.of(*(g.map_to(AB) for g in got)), Lex())
     b_quintic = targets.parsed(AB, targets.B_QUINTIC)
     a_linear = targets.parsed(AB, targets.AB_IDEAL_SECOND)
-    basis = {p.primitive(gb_ab.order) for p in gb_ab.polys}
+    basis = {p.primitive() for p in gb_ab.polys}
     basis_ok = len(gb_ab) == 2 and all(
-        q.primitive(gb_ab.order) in basis for q in (b_quintic, a_linear)
+        q.primitive() in basis for q in (b_quintic, a_linear)
     )
     checks.add(
         "ab_ideal_basis",
@@ -502,15 +500,15 @@ def annihilating_lines(ordered_basis, plane):
         "linear_coefficients",
         linear_ok
         and len(c_polys) == 14
-        and all(c.primitive(_ORD) == w.primitive(_ORD) for c, w in zip(c_polys, want)),
+        and all(c.primitive() == w.primitive() for c, w in zip(c_polys, want)),
         "the fourteen mu1-linear coefficients match the reference forms",
     )
 
     p1 = targets.parsed(ANNI, targets.P1_QUINTIC)
     gb_anni = buchberger(Ideal.of(*(c_polys + [p1])), GrevLex())
-    mine = {p.primitive(gb_anni.order) for p in gb_anni.polys}
+    mine = {p.primitive() for p in gb_anni.polys}
     want_basis = {
-        targets.parsed(ANNI, t).primitive(gb_anni.order) for t in targets.ANNIHILATOR_BASIS
+        targets.parsed(ANNI, t).primitive() for t in targets.ANNIHILATOR_BASIS
     }
     checks.add(
         "annihilator_basis",
@@ -520,14 +518,14 @@ def annihilating_lines(ordered_basis, plane):
 
     sphere = targets.parsed(ANNI, "mu2^2 + mu3^2 + mu4^2 - 1")
     gb_sphere = buchberger(Ideal.of(*(list(gb_anni.polys) + [sphere])), GrevLex())
-    qb = standard_monomials(gb_sphere)
-    n_pos, n_neg, _ = inertia(hermite_matrix(gb_sphere, qb))
+    hermite = hermite_matrix(gb_sphere)
+    n_pos, n_neg, _ = inertia(hermite)
     signature = n_pos - n_neg
     rank = n_pos + n_neg
     checks.add(
         "hermite_signature",
-        qb.finite and signature == 20,
-        f"signature {signature}, rank {rank}, quotient dimension {len(qb)}:"
+        signature == 20,
+        f"signature {signature}, rank {rank}, quotient dimension {hermite.n}:"
         f" twenty real sphere points, ten annihilating lines",
     )
 
@@ -771,7 +769,7 @@ def angle_analysis(comps, plane):
     g_ref = targets.parsed(R_REGISTRY, targets.G_OF_R)
     checks.add(
         "angle_polynomial",
-        g_mine is not None and g_mine.primitive(_ORD) == g_ref.primitive(_ORD),
+        g_mine is not None and g_mine.primitive() == g_ref.primitive(),
         "mu1^2 (mu1 - mu3) g(r) appears in the projection basis",
     )
     g_coeffs = int_coeffs(g_ref, "r")

@@ -15,7 +15,6 @@ import math
 
 from vortexsym.ratpoly import Poly, VarRegistry
 
-MU_REGISTRY = VarRegistry(["mu1", "mu2", "mu3", "mu4"])
 R_REGISTRY = VarRegistry(["r", "mu1", "mu2", "mu3", "mu4"])
 AB_REGISTRY = VarRegistry(["a", "b"])
 ANNI_REGISTRY = VarRegistry(["mu2", "mu3", "mu4"])

@@ -36,38 +36,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from vortexsym.ratpoly import GrevLex, Immutable, Poly, VarRegistry
-from vortexsym.targets import MU_REGISTRY, R_REGISTRY, parsed  # noqa: F401
+from vortexsym.ratpoly import Immutable, Poly, VarRegistry
+from vortexsym.targets import R_REGISTRY, parsed
 
 TRIG_REGISTRY = VarRegistry(["s", "c", "mu1", "mu2", "mu3", "mu4"])
-
-_ORDER = GrevLex()
 
 HALF = Fraction(1, 2)
 
 
 class CollisionError(ValueError):
     """Two vortices coincide (an angle difference is a multiple of 2*pi)."""
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Concrete positions and circulations: theta_i in radians, mu_i != 0."""
-
-    thetas: tuple
-    mus: tuple
-
-    def __post_init__(self):
-        if len(self.thetas) != 4 or len(self.mus) != 4:
-            raise ValueError("a configuration has four angles and four circulations")
-        for m in self.mus:
-            if m == 0:
-                raise ValueError("circulation parameters must be nonzero")
-        for i in range(4):
-            for j in range(i + 1, 4):
-                d = (self.thetas[i] - self.thetas[j]) % (2 * math.pi)
-                if min(d, 2 * math.pi - d) < 1e-9:
-                    raise CollisionError(f"vortices {i + 1} and {j + 1} collide")
 
 
 @dataclass(frozen=True)
@@ -282,7 +260,7 @@ class TrigRational(Immutable):
         return TrigRational(self.num.subs(mapping), self.den.subs(mapping))
 
     def __repr__(self):
-        return f"({self.num.format(_ORDER)}) / ({self.den.format(_ORDER)})"
+        return f"({self.num.format()}) / ({self.den.format()})"
 
 
 def gradient_component(i, scenario):
@@ -420,7 +398,7 @@ def reduce_component(i, scenario):
     if trig.is_zero():
         raise ValueError(f"component {i} of {scenario.kind} vanishes identically")
     stripped, r_factors = strip_collision_factors(half_angle_polynomialize(trig.num), scenario)
-    content, canonical = stripped.content_strip(_ORDER)
+    content, canonical = stripped.content_strip()
     return PipelineComponent(
         index=i,
         trig=trig,
@@ -543,13 +521,8 @@ def char_poly_in(rows, registry, var):
     """
     from vortexsym.realroots import char_poly
 
-    coeffs = char_poly(rows)
     lam = Poly.variable(registry, var)
     out = Poly.zero(registry)
-    for k, ck in enumerate(coeffs):
-        if isinstance(ck, (int, Fraction)):
-            ck = Poly.constant(registry, ck)
-        else:
-            ck = ck.map_to(registry)
-        out = out + ck * lam**k
+    for k, ck in enumerate(char_poly(rows)):
+        out = out + ck.map_to(registry) * lam**k
     return out

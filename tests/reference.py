@@ -260,7 +260,7 @@ def textbook_basis(gens, order):
         _, r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
         if not r.is_zero():
             pairs.extend((k, len(basis)) for k in range(len(basis)))
-            basis.append(r.primitive(order))
+            basis.append(r.primitive())
 
     minimal = []
     for p in sorted(basis, key=lead):
@@ -268,9 +268,10 @@ def textbook_basis(gens, order):
         if not any(mono_divides(q.leading_monomial(order), lm) for q in minimal):
             minimal.append(p)
     reduced = [
-        reduce(p, minimal[:i] + minimal[i + 1 :], order)[1].primitive(order)
+        reduce(p, minimal[:i] + minimal[i + 1 :], order)[1].primitive()
         for i, p in enumerate(minimal)
     ]
+    reduced = [-p if p.leading_term(order)[1] < 0 else p for p in reduced]
     return sorted(reduced, key=lead)
 
 
@@ -363,10 +364,10 @@ def gradient(thetas, mus):
     return out
 
 
-def cos_table(config):
-    """cos(theta_i - theta_j) of a ``Configuration`` as floats, the input of
+def cos_table(thetas):
+    """cos(theta_i - theta_j) of four angles as floats, the input of
     ``hessian``."""
-    return [[math.cos(a - b) for b in config.thetas] for a in config.thetas]
+    return [[math.cos(a - b) for b in thetas] for a in thetas]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from vortexsym.trigvortex import (
     SQUARE,
     TRAPEZOID3,
     TRIG_REGISTRY,
-    Configuration,
     gradient_component,
     hessian,
 )
@@ -41,7 +40,6 @@ from reference import (
     weighted_gradient_sum,
 )
 
-_ORD = GrevLex()
 TOL = targets.NUMERIC_TOL  # 1e-5 for published six-figure values
 
 
@@ -61,13 +59,13 @@ def test_criterion_01_example_smoke():
 
     for order in (Lex(), GrevLex()):
         gb = buchberger(Ideal.of(*gens), order)
-        mine = {p.primitive(gb.order) for p in gb.polys}
-        want = {Poly.parse(reg, t).primitive(gb.order) for t in expected}
+        mine = {p.primitive() for p in gb.polys}
+        want = {Poly.parse(reg, t).primitive() for t in expected}
         assert mine == want, f"basis mismatch under {order}"
 
     gb = eliminate(Ideal.of(*gens), ["z"])
-    mine = {p.primitive(gb.order) for p in gb.polys}
-    want = {Poly.parse(reg, "-2 - x + x^2 + y + y^2").primitive(gb.order)}
+    mine = {p.primitive() for p in gb.polys}
+    want = {Poly.parse(reg, "-2 - x + x^2 + y + y^2").primitive()}
     assert mine == want
     _announce(1, "three textbook bases match up to scalar normalisation")
 
@@ -80,15 +78,15 @@ def test_criterion_02_kite_pipeline(kite_report):
     comps = kite_report.artifacts["pipeline"]
     goals = targets.build_products(targets.R_REGISTRY, targets.KITE_PIPELINE)
     for comp, goal in zip(comps, goals):
-        assert comp.r_poly.primitive(_ORD) == goal.primitive(_ORD)
+        assert comp.r_poly.primitive() == goal.primitive()
     _announce(2, "kite pipeline reproduced; elimination over r is {mu2 - mu4}")
 
 
 def test_criterion_03_rectangle(rectangle_report):
     gb = rectangle_report.artifacts["elimination"].gb
-    mine = {p.primitive(gb.order) for p in gb.polys}
+    mine = {p.primitive() for p in gb.polys}
     want = {
-        Poly.parse(gb.registry, t).primitive(gb.order)
+        Poly.parse(gb.registry, t).primitive()
         for t in targets.RECTANGLE_ELIMINATION
     }
     assert mine == want
@@ -135,7 +133,7 @@ def test_criterion_05_plane_division(trapezoid_report):
     gb_ab = trapezoid_report.artifacts["plane_factorisation"].ab_gb
     quintic = Poly.parse(gb_ab.registry, targets.B_QUINTIC)
     assert any(
-        p.primitive(gb_ab.order) == quintic.primitive(gb_ab.order) for p in gb_ab.polys
+        p.primitive() == quintic.primitive() for p in gb_ab.polys
     )
     plane = trapezoid_report.artifacts["plane_factorisation"]
     b_vals = sorted(float(iv.midpoint()) for iv in plane.b_intervals)
@@ -171,10 +169,8 @@ def test_criterion_07_annihilating_lines(trapezoid_report):
     assert _status(trapezoid_report, "table_of_lines") == "pass"
     gb_sphere = trapezoid_report.artifacts["annihilating_lines"].sphere_gb
     from vortexsym.realroots import hermite_matrix, inertia
-    from vortexsym.groebner import standard_monomials
 
-    qb = standard_monomials(gb_sphere)
-    n_pos, n_neg, _ = inertia(hermite_matrix(gb_sphere, qb))
+    n_pos, n_neg, _ = inertia(hermite_matrix(gb_sphere))
     assert n_pos - n_neg == 20
     _announce(7, "coefficients match; Hermite signature exactly 20; ten lines match")
 
@@ -235,8 +231,7 @@ class TestCriterion11Properties:
             if min(gaps) < 0.3:
                 continue
             mus = tuple(rng.uniform(0.5, 2.0) * rng.choice([-1, 1]) for _ in range(4))
-            config = Configuration(tuple(thetas), mus)
-            h = hessian(cos_table(config), mus)
+            h = hessian(cos_table(thetas), mus)
             for i in range(4):
                 assert abs(sum(h[i])) <= 1e-12
                 for j in range(4):
@@ -277,7 +272,7 @@ class TestCriterion11Properties:
         rng = random.Random(2718)
         from vortexsym.trigvortex import pipeline
 
-        factor = pipeline(KITE)[2].r_poly.primitive(_ORD)
+        factor = pipeline(KITE)[2].r_poly.primitive()
         count = 0
         while count < 100:
             mu1 = Fraction(rng.randint(-50, 50), rng.randint(1, 12))

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 from vortexsym import cli, targets
-from vortexsym.trigvortex import Configuration
 
 
 GOLDEN = Path(__file__).parent / "golden" / "all_check_appendix.json"
 TRAPEZOID_GOLDEN = Path(__file__).parent / "golden" / "trapezoid.json"
 GROEBNER_IN = Path(__file__).parent / "golden" / "groebner_in.txt"
+FIGURES = Path(__file__).parent / "golden" / "figures"
 
 
 def run_cli(argv, capsys):
@@ -109,6 +109,29 @@ class TestGroebnerCommand:
         assert code == 2
         assert out == ""
         assert err == "error: cannot eliminate variable 'z' twice\n"
+
+    @pytest.mark.parametrize(
+        "system, flags, message",
+        [
+            ("0\nx - x\n", [], "an ideal needs at least one nonzero generator"),
+            ("x^2 - y\nx*y - 1\n", ["--order", "lex", "--eliminate", ","],
+             "--eliminate names no variable"),
+        ],
+        ids=["zero-generators", "eliminate-no-names"],
+    )
+    def test_input_that_names_no_basis_is_a_usage_error(
+        self, system, flags, message, tmp_path, capsys
+    ):
+        # exit 1 means a failed oracle check, so these end in one error line
+        # and exit 2, not a traceback or a basis the user did not ask for
+        infile = tmp_path / "system.txt"
+        infile.write_text(system)
+        code, out, err = run_cli(
+            ["groebner", "--in", str(infile), "--vars", "x,y", *flags], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "flags, golden",
@@ -214,12 +237,17 @@ class TestScenarioCommands:
 
 
 class TestSvg:
+    def test_all_figures_match_their_golden_files(self, tmp_path, capsys):
+        code, _, _ = run_cli(["all", "--svg", str(tmp_path)], capsys)
+        assert code == 0
+        goldens = sorted(FIGURES.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in goldens]
+        for golden in goldens:
+            assert (tmp_path / golden.name).read_bytes() == golden.read_bytes(), golden.name
+
     def test_square_figure_points_on_axes(self, tmp_path):
-        config = Configuration(
-            (0.0, math.pi / 2, math.pi, 3 * math.pi / 2), (1, 1, 1, 1)
-        )
         path = tmp_path / "square.svg"
-        cli.emit_svg(config, str(path))
+        cli.emit_svg((0.0, math.pi / 2, math.pi, 3 * math.pi / 2), str(path))
         body = path.read_text()
         assert "1.00000,-0.00000" in body or "1.00000,0.00000" in body
         root = ET.fromstring(body)
@@ -230,9 +258,8 @@ class TestSvg:
         from vortexsym.trigvortex import TRAPEZOID3
 
         thetas = TRAPEZOID3.angles(0.687197)
-        config = Configuration(tuple(thetas), (1, 1, 1, 1))
         path = tmp_path / "trapezoid.svg"
-        cli.emit_svg(config, str(path))
+        cli.emit_svg(thetas, str(path))
         assert path.exists()
         ET.fromstring(path.read_text())
 
@@ -240,9 +267,8 @@ class TestSvg:
         from vortexsym.trigvortex import KITE
 
         thetas = KITE.angles(2 * math.pi / 3)
-        config = Configuration(tuple(thetas), (1, 1, 1, 1))
         path = tmp_path / "kite.svg"
-        cli.emit_svg(config, str(path))
+        cli.emit_svg(thetas, str(path))
         body = path.read_text()
         root = ET.fromstring(body)
         ys = []

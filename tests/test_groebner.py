@@ -45,11 +45,11 @@ def P(text, registry=XYZ):
 
 def basis_set(gb):
     """Basis as a set of primitive polynomials, for scalar-robust comparison."""
-    return {p.primitive(gb.order) for p in gb.polys}
+    return {p.primitive() for p in gb.polys}
 
 
 def parsed_set(gb, texts):
-    return {P(t, gb.registry).primitive(gb.order) for t in texts}
+    return {P(t, gb.registry).primitive() for t in texts}
 
 
 class TestReduce:
@@ -207,14 +207,14 @@ class TestBuchberger:
             while not b.is_zero():
                 _, r = reduce(a, [b], Lex())
                 a, b = b, r
-            return a.primitive(Lex())
+            return a.primitive()
 
         for _ in range(20):
             y0 = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
             z0 = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
             g1 = slice_gcd(gens, y0, z0)
             g2 = slice_gcd(gb.polys, y0, z0)
-            assert g1.primitive(Lex()) == g2.primitive(Lex())
+            assert g1.primitive() == g2.primitive()
 
     def test_random_combination_reduces_to_zero(self):
         rng = random.Random(47)
@@ -258,11 +258,12 @@ class TestPackedKernel:
         registries = [XYZ, VarRegistry(["w", "x", "y", "z"])]
         for n in range(42):
             reg = registries[n % 2]
-            order = [
-                Lex(),
-                GrevLex(),
-                elimination(reg, [reg.names[n % len(reg)]]),
-            ][n % 3]
+            # the same ideal over a registry with a variable no generator uses
+            wide = VarRegistry(["v", *reg.names])
+            order, wide_order = (
+                [Lex(), GrevLex(), elimination(r, [reg.names[n % len(reg)]])][n % 3]
+                for r in (reg, wide)
+            )
             gens = random_ideal(rng, reg)
             want = textbook_basis(gens, order)
             gb = buchberger(Ideal.of(*gens), order)
@@ -270,6 +271,8 @@ class TestPackedKernel:
             shuffled = gens[:]
             rng.shuffle(shuffled)
             assert list(buchberger(Ideal.of(*shuffled), order).polys) == want
+            gb = buchberger(Ideal.of(*(g.map_to(wide) for g in gens)), wide_order)
+            assert list(gb.polys) == [p.map_to(wide) for p in want], (order, gens)
 
     def test_exponent_beyond_packed_fields_raises(self):
         with pytest.raises(ExponentOverflowError):
@@ -314,6 +317,10 @@ class TestEliminate:
             if gb.polys:
                 want = buchberger(Ideal.of(*gb.polys), GrevLex())
                 assert gb.polys == want.polys, (gens, drop)
+            # a registry variable that no generator uses changes no basis
+            wide = VarRegistry(["v", *reg.names])
+            wide_gb = eliminate(Ideal.of(*(g.map_to(wide) for g in gens)), drop)
+            assert wide_gb.polys == tuple(p.map_to(wide) for p in gb.polys), (gens, drop)
 
 
 class TestEliminateDeflation:
@@ -380,8 +387,11 @@ class TestNormalForm:
 
     def test_inputs_the_kernel_cannot_pack_are_rejected(self):
         gb = buchberger(Ideal.of(P("x^2 - y")), Lex())
+        other = VarRegistry(["x", "y"])
         with pytest.raises(RegistryMismatchError):
-            normal_form(P("x", VarRegistry(["x", "y"])), gb)
+            normal_form(P("x", other), gb)
+        # zero reduces to zero before the registries are compared
+        assert normal_form(Poly.zero(other), gb) == Poly.zero(other)
         with pytest.raises(ExponentOverflowError):
             normal_form(P("y^32768"), gb)
         assert normal_form(P("x^3 + 1/2*y"), gb) == P("x*y + 1/2*y")

@@ -219,9 +219,9 @@ class TestIntegerForm:
             groups, fgroups = p.coefficients_in(names), fp.coefficients_in(names)
             assert list(groups) == list(fgroups)
             assert all(same(groups[k], fgroups[k]) for k in groups)
-            c, prim = p.content_strip(order)
+            c, prim = p.content_strip()
             fc, fprim = fp.content_strip(order)
-            assert c == fc and same(prim, fprim) and same(p.primitive(order), fprim)
+            assert c == fc and same(prim, fprim) and same(p.primitive(), fprim)
             parsed = Poly.parse(XYZ, p.format(order))
             assert canonical(parsed) and parsed.terms == fp.terms
             if not q.is_zero():
@@ -312,12 +312,12 @@ class TestOrders:
 
 class TestContentStrip:
     def test_integer_content(self):
-        c, q = P("32*x - 64").content_strip(Lex())
+        c, q = P("32*x - 64").content_strip()
         assert c == 32
         assert q == P("x - 2")
 
     def test_negative_fraction_content(self):
-        c, q = P("-1/2*x").content_strip(Lex())
+        c, q = P("-1/2*x").content_strip()
         assert c == Fraction(-1, 2)
         assert q == P("x")
 
@@ -329,7 +329,7 @@ class TestContentStrip:
         rng = random.Random(42)
         for _ in range(500):
             p = random_poly(rng, XYZ)
-            c, q = p.content_strip(GrevLex())
+            c, q = p.content_strip()
             assert q * c == p
             if not p.is_zero():
                 coeffs = list(q.terms.values())

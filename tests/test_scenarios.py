@@ -43,8 +43,6 @@ from vortexsym.trigvortex import (
 
 from reference import eval_at, reference_char_poly
 
-_ORD = GrevLex()
-
 
 def checks_by_name(report):
     return {c.name: c for c in report.oracle_checks}
@@ -225,7 +223,7 @@ class TestKite:
         # the configuration count is even and at most six, across many samples
         rng = random.Random(20240810)
         comps = pipeline(KITE)
-        factor = comps[2].r_poly.primitive(_ORD)
+        factor = comps[2].r_poly.primitive()
         for _ in range(100):
             mu1 = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
             mu2 = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
@@ -709,7 +707,7 @@ class TestReferenceBasis:
     def test_reference_elements_are_integer_primitive(self):
         # the stated basis elements carry no hidden rational content
         for f in targets.f_basis():
-            content, _ = f.content_strip(_ORD)
+            content, _ = f.content_strip()
             assert abs(content) == 1
 
     def test_random_combinations_reduce_to_zero(self, trapezoid_report):
@@ -767,8 +765,8 @@ class TestSolutionSetAnnihilation:
             values = {"mu1": mu1, "mu2": mu2, "mu3": mu3, "mu4": mu2}
             specialised = [c.r_poly.subs(values) for c in comps]
             assert specialised[1].is_zero()
-            p0 = specialised[0].primitive(_ORD)
-            p2 = specialised[2].primitive(_ORD)
+            p0 = specialised[0].primitive()
+            p2 = specialised[2].primitive()
             if specialised[0].is_zero():
                 continue
             assert p0 == p2

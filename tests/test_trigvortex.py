@@ -10,19 +10,17 @@ from fractions import Fraction
 import pytest
 
 from vortexsym import targets
-from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
+from vortexsym.ratpoly import Poly, VarRegistry
 from vortexsym.scenarios import rectangle
 from vortexsym.scenarios.rectangle import Sqrt2
 from vortexsym.trigvortex import (
     KITE,
-    MU_REGISTRY,
     R_REGISTRY,
     RECTANGLE,
     SQUARE,
     TRAPEZOID3,
     TRIG_REGISTRY,
     CollisionError,
-    Configuration,
     SymmetryScenario,
     _gprime,
     angle_of_r,
@@ -47,8 +45,6 @@ from reference import (
     weighted_gradient_sum,
 )
 
-ORD = GrevLex()
-
 
 def T(text):
     return Poly.parse(TRIG_REGISTRY, text)
@@ -59,7 +55,7 @@ def R(text):
 
 
 def proportional(p, q):
-    return p.primitive(ORD) == q.primitive(ORD)
+    return p.primitive() == q.primitive()
 
 
 class TestChebyshev:
@@ -267,8 +263,7 @@ class TestHessian:
             if min(b - a for a, b in zip(thetas, thetas[1:])) < 0.1:
                 continue
             mus = tuple(rng.uniform(0.5, 2.0) * rng.choice([-1, 1]) for _ in range(4))
-            config = Configuration(tuple(thetas), mus)
-            h = hessian(cos_table(config), mus)
+            h = hessian(cos_table(thetas), mus)
             for i in range(4):
                 assert abs(h[i][0] + h[i][1] + h[i][2] + h[i][3]) <= 1e-12
                 for j in range(4):
@@ -284,8 +279,7 @@ class TestHessian:
             if thetas[0] + 2 * math.pi - thetas[3] < 0.3:
                 continue
             mus = tuple(rng.uniform(0.5, 2.0) * rng.choice([-1, 1]) for _ in range(4))
-            config = Configuration(tuple(thetas), mus)
-            h = hessian(cos_table(config), mus)
+            h = hessian(cos_table(thetas), mus)
             step = 1e-5
             for j in range(4):
                 up = list(thetas)
@@ -356,14 +350,12 @@ class TestHessian:
     def test_square_weighted_uniform_circulations(self):
         from vortexsym.realroots import char_poly
 
-        config = Configuration(
-            (0.0, math.pi / 2, math.pi, 3 * math.pi / 2), (1.0, 1.0, 1.0, 1.0)
-        )
-        m = hessian(cos_table(config), config.mus, weighted=True)
+        thetas = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+        m = hessian(cos_table(thetas), (1.0, 1.0, 1.0, 1.0), weighted=True)
         # exact counterpart with unit circulations: constant polynomial entries
         rows = hessian(
             scenario_cos_table(SQUARE),
-            [Poly.constant(MU_REGISTRY, 1)] * 4,
+            [Poly.constant(VarRegistry(["mu1", "mu2", "mu3", "mu4"]), 1)] * 4,
             weighted=True,
         )
         exact_rows = [[Fraction(e.terms.get((0, 0, 0, 0), Fraction(0))) for e in row] for row in rows]
@@ -446,8 +438,7 @@ class TestHessian:
         for m1, m2 in [(1, 2), (2, 1), (3, 5), (-2, 3)]:
             mus = [Fraction(m1), Fraction(m2), Fraction(-m1), Fraction(-m2)]
             exact = hessian(rectangle._DIAGONAL_COSINES, mus, weighted)
-            config = Configuration(RECTANGLE.angles(math.pi / 4), tuple(mus))
-            approx = hessian(cos_table(config), mus, weighted)
+            approx = hessian(cos_table(RECTANGLE.angles(math.pi / 4)), mus, weighted)
             for i in range(4):
                 for j in range(4):
                     assert abs(to_float(exact[i][j]) - approx[i][j]) < 1e-12
@@ -472,12 +463,6 @@ class TestHessian:
         table[0][1] = table[1][0] = one
         with pytest.raises(CollisionError):
             hessian(table, [Fraction(1)] * 4)
-
-    def test_collision_rejected(self):
-        with pytest.raises(CollisionError):
-            Configuration((0.0, 0.0, 1.0, 2.0), (1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            Configuration((0.0, 1.0, 2.0, 3.0), (1, 0, 1, 1))
 
     def test_potential_gradient_consistency(self):
         # numeric gradient matches finite differences of the potential
