@@ -109,12 +109,16 @@ class KernelStats:
 class GroebnerBasis:
     """A reduced Groebner basis: content-normalised, inter-reduced, sorted.
 
-    ``stats`` holds the :class:`KernelStats` of the run that computed it,
-    or ``None``.
+    ``registry`` is that of the ideal it came from, so an empty basis (an
+    elimination ideal of 0) keeps it.  ``stats`` holds the
+    :class:`KernelStats` of the run that computed it, or ``None``.
     """
 
-    def __init__(self, polys, order, stats=None):
+    def __init__(self, polys, registry, order, stats=None):
         self.polys = tuple(polys)
+        if any(p.registry != registry for p in self.polys):
+            raise RegistryMismatchError(f"basis elements must lie over {registry}")
+        self.registry = registry
         self.order = order
         self.stats = stats
 
@@ -124,10 +128,6 @@ class GroebnerBasis:
     def __repr__(self):
         body = ", ".join(p.format(self.order) for p in self.polys)
         return f"GroebnerBasis[{body}]"
-
-    @property
-    def registry(self):
-        return self.polys[0].registry
 
     def normal_form(self, p):
         return normal_form(p, self)
@@ -178,7 +178,7 @@ def normal_form(p, basis):
         raise TypeError("normal_form expects a GroebnerBasis")
     if p.is_zero():
         return Poly.zero(p.registry)
-    if basis.polys and p.registry != basis.registry:
+    if p.registry != basis.registry:
         raise RegistryMismatchError(
             f"cannot reduce over {p.registry} modulo a basis over {basis.registry}"
         )
@@ -491,7 +491,7 @@ def buchberger(ideal, order):
     if not isinstance(ideal, Ideal):
         raise TypeError("buchberger expects an Ideal")
     polys, stats = _buchberger_int(ideal.generators, order)
-    return GroebnerBasis(polys, order, stats=stats)
+    return GroebnerBasis(polys, ideal.registry, order, stats=stats)
 
 
 def eliminate(ideal, drop):
@@ -524,7 +524,7 @@ def eliminate(ideal, drop):
         ideal = Ideal.of(*deflated)
     gb = buchberger(ideal, order)
     kept = [p for p in gb.polys if all(all(m[i] == 0 for i in order.block) for m in p.ints)]
-    return GroebnerBasis(kept, GrevLex(), stats=gb.stats)
+    return GroebnerBasis(kept, reg, GrevLex(), stats=gb.stats)
 
 
 def resultant(f, g, var):

@@ -24,8 +24,8 @@ CPython 3.11 keeps freed argument tuples of 20 items, or of 11 to 20 built
 from a generator, on free lists that only a full collection empties, and
 these kernels, allocating few tracked objects, rarely trigger one.
 
-``Sqrt2`` is the exact scalar field Q(sqrt(2)), in which the rectangle's
-diagonal Hessians live.
+``Sqrt2`` is the exact field Q(sqrt(2)), or with ``Poly`` parts over one
+registry the ring Q(sqrt(2))[x], of the rectangle's diagonal Hessian.
 """
 
 from __future__ import annotations
@@ -423,7 +423,8 @@ class Poly(Immutable):
         return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return -(self - other)
+        other = self._coerce(other)
+        return NotImplemented if other is None else -self._combine(other, -1)
 
     def _scaled(self, num, den):
         """``self * num / den`` for ints ``num`` and ``den != 0``."""
@@ -797,7 +798,9 @@ def _parse_poly(registry, text):
 
 @dataclass(frozen=True)
 class Sqrt2:
-    """Element a + b*sqrt(2) of Q(sqrt(2)) with exact rational parts."""
+    """Element a + b*sqrt(2) of Q(sqrt(2)) with exact rational parts, or of
+    Q(sqrt(2))[x] with ``Poly`` parts over one registry, as the rectangle
+    uses it; division stays rational-only."""
 
     a: Fraction
     b: Fraction = Fraction(0)
@@ -822,10 +825,11 @@ class Sqrt2:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return self + (-other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
-        return -self + other
+        other = self._coerce(other)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)

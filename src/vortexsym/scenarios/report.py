@@ -39,6 +39,12 @@ class Checks(list):
     def add(self, name, ok, detail=""):
         self.append(OracleCheck.of(name, ok, detail))
 
+    def expect(self, name, passing, derived):
+        """Add a check that passes with the detail ``passing`` when nothing
+        contrary was ``derived``, else shows both as expected and derived."""
+        ok = derived is None
+        self.add(name, ok, passing if ok else f"expected: {passing}; derived: {derived}")
+
 
 def pipeline_check(comps, reference):
     """The ``pipeline_polynomials`` check: each reduced polynomial of

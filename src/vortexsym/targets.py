@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 from vortexsym.ratpoly import Poly, VarRegistry
 
@@ -47,6 +48,11 @@ RECTANGLE_ELIMINATION = (
     "mu1*mu2 - mu3*mu4",
     "mu1^2 - mu3^2",
 )
+
+# minor of rows and columns 2-4 of the diagonal family's Hessian at
+# mu = (mu1, mu2, -mu1, -mu2), as (monomial, (a, b, c)) for the monomial
+# times a*mu1^2 + b*sqrt(2)*mu1*mu2 + c*mu2^2
+RECTANGLE_DIAGONAL_MINOR = ("mu1^2*mu2^2", (6, Fraction(25, 4), 6))
 
 TRAPEZOID_PIPELINE = (
     (-8, ("mu4 - 6*mu1*r^2 + 6*mu3*r^2 - 15*mu4*r^2 - 4*mu1*r^4 + 4*mu3*r^4"

@@ -11,6 +11,7 @@ from vortexsym.groebner import (
     ExponentOverflowError,
     GroebnerBasis,
     Ideal,
+    QuotientBasis,
     buchberger,
     eliminate,
     normal_form,
@@ -27,6 +28,8 @@ from vortexsym.ratpoly import (
     _div_exact,
     elimination,
 )
+
+from vortexsym.realroots import PositiveDimensionalError, hermite_matrix
 
 from reference import (
     box_standard_monomials,
@@ -322,6 +325,22 @@ class TestEliminate:
             wide_gb = eliminate(Ideal.of(*(g.map_to(wide) for g in gens)), drop)
             assert wide_gb.polys == tuple(p.map_to(wide) for p in gb.polys), (gens, drop)
 
+    def test_empty_elimination_ideal_keeps_its_registry(self):
+        # <x y - 1> meets Q[y] in 0: the basis is empty, its quotient infinite
+        reg = VarRegistry(["x", "y"])
+        gb = eliminate(Ideal.of(Poly.parse(reg, "x*y - 1")), ["x"])
+        assert gb.polys == () and gb.registry == reg
+        assert standard_monomials(gb) == QuotientBasis((), False)
+        with pytest.raises(PositiveDimensionalError):
+            hermite_matrix(gb)
+        assert gb.normal_form(Poly.parse(reg, "y^2")) == Poly.parse(reg, "y^2")
+        with pytest.raises(RegistryMismatchError):
+            gb.normal_form(P("x"))
+
+    def test_basis_elements_must_lie_over_its_registry(self):
+        with pytest.raises(RegistryMismatchError):
+            GroebnerBasis([P("x")], VarRegistry(["x", "y"]), GrevLex())
+
 
 class TestEliminateDeflation:
     """``eliminate`` runs on r^2 -> r when every exponent of r is even; the
@@ -376,9 +395,9 @@ class TestNormalForm:
             if not divisors:
                 continue
             bases = [
-                GroebnerBasis(divisors, order),
+                GroebnerBasis(divisors, XYZ, order),
                 buchberger(Ideal.of(*divisors), order),
-                GroebnerBasis((), order),
+                GroebnerBasis((), XYZ, order),
             ]
             for basis in bases:
                 for _ in range(5):
@@ -507,7 +526,7 @@ class TestStandardMonomials:
         # Every function call, Python or builtin, counts as work here.
         n = 160
         gb = GroebnerBasis(
-            [P(t) for t in ("x*y", "x*z", "y*z", f"x^{n}", f"y^{n}", f"z^{n}")], GrevLex()
+            [P(t) for t in ("x*y", "x*z", "y*z", f"x^{n}", f"y^{n}", f"z^{n}")], XYZ, GrevLex()
         )
         calls = 0
 
@@ -537,7 +556,7 @@ class TestStandardMonomials:
     def test_basis_that_is_not_reduced_matches_the_box_filter(self, gens):
         polys = buchberger(Ideal.of(*map(P, gens)), GrevLex()).polys
         x, y = P("x"), P("y")
-        gb = GroebnerBasis([*polys, x * polys[0], y * y * polys[-1]], GrevLex())
+        gb = GroebnerBasis([*polys, x * polys[0], y * y * polys[-1]], XYZ, GrevLex())
         qb = standard_monomials(gb)
         assert qb.finite
         assert len(set(gb.leading_monomials())) > len(polys)

@@ -2,8 +2,8 @@
 
 The default-circulation reports are pinned by ``golden/all_check_appendix.json``;
 this file pins the per-mu path that a library user scanning circulations takes.
-Regenerate with ``PYTHONPATH=src python tests/test_mu_reports.py`` only when a
-change to the reports is intended.
+``tests/regenerate_goldens.py`` rewrites it with ``render_mu_reports``, with
+every other golden file.
 """
 
 import random
@@ -49,7 +49,3 @@ def render_mu_reports():
 
 def test_mu_reports_match_golden_file():
     assert render_mu_reports() == GOLDEN.read_text()
-
-
-if __name__ == "__main__":
-    GOLDEN.write_text(render_mu_reports())

@@ -18,6 +18,7 @@ from vortexsym.ratpoly import (
     Lex,
     Poly,
     RegistryMismatchError,
+    Sqrt2,
     VarRegistry,
     elimination,
     mono_degree,
@@ -518,6 +519,33 @@ class TestTextFormat:
     def test_unknown_variable(self):
         with pytest.raises(KeyError):
             P("w + 1")
+
+
+class TestSqrt2:
+    def test_subtraction_of_an_unsupported_operand_is_a_type_error(self):
+        # __sub__ and __rsub__ hand the operand back with NotImplemented, so
+        # Python names both types instead of failing inside the method
+        one = Sqrt2(Fraction(1))
+        for left, right in ((one, 1.5), (1.5, one), (one, P("x")), (P("x"), one)):
+            names = f"'{type(left).__name__}' and '{type(right).__name__}'"
+            with pytest.raises(TypeError, match=f"unsupported operand .* {names}"):
+                left - right
+
+    def test_subtraction_by_parts(self):
+        x = Sqrt2(Fraction(1), Fraction(2))
+        assert x - 3 == Sqrt2(Fraction(-2), Fraction(2))
+        assert 3 - x == Sqrt2(Fraction(2), Fraction(-2))
+        assert x - x == 0
+
+    def test_poly_parts_make_a_ring_over_one_registry(self):
+        # (x + y sqrt2)(x - y sqrt2) = x^2 - 2 y^2, as in the rectangle's
+        # symbolic Hessian
+        zero = Poly.zero(XYZ)
+        u = Sqrt2(P("x"), P("y"))
+        v = Sqrt2(P("x"), -P("y"))
+        assert u * v == Sqrt2(P("x^2 - 2*y^2"), zero)
+        assert u - v == Sqrt2(zero, P("2*y")) and u + v - 2 * u == v - u
+        assert 1 - Sqrt2(P("x"), zero) == Sqrt2(P("1 - x"), zero)
 
 
 def test_mono_degree():

@@ -532,7 +532,7 @@ class TestHermite:
         # y is a leading monomial, so the tail of x^2 + y - 2 is not standard
         reg = VarRegistry(["x", "y"])
         gb = GroebnerBasis(
-            [Poly.parse(reg, "y - 1"), Poly.parse(reg, "x^2 + y - 2")], GrevLex()
+            [Poly.parse(reg, "y - 1"), Poly.parse(reg, "x^2 + y - 2")], reg, GrevLex()
         )
         with pytest.raises(ValueError, match=r"x\^2 \+ y - 2"):
             hermite_matrix(gb)

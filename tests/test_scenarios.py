@@ -11,12 +11,12 @@ import pytest
 
 from vortexsym import groebner, targets
 from vortexsym.groebner import GroebnerBasis, Ideal, KernelStats, buchberger
-from vortexsym.ratpoly import GrevLex, Poly, VarRegistry
+from vortexsym.ratpoly import GrevLex, Poly, Sqrt2, VarRegistry
 from vortexsym.realroots import RatInterval, coeffs_from_poly, poly_gcd, sturm_isolate
 from vortexsym.scenarios import run_kite, run_rectangle, run_square, run_trapezoid
 from vortexsym.scenarios import kite, rectangle, square, trapezoid
 from vortexsym.scenarios.kite import count_configurations
-from vortexsym.scenarios.rectangle import _all_nonzero, _branch_multiples
+from vortexsym.scenarios.rectangle import _branch_faults
 from vortexsym.scenarios.report import DEFAULT_EPS
 from vortexsym.scenarios.trapezoid import (
     IdealShapeError,
@@ -258,10 +258,8 @@ class TestRectangle:
         assert "never" in rectangle_report.stability["verdict"]
 
     def test_off_branch_circulations_are_named(self, rectangle_report):
-        # the diagonal sample sits on mu3 = -mu1, mu4 = -mu2 whatever the input
         off = run_rectangle(mus=(1, 2, 3, 4))
         assert off.passed(), off.failures()
-        assert off.stability["diagonal_samples"][0]["mu"] == ["1", "2", "-1", "-2"]
         assert "violate mu3 = -mu1, mu4 = -mu2" in off.stability["note"]
         on = run_rectangle(mus=(Fraction(2, 3), Fraction(-5, 4), Fraction(-2, 3), Fraction(5, 4)))
         assert on.passed(), on.failures()
@@ -271,9 +269,13 @@ class TestRectangle:
 
     def test_simple_zero_agrees_with_the_reference_char_poly(self):
         # H has zero row and column sums, so all its cofactors are equal and
-        # the lambda-coefficient of det(lambda I - H) is -4 C_11; the zero is
-        # simple exactly when that coefficient is nonzero.  With m1 or m2
-        # zero, two vortices carry no circulation and the zero is not simple.
+        # the lambda-coefficient of det(lambda I - H) is -4 C_11, with C_11
+        # the closed form of the minor; the zero is simple exactly when that
+        # coefficient is nonzero.  With m1 or m2 zero, two vortices carry no
+        # circulation and the zero is not simple.
+        monomial, (a, b, c) = targets.RECTANGLE_DIAGONAL_MINOR
+        assert monomial == "mu1^2*mu2^2"
+        derived = rectangle._diagonal_forms()[1]
         rng = random.Random(1296)
         points = [
             tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2))
@@ -286,13 +288,71 @@ class TestRectangle:
                 continue
             h = hessian(rectangle._DIAGONAL_COSINES, [m1, m2, -m1, -m2])
             c0, c1 = reference_char_poly(h)[:2]
-            (a, b, c), (d, e, f), (g, k, l) = (row[1:] for row in h[1:])
-            minor = a * (e * l - f * k) - b * (d * l - f * g) + c * (d * k - e * g)
+            minor = m1 * m1 * m2 * m2 * Sqrt2(a * m1 * m1 + c * m2 * m2, b * m1 * m2)
             assert c0 == 0 and c1 == -4 * minor
-            simple = rectangle._zero_eigenvalue_simple(m1, m2)
+            at = {"s": 0, "c": 0, "mu1": m1, "mu2": m2, "mu3": 0, "mu4": 0}
+            assert Sqrt2(derived.a.evaluate(at), derived.b.evaluate(at)) == minor
+            simple = m1 * m2 != 0
             assert simple == (c1 != 0)
             verdicts.add(simple)
         assert verdicts == {True, False}
+
+    def test_oracle_checks_do_not_depend_on_the_circulations(self, rectangle_report):
+        points = [
+            (1, 2, -1, -2),
+            (Fraction(2, 3), Fraction(-5, 4), Fraction(-2, 3), Fraction(5, 4)),
+            (1, 2, 3, 4),
+            (Fraction(-7, 2), 1, Fraction(1, 9), 5),
+        ]
+        for mus in points:
+            assert run_rectangle(mus=mus).oracle_checks == rectangle_report.oracle_checks
+
+    def test_patched_closed_form_fails_with_both_forms(self, monkeypatch):
+        monkeypatch.setattr(
+            targets, "RECTANGLE_DIAGONAL_MINOR", ("mu1^2*mu2^2", (6, Fraction(25, 4), 7))
+        )
+        (check,) = rectangle.diagonal_instability().checks
+        assert check.status == "fail"
+        expected, derived = check.detail.split("; derived: ")
+        assert expected.startswith("expected: at mu = (mu1, mu2, -mu1, -mu2)")
+        assert "mu1^2*mu2^2*(6*mu1^2 + 25/4*sqrt(2)*mu1*mu2 + 7*mu2^2)" in expected
+        assert derived == (
+            "trace Sqrt2(a=0, b=0) and minor"
+            " Sqrt2(a=6*mu1^4*mu2^2 + 6*mu1^2*mu2^4, b=25/4*mu1^3*mu2^3)"
+        )
+        assert [c.name for c in run_rectangle().failures()] == ["diagonal_instability"]
+
+    def test_branch_and_basis_failures_show_expected_and_derived(self, monkeypatch):
+        # the kite's components are no multiples of either branch target, and
+        # eliminating r from them gives another basis
+        comps = pipeline(KITE)
+        elim = {c.name: c.detail for c in rectangle.rectangle_elimination(comps).checks}
+        assert elim["elimination_basis"] == (
+            "expected: projection is {mu2 mu3 - mu1 mu4, mu1 mu2 - mu3 mu4, mu1^2 - mu3^2};"
+            " derived: {mu2 - mu4}"
+        )
+        details = {c.name: c.detail for c in rectangle.branch_angles(comps).checks}
+        assert details["equal_pairs_residual"] == (
+            "expected: components reduce to multiples of cot(theta2); zeros at pi/2,"
+            " 3*pi/2; derived: components [1, 3] are not multiples"
+        )
+        assert details["opposite_pairs_residual_exact"].endswith(
+            "; derived: components [1, 2, 3] are not multiples"
+        )
+        # the rectangle's own components with a Sturm count that misses roots
+        monkeypatch.setattr(rectangle, "_target_roots", lambda target: ())
+        angles = {c.name: c for c in rectangle.branch_angles(pipeline(RECTANGLE)).checks}
+        assert [n for n, c in angles.items() if c.status == "fail"] == [
+            "equal_pairs_only_square",
+            "opposite_pairs_diagonal_angles",
+        ]
+        assert angles["equal_pairs_only_square"].detail == (
+            "expected: equal pairs force theta2 = +-pi/2: the square;"
+            " derived: 0 real roots, not 2"
+        )
+        assert angles["opposite_pairs_diagonal_angles"].detail.endswith(
+            "; derived: 0 real roots, not 4"
+        )
 
     def test_residuals_fail_when_every_circulation_vanishes(self):
         # every component is then 0, a multiple of any target but with no
@@ -300,9 +360,8 @@ class TestRectangle:
         comps = pipeline(RECTANGLE)
         zero = {name: Fraction(0) for name in ("mu1", "mu2", "mu3", "mu4")}
         for target in ("c", "2*c^2 - 1"):
-            quotients = _branch_multiples(comps, zero, Poly.parse(TRIG_REGISTRY, target))
-            assert quotients is not None and all(q.is_zero() for q in quotients)
-            assert not _all_nonzero(quotients)
+            faults = _branch_faults(comps, zero, Poly.parse(TRIG_REGISTRY, target))
+            assert faults == (None, "components [1, 2, 3] reduce to 0")
 
     def test_every_check_passes_at_a_coarser_width(self):
         # the angle checks decide on the branch targets, not on the width of
@@ -650,7 +709,7 @@ class TestStages:
         gb = plane.ab_gb
         corrupted = [p + Poly.parse(gb.registry, "b^4") if p.uses("a") else p for p in gb.polys]
         assert corrupted != list(gb.polys)
-        bad_plane = dataclasses.replace(plane, ab_gb=GroebnerBasis(corrupted, gb.order))
+        bad_plane = dataclasses.replace(plane, ab_gb=GroebnerBasis(corrupted, gb.registry, gb.order))
         ok, detail = _plane_pairing(comps, g_ref, intervals, bad_plane)
         assert not ok
         assert detail.startswith("division certificate failed")
@@ -679,7 +738,7 @@ class TestStages:
         gb = plane.ab_gb
         one = Poly.constant(gb.registry, 1)
         perturbed = [p if p.uses("a") else p + one for p in gb.polys]
-        bad_plane = dataclasses.replace(plane, ab_gb=GroebnerBasis(perturbed, gb.order))
+        bad_plane = dataclasses.replace(plane, ab_gb=GroebnerBasis(perturbed, gb.registry, gb.order))
         assert _plane_pairing(comps, g_ref, intervals, bad_plane) == (
             False,
             "division certificate failed: B/A is not a root of the b-quintic",
