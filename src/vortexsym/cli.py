@@ -24,6 +24,7 @@ from vortexsym.ratpoly import GrevLex, Lex, Poly, VarRegistry
 from vortexsym.scenarios import run_kite, run_rectangle, run_square, run_trapezoid
 from vortexsym.scenarios.report import DEFAULT_EPS
 from vortexsym.trigvortex import SCENARIOS
+from vortexsym import targets
 
 SCENARIO_ORDER = ("kite", "rectangle", "square", "trapezoid")
 
@@ -32,7 +33,7 @@ FIGURE_THETA2 = {
     "square": math.pi / 2,
     "kite": 2 * math.pi / 3,
     "rectangle": math.pi / 4,
-    "trapezoid": 0.687197,
+    "trapezoid": next(row["theta2"] for row in targets.ANGLE_TABLE if row["true_trapezoid"]),
 }
 
 

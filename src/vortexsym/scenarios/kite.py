@@ -90,7 +90,7 @@ class KiteElimination:
 def kite_elimination(comps):
     """Check the kite ``pipeline``, eliminate r and read off the
     configuration factor."""
-    checks = Checks([pipeline_check(comps, targets.KITE_PIPELINE)])
+    checks = pipeline_check(comps, targets.KITE_PIPELINE)
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
     checks.add(
         "elimination_basis",
@@ -192,7 +192,7 @@ def stability(special, eps):
                 "decimal": float(lower.midpoint()),
                 "interval": [rat_str(lower.lo), rat_str(lower.hi)],
                 "included": window.lower_included,
-                "defining_polynomial": "121*t^2 + 282*t + 81",
+                "defining_polynomial": targets.KITE_WINDOW_DISCRIMINANT,
             },
             "upper": {
                 "decimal": float(window.upper_exact),
@@ -224,6 +224,7 @@ def special_angle_analysis(comps):
         targets.parsed(TRIG_REGISTRY, "mu2*mu4 - mu1*mu4"),
     ]
     display_ok = True
+    s_parts = []
     trig = [gradient_component(1, KITE)] + [c.trig for c in comps]
     for i, t in enumerate(trig, 1):
         num = t.num.subs({"c": half})
@@ -231,6 +232,7 @@ def special_angle_analysis(comps):
         groups = num.coefficients_in(["s"])
         s_free = groups.get((0,), Poly.zero(TRIG_REGISTRY))
         s_lin = groups.get((1,), Poly.zero(TRIG_REGISTRY))
+        s_parts.append(s_lin)
         # value = sqrt(3)/2 * s_lin / den; times mu_i it must equal
         # w_i / sqrt(3), i.e. 3 * mu_i * s_lin = 2 * w_i * den
         mu_i = Poly.variable(TRIG_REGISTRY, f"mu{i}")
@@ -244,15 +246,11 @@ def special_angle_analysis(comps):
         "grad V at 2*pi/3 is (mu1(mu4-mu2), mu2(mu1-mu4), 0, mu4(mu2-mu1))/sqrt(3)",
     )
 
-    # nonzero circulations annihilate the gradient only when all three agree
-    mu_reg = VarRegistry(["mu1", "mu2", "mu4"])
-    residuals = [
-        targets.parsed(mu_reg, "mu4 - mu2"),
-        targets.parsed(mu_reg, "mu1 - mu4"),
-        targets.parsed(mu_reg, "mu2 - mu1"),
-    ]
-    forced = buchberger(Ideal.of(*residuals), GrevLex())
-    forced_set = {p.primitive().format(forced.order) for p in forced.polys}
+    # nonzero circulations annihilate that gradient only when all three agree
+    forced_set = set()
+    if any(not p.is_zero() for p in s_parts):
+        forced = buchberger(Ideal.of(*s_parts), GrevLex())
+        forced_set = {p.primitive().format(forced.order) for p in forced.polys}
     checks.add(
         "special_angle_conditions",
         forced_set == {"mu1 - mu4", "mu2 - mu4"},
@@ -277,7 +275,7 @@ def special_angle_analysis(comps):
         "special_angle_weighted_spectrum",
         groups.get((2,)) == Poly.constant(lreg, 1)
         and disc_poly.map_to(treg).primitive()
-        == targets.parsed(treg, "121*t^2 + 282*t + 81").primitive(),
+        == targets.parsed(treg, targets.KITE_WINDOW_DISCRIMINANT).primitive(),
         "quadratic pair discriminant is (121 t^2 + 282 t + 81)/16",
     )
 

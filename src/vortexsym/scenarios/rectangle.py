@@ -23,8 +23,6 @@ from vortexsym.trigvortex import (
     RECTANGLE,
     R_REGISTRY,
     TRIG_REGISTRY,
-    cheb_cos,
-    half_angle_polynomialize,
     hessian,
     pipeline,
     scenario_cos_table,
@@ -72,7 +70,7 @@ class RectangleElimination:
 
 def rectangle_elimination(comps):
     """Check the rectangle ``pipeline`` and eliminate r."""
-    checks = Checks([pipeline_check(comps, targets.RECTANGLE_PIPELINE)])
+    checks = pipeline_check(comps, targets.RECTANGLE_PIPELINE)
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
     mine = {p.primitive() for p in gb.polys}
     want = {targets.parsed(R_REGISTRY, t).primitive() for t in targets.RECTANGLE_ELIMINATION}
@@ -95,20 +93,21 @@ class BranchAngles:
 
 
 def branch_angles(comps):
-    """Reduce the gradient components on the equal-pairs and opposite-pairs
-    branches to multiples of cos(theta2) and cos(2 theta2), and enclose the
-    angles where those targets vanish.
+    """Divide the pipeline polynomials on the equal-pairs and opposite-pairs
+    branches by ``targets.RECTANGLE_BRANCHES``, and enclose the angles
+    where those targets vanish.
 
-    Every component is q*target/s with a quotient q free of the angle, so
-    wherever q(mu) != 0 the branch angles are exactly the zeros of the
-    target; the half-angle map r -> theta2 is one to one, so a Sturm count
-    of 2 or 4 real r-roots finds them all.
+    Every polynomial is q*target with a quotient q free of r, so wherever
+    q(mu) != 0 the branch angles are exactly the zeros of the target; the
+    half-angle map r -> theta2 is one to one, so a Sturm count of 2 or 4
+    real r-roots finds them all.
     """
     checks = Checks()
-    mu1, mu2 = (Poly.variable(TRIG_REGISTRY, name) for name in ("mu1", "mu2"))
-    equal_missing, equal_fault = _branch_faults(comps, {"mu3": mu1, "mu4": mu2}, cheb_cos(1))
+    mu1, mu2 = (Poly.variable(R_REGISTRY, name) for name in ("mu1", "mu2"))
+    square, diagonal = (targets.parsed(R_REGISTRY, t) for t in targets.RECTANGLE_BRANCHES)
+    equal_missing, equal_fault = _branch_faults(comps, {"mu3": mu1, "mu4": mu2}, square)
     opposite_missing, opposite_fault = _branch_faults(
-        comps, {"mu3": -1 * mu1, "mu4": -1 * mu2}, cheb_cos(2)
+        comps, {"mu3": -1 * mu1, "mu4": -1 * mu2}, diagonal
     )
     checks.expect(
         "equal_pairs_residual",
@@ -121,18 +120,14 @@ def branch_angles(comps):
         " zeros at pi/4, 3*pi/4, 5*pi/4, 7*pi/4",
         opposite_fault,
     )
-    checks.expect(
-        "equal_pairs_residual_exact",
-        "exact: (1-c^2) * numerator is a constant multiple of c * denominator",
-        equal_missing,
-    )
-    checks.expect(
-        "opposite_pairs_residual_exact",
-        "exact: (1-c^2) * numerator is a constant multiple of (2c^2-1) * denominator",
-        opposite_missing,
-    )
-    square_roots = _target_roots(cheb_cos(1))
-    diag_roots = _target_roots(cheb_cos(2))
+    for name, target, missing in (
+        ("equal_pairs_residual_exact", square, equal_missing),
+        ("opposite_pairs_residual_exact", diagonal, opposite_missing),
+    ):
+        passing = f"exact: each pipeline polynomial is an r-free multiple of {target.format()}"
+        checks.expect(name, passing.replace("*", " "), missing)
+    square_roots = sturm_isolate(int_coeffs(square, "r"))
+    diag_roots = sturm_isolate(int_coeffs(diagonal, "r"))
     checks.expect(
         "equal_pairs_only_square",
         "equal pairs force theta2 = +-pi/2: the square",
@@ -144,11 +139,6 @@ def branch_angles(comps):
         opposite_fault or _count(diag_roots, 4),
     )
     return BranchAngles(tuple(checks), tuple(square_roots), tuple(diag_roots))
-
-
-def _target_roots(target):
-    """Isolating intervals of the real roots of the half-angle image of ``target``."""
-    return sturm_isolate(int_coeffs(half_angle_polynomialize(target), "r"))
 
 
 @dataclass(frozen=True)
@@ -202,21 +192,14 @@ def stability(mus):
 
 
 def _branch_faults(comps, substitution, target):
-    """Two texts on the components after the substitution, numbered from 1,
-    each None when it names none: those with no quotient q, free of s and c,
-    such that (1-c^2)*num = q*target*den, and those again or, failing them,
-    the ones whose q is 0.  A component with a quotient q is
-    q*target*s/(1-c^2), a multiple of target/s."""
-    pyth = targets.parsed(TRIG_REGISTRY, "1 - c^2")
-    zero = Poly.zero(TRIG_REGISTRY)
+    """Two texts on the pipeline polynomials after the substitution,
+    numbered from 1, each None when it names none: those that are no
+    multiple q*target with q free of r, and those again or, failing them,
+    the ones whose q is 0."""
     missing, vanishing = [], []
     for k, comp in enumerate(comps, 1):
-        t = comp.trig.subs_mu(substitution)
-        groups = t.num.coefficients_in(["s"])
-        q = None
-        if not set(groups) - {(1,), (0,)} and groups.get((0,), zero).is_zero():
-            q = (pyth * groups.get((1,), zero)).try_divide(target * t.den)
-        if q is None or q.uses("s") or q.uses("c"):
+        q = comp.r_poly.subs(substitution).try_divide(target)
+        if q is None or q.uses("r"):
             missing.append(k)
         elif q.is_zero():
             vanishing.append(k)

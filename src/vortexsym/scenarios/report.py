@@ -47,15 +47,20 @@ class Checks(list):
 
 
 def pipeline_check(comps, reference):
-    """The ``pipeline_polynomials`` check: each reduced polynomial of
-    ``comps`` is a scalar multiple of its product in ``reference``, a
-    pipeline entry of :mod:`vortexsym.targets`."""
+    """The ``pipeline_polynomials`` check, as a one-check :class:`Checks`:
+    each reduced polynomial of ``comps`` is a scalar multiple of its product
+    in ``reference``, a pipeline entry of :mod:`vortexsym.targets`; on
+    failure the detail numbers, from 1, the components that are not."""
     goals = targets.build_products(targets.R_REGISTRY, reference)
-    return OracleCheck.of(
+    pairs = enumerate(zip(comps, goals), 1)
+    differ = [k for k, (c, g) in pairs if c.r_poly.primitive() != g.primitive()]
+    checks = Checks()
+    checks.expect(
         "pipeline_polynomials",
-        all(c.r_poly.primitive() == g.primitive() for c, g in zip(comps, goals)),
         "three reduced polynomials match the reference forms up to scalars",
+        f"components {differ} are not multiples of their references" if differ else None,
     )
+    return checks
 
 
 def four_circulations(caller, mus):

@@ -137,7 +137,7 @@ class EliminationIdeal:
 def elimination_ideal(comps):
     """Check the pipeline output, eliminate r and factor the sixth basis
     element; see :class:`EliminationIdeal`."""
-    checks = Checks([pipeline_check(comps, targets.TRAPEZOID_PIPELINE)])
+    checks = pipeline_check(comps, targets.TRAPEZOID_PIPELINE)
     gb = eliminate(Ideal.of(*(c.r_poly for c in comps)), ["r"])
     f_ref = targets.f_basis()
     mine = {p.primitive() for p in gb.polys}
@@ -799,7 +799,8 @@ def angle_analysis(comps, plane):
     else:
         true_angles = [angle_of_r(radii[i]) for i in chosen]
         # the paper prints theta2 to six digits
-        unique = len(true_angles) == 1 and abs(true_angles[0] - 0.687197) < targets.NUMERIC_TOL
+        (printed,) = (row["theta2"] for row in targets.ANGLE_TABLE if row["true_trapezoid"])
+        unique = len(true_angles) == 1 and abs(true_angles[0] - printed) < targets.NUMERIC_TOL
         detail = (
             f"theta2 = {true_angles[0]:.6f} is the only angle below 2*pi/3"
             if true_angles
@@ -851,9 +852,11 @@ def _plane_pairing(comps, g_ref, g_intervals, plane):
     a-linear element a(b), C/A = a(B/A); and the first two pipeline
     polynomials, linear in the circulations, vanish on the family, since g
     divides each (mu2, mu3)-coefficient of A times their value there.
-    Each positive radius then takes the label of the one enclosure in
-    ``plane.b_intervals`` that its B/A enclosure meets; the families'
-    printed a-coefficients are the ``a_values`` check's to compare.
+    The positive radii, ascending, then take the labels of the one
+    enclosure in ``plane.b_intervals`` that each B/A enclosure meets, which
+    must be those of the ``targets.ANGLE_TABLE`` rows sorted by r; the
+    printed radii are the ``angle_roots`` check's to compare, and the
+    families' printed a-coefficients the ``a_values`` check's.
     """
     mus = ["mu1", "mu2", "mu3", "mu4"]
     groups = comps[2].r_poly.coefficients_in(mus)
@@ -900,20 +903,17 @@ def _plane_pairing(comps, g_ref, g_intervals, plane):
     if len(plane.b_intervals) != len(labels):
         return False, f"expected {len(labels)} real b-roots, found {len(plane.b_intervals)}"
     b_c = coeffs_from_poly(B, "r")
-    assignments = {}
-    for iv in g_intervals:
-        if iv.lo <= 0:
-            continue
+    positive = [iv for iv in g_intervals if iv.lo > 0]
+    rows = sorted((row["r"], row["plane"]) for row in targets.ANGLE_TABLE)
+    if len(positive) != len(rows):
+        return False, f"expected {len(rows)} positive radii, found {len(positive)}"
+    for iv, (r_val, want) in zip(positive, rows):
         b_val = eval_interval(b_c, iv) / eval_interval(a_c, iv)
-        met = [i for i, root in enumerate(plane.b_intervals) if root.meets(b_val)]
+        met = [labels[i] for i, root in enumerate(plane.b_intervals) if root.meets(b_val)]
         if len(met) != 1:
             return False, f"B/A meets {len(met)} isolating intervals of the b-quintic, expected 1"
-        assignments[round(float(iv.midpoint()), 6)] = labels[met[0]]
-    want = {row["r"]: row["plane"] for row in targets.ANGLE_TABLE}
-    for r_val, plane in want.items():
-        key = min(assignments, key=lambda x: abs(x - r_val))
-        if abs(key - r_val) > targets.NUMERIC_TOL or assignments[key] != plane:
-            return False, f"radius {r_val} did not pair with plane {plane}"
+        if met != [want]:
+            return False, f"radius {r_val} did not pair with plane {want}; derived {met[0]}"
     return True, "each radius pairs with its plane family, certified exactly"
 
 

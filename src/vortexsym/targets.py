@@ -49,6 +49,10 @@ RECTANGLE_ELIMINATION = (
     "mu1^2 - mu3^2",
 )
 
+# on the equal-pairs (mu3 = mu1, mu4 = mu2) and opposite-pairs (mu3 = -mu1,
+# mu4 = -mu2) branches, every pipeline polynomial is an r-free multiple of one
+RECTANGLE_BRANCHES = ("r^4 - 1", "r^4 - 6*r^2 + 1")
+
 # minor of rows and columns 2-4 of the diagonal family's Hessian at
 # mu = (mu1, mu2, -mu1, -mu2), as (monomial, (a, b, c)) for the monomial
 # times a*mu1^2 + b*sqrt(2)*mu1*mu2 + c*mu2^2
@@ -343,6 +347,7 @@ PLANE_FAMILIES = {
 # kite at the 120-degree angle with mu1 = mu2 = mu4: weighted eigenvalues are
 # 0, (3*mu3 - mu1)/2 and the roots of l^2 - (7*mu1 + 3*mu3)/4 * l - 3/8*(3*mu1 + mu3)*(mu1 + 3*mu3)
 KITE_WINDOW_LOWER = -0.335544  # (3/121) * (-47 + 4*sqrt(70))
+KITE_WINDOW_DISCRIMINANT = "121*t^2 + 282*t + 81"  # 16 * the pair's discriminant
 
 SQUARE_CONDITIONS = ("mu1 - mu3", "mu2 - mu4")
 

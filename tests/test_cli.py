@@ -14,6 +14,7 @@ GOLDEN = Path(__file__).parent / "golden" / "all_check_appendix.json"
 TRAPEZOID_GOLDEN = Path(__file__).parent / "golden" / "trapezoid.json"
 GROEBNER_IN = Path(__file__).parent / "golden" / "groebner_in.txt"
 FIGURES = Path(__file__).parent / "golden" / "figures"
+FROZEN = Path(__file__).parent.parent / "benchmarks" / "frozen.json"
 
 
 def run_cli(argv, capsys):
@@ -327,6 +328,29 @@ def test_all_report_matches_golden_file(
     }
     document = {"scenarios": [reports[name].to_document() for name in cli.SCENARIO_ORDER]}
     assert cli.render_json(document) == GOLDEN.read_text()
+
+
+def test_all_report_keeps_the_benchmark_contract(
+    kite_report, rectangle_report, square_report, trapezoid_report
+):
+    # The benchmark's classify workload reads every check named in its
+    # frozen file, and at least its count of oracle lines; a check that
+    # disappears from the report fails there, so it fails here first.
+    frozen = json.loads(FROZEN.read_text())
+    reports = {
+        "kite": kite_report,
+        "rectangle": rectangle_report,
+        "square": square_report,
+        "trapezoid": trapezoid_report,
+    }
+    assert set(frozen["classify"]) == set(reports)
+    for name, contract in frozen["classify"].items():
+        statuses = {c.name: c.status for c in reports[name].oracle_checks}
+        assert {check: statuses.get(check) for check in contract["oracle_checks"]} == {
+            check: "pass" for check in contract["oracle_checks"]
+        }, name
+    total = sum(len(report.oracle_checks) for report in reports.values())
+    assert total >= frozen["classify_oracle_lines"]
 
 
 def test_trapezoid_report_without_appendix_matches_golden_file(tmp_path, capsys):

@@ -17,7 +17,7 @@ from vortexsym.scenarios import run_kite, run_rectangle, run_square, run_trapezo
 from vortexsym.scenarios import kite, rectangle, square, trapezoid
 from vortexsym.scenarios.kite import count_configurations
 from vortexsym.scenarios.rectangle import _branch_faults
-from vortexsym.scenarios.report import DEFAULT_EPS
+from vortexsym.scenarios.report import DEFAULT_EPS, pipeline_check
 from vortexsym.scenarios.trapezoid import (
     IdealShapeError,
     _classify,
@@ -36,6 +36,7 @@ from vortexsym.trigvortex import (
     R_REGISTRY,
     SQUARE,
     TRIG_REGISTRY,
+    TrigRational,
     hessian,
     pipeline,
     scenario_cos_table,
@@ -213,6 +214,21 @@ class TestKite:
         assert "derived no bounded stable gap" in check.detail
         assert special.window is None
 
+    def test_special_angle_conditions_come_from_the_derived_gradient(self):
+        # the rectangle's components give another gradient at 2*pi/3, which
+        # forces every circulation to 0, not mu1 = mu2 = mu4
+        checks = {c.name: c for c in kite.special_angle_analysis(pipeline(RECTANGLE)).checks}
+        assert checks["special_angle_gradient"].status == "fail"
+        assert checks["special_angle_conditions"].status == "fail"
+
+    def test_special_angle_conditions_fail_on_a_vanishing_gradient(self, monkeypatch):
+        # every s-linear part zero: no ideal to take, and the check fails
+        zero = TrigRational(Poly.zero(TRIG_REGISTRY))
+        comps = [dataclasses.replace(c, trig=zero) for c in pipeline(KITE)]
+        monkeypatch.setattr(kite, "gradient_component", lambda i, scenario: zero)
+        checks = {c.name: c for c in kite.special_angle_analysis(comps).checks}
+        assert checks["special_angle_conditions"].status == "fail"
+
     def test_requires_matching_pair(self):
         with pytest.raises(ValueError):
             run_kite(mus=(1, 2, 1, 3))
@@ -340,7 +356,7 @@ class TestRectangle:
             "; derived: components [1, 2, 3] are not multiples"
         )
         # the rectangle's own components with a Sturm count that misses roots
-        monkeypatch.setattr(rectangle, "_target_roots", lambda target: ())
+        monkeypatch.setattr(rectangle, "sturm_isolate", lambda coeffs: [])
         angles = {c.name: c for c in rectangle.branch_angles(pipeline(RECTANGLE)).checks}
         assert [n for n, c in angles.items() if c.status == "fail"] == [
             "equal_pairs_only_square",
@@ -359,9 +375,40 @@ class TestRectangle:
         # zeros of its own: the quotients exist and all are zero
         comps = pipeline(RECTANGLE)
         zero = {name: Fraction(0) for name in ("mu1", "mu2", "mu3", "mu4")}
-        for target in ("c", "2*c^2 - 1"):
-            faults = _branch_faults(comps, zero, Poly.parse(TRIG_REGISTRY, target))
+        for target in targets.RECTANGLE_BRANCHES:
+            faults = _branch_faults(comps, zero, Poly.parse(R_REGISTRY, target))
             assert faults == (None, "components [1, 2, 3] reduce to 0")
+
+    def test_pipeline_failure_names_the_differing_components(self):
+        passing = "three reduced polynomials match the reference forms up to scalars"
+        (check,) = pipeline_check(pipeline(KITE), targets.RECTANGLE_PIPELINE)
+        assert check.status == "fail"
+        assert check.detail == (
+            f"expected: {passing}; derived: components [1, 2, 3] are not multiples"
+            " of their references"
+        )
+        comps = list(pipeline(RECTANGLE))
+        comps[1] = dataclasses.replace(comps[1], r_poly=comps[1].r_poly * 2 + comps[0].r_poly)
+        (check,) = pipeline_check(comps, targets.RECTANGLE_PIPELINE)
+        assert check.detail.endswith(
+            "; derived: components [2] are not multiples of their references"
+        )
+        (check,) = pipeline_check(pipeline(RECTANGLE), targets.RECTANGLE_PIPELINE)
+        assert (check.status, check.detail) == ("pass", passing)
+
+    def test_branches_are_read_from_the_pipeline_polynomials(self, monkeypatch):
+        # the trig forms of the components are not read: without them every
+        # branch check still passes
+        comps = [dataclasses.replace(c, trig=None) for c in pipeline(RECTANGLE)]
+        checks = rectangle.branch_angles(comps).checks
+        assert all(c.status == "pass" for c in checks), checks
+        # a patched branch target fails its exact residual with the components named
+        monkeypatch.setattr(targets, "RECTANGLE_BRANCHES", ("r^2 - 1", "r^4 - 6*r^2 + 1"))
+        details = {c.name: c.detail for c in rectangle.branch_angles(comps).checks}
+        assert details["equal_pairs_residual_exact"] == (
+            "expected: exact: each pipeline polynomial is an r-free multiple of r^2 - 1;"
+            " derived: components [1, 2, 3] are not multiples"
+        )
 
     def test_every_check_passes_at_a_coarser_width(self):
         # the angle checks decide on the branch targets, not on the width of
@@ -743,6 +790,15 @@ class TestStages:
             False,
             "division certificate failed: B/A is not a root of the b-quintic",
         )
+
+    def test_plane_pairing_rejects_a_swapped_plane_label(self, pairing_inputs, monkeypatch):
+        rows = [dict(row) for row in targets.ANGLE_TABLE]
+        rows[1]["plane"], rows[2]["plane"] = rows[2]["plane"], rows[1]["plane"]
+        monkeypatch.setattr(targets, "ANGLE_TABLE", tuple(rows))
+        ok, detail = _plane_pairing(*pairing_inputs)
+        assert not ok
+        # rows sorted by r: 0.199167 (now C3), 0.375563 (now B2), 2.79493
+        assert detail == "radius 0.199167 did not pair with plane C3; derived B2"
 
     def test_plane_pairing_rejects_a_perturbed_component(self, pairing_inputs):
         comps, g_ref, intervals, plane = pairing_inputs
