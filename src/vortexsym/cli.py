@@ -31,7 +31,7 @@ SCENARIO_ORDER = ("kite", "rectangle", "square", "trapezoid")
 # representative angle for each family's figure
 FIGURE_THETA2 = {
     "square": math.pi / 2,
-    "kite": 2 * math.pi / 3,
+    "kite": targets.KITE_SPECIAL_THETA2,
     "rectangle": math.pi / 4,
     "trapezoid": next(row["theta2"] for row in targets.ANGLE_TABLE if row["true_trapezoid"]),
 }

@@ -6,7 +6,7 @@ mu2 = mu4; the surviving even degree-six polynomial in r bounds the number
 of kite angles by six for any circulation choice.  At theta2 = 120 degrees
 the gradient further forces mu1 = mu2 = mu4 and a genuine linear-stability
 window in mu1/mu3 opens up, whose endpoints are certified by root isolation
-of an exact boundary polynomial.
+of an exact boundary polynomial.  Stability at other angles is not decided.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from vortexsym.trigvortex import (
     R_REGISTRY,
     TRIG_REGISTRY,
     char_poly_in,
-    gradient_component,
+    gradient,
     hessian,
     pipeline,
     scenario_cos_table,
@@ -50,8 +50,9 @@ from vortexsym import targets
 
 def run_kite(mus=None, eps=DEFAULT_EPS):
     """Full kite analysis for circulations ``mus`` (defaults to all ones),
-    from the circulation-free stages ``kite_elimination`` and
-    ``special_angle_analysis`` and the per-circulation
+    from the circulation-free stages ``kite_elimination`` (of the
+    ``pipeline``) and ``special_angle_analysis`` (of the ``gradient``) and
+    the per-circulation
     ``configuration_count``; the radii and the window's lower end are
     enclosed to width ``eps``."""
     mus = four_circulations("run_kite", mus) or (Fraction(1),) * 4
@@ -62,7 +63,7 @@ def run_kite(mus=None, eps=DEFAULT_EPS):
     stages = {
         "elimination": elimination,
         "configuration_count": configuration_count(elimination.config_factor, mus),
-        "special_angle_analysis": special_angle_analysis(comps),
+        "special_angle_analysis": special_angle_analysis(gradient(KITE)),
     }
     basis = [p.format(elimination.gb.order) for p in elimination.gb.polys]
     return ScenarioReport(
@@ -178,13 +179,19 @@ def stability(special, eps):
     :class:`SpecialAngle`), with the window's lower end enclosed to width
     ``eps``."""
     summary = {
-        "theta2": 2 * math.pi / 3,
-        "conditions": ["mu1 - mu4", "mu2 - mu4"],
+        "theta2": targets.KITE_SPECIAL_THETA2,
+        "conditions": list(targets.KITE_SPECIAL_CONDITIONS),
         "parameter": "mu1/mu3",
         "requires": "mu3 > 0",
         "window": None,
     }
     window = special.window
+    verdict = "no single stability window certified at theta2 = 2*pi/3; other angles not decided"
+    if window is not None and window.unique:
+        verdict = (
+            "at theta2 = 2*pi/3 with mu1 = mu2 = mu4 and mu3 > 0, stable exactly for"
+            " mu1/mu3 in the window; other angles not decided"
+        )
     if window is not None:
         lower = window.lower.refine(eps)
         summary["window"] = {
@@ -201,22 +208,21 @@ def stability(special, eps):
             },
         }
     return {
-        "verdict": "stable kites exist only at theta2 = 2*pi/3 with mu1 = mu2 = mu4",
+        "verdict": verdict,
         "special_angle": summary,
     }
 
 
-def special_angle_analysis(comps):
+def special_angle_analysis(trig):
     """The theta2 = 2*pi/3 kite: forced circulations and stability window;
     see :class:`SpecialAngle`.
 
-    ``comps`` is the kite ``pipeline``, whose trig forms are gradient
-    components 2, 3 and 4.
+    ``trig`` is the kite ``gradient``: its four components as trig forms.
     """
     checks = Checks()
     # gradient at cos(theta2) = -1/2: mu_i * component_i = w_i / sqrt(3) with
     # w = (mu1(mu4-mu2), mu2(mu1-mu4), 0, mu4(mu2-mu1))
-    half = Fraction(-1, 2)
+    half = targets.KITE_SPECIAL_COS
     w_expected = [
         targets.parsed(TRIG_REGISTRY, "mu1*mu4 - mu1*mu2"),
         targets.parsed(TRIG_REGISTRY, "mu1*mu2 - mu2*mu4"),
@@ -225,7 +231,6 @@ def special_angle_analysis(comps):
     ]
     display_ok = True
     s_parts = []
-    trig = [gradient_component(1, KITE)] + [c.trig for c in comps]
     for i, t in enumerate(trig, 1):
         num = t.num.subs({"c": half})
         den_val = t.den.subs({"c": half})
@@ -253,7 +258,7 @@ def special_angle_analysis(comps):
         forced_set = {p.primitive().format(forced.order) for p in forced.polys}
     checks.add(
         "special_angle_conditions",
-        forced_set == {"mu1 - mu4", "mu2 - mu4"},
+        forced_set == set(targets.KITE_SPECIAL_CONDITIONS),
         "mu1 = mu2 = mu4 forced at theta2 = 2*pi/3",
     )
 

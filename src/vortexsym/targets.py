@@ -344,6 +344,12 @@ PLANE_FAMILIES = {
 # Square and kite stability reference data
 # ---------------------------------------------------------------------------
 
+# the kite's special point: theta2 = 2*pi/3, where cos(theta2) = -1/2 and the
+# vanishing gradient forces mu1 = mu2 = mu4
+KITE_SPECIAL_THETA2 = 2 * math.pi / 3
+KITE_SPECIAL_COS = Fraction(-1, 2)
+KITE_SPECIAL_CONDITIONS = ("mu1 - mu4", "mu2 - mu4")
+
 # kite at the 120-degree angle with mu1 = mu2 = mu4: weighted eigenvalues are
 # 0, (3*mu3 - mu1)/2 and the roots of l^2 - (7*mu1 + 3*mu3)/4 * l - 3/8*(3*mu1 + mu3)*(mu1 + 3*mu3)
 KITE_WINDOW_LOWER = -0.335544  # (3/121) * (-47 + 4*sqrt(70))

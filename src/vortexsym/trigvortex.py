@@ -21,12 +21,13 @@ then, in r, divides out the scenario's collision factors.  The
 cosine convention here is the reflected one (r = cot(theta2/2)), so angles
 are recovered as theta2 = atan2(2r, r^2 - 1).
 
-The reduction depends on the scenario alone, never on the circulations, so
-``pipeline`` derives it once per process and scenario (lazily, on the first
-call) and hands every later caller the same value: a tuple of frozen
-``PipelineComponent``s whose factor lists are tuples.  That value is
-immutable: a ``Poly`` exposes its terms only as a read-only view, so no
-caller can change a shared polynomial in place.
+The gradient and its reduction depend on the scenario alone, never on the
+circulations, so ``gradient`` and ``pipeline`` derive them once per process
+and scenario (lazily, on the first call) and hand every later caller the
+same value: tuples of frozen ``TrigRational``s and ``PipelineComponent``s
+whose factor lists are tuples.  Those values are immutable: a ``Poly``
+exposes its terms only as a read-only view, so no caller can change a
+shared polynomial in place.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from vortexsym.ratpoly import Immutable, Poly, VarRegistry
+from vortexsym.ratpoly import Poly, VarRegistry
 from vortexsym.targets import R_REGISTRY, parsed
 
 TRIG_REGISTRY = VarRegistry(["s", "c", "mu1", "mu2", "mu3", "mu4"])
@@ -52,10 +53,12 @@ class CollisionError(ValueError):
 class SymmetryScenario:
     """theta_i = multiple_i * theta2 + offset_i * pi, with theta1 = 0.
 
-    Only theta2 is ever free, so every angle difference is an integer
-    multiple of theta2 plus a half-integer multiple of pi; the construction
-    rejects anything else.  The sequences are stored as tuples, so every
-    scenario is hashable and one built from lists equals its tuple twin.
+    Only theta2 is ever free, and a scenario that uses it offsets every
+    angle by whole multiples of pi, so every cosine of an angle difference
+    is free of s = sin(theta2); one without it has only multiples of pi/2.
+    The construction rejects anything else.  The sequences are stored as
+    tuples, so every scenario is hashable and one built from lists equals
+    its tuple twin.
     """
 
     kind: str
@@ -75,8 +78,8 @@ class SymmetryScenario:
                 raise ValueError("angle multiples must be integers")
             if Fraction(q) * 2 % 1 != 0:
                 raise ValueError("angle offsets must be multiples of pi/2")
-            if k != 0 and Fraction(q) % 1 != 0:
-                raise ValueError("a theta2-dependent angle may only be offset by multiples of pi")
+        if self.has_free_angle and any(Fraction(q) % 1 for q in self.offsets):
+            raise ValueError("pi/2 offsets cannot mix with a free angle")
 
     @property
     def has_free_angle(self):
@@ -109,183 +112,91 @@ SCENARIOS = {s.kind: s for s in (SQUARE, KITE, RECTANGLE, TRAPEZOID3)}
 # Chebyshev expansion of sin/cos of angle differences
 # ---------------------------------------------------------------------------
 
-_cheb_cos_cache = {}
-_cheb_sin_cache = {}
 
-
-def _c_poly():
-    return Poly.variable(TRIG_REGISTRY, "c")
-
-
+@functools.cache
 def cheb_cos(k):
     """cos(k*theta) as a polynomial in c = cos(theta)."""
-    k = abs(k)
-    if k not in _cheb_cos_cache:
-        c = _c_poly()
-        t0, t1 = Poly.constant(TRIG_REGISTRY, 1), c
-        polys = [t0, t1]
-        while len(polys) <= k:
-            polys.append(2 * c * polys[-1] - polys[-2])
-        _cheb_cos_cache.update(enumerate(polys))
-    return _cheb_cos_cache[k]
+    if k < 0:
+        return cheb_cos(-k)
+    if k < 2:
+        return Poly.variable(TRIG_REGISTRY, "c") if k else Poly.constant(TRIG_REGISTRY, 1)
+    return 2 * Poly.variable(TRIG_REGISTRY, "c") * cheb_cos(k - 1) - cheb_cos(k - 2)
 
 
+@functools.cache
 def cheb_sin_factor(k):
     """U_{k-1}(c) with sin(k*theta) = sin(theta) * U_{k-1}(cos(theta)), k >= 0."""
-    if k not in _cheb_sin_cache:
-        c = _c_poly()
-        u0, u1 = Poly.constant(TRIG_REGISTRY, 1), 2 * c
-        polys = [Poly.zero(TRIG_REGISTRY), u0, u1]  # index by k: U_{k-1}
-        while len(polys) <= k:
-            polys.append(2 * c * polys[-1] - polys[-2])
-        _cheb_sin_cache.update(enumerate(polys))
-    return _cheb_sin_cache[k]
+    c = Poly.variable(TRIG_REGISTRY, "c")
+    if k < 3:
+        return (Poly.zero(TRIG_REGISTRY), Poly.constant(TRIG_REGISTRY, 1), 2 * c)[k]
+    return 2 * c * cheb_sin_factor(k - 1) - cheb_sin_factor(k - 2)
 
 
 def _half_turns(q):
     """(cos(q*pi), sin(q*pi)) for q a multiple of 1/2, as exact integers."""
-    twice = Fraction(q) * 2
-    if twice % 1 != 0:
-        raise ValueError("offset must be a multiple of pi/2")
-    quadrant = int(twice) % 4
-    return ((1, 0), (0, 1), (-1, 0), (0, -1))[quadrant]
+    return ((1, 0), (0, 1), (-1, 0), (0, -1))[int(Fraction(q) * 2) % 4]
 
 
-def sin_of(k, q):
-    """sin(k*theta2 + q*pi) as an s,c polynomial (s-degree at most one)."""
+def sin_cos_of(k, q):
+    """(sin, cos) of k*theta2 + q*pi as s,c polynomials (s-degree at most one)."""
     cq, sq = _half_turns(q)
-    sign = 1 if k >= 0 else -1
-    s = Poly.variable(TRIG_REGISTRY, "s")
-    out = Poly.zero(TRIG_REGISTRY)
-    if cq:
-        out = out + cq * sign * s * cheb_sin_factor(abs(k))
-    if sq:
-        out = out + sq * cheb_cos(k)
-    return out
+    sin_k = (1 if k >= 0 else -1) * Poly.variable(TRIG_REGISTRY, "s") * cheb_sin_factor(abs(k))
+    cos_k = cheb_cos(k)
+    return cq * sin_k + sq * cos_k, cq * cos_k - sq * sin_k
 
 
-def cos_of(k, q):
-    """cos(k*theta2 + q*pi) as an s,c polynomial."""
-    cq, sq = _half_turns(q)
-    sign = 1 if k >= 0 else -1
-    out = Poly.zero(TRIG_REGISTRY)
-    if cq:
-        out = out + cq * cheb_cos(k)
-    if sq:
-        s = Poly.variable(TRIG_REGISTRY, "s")
-        out = out - sq * sign * s * cheb_sin_factor(abs(k))
-    return out
+@dataclass(frozen=True)
+class TrigRational:
+    """One gradient component as the quotient num / den of s,c,mu polynomials.
 
-
-def s_reduce(p):
-    """Rewrite s^2 -> 1 - c^2 until the s-degree is at most one."""
-    reg = p.registry
-    si = reg.index("s")
-    ci = reg.index("c")
-    out = {}  # integer numerators over p.den
-    pyth_cache = {}
-    for mono, coeff in p.ints.items():
-        e = mono[si]
-        if e < 2:
-            out[mono] = out.get(mono, 0) + coeff
-            continue
-        half, rem = divmod(e, 2)
-        if half not in pyth_cache:
-            pyth_cache[half] = parsed(reg, "1 - c^2") ** half
-        stripped = list(mono)
-        stripped[si] = rem
-        for m2, c2 in pyth_cache[half].ints.items():
-            mm = list(stripped)
-            mm[ci] += m2[ci]
-            key = tuple(mm)
-            v = out.get(key, 0) + coeff * c2
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return Poly.over(reg, {m: c for m, c in out.items() if c}, p.den)
-
-
-class TrigRational(Immutable):
-    """Quotient of s,c,mu polynomials with an s-free denominator.
-
-    The numerator is kept s-reduced (degree in s at most one); every
-    denominator arising from the potential is a polynomial in c alone,
-    which addition and multiplication preserve.  No attribute can be
-    assigned or deleted after construction.
+    The numerator is at most linear in s and the denominator is a nonzero
+    polynomial free of s; the construction refuses anything else.
     """
 
-    __slots__ = ("num", "den")
+    num: Poly
+    den: Poly
 
-    def __init__(self, num, den=None):
-        if den is None:
-            den = Poly.constant(TRIG_REGISTRY, 1)
-        if den.is_zero():
+    def __post_init__(self):
+        if self.den.is_zero():
             raise ZeroDivisionError("trig rational with zero denominator")
-        if den.uses("s"):
+        if self.den.uses("s"):
             raise ValueError("denominator must be free of s")
-        object.__setattr__(self, "num", s_reduce(num))
-        object.__setattr__(self, "den", den)
-
-    def __reduce__(self):
-        return TrigRational, (self.num, self.den)
-
-    def __add__(self, other):
-        if not isinstance(other, TrigRational):
-            return NotImplemented
-        return TrigRational(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self):
-        return TrigRational(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, TrigRational):
-            return TrigRational(self.num * other.num, self.den * other.den)
-        if isinstance(other, (int, Fraction, Poly)):
-            return TrigRational(self.num * other, self.den)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def subs_mu(self, mapping):
-        """Substitute circulation symbols (values or polynomials)."""
-        return TrigRational(self.num.subs(mapping), self.den.subs(mapping))
-
-    def __repr__(self):
-        return f"({self.num.format()}) / ({self.den.format()})"
+        if self.num.degree_in("s") > 1:
+            raise ValueError("numerator must be at most linear in s")
 
 
 def gradient_component(i, scenario):
     """(1/mu_i) dV/dtheta_i under the scenario substitution, as a TrigRational.
 
     Each pairwise term is mu_j sin(d_ij) (1 - 2cos(d_ij)) / (2 - 2cos(d_ij))
-    with d_ij = theta_i - theta_j; an identically-one cosine means the
-    scenario collides vortices i and j.
+    with d_ij = theta_i - theta_j, added over the product of the
+    denominators; an identically-one cosine means the scenario collides
+    vortices i and j.
     """
     if i not in (1, 2, 3, 4):
         raise ValueError("vortex index must be 1..4")
-    total = TrigRational(Poly.zero(TRIG_REGISTRY))
+    num, den = Poly.zero(TRIG_REGISTRY), Poly.constant(TRIG_REGISTRY, 1)
     for j in range(1, 5):
         if j == i:
             continue
-        k, q = scenario.difference(i, j)
-        sin_ij = sin_of(k, q)
-        cos_ij = cos_of(k, q)
-        den = Poly.constant(TRIG_REGISTRY, 2) - 2 * cos_ij
-        if den.is_zero():
+        sin_ij, cos_ij = sin_cos_of(*scenario.difference(i, j))
+        term_den = Poly.constant(TRIG_REGISTRY, 2) - 2 * cos_ij
+        if term_den.is_zero():
             raise CollisionError(f"scenario {scenario.kind} collides vortices {i} and {j}")
-        mu_j = Poly.variable(TRIG_REGISTRY, f"mu{j}")
-        num = mu_j * sin_ij * (den - 1)
-        total = total + TrigRational(num, den)
-    return total
+        term_num = Poly.variable(TRIG_REGISTRY, f"mu{j}") * sin_ij * (term_den - 1)
+        num, den = num * term_den + term_num * den, den * term_den
+    return TrigRational(num, den)
+
+
+@functools.cache
+def gradient(scenario):
+    """The four gradient components of ``scenario``, i = 1..4, as a tuple.
+
+    Derived once per process and scenario, on the first call; every later
+    call with an equal scenario returns the same tuple, and ``pipeline``
+    reduces components 2-4 of it.  ``gradient.cache_clear()`` drops it.
+    """
+    return tuple(gradient_component(i, scenario) for i in range(1, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +305,8 @@ class PipelineComponent:
 def reduce_component(i, scenario):
     """Clear one gradient component's numerator of half-angle denominators,
     then strip its collision factors in r and split off its content."""
-    trig = gradient_component(i, scenario)
-    if trig.is_zero():
+    trig = gradient(scenario)[i - 1]
+    if trig.num.is_zero():
         raise ValueError(f"component {i} of {scenario.kind} vanishes identically")
     stripped, r_factors = strip_collision_factors(half_angle_polynomialize(trig.num), scenario)
     content, canonical = stripped.content_strip()
@@ -500,14 +411,8 @@ def scenario_cos_table(scenario, cos_theta2=None):
             k, q = scenario.difference(i, j)
             if k != 0 and cos_theta2 is None:
                 raise ValueError("scenario needs cos(theta2)")
-            cq, sq = _half_turns(q)
-            if k == 0:
-                val = Fraction(cq)
-            else:
-                if sq:
-                    raise ValueError("pi/2 offsets cannot mix with free-angle terms")
-                val = cq * _eval_in_c(cheb_cos(k), cos_theta2)
-            table[i - 1][j - 1] = val
+            cq = _half_turns(q)[0]
+            table[i - 1][j - 1] = cq * _eval_in_c(cheb_cos(k), cos_theta2) if k else Fraction(cq)
     return table
 
 

@@ -23,7 +23,7 @@ from itertools import product
 
 from vortexsym.groebner import normal_form, standard_monomials
 from vortexsym.ratpoly import Poly, mono_div, mono_divides, mono_mul
-from vortexsym.trigvortex import TRIG_REGISTRY, TrigRational, gradient_component
+from vortexsym.trigvortex import TRIG_REGISTRY, gradient_component
 
 
 def reduce(p, divisors, order):
@@ -331,11 +331,16 @@ def eval_at(coeffs, x):
 
 
 def weighted_gradient_sum(scenario):
-    """sum_i mu_i * gradient_component(i): identically zero by rotation symmetry."""
-    total = TrigRational(Poly.zero(TRIG_REGISTRY))
-    for i in range(1, 5):
-        mu_i = Poly.variable(TRIG_REGISTRY, f"mu{i}")
-        total = total + gradient_component(i, scenario) * mu_i
+    """The numerator of sum_i mu_i * gradient_component(i) over the product
+    of the component denominators: identically zero by rotation symmetry."""
+    comps = [gradient_component(i, scenario) for i in range(1, 5)]
+    total = Poly.zero(TRIG_REGISTRY)
+    for i, t in enumerate(comps, 1):
+        term = Poly.variable(TRIG_REGISTRY, f"mu{i}") * t.num
+        for other in comps:
+            if other is not t:
+                term = term * other.den
+        total = total + term
     return total
 
 

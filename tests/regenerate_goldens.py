@@ -3,10 +3,11 @@
     python tests/regenerate_goldens.py [OUT]
 
 Each report is produced with the arguments CI compares it under, into OUT
-(``tests/golden`` by default); ``groebner_in.txt``, the one input among
-the golden files, is copied there.  Run it on ``tests/golden`` only when a
-change to the reports is intended, and list every changed line in
-CHANGES.md.  CI runs it into a temporary directory and compares that with
+(``tests/golden`` by default), and the text that ``all --check-appendix``
+prints is kept beside its report as ``all_check_appendix.txt``;
+``groebner_in.txt``, the one input among the golden files, is copied
+there.  Run it on ``tests/golden`` only when a change to the reports is
+intended, and list every changed line in CHANGES.md.  CI runs it into a temporary directory and compares that with
 ``tests/golden`` by ``diff -r``.  Standard library only.
 """
 
@@ -20,6 +21,8 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 GOLDEN = TESTS / "golden"
 GROEBNER_IN = GOLDEN / "groebner_in.txt"
+# reports whose printed text is a golden file too, as <report stem>.txt
+PRINTED = ("all_check_appendix.json",)
 
 # (golden file, vortexsym arguments before --json), as CI runs them
 CLI_RUNS = (
@@ -44,7 +47,9 @@ def regenerate(out):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     for name, args in CLI_RUNS:
         argv = [a.format(out=out) for a in args] + ["--json", str(out / name)]
-        subprocess.run([sys.executable, "-m", "vortexsym.cli", *argv], env=env, check=True, stdout=subprocess.DEVNULL)
+        run = subprocess.run([sys.executable, "-m", "vortexsym.cli", *argv], env=env, check=True, stdout=subprocess.PIPE)
+        if name in PRINTED:
+            (out / name).with_suffix(".txt").write_bytes(run.stdout)
     if out.resolve() != GOLDEN:
         shutil.copyfile(GROEBNER_IN, out / GROEBNER_IN.name)
     sys.path[:0] = [str(SRC), str(TESTS)]

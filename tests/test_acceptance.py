@@ -101,7 +101,8 @@ def test_criterion_03_rectangle(rectangle_report):
         ({"mu3": -1 * mu1, "mu4": -1 * mu2}, (m1, m2, -m1, -m2), lambda c, s: (2 * c * c - 1) / s),
     ]
     for substitution, mus, target in branches:
-        comps = [gradient_component(i, RECTANGLE).subs_mu(substitution) for i in (2, 3, 4)]
+        comps = [gradient_component(i, RECTANGLE) for i in (2, 3, 4)]
+        nums = [comp.num.subs(substitution) for comp in comps]
         ratios = [set() for _ in comps]
         for r in HALF_ANGLE_POINTS:
             rows = gradient_rows("rectangle", r)
@@ -109,8 +110,8 @@ def test_criterion_03_rectangle(rectangle_report):
             if rows is None or c == 0:  # a collision, or a zero of cot(theta2)
                 continue
             point = {"s": s, "c": c, "mu1": m1, "mu2": m2, "mu3": mus[2], "mu4": mus[3]}
-            for comp, row, seen in zip(comps, rows, ratios):
-                value = comp.num.evaluate(point) / comp.den.evaluate(point)
+            for comp, num, row, seen in zip(comps, nums, rows, ratios):
+                value = num.evaluate(point) / comp.den.evaluate(point)
                 assert value == sum(w * m for w, m in zip(row, mus))
                 seen.add(value / target(c, s))
         assert all(len(seen) == 1 and 0 not in seen for seen in ratios), ratios

@@ -37,6 +37,8 @@ from vortexsym.trigvortex import (
     SQUARE,
     TRIG_REGISTRY,
     TrigRational,
+    char_poly_in,
+    gradient,
     hessian,
     pipeline,
     scenario_cos_table,
@@ -172,7 +174,7 @@ class TestKite:
         window = kite._stability_window(one, one, Poly.parse(treg, "1/8 - t^2"))
         assert window.upper_exact is None
         monkeypatch.setattr(kite, "_stability_window", lambda *args: window)
-        special = kite.special_angle_analysis(pipeline(KITE))
+        special = kite.special_angle_analysis(gradient(KITE))
         check = {c.name: c for c in special.checks}["stability_window"]
         assert check.status == "fail"
         assert "expected mu1/mu3 in [-0.335544, -1/3)" in check.detail
@@ -207,7 +209,7 @@ class TestKite:
 
     def test_missing_stability_window_fails_its_check(self, monkeypatch):
         monkeypatch.setattr(kite, "_stability_window", lambda *args: None)
-        special = kite.special_angle_analysis(pipeline(KITE))
+        special = kite.special_angle_analysis(gradient(KITE))
         check = {c.name: c for c in special.checks}["stability_window"]
         assert check.status == "fail"
         assert "expected mu1/mu3 in [-0.335544, -1/3)" in check.detail
@@ -217,17 +219,55 @@ class TestKite:
     def test_special_angle_conditions_come_from_the_derived_gradient(self):
         # the rectangle's components give another gradient at 2*pi/3, which
         # forces every circulation to 0, not mu1 = mu2 = mu4
-        checks = {c.name: c for c in kite.special_angle_analysis(pipeline(RECTANGLE)).checks}
+        checks = {c.name: c for c in kite.special_angle_analysis(gradient(RECTANGLE)).checks}
         assert checks["special_angle_gradient"].status == "fail"
         assert checks["special_angle_conditions"].status == "fail"
 
-    def test_special_angle_conditions_fail_on_a_vanishing_gradient(self, monkeypatch):
+    def test_special_angle_gradient_reads_component_1_from_its_input(self):
+        # only component 1 replaced, by the rectangle's
+        trig = (gradient(RECTANGLE)[0],) + gradient(KITE)[1:]
+        checks = {c.name: c for c in kite.special_angle_analysis(trig).checks}
+        assert checks["special_angle_gradient"].status == "fail"
+
+    def test_special_angle_conditions_fail_on_a_vanishing_gradient(self):
         # every s-linear part zero: no ideal to take, and the check fails
-        zero = TrigRational(Poly.zero(TRIG_REGISTRY))
-        comps = [dataclasses.replace(c, trig=zero) for c in pipeline(KITE)]
-        monkeypatch.setattr(kite, "gradient_component", lambda i, scenario: zero)
-        checks = {c.name: c for c in kite.special_angle_analysis(comps).checks}
+        zero = TrigRational(Poly.zero(TRIG_REGISTRY), Poly.constant(TRIG_REGISTRY, 1))
+        checks = {c.name: c for c in kite.special_angle_analysis((zero,) * 4).checks}
         assert checks["special_angle_conditions"].status == "fail"
+
+    def test_special_angle_conditions_are_read_from_targets(self, monkeypatch):
+        special = kite.special_angle_analysis(gradient(KITE))
+        assert {c.name: c for c in special.checks}["special_angle_conditions"].status == "pass"
+        monkeypatch.setattr(targets, "KITE_SPECIAL_CONDITIONS", ("mu1 - mu3", "mu2 - mu4"))
+        special = kite.special_angle_analysis(gradient(KITE))
+        assert {c.name: c for c in special.checks}["special_angle_conditions"].status == "fail"
+
+    @pytest.mark.parametrize(
+        "r,mus",
+        [
+            (Fraction(1, 3), (Fraction(-361, 65), 1, 3, 1)),
+            (Fraction(3), (Fraction(434, 135), 1, -6, 1)),
+        ],
+        ids=["r=1/3", "r=3"],
+    )
+    def test_stable_kites_exist_away_from_the_special_angle(self, r, mus):
+        # exact kites at cos(theta2) = -4/5 and 4/5, far from 2*pi/3, where
+        # the three nonzero eigenvalues of mu^-1 H are all positive: the
+        # verdict may not claim that 2*pi/3 is the only stable angle
+        values = {"r": r, **{f"mu{i}": Fraction(m) for i, m in enumerate(mus, 1)}}
+        assert all(c.r_poly.evaluate(values) == 0 for c in pipeline(KITE))
+        lreg = VarRegistry(["lam"])
+        one = Poly.constant(lreg, 1)
+        cos_theta2 = (r * r - 1) / (r * r + 1)
+        rows = hessian(scenario_cos_table(KITE, cos_theta2), [m * one for m in mus], weighted=True)
+        lam = Poly.variable(lreg, "lam")
+        cubic = char_poly_in(rows, lreg, "lam").divide_exact(lam)
+        assert cubic.evaluate({"lam": 0}) != 0
+        roots = sturm_isolate(coeffs_from_poly(cubic, "lam"))
+        positive = [iv for iv in roots if iv.refine(Fraction(1, 100)).lo > 0]
+        assert len(roots) == len(positive) == 3
+        verdict = run_kite().stability["verdict"]
+        assert "other angles not decided" in verdict and "only" not in verdict
 
     def test_requires_matching_pair(self):
         with pytest.raises(ValueError):
@@ -643,7 +683,7 @@ class TestStages:
         ]
 
     def test_special_angle_analysis_matches_the_report(self, kite_report):
-        special = kite.special_angle_analysis(pipeline(KITE))
+        special = kite.special_angle_analysis(gradient(KITE))
         assert _frozen(special)
         assert [c.name for c in special.checks] == [
             "special_angle_gradient",

@@ -22,17 +22,18 @@ from vortexsym.trigvortex import (
     TRIG_REGISTRY,
     CollisionError,
     SymmetryScenario,
+    TrigRational,
     _gprime,
     angle_of_r,
     char_poly_in,
     cheb_cos,
     cheb_sin_factor,
+    gradient,
     gradient_component,
     half_angle_polynomialize,
     hessian,
     pipeline,
     reduce_component,
-    s_reduce,
     scenario_cos_table,
     strip_collision_factors,
 )
@@ -40,7 +41,7 @@ from vortexsym.trigvortex import (
 from reference import (
     cos_table,
     eval_at,
-    gradient,
+    gradient as float_gradient,
     potential,
     weighted_gradient_sum,
 )
@@ -78,9 +79,8 @@ class TestGradientComponents:
             (mu[1] - mu[3]) * Fraction(1, 2),
             (mu[2] - mu[0]) * Fraction(1, 2),
         ]
-        for i in range(1, 5):
-            t = gradient_component(i, SQUARE)
-            assert t.num == s_reduce(expected[i - 1] * t.den)
+        for t, e in zip(gradient(SQUARE), expected, strict=True):
+            assert t.num == e * t.den
 
     def test_kite_component3_proportional_to_displayed_form(self):
         comp = reduce_component(3, KITE)
@@ -100,6 +100,38 @@ class TestGradientComponents:
     def test_component_index_validation(self):
         with pytest.raises(ValueError):
             gradient_component(5, KITE)
+
+    @pytest.mark.parametrize("scenario", [SQUARE, KITE, RECTANGLE, TRAPEZOID3], ids=lambda s: s.kind)
+    def test_gradient_is_one_frozen_value_per_scenario(self, scenario):
+        grad = gradient(scenario)
+        assert gradient(scenario) is grad
+        assert isinstance(grad, tuple) and len(grad) == 4
+        for i, t in enumerate(grad, 1):
+            fresh = gradient_component(i, scenario)
+            assert (t.num, t.den) == (fresh.num, fresh.den)
+        if scenario.has_free_angle:
+            for k, comp in enumerate(pipeline(scenario)):
+                assert comp.trig is grad[k + 1]
+
+
+class TestTrigRational:
+    def test_numerator_at_most_linear_in_s(self):
+        assert TrigRational(T("s*c + mu1"), T("1 - c")).num == T("s*c + mu1")
+        with pytest.raises(ValueError, match="linear in s"):
+            TrigRational(T("s^2*mu1 + c"), T("1"))
+
+    def test_denominator_nonzero_and_free_of_s(self):
+        with pytest.raises(ZeroDivisionError):
+            TrigRational(T("s"), T("0"))
+        with pytest.raises(ValueError, match="free of s"):
+            TrigRational(T("c"), T("1 + s"))
+
+    def test_defines_no_arithmetic(self):
+        t = gradient(KITE)[0]
+        with pytest.raises(TypeError):
+            t + t
+        with pytest.raises(TypeError):
+            -t
 
 
 class TestStripping:
@@ -126,7 +158,7 @@ class TestStripping:
 
     def test_trig_polynomial_refused(self):
         with pytest.raises(ValueError, match="stripped in r"):
-            strip_collision_factors(s_reduce(T("s") ** 3), KITE)
+            strip_collision_factors(T("s") ** 3, KITE)
 
 
 class TestHalfAngle:
@@ -209,8 +241,10 @@ class TestPipelines:
     def test_fresh_derivation_equals_the_cached_one(self, scenario):
         cached = pipeline(scenario)
         pipeline.cache_clear()
+        gradient.cache_clear()
         fresh = pipeline(scenario)
         assert fresh is not cached
+        assert fresh[0].trig is not cached[0].trig
         for a, b in zip(fresh, cached, strict=True):
             assert a.index == b.index
             assert (a.trig.num, a.trig.den) == (b.trig.num, b.trig.den)
@@ -288,7 +322,7 @@ class TestHessian:
                 dn[j] -= step
                 fd = [
                     (gu - gd) / (2 * step)
-                    for gu, gd in zip(gradient(up, mus), gradient(dn, mus))
+                    for gu, gd in zip(float_gradient(up, mus), float_gradient(dn, mus))
                 ]
                 for i in range(4):
                     scale = max(1.0, abs(h[i][j]))
@@ -469,7 +503,7 @@ class TestHessian:
         rng = random.Random(5)
         thetas = (0.0, 1.1, 2.9, 4.4)
         mus = (1.0, -0.7, 1.3, 0.9)
-        g = gradient(thetas, mus)
+        g = float_gradient(thetas, mus)
         for i in range(4):
             up = list(thetas)
             dn = list(thetas)
@@ -497,3 +531,6 @@ class TestScenarioDefinitions:
             SymmetryScenario(
                 "bad", (0, 1, 0, 0), (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(0))
             )
+        # a pi/2 offset of a fixed vortex mixes with the free angle of another
+        with pytest.raises(ValueError, match="cannot mix"):
+            SymmetryScenario("mixed", (0, 1, 0, 0), (0, 0, Fraction(1, 2), 0))
